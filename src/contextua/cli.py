@@ -29,15 +29,26 @@ _EXIT_INPUT_ERROR = 2
 _EXIT_INDETERMINATE = 3
 
 
+def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current stdout (or stderr), looked up on each call.
+
+    Plain click.echo caches a wrapper per sys.stdout object, and the cached
+    entry keeps that object alive; every in-process invocation (CliRunner)
+    would then keep all of its captured output in memory.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    click.echo(message, file=stream, nl=nl)
+
+
 def _emit(report: Report, fmt: str) -> None:
     if fmt == "json":
-        click.echo(report_mod.render_json(report), nl=False)
+        _echo(report_mod.render_json(report), nl=False)
     else:
-        click.echo(report_mod.render_text(report), nl=False)
+        _echo(report_mod.render_text(report), nl=False)
 
 
 def _input_error(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(_EXIT_INPUT_ERROR)
 
 
@@ -93,11 +104,8 @@ def cmd_analyze(
                 raise io.FileFormatError("context file has no context blocks")
         if blocks:
             contexts = [close_context(block) for block in blocks]
-            uncovered = [
-                op.body()
-                for op in loose
-                if not any(op.canonical() in c.members for c in contexts)
-            ]
+            covered = {op.identity_key() for c in contexts for op in c.members}
+            uncovered = [op.body() for op in loose if op.identity_key() not in covered]
             if uncovered:
                 raise io.FileFormatError(
                     f"observables outside every context: {' '.join(uncovered)}"
@@ -195,9 +203,9 @@ def mbqc_run(ctx: click.Context, bits_text: str, fmt: str) -> None:
             "input": bits_text,
             "output": output,
         }
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
-        click.echo("indeterminate" if output is None else str(output))
+        _echo("indeterminate" if output is None else str(output))
     if output is None:
         sys.exit(_EXIT_INDETERMINATE)
 
@@ -211,7 +219,7 @@ def mbqc_table(ctx: click.Context, fmt: str) -> None:
     try:
         table = truth_table(instance)
     except IndeterminateInputsError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(_EXIT_INDETERMINATE)
     if fmt == "json":
         payload = {
@@ -220,11 +228,11 @@ def mbqc_table(ctx: click.Context, fmt: str) -> None:
             "input_bits": table.input_bits,
             "outputs": list(table.outputs),
         }
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
         for index, out in enumerate(table.outputs):
             key = format(index, f"0{table.input_bits}b") if table.input_bits else "()"
-            click.echo(f"{key}: {out}")
+            _echo(f"{key}: {out}")
 
 
 @cmd_mbqc.command("report")
@@ -236,7 +244,7 @@ def mbqc_report(ctx: click.Context, fmt: str) -> None:
     try:
         result = contextuality_report(instance)
     except SpecialContextNotStabilizingError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(_EXIT_INDETERMINATE)
     analysis = report_mod.build_analysis(
         result.contexts,

@@ -8,9 +8,10 @@ those four observables is minus the identity. Any valuation that respects a
 left-nullspace basis of relations respects every product constraint of the
 context, so the relation set stays small.
 
-Group membership and inclusion are projective: the poset of contexts is
-ordered by inclusion of symplectic row spaces. Signed sign data is recovered
-on demand by actually multiplying generators, never stored per element.
+Membership and inclusion are projective and answered by the context's
+:class:`~contextua.pauli.PauliBasis`, which reduces packed symplectic
+vectors against the generators; sign data is recovered on demand by
+actually multiplying the chosen generators, never stored per element.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .pauli import PauliOperator, commutes, identity, multiply_all
+from .pauli import PauliBasis, PauliOperator, commutes, multiply_all
 
 
 class NonCommutingGeneratorsError(ValueError):
@@ -52,22 +53,16 @@ def _sort_key(op: PauliOperator) -> str:
     return op.body()
 
 
-def _symplectic_matrix(ops: Sequence[PauliOperator], width: int) -> np.ndarray:
-    if not ops:
-        return np.zeros((0, 2 * width), dtype=np.uint8)
-    return np.array([op.symplectic() for op in ops], dtype=np.uint8)
-
-
+@dataclass(eq=False)
 class ContextGroup:
     """The abelian group generated by commuting Hermitian observables.
 
     Attributes:
-        width: qubit count.
         members: the named observables (canonical positive, deduplicated,
             sorted by body string).
-        generators: a maximal symplectically independent subset of members;
-            the group they generate has exactly 2 ** rank elements and never
-            contains minus the identity.
+        basis: the greedy independent subset of members, as a PauliBasis;
+            its ``generators`` generate a group of exactly 2 ** rank
+            elements that never contains minus the identity.
         relations: one Relation per left-nullspace basis vector of the member
             symplectic matrix, with signs computed by exact multiplication.
 
@@ -75,18 +70,17 @@ class ContextGroup:
     arguments are already validated and canonical.
     """
 
-    def __init__(
-        self,
-        width: int,
-        members: tuple[PauliOperator, ...],
-        generators: tuple[PauliOperator, ...],
-        relations: tuple[Relation, ...],
-    ) -> None:
-        self.width = width
-        self.members = members
-        self.generators = generators
-        self.relations = relations
-        self._basis = _symplectic_matrix(generators, width)
+    members: tuple[PauliOperator, ...]
+    basis: PauliBasis
+    relations: tuple[Relation, ...]
+
+    @property
+    def width(self) -> int:
+        return self.basis.width
+
+    @property
+    def generators(self) -> tuple[PauliOperator, ...]:
+        return self.basis.generators
 
     @property
     def rank(self) -> int:
@@ -96,32 +90,14 @@ class ContextGroup:
     def group_order(self) -> int:
         return 1 << self.rank
 
-    def span_key(self) -> bytes:
-        """Canonical fingerprint of the projective group (its row space)."""
-        reduced = gf2.rref(self._basis).reduced[: self.rank]
-        return reduced.tobytes()
-
-    def decompose(self, op: PauliOperator) -> tuple[np.ndarray, int] | None:
+    def decompose(self, op: PauliOperator) -> tuple[tuple[int, ...], int] | None:
         """Express op over the generators, with the realized sign.
 
         Returns (exponents, sign_bit) such that the product of generators with
         exponent 1 equals (-1)^sign_bit times the canonical representative of
         op, or None when op is not in the group projectively.
         """
-        if op.width != self.width:
-            raise ValueError(f"width mismatch: {op.width} vs {self.width}")
-        target = np.asarray(op.symplectic(), dtype=np.uint8)
-        if self.rank == 0:
-            if np.any(target):
-                return None
-            return np.zeros(0, dtype=np.uint8), 0
-        exponents = gf2.linear_solve(self._basis.T, target)
-        if exponents is None:
-            return None
-        chosen = [g for g, e in zip(self.generators, exponents) if e]
-        realized = multiply_all(chosen, width=self.width)
-        sign_bit = (realized.phase_exp - op.canonical().phase_exp) % 4 // 2
-        return exponents, sign_bit
+        return self.basis.decompose(op.canonical())
 
     def contains(self, op: PauliOperator) -> bool:
         """Projective membership: is op (up to sign) in the group?"""
@@ -132,19 +108,16 @@ class ContextGroup:
 
         0 means +op is the group element, 1 means -op is (for canonical op).
         """
-        result = self.decompose(op.canonical())
+        result = self.decompose(op)
         if result is None:
             return None
         return result[1]
 
     def is_subgroup_of(self, other: "ContextGroup") -> bool:
-        """Projective inclusion: every generator lies in the other's row space."""
+        """Projective inclusion: every generator lies in the other group."""
         if self.width != other.width:
             return False
-        return all(
-            gf2.row_space_contains(other._basis, np.asarray(g.symplectic(), dtype=np.uint8))
-            for g in self.generators
-        )
+        return all(other.contains(g) for g in self.generators)
 
     def __repr__(self) -> str:
         names = ", ".join(op.body() for op in self.members)
@@ -192,15 +165,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
                 )
     members.sort(key=_sort_key)
 
-    matrix = _symplectic_matrix(members, w)
-    generators: list[PauliOperator] = []
-    basis_rows: list[np.ndarray] = []
-    for op, row in zip(members, matrix):
-        stacked = np.array(basis_rows + [row], dtype=np.uint8)
-        if gf2.rank(stacked) > len(basis_rows):
-            generators.append(op)
-            basis_rows.append(row)
-
+    matrix = gf2.unpack_rows([op.packed() for op in members], 2 * w)
     relations = []
     for selector in gf2.left_nullspace(matrix):
         chosen = tuple(op for op, bit in zip(members, selector) if bit)
@@ -210,9 +175,8 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         relations.append(Relation(members=chosen, sign_bit=product.phase_exp // 2))
 
     return ContextGroup(
-        width=w,
         members=tuple(members),
-        generators=tuple(generators),
+        basis=PauliBasis(w, members),
         relations=tuple(relations),
     )
 
@@ -272,91 +236,3 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     ]
     contexts.sort(key=lambda c: tuple(op.body() for op in c.members))
     return contexts
-
-
-@dataclass(frozen=True)
-class ContextPoset:
-    """Contexts ordered by projective group inclusion.
-
-    order holds index pairs (i, j) meaning nodes[i] is contained in nodes[j];
-    the relation is reflexive, antisymmetric (nodes are deduplicated by row
-    space) and transitive.
-    """
-
-    nodes: tuple[ContextGroup, ...]
-    order: frozenset[tuple[int, int]]
-
-    def covers(self, node_index: int) -> tuple[int, ...]:
-        """Indices of nodes containing the given node (including itself)."""
-        return tuple(j for (i, j) in sorted(self.order) if i == node_index)
-
-
-def _intersect_spans(a: ContextGroup, b: ContextGroup) -> ContextGroup:
-    """Context generated by the intersection of two projective row spaces."""
-    width = a.width
-    ma = _symplectic_matrix(a.generators, width)
-    mb = _symplectic_matrix(b.generators, width)
-    if ma.shape[0] == 0 or mb.shape[0] == 0:
-        return close_context((), width=width)
-    stacked = np.vstack([ma, mb])
-    vectors = []
-    for selector in gf2.left_nullspace(stacked):
-        vec = (selector[: ma.shape[0]] @ ma) % 2
-        vectors.append(vec)
-    if not vectors:
-        return close_context((), width=width)
-    reduced = gf2.rref(np.array(vectors, dtype=np.uint8))
-    basis = reduced.reduced[: reduced.rank]
-    ops = [_operator_from_vector(row, width) for row in basis]
-    return close_context(ops, width=width)
-
-
-def _operator_from_vector(vector: np.ndarray, width: int) -> PauliOperator:
-    x = sum(int(vector[k]) << k for k in range(width))
-    z = sum(int(vector[width + k]) << k for k in range(width))
-    return PauliOperator(width, x, z).canonical()
-
-
-def build_poset(maximal: Sequence[ContextGroup]) -> ContextPoset:
-    """Close a set of maximal contexts under pairwise intersection.
-
-    New intersection nodes are themselves intersected until a fixpoint is
-    reached; nodes are deduplicated by row space and ordered by inclusion.
-    """
-    if not maximal:
-        return ContextPoset(nodes=(), order=frozenset())
-    widths = {c.width for c in maximal}
-    if len(widths) > 1:
-        raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
-    nodes: list[ContextGroup] = []
-    keys: set[bytes] = set()
-
-    def add(ctx: ContextGroup) -> bool:
-        key = ctx.span_key()
-        if key in keys:
-            return False
-        keys.add(key)
-        nodes.append(ctx)
-        return True
-
-    for ctx in maximal:
-        add(ctx)
-    frontier = list(nodes)
-    while frontier:
-        fresh: list[ContextGroup] = []
-        snapshot = list(nodes)
-        for new in frontier:
-            for old in snapshot:
-                meet = _intersect_spans(new, old)
-                if add(meet):
-                    fresh.append(meet)
-        frontier = fresh
-
-    nodes.sort(key=lambda c: (c.rank, tuple(op.body() for op in c.members)))
-    order = frozenset(
-        (i, j)
-        for i, low in enumerate(nodes)
-        for j, high in enumerate(nodes)
-        if low.is_subgroup_of(high)
-    )
-    return ContextPoset(nodes=tuple(nodes), order=order)

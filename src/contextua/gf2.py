@@ -1,9 +1,12 @@
 """Linear algebra over GF(2).
 
-Bit matrices are plain numpy arrays of dtype uint8 with entries in {0, 1},
-shape (rows, cols). Elimination is fully deterministic: pivots are chosen at
-the lowest-index column and the lowest-index row, so solutions, nullspace
-bases and inconsistency certificates are byte-stable across runs.
+Bit matrices cross the API as numpy arrays of dtype uint8 with entries in
+{0, 1}, shape (rows, cols). Inside :func:`rref`, the one elimination
+routine, each row is a Python int holding column c at bit c, followed by
+the row's transform bits, so a single XOR updates a row of both. Elimination
+is fully deterministic: pivots are chosen at the lowest-index column and the
+lowest-index row, so solutions, nullspace bases and inconsistency
+certificates are byte-stable across runs.
 """
 from __future__ import annotations
 
@@ -46,6 +49,14 @@ class RrefResult:
         return len(self.pivots)
 
 
+def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
+    """The uint8 bit matrix whose row r has bit c of rows[r] in column c."""
+    width = (cols + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
 def rref(matrix) -> RrefResult:
     """Gauss-Jordan elimination over GF(2).
 
@@ -54,30 +65,37 @@ def rref(matrix) -> RrefResult:
     matrix are zero, and the corresponding transform rows form a basis of the
     left nullspace of the input.
     """
-    mat = as_bits(matrix).copy()
-    rows, _cols = mat.shape
-    transform = np.eye(rows, dtype=np.uint8)
-    rank = 0
-    for col in range(mat.shape[1]):
-        pivot = None
-        for r in range(rank, rows):
-            if mat[r, col]:
-                pivot = r
-                break
+    mat = as_bits(matrix)
+    n, cols = mat.shape
+    # Row r holds column c at bit c and, above the matrix bits, its
+    # transform row, initially e_r.
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    rows = [
+        int.from_bytes(bits.tobytes(), "little") | 1 << (cols + r)
+        for r, bits in enumerate(packed)
+    ]
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        if rank == n:
+            break
+        bit = 1 << col
+        pivot = next((r for r in range(rank, n) if rows[r] & bit), None)
         if pivot is None:
             continue
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-            transform[[rank, pivot]] = transform[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and mat[r, col]:
-                mat[r] ^= mat[rank]
-                transform[r] ^= transform[rank]
-        rank += 1
-        if rank == rows:
-            break
-    pivots = tuple(int(np.argmax(mat[r])) for r in range(rank))
-    return RrefResult(reduced=mat, pivots=pivots, transform=transform)
+        lead = rows[pivot]
+        rows[pivot] = rows[rank]
+        rows[rank] = lead
+        for r in range(n):
+            if r != rank and rows[r] & bit:
+                rows[r] ^= lead
+        pivots.append(col)
+    mask = (1 << cols) - 1
+    return RrefResult(
+        reduced=unpack_rows([row & mask for row in rows], cols),
+        pivots=tuple(pivots),
+        transform=unpack_rows([row >> cols for row in rows], n),
+    )
 
 
 def rank(matrix) -> int:
@@ -92,16 +110,17 @@ def left_nullspace(matrix) -> np.ndarray:
 
 def nullspace(matrix) -> np.ndarray:
     """Basis (as rows) of {x : matrix @ x = 0 mod 2}, ordered by free column."""
-    mat = as_bits(matrix)
-    result = rref(mat)
-    n_cols = mat.shape[1]
-    pivots = result.pivots
-    free = [c for c in range(n_cols) if c not in pivots]
+    return _nullspace_of(rref(matrix))
+
+
+def _nullspace_of(result: RrefResult) -> np.ndarray:
+    """Row i sets free column i to 1 and each pivot variable to match it."""
+    n_cols = result.reduced.shape[1]
+    pivots = list(result.pivots)
+    free = sorted(set(range(n_cols)) - set(pivots))
     basis = np.zeros((len(free), n_cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = result.reduced[row, f]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = result.reduced[: result.rank][:, free].T
     return basis
 
 
@@ -206,7 +225,7 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     assignment = np.zeros(system.num_vars, dtype=np.uint8)
     for row, p in enumerate(result.pivots):
         assignment[p] = reduced_rhs[row]
-    return Gf2Solution(assignment=assignment, nullspace=nullspace(system.matrix))
+    return Gf2Solution(assignment=assignment, nullspace=_nullspace_of(result))
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

@@ -37,6 +37,10 @@ class ShapeMismatchError(ValueError):
     """Instance dimensions disagree (setting matrix, widths, list lengths)."""
 
 
+class MalformedFieldError(ValueError):
+    """An instance field has the wrong JSON type or a value out of range."""
+
+
 class InvalidResourceError(ValueError):
     """The resource is not a valid stabilizer group (or not one at all)."""
 
@@ -129,6 +133,10 @@ class LinearOutputMap:
 
 
 def _parse_observable(entry: str, party: int, parties: int) -> PauliOperator:
+    if not isinstance(entry, str) or not entry.strip():
+        raise MalformedFieldError(
+            f"observables entry for party {party} must be a Pauli string, got {entry!r}"
+        )
     text = entry.strip()
     sign = 1
     if text[:1] in "+-":
@@ -150,25 +158,46 @@ def _parse_observable(entry: str, party: int, parties: int) -> PauliOperator:
     return op.negate() if sign == -1 else op
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_instance(raw: dict) -> MBQCInstance:
     """Check raw (JSON-shaped) instance data and build an MBQCInstance."""
     try:
-        parties = int(raw["parties"])
-        input_bits = int(raw["input_bits"])
+        parties = raw["parties"]
+        input_bits = raw["input_bits"]
         q_rows = raw["Q"]
         observable_lists = raw["observables"]
         resource_lines = raw["resource"]
     except (KeyError, TypeError) as exc:
         raise ShapeMismatchError(f"missing or malformed instance field: {exc}") from exc
+    for name, value in (("parties", parties), ("input_bits", input_bits)):
+        if not _is_int(value):
+            raise MalformedFieldError(f"{name} must be an integer, got {value!r}")
     if parties < 1 or input_bits < 0:
         raise ShapeMismatchError("parties must be >= 1 and input_bits >= 0")
+    if not isinstance(q_rows, list) or not all(isinstance(r, list) for r in q_rows):
+        raise MalformedFieldError("Q must be a list of rows of bits")
     if len(q_rows) != parties or any(len(row) != input_bits for row in q_rows):
         raise ShapeMismatchError(
             f"setting matrix must be {parties} rows of {input_bits} bits"
         )
-    matrix = np.array(q_rows, dtype=np.uint8).reshape(parties, input_bits) % 2
+    for row in q_rows:
+        for entry in row:
+            if not _is_int(entry) or entry not in (0, 1):
+                raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
+    matrix = np.array(q_rows, dtype=np.uint8).reshape(parties, input_bits)
+    if not isinstance(observable_lists, list) or not all(
+        isinstance(lst, list) for lst in observable_lists
+    ):
+        raise MalformedFieldError("observables must be two lists of Pauli strings")
     if len(observable_lists) != 2 or any(len(lst) != parties for lst in observable_lists):
         raise ShapeMismatchError("observables must be two lists of one entry per party")
+    if not isinstance(resource_lines, list) or not all(
+        isinstance(line, str) for line in resource_lines
+    ):
+        raise MalformedFieldError("resource must be a list of signed Pauli strings")
     observables = tuple(
         tuple(
             _parse_observable(entry, party, parties)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 _PAULI_RE = re.compile(r"^([+-]?)([IXYZ]+)$")
 
@@ -106,11 +107,14 @@ class PauliOperator:
         occupied = self.x_bits | self.z_bits
         return tuple(k for k in range(self.width) if (occupied >> k) & 1)
 
+    def packed(self) -> int:
+        """The symplectic vector as one int: x_k at bit k, z_k at bit n + k."""
+        return self.x_bits | self.z_bits << self.width
+
     def symplectic(self) -> tuple[int, ...]:
         """The length-2n GF(2) vector (x_0..x_{n-1}, z_0..z_{n-1})."""
-        return tuple((self.x_bits >> k) & 1 for k in range(self.width)) + tuple(
-            (self.z_bits >> k) & 1 for k in range(self.width)
-        )
+        packed = self.packed()
+        return tuple((packed >> k) & 1 for k in range(2 * self.width))
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
@@ -199,3 +203,63 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
     form = (p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()
     return form % 2 == 0
+
+
+class PauliBasis:
+    """Independent Pauli operators, kept for sign-resolved membership.
+
+    Operators are inserted in order; one that is a product of the operators
+    already kept, up to phase, is not kept, so ``generators`` is the greedy
+    independent subset of the insertion order. Each generator's packed
+    symplectic vector is stored reduced against the earlier ones, with its
+    pivot bit and the set of generators whose product it is. Expressing a
+    vector over the generators then takes one XOR per generator, and one
+    product of the chosen generators, in generator order, gives the sign.
+    """
+
+    def __init__(self, width: int, ops: Iterable[PauliOperator] = ()) -> None:
+        self.width = width
+        self.generators: tuple[PauliOperator, ...] = ()
+        # One (pivot bit, reduced vector, generator mask) per generator.
+        self._rows: list[tuple[int, int, int]] = []
+        for op in ops:
+            self.add(op)
+
+    def _reduce(self, op: PauliOperator) -> tuple[int, int]:
+        """(remainder, generator mask) of op's packed vector after reduction."""
+        if op.width != self.width:
+            raise ValueError(f"width mismatch: {op.width} vs {self.width}")
+        vector = op.packed()
+        mask = 0
+        for pivot, row, combination in self._rows:
+            if vector & pivot:
+                vector ^= row
+                mask ^= combination
+        return vector, mask
+
+    def add(self, op: PauliOperator) -> bool:
+        """Keep op if it is independent of the generators; report whether it was."""
+        vector, mask = self._reduce(op)
+        if not vector:
+            return False
+        self._rows.append((vector & -vector, vector, mask | 1 << len(self.generators)))
+        self.generators = (*self.generators, op)
+        return True
+
+    def decompose(self, op: PauliOperator) -> tuple[tuple[int, ...], int] | None:
+        """Express op over the generators, with the realized sign.
+
+        Returns (exponents, sign_bit) such that the product of the generators
+        with exponent 1 equals (-1)^sign_bit times op, or None when op is not
+        a product of generators up to phase.
+        """
+        vector, mask = self._reduce(op)
+        if vector:
+            return None
+        exponents = tuple((mask >> j) & 1 for j in range(len(self.generators)))
+        chosen = [g for g, e in zip(self.generators, exponents) if e]
+        realized = multiply_all(chosen, width=self.width)
+        return exponents, (realized.phase_exp - op.phase_exp) % 4 // 2
+
+    def __repr__(self) -> str:
+        return f"PauliBasis(width={self.width}, generators={self.generators!r})"

@@ -1,8 +1,9 @@
-"""The spectral presheaf over a poset of measurement contexts.
+"""The spectral presheaf over measurement contexts.
 
 Each context carries its spectrum: the set of multiplicative ±1 valuations
 of its observables, encoded as bit assignments (value a means eigenvalue
-(-1)^a). Restriction maps valuations down the poset. A global section is a
+(-1)^a). Restriction maps a valuation to any subcontext, that is, any
+context whose group lies inside the valuation's context. A global section is a
 single bit assignment over all named observables whose restriction to every
 context is a valuation; deciding whether one exists reduces to a GF(2)
 linear system whose rows are the context relations plus any pinned
@@ -99,19 +100,15 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
         if not rel.members and rel.sign_bit:
             raise EmptySpectrumError("context contains minus the identity")
     g = context.rank
+    # Members always decompose; each is expressed over the generators once.
+    forms = [(op, context.decompose(op)) for op in context.members]
     points = []
     for idx in range(1 << g):
-        gen_bits = {
-            gen: (idx >> (g - 1 - j)) & 1 for j, gen in enumerate(context.generators)
+        gen_bits = [(idx >> (g - 1 - j)) & 1 for j in range(g)]
+        values = {
+            op: (sign_bit + sum(b for b, e in zip(gen_bits, exponents) if e)) % 2
+            for op, (exponents, sign_bit) in forms
         }
-        values: dict[PauliOperator, int] = {}
-        for op in context.members:
-            exponents, sign_bit = context.decompose(op)  # members always decompose
-            total = sign_bit
-            for gen, e in zip(context.generators, exponents):
-                if e:
-                    total += gen_bits[gen]
-            values[op] = total % 2
         points.append(Valuation(context=context, values=values))
     return tuple(points)
 
@@ -195,13 +192,13 @@ def build_global_problem(
             if key not in columns:
                 columns[key] = len(labels)
                 labels.append(op.body())
-    rows: list[np.ndarray] = []
+    rows: list[int] = []
     rhs: list[int] = []
     for ctx in contexts:
         for rel in ctx.relations:
-            row = np.zeros(len(labels), dtype=np.uint8)
+            row = 0
             for op in rel.members:
-                row[columns[op.identity_key()]] ^= 1
+                row ^= 1 << columns[op.identity_key()]
             rows.append(row)
             rhs.append(rel.sign_bit)
     for constraint in constraints:
@@ -211,17 +208,10 @@ def build_global_problem(
                 f"pinned observable {constraint.observable.body()} "
                 "does not occur in any context"
             )
-        row = np.zeros(len(labels), dtype=np.uint8)
-        row[columns[key]] = 1
-        rows.append(row)
+        rows.append(1 << columns[key])
         rhs.append(constraint.value_bit)
-    matrix = (
-        np.array(rows, dtype=np.uint8)
-        if rows
-        else np.zeros((0, len(labels)), dtype=np.uint8)
-    )
     return gf2.Gf2System(
-        matrix=matrix,
+        matrix=gf2.unpack_rows(rows, len(labels)),
         rhs=np.array(rhs, dtype=np.uint8),
         labels=tuple(labels),
     )

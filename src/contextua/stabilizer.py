@@ -1,7 +1,8 @@
 """Stabilizer groups with sign-resolved membership, plus a dense oracle.
 
-The group data is just the signed generator list; membership queries solve
-for generator exponents over GF(2) and multiply the chosen generators to
+The group data is the signed generator list, held in a
+:class:`~contextua.pauli.PauliBasis`: membership queries reduce the packed
+symplectic vector against the generators and multiply the chosen ones to
 recover the sign. The dense state-vector path exists for desk-scale checks
 and is capped at 10 qubits; the sign arithmetic itself has no cap.
 """
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .contexts import MinusIdentityError, NonCommutingGeneratorsError
-from .pauli import PauliOperator, commutes, multiply_all
+from .pauli import PauliBasis, PauliOperator, commutes
 
 
 class DependentGeneratorsError(ValueError):
@@ -38,17 +38,24 @@ class MemberSign(enum.IntEnum):
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    generators: tuple[PauliOperator, ...]
-    width: int
+    """Independent, pairwise commuting signed generators.
+
+    Build through :func:`make_stabilizer`, which validates the generators.
+    """
+
+    basis: PauliBasis
+
+    @property
+    def generators(self) -> tuple[PauliOperator, ...]:
+        return self.basis.generators
+
+    @property
+    def width(self) -> int:
+        return self.basis.width
 
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def basis_matrix(self) -> np.ndarray:
-        if not self.generators:
-            return np.zeros((0, 2 * self.width), dtype=np.uint8)
-        return np.array([g.symplectic() for g in self.generators], dtype=np.uint8)
 
 
 def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> StabilizerGroup:
@@ -74,46 +81,29 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> St
                 raise NonCommutingGeneratorsError(
                     f"{p.body()} and {q.body()} do not commute"
                 )
-    accepted: list[PauliOperator] = []
-    basis: list[np.ndarray] = []
+    basis = PauliBasis(width)
     for op in ops:
-        vector = np.asarray(op.symplectic(), dtype=np.uint8)
-        if basis:
-            exponents = gf2.linear_solve(np.array(basis, dtype=np.uint8).T, vector)
-        else:
-            exponents = None if np.any(vector) else np.zeros(0, dtype=np.uint8)
-        if exponents is None:
-            accepted.append(op)
-            basis.append(vector)
+        if basis.add(op):
             continue
-        chosen = [g for g, e in zip(accepted, exponents) if e]
-        product = multiply_all(chosen, width=width)
-        if product.phase_exp == op.phase_exp:
+        _, sign_bit = basis.decompose(op)
+        if sign_bit == 0:
             raise DependentGeneratorsError(
                 f"{op} is the product of earlier generators"
             )
         raise MinusIdentityError(
             f"{op} conflicts in sign with the product of earlier generators"
         )
-    return StabilizerGroup(generators=tuple(accepted), width=width)
+    return StabilizerGroup(basis)
 
 
 def member_sign(group: StabilizerGroup, op: PauliOperator) -> MemberSign:
     """Resolve whether +op, -op, or neither lies in the group."""
-    if op.width != group.width:
-        raise ValueError(f"width mismatch: {op.width} vs {group.width}")
     if not op.is_hermitian:
         raise ValueError(f"non-Hermitian query: {op!r}")
-    vector = np.asarray(op.symplectic(), dtype=np.uint8)
-    if group.rank == 0:
-        exponents = None if np.any(vector) else np.zeros(0, dtype=np.uint8)
-    else:
-        exponents = gf2.linear_solve(group.basis_matrix().T, vector)
-    if exponents is None:
+    decomposed = group.basis.decompose(op)
+    if decomposed is None:
         return MemberSign.NOT_MEMBER
-    chosen = [g for g, e in zip(group.generators, exponents) if e]
-    product = multiply_all(chosen, width=group.width)
-    return MemberSign.PLUS if product.phase_exp == op.phase_exp else MemberSign.MINUS
+    return MemberSign.MINUS if decomposed[1] else MemberSign.PLUS
 
 
 @dataclass(eq=False)

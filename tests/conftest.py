@@ -103,6 +103,36 @@ def random_stabilizer_group(rng: np.random.Generator, width: int) -> StabilizerG
     return make_stabilizer(gens)
 
 
+def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Gauss-Jordan over GF(2) on uint8 rows, one column at a time.
+
+    An independent oracle for gf2.rref: the pivot is the lowest-index row at
+    or below the rank row holding a one in the lowest remaining column; it is
+    swapped into the rank row and cleared from every other row. Returns
+    (reduced, pivots, transform) with reduced = transform @ matrix mod 2.
+    """
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8)).copy()
+    rows, cols = mat.shape
+    transform = np.eye(rows, dtype=np.uint8)
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if mat[r, col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            mat[[rank, pivot]] = mat[[pivot, rank]]
+            transform[[rank, pivot]] = transform[[pivot, rank]]
+        for r in range(rows):
+            if r != rank and mat[r, col]:
+                mat[r] ^= mat[rank]
+                transform[r] ^= transform[rank]
+        rank += 1
+        if rank == rows:
+            break
+    pivots = tuple(int(np.argmax(mat[r])) for r in range(rank))
+    return mat, pivots, transform
+
+
 def _embedded_vector(letter_index: int, party: int, width: int) -> np.ndarray:
     vec = np.zeros(2 * width, dtype=np.uint8)
     x = letter_index in (1, 2)
@@ -127,7 +157,7 @@ def random_valid_instance(
     n = int(rng.integers(1, max_parties + 1))
     m = int(rng.integers(1, max_input_bits + 1))
     group = random_stabilizer_group(rng, n)
-    g_matrix = group.basis_matrix()
+    g_matrix = np.array([g.symplectic() for g in group.generators], dtype=np.uint8)
     for _ in range(500):
         letters = rng.integers(0, 4, size=(2, n))
         v0 = np.zeros(2 * n, dtype=np.uint8)

@@ -1,5 +1,7 @@
 """End-to-end command tests through click's CliRunner."""
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -135,6 +137,21 @@ class TestMermin:
             assert analysis.verdict == "contextual"
             assert len(analysis.observables) == 10
             assert len(analysis.contexts) == 5
+
+    def test_repeated_runs_keep_no_output_alive(self, runner):
+        """Twenty in-process runs retain far less than their 2.9 kB reports."""
+        args = ["mermin", "--format", "json"]
+        runner.invoke(main, args)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                runner.invoke(main, args)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 20_000
 
     def test_byte_identical_runs(self, runner):
         first = runner.invoke(main, ["mermin", "--format", "json"])
@@ -275,6 +292,31 @@ class TestBadInvocations:
         inst = write_instance(tmp_path, {"parties": 2})
         result = runner.invoke(main, ["mbqc", "--instance", inst, "table"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "field,path,value",
+        [
+            ("observables", ("observables", 0, 0), ""),
+            ("Q", ("Q", 0, 0), -1),
+            ("observables", ("observables", 0, 0), 3),
+            ("Q", ("Q", 0, 0), 2),
+            ("parties", ("parties",), 2.7),
+            ("resource", ("resource",), "+ZI"),
+        ],
+        ids=["empty-observable", "negative-Q", "numeric-observable", "Q-entry-2",
+             "fractional-parties", "resource-string"],
+    )
+    def test_malformed_instance_field(self, runner, tmp_path, field, path, value):
+        raw = fixtures.anders_browne_raw()
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        inst = write_instance(tmp_path, raw)
+        result = runner.invoke(main, ["mbqc", "--instance", inst, "report"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert field in result.stderr
 
     def test_missing_required_option(self, runner):
         result = runner.invoke(main, ["mbqc", "table"])

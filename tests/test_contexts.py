@@ -1,19 +1,24 @@
-"""Context closure, clique search and the inclusion poset."""
+"""Context closure, membership and clique search."""
+import inspect
+from itertools import product
+
 import numpy as np
 import pytest
 
+from contextua import gf2
 from contextua.contexts import (
     ContextGroup,
     MinusIdentityError,
     NonCommutingGeneratorsError,
     Relation,
-    build_poset,
     close_context,
     commutation_graph,
     maximal_contexts,
 )
-from contextua.fixtures import mermin_contexts, mermin_observables
+from contextua.fixtures import ghz_group, mermin_observables
 from contextua.pauli import multiply_all, parse_pauli
+from contextua.presheaf import spectrum
+from contextua.stabilizer import MemberSign, member_sign
 
 from conftest import dense_operator, random_commuting_set
 
@@ -146,10 +151,47 @@ class TestMembership:
         assert not big.is_subgroup_of(small)
         assert big.is_subgroup_of(big)
 
-    def test_span_key_ignores_generator_order(self):
+    def test_span_inclusion_ignores_generator_order(self):
         a = close_context(ops("XI", "IX"))
         b = close_context(ops("IX", "XX"))
-        assert a.span_key() == b.span_key()
+        assert a.is_subgroup_of(b) and b.is_subgroup_of(a)
+
+
+class TestElimination:
+    def test_queries_call_no_gf2_function(self, monkeypatch):
+        ctx = close_context(ops("XYY", "YXY", "YYX"))
+        group = ghz_group()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a membership query ran GF(2) elimination")
+
+        for name, value in vars(gf2).items():
+            if inspect.isfunction(value) and value.__module__ == gf2.__name__:
+                monkeypatch.setattr(gf2, name, refuse)
+        xxx = parse_pauli("XXX")
+        assert ctx.decompose(xxx)[1] == 1
+        assert ctx.contains(xxx) and not ctx.contains(parse_pauli("ZZZ"))
+        assert ctx.element_sign(xxx) == 1
+        assert member_sign(group, parse_pauli("XYY")) is MemberSign.MINUS
+        points = spectrum(ctx)
+        assert len(points) == 8
+        assert points[0].value_of(parse_pauli("-XXX")) == 0
+
+    def test_close_context_eliminates_at_most_once(self, monkeypatch):
+        calls = []
+        original = gf2.rref
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(gf2, "rref", counting)
+        all_z = ["".join(z) for z in product("IZ", repeat=3)][1:]
+        for block in (ops("X"), ops("XII", "IXI", "IIX", "XXX"), ops(*all_z)):
+            calls.clear()
+            ctx = close_context(block)
+            assert len(calls) <= 1
+            assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
 
 class TestCliqueSearch:
@@ -194,7 +236,7 @@ class TestCliqueSearch:
         observables = mermin_observables()
         first = maximal_contexts(observables)
         second = maximal_contexts(list(reversed(observables)))
-        assert [c.span_key() for c in first] == [c.span_key() for c in second]
+        assert [c.members for c in first] == [c.members for c in second]
 
     def test_every_observable_is_covered(self):
         rng = np.random.default_rng(103)
@@ -215,67 +257,3 @@ class TestCliqueSearch:
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):
             maximal_contexts(ops("X", "XX"))
-
-
-class TestPoset:
-    def test_disjoint_singletons(self):
-        contexts = maximal_contexts(ops("X", "Y", "Z"))
-        poset = build_poset(contexts)
-        assert len(poset.nodes) == 4
-        ranks = sorted(c.rank for c in poset.nodes)
-        assert ranks == [0, 1, 1, 1]
-
-    def test_mermin_blocks_close_to_sixteen_nodes(self):
-        """Five displayed blocks meet in ten singleton contexts plus bottom."""
-        poset = build_poset(mermin_contexts())
-        assert len(poset.nodes) == 16
-        by_rank = {}
-        for node in poset.nodes:
-            by_rank.setdefault(node.rank, []).append(node)
-        assert len(by_rank[0]) == 1
-        assert len(by_rank[1]) == 10
-        assert len(by_rank[3]) == 5
-        singleton_bodies = {c.members[0].body() for c in by_rank[1]}
-        assert singleton_bodies == {
-            "XII", "YII", "IXI", "IYI", "IIX", "IIY", "XXX", "XYY", "YXY", "YYX",
-        }
-
-    def test_two_product_blocks_meet_in_their_shared_axis(self):
-        locals_block = close_context(ops("XII", "IXI", "IIX", "XXX"))
-        products_block = close_context(ops("XXX", "XYY", "YXY", "YYX"))
-        poset = build_poset([locals_block, products_block])
-        shared = [n for n in poset.nodes if n.rank == 1]
-        assert len(shared) == 1
-        assert shared[0].members[0].body() == "XXX"
-
-    def test_order_is_reflexive_antisymmetric_transitive(self):
-        poset = build_poset(mermin_contexts())
-        n = len(poset.nodes)
-        for i in range(n):
-            assert (i, i) in poset.order
-        for (i, j) in poset.order:
-            if i != j:
-                assert (j, i) not in poset.order
-        for (i, j) in poset.order:
-            for (k, l) in poset.order:
-                if j == k:
-                    assert (i, l) in poset.order
-
-    def test_covers_lists_containing_nodes(self):
-        poset = build_poset(mermin_contexts())
-        for i, node in enumerate(poset.nodes):
-            ups = poset.covers(i)
-            assert i in ups
-            for j in ups:
-                assert node.is_subgroup_of(poset.nodes[j])
-
-    def test_bottom_node_below_everything(self):
-        poset = build_poset(mermin_contexts())
-        bottom = min(range(len(poset.nodes)), key=lambda i: poset.nodes[i].rank)
-        assert poset.nodes[bottom].rank == 0
-        assert poset.covers(bottom) == tuple(range(len(poset.nodes)))
-
-    def test_empty_input(self):
-        poset = build_poset([])
-        assert poset.nodes == ()
-        assert poset.order == frozenset()

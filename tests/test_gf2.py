@@ -20,7 +20,7 @@ from contextua.gf2 import (
     verify_certificate,
 )
 
-from conftest import exhaustive_affine_tables
+from conftest import exhaustive_affine_tables, reference_rref
 
 
 def random_matrix(rng, rows, cols):
@@ -42,26 +42,54 @@ def brute_solutions(matrix, rhs):
     return cand[hits]
 
 
+def rref_inputs():
+    """Matrices every rref test runs on.
+
+    Random matrices up to 8 x 8, then edge shapes: no rows, no columns,
+    single rows, tall and wide, and widths on both sides of 64 and 128
+    columns, each once dense and once as a low-rank product.
+    """
+    rng = np.random.default_rng(11)
+    mats = [
+        random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        for _ in range(200)
+    ]
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (1, 130), (40, 3), (3, 40)]
+    shapes += [(r, c) for c in (63, 64, 65, 127, 128, 129) for r in (1, 20, 70, 140)]
+    for r, c in shapes:
+        mats.append(random_matrix(rng, r, c))
+        inner = int(rng.integers(1, 6))
+        mats.append((random_matrix(rng, r, inner) @ random_matrix(rng, inner, c)) % 2)
+    return mats
+
+
+RREF_INPUTS = rref_inputs()
+
+
 class TestRref:
+    def test_matches_reference_elimination(self):
+        """Same reduced form, pivots and transform as the uint8 oracle."""
+        for mat in RREF_INPUTS:
+            result = rref(mat)
+            reduced, pivots, transform = reference_rref(mat)
+            assert result.pivots == pivots
+            assert result.reduced.dtype == np.uint8
+            assert np.array_equal(result.reduced, reduced)
+            assert np.array_equal(result.transform, transform)
+
     def test_reduced_equals_transform_times_input(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            mat = random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        for mat in RREF_INPUTS:
             result = rref(mat)
             assert np.array_equal((result.transform @ mat) % 2, result.reduced)
 
     def test_transform_is_invertible(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            mat = random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        for mat in RREF_INPUTS:
             result = rref(mat)
             assert rank(result.transform) == mat.shape[0]
 
     def test_echelon_shape(self):
         """Pivots increase strictly and pivot columns hold a single one."""
-        rng = np.random.default_rng(13)
-        for _ in range(150):
-            mat = random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        for mat in RREF_INPUTS:
             result = rref(mat)
             assert list(result.pivots) == sorted(result.pivots)
             assert len(set(result.pivots)) == len(result.pivots)
@@ -71,9 +99,7 @@ class TestRref:
             assert not result.reduced[result.rank :].any()
 
     def test_idempotent(self):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            mat = random_matrix(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        for mat in RREF_INPUTS:
             reduced = rref(mat).reduced
             assert np.array_equal(rref(reduced).reduced, reduced)
 

@@ -1,11 +1,13 @@
 """Spectra, restriction maps and the global-section decision problem."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from contextua import gf2
-from contextua.contexts import ContextGroup, Relation, build_poset, close_context
+from contextua.contexts import ContextGroup, Relation, close_context
 from contextua.fixtures import ghz_pins, mermin_contexts
-from contextua.pauli import parse_pauli
+from contextua.pauli import PauliBasis, parse_pauli
 from contextua.presheaf import (
     Empty,
     EmptySpectrumError,
@@ -111,9 +113,8 @@ class TestSpectrum:
 
     def test_minus_identity_spectrum_is_refused(self):
         broken = ContextGroup(
-            width=1,
             members=(),
-            generators=(),
+            basis=PauliBasis(1),
             relations=(Relation(members=(), sign_bit=1),),
         )
         with pytest.raises(EmptySpectrumError):
@@ -134,10 +135,20 @@ class TestRestriction:
             assert restrict(point, ctx) == point
 
     def test_restriction_lands_in_the_subcontext_spectrum(self):
-        """Spectrum points flow down every edge of the inclusion poset."""
-        poset = build_poset(mermin_contexts())
-        for (i, j) in poset.order:
-            sub, big = poset.nodes[i], poset.nodes[j]
+        """Spectrum points flow down to every subcontext of a Mermin block.
+
+        The subcontexts are closed from each subset of a block's members of
+        size at most two, the empty one included.
+        """
+        pairs = []
+        for big in mermin_contexts():
+            for size in (0, 1, 2):
+                for subset in combinations(big.members, size):
+                    sub = close_context(subset, width=big.width)
+                    assert sub.is_subgroup_of(big)
+                    pairs.append((sub, big))
+        assert len(pairs) == 5 * (1 + 4 + 6)
+        for sub, big in pairs:
             sub_points = set()
             for p in spectrum(sub):
                 sub_points.add(p.bits)
