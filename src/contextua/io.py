@@ -7,8 +7,6 @@ must appear before the first block.
 
 Pin files: lines of `pin <signed-pauli> <+1|-1>` fixing eigenvalues.
 
-Stabilizer files: one signed Pauli generator per line.
-
 Instance files: JSON with fields `parties`, `input_bits`, `Q`,
 `observables` (two lists, settings 0 and 1), `resource`.
 """
@@ -19,9 +17,8 @@ import json
 from pathlib import Path
 
 from .mbqc import MBQCInstance, validate_instance
-from .pauli import PauliOperator, format_pauli, parse_pauli
+from .pauli import PauliOperator, parse_pauli
 from .presheaf import StateConstraint
-from .stabilizer import StabilizerGroup, make_stabilizer
 
 
 class FileFormatError(ValueError):
@@ -94,18 +91,6 @@ def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
     return tuple(pins)
 
 
-def parse_stabilizer_file(text: str) -> StabilizerGroup:
-    gens: list[PauliOperator] = []
-    for number, line in _content_lines(text):
-        try:
-            gens.append(parse_pauli(line))
-        except ValueError as exc:
-            raise FileFormatError(f"line {number}: {exc}") from exc
-    if not gens:
-        raise FileFormatError("stabilizer file lists no generators")
-    return make_stabilizer(gens)
-
-
 def load_instance(path: str | Path) -> MBQCInstance:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -115,16 +100,3 @@ def load_instance(path: str | Path) -> MBQCInstance:
     if not isinstance(raw, dict):
         raise FileFormatError("instance file must hold a JSON object")
     return validate_instance(raw)
-
-
-def instance_to_dict(inst: MBQCInstance) -> dict:
-    """Raw JSON-shaped form of an instance (full-width observable strings)."""
-    return {
-        "parties": inst.parties,
-        "input_bits": inst.input_bits,
-        "Q": [[int(b) for b in row] for row in inst.setting_matrix],
-        "observables": [
-            [format_pauli(op) for op in setting] for setting in inst.observables
-        ],
-        "resource": [format_pauli(g) for g in inst.resource.generators],
-    }

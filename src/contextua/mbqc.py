@@ -5,14 +5,18 @@ matrix Q over GF(2), and per party k one single-qubit observable for each
 setting bit. Input i selects settings q = Q*i; the computed output is the
 parity of the n local outcomes, which is deterministic exactly when the
 joint observable (the tensor of the selected locals) lies in the resource
-group up to sign. The module builds the instance's measurement contexts,
-decides contextuality of the state-pinned presheaf, tabulates the computed
-function, and checks the statement that a noncontextual instance computes
-an affine function of its input.
+group up to sign. Everything per input depends on i only through q, so the
+analysis evaluates each distinct setting once (there are at most 2^rank(Q))
+and fills the 2^m-entry table by lookup. The module builds the instance's
+measurement contexts, decides contextuality of the state-pinned presheaf,
+tabulates the computed function, and checks the statement that a
+noncontextual instance computes an affine function of its input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +31,10 @@ from .presheaf import (
     solve_global,
 )
 from .stabilizer import MemberSign, StabilizerGroup, make_stabilizer, member_sign
+
+
+# Every analysis walks all 2^input_bits inputs; larger instances are refused.
+MAX_INPUT_BITS = 16
 
 
 class NonLocalObservableError(ValueError):
@@ -107,8 +115,7 @@ class ContextualityReport:
     """
 
     global_section: GlobalSection | gf2.Certificate
-    truth_table: TruthTable | None
-    indeterminate_inputs: tuple[tuple[int, ...], ...]
+    truth_table: TruthTable
     affine: gf2.AffineForm | None
     theorem_consistent: bool
     contexts: tuple[ContextGroup, ...]
@@ -177,6 +184,10 @@ def validate_instance(raw: dict) -> MBQCInstance:
             raise MalformedFieldError(f"{name} must be an integer, got {value!r}")
     if parties < 1 or input_bits < 0:
         raise ShapeMismatchError("parties must be >= 1 and input_bits >= 0")
+    if input_bits > MAX_INPUT_BITS:
+        raise MalformedFieldError(
+            f"input_bits must be at most {MAX_INPUT_BITS}, got {input_bits}"
+        )
     if not isinstance(q_rows, list) or not all(isinstance(r, list) for r in q_rows):
         raise MalformedFieldError("Q must be a list of rows of bits")
     if len(q_rows) != parties or any(len(row) != input_bits for row in q_rows):
@@ -226,13 +237,47 @@ def validate_instance(raw: dict) -> MBQCInstance:
     )
 
 
-def _settings(inst: MBQCInstance, bits: Sequence[int]) -> np.ndarray:
-    vector = np.asarray(list(bits), dtype=np.uint8)
-    if vector.shape != (inst.input_bits,):
+def _columns(inst: MBQCInstance) -> list[int]:
+    """Columns of Q packed as ints: bit k of column j is Q[k, j]."""
+    return [
+        sum(int(bit) << k for k, bit in enumerate(inst.setting_matrix[:, j]))
+        for j in range(inst.input_bits)
+    ]
+
+
+def _setting_of(inst: MBQCInstance, bits: Sequence[int]) -> int:
+    """Settings q = Q*i for one input, packed: bit k is party k's setting."""
+    if len(bits) != inst.input_bits:
         raise ValueError(f"input must have {inst.input_bits} bits")
-    if inst.input_bits == 0:
-        return np.zeros(inst.parties, dtype=np.uint8)
-    return (inst.setting_matrix @ vector) % 2
+    return reduce(xor, (c for b, c in zip(bits, _columns(inst)) if b & 1), 0)
+
+
+def _distinct_settings(inst: MBQCInstance) -> tuple[list[int], dict[int, int]]:
+    """Every input's packed setting, and each distinct setting's first input.
+
+    Settings come in binary input order, i_m being the least significant
+    index bit; the dict maps each setting to its first input's index, in
+    first-reached order.
+    """
+    settings = [0]
+    for column in reversed(_columns(inst)):
+        settings += [q ^ column for q in settings]
+    first: dict[int, int] = {}
+    for index, q in enumerate(settings):
+        first.setdefault(q, index)
+    return settings, first
+
+
+def _locals(inst: MBQCInstance, q: int) -> list[PauliOperator]:
+    return [inst.observables[(q >> k) & 1][k] for k in range(inst.parties)]
+
+
+def _output(inst: MBQCInstance, product: PauliOperator) -> int | None:
+    """Bit fixed by the resource: 0 for sign +1, 1 for -1, None for neither."""
+    verdict = member_sign(inst.resource, product)
+    if verdict is MemberSign.NOT_MEMBER:
+        return None
+    return 0 if verdict is MemberSign.PLUS else 1
 
 
 def joint_observable(
@@ -243,8 +288,7 @@ def joint_observable(
     The context is generated by the selected per-party observables together
     with their product, so the product appears as a named member.
     """
-    q = _settings(inst, bits)
-    locals_ = [inst.observables[int(q[k])][k] for k in range(inst.parties)]
+    locals_ = _locals(inst, _setting_of(inst, bits))
     joint = multiply_all(locals_, width=inst.parties)
     gens = [
         op.canonical() for op in (*locals_, joint) if not op.is_identity_class
@@ -260,27 +304,47 @@ def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
     the joint observable is a signed member of the stabilizer group: sign +1
     gives output 0, sign -1 gives output 1.
     """
-    joint, _ = joint_observable(inst, bits)
-    verdict = member_sign(inst.resource, joint)
-    if verdict is MemberSign.NOT_MEMBER:
-        return None
-    return 0 if verdict is MemberSign.PLUS else 1
+    locals_ = _locals(inst, _setting_of(inst, bits))
+    return _output(inst, multiply_all(locals_, width=inst.parties))
 
 
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
-    outputs: list[int] = []
-    missing: list[tuple[int, ...]] = []
-    for index in range(1 << inst.input_bits):
-        bits = gf2.input_vector(index, inst.input_bits)
-        out = run(inst, bits)
-        if out is None:
-            missing.append(bits)
-        else:
-            outputs.append(out)
+    settings, first = _distinct_settings(inst)
+    outputs = {
+        q: _output(inst, multiply_all(_locals(inst, q), width=inst.parties))
+        for q in first
+    }
+    missing = tuple(
+        gf2.input_vector(index, inst.input_bits)
+        for index, q in enumerate(settings)
+        if outputs[q] is None
+    )
     if missing:
-        raise IndeterminateInputsError(tuple(missing))
-    return TruthTable(input_bits=inst.input_bits, outputs=tuple(outputs))
+        raise IndeterminateInputsError(missing)
+    return TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
+
+
+def _contexts_and_table(inst: MBQCInstance) -> tuple[list[ContextGroup], TruthTable]:
+    settings, first = _distinct_settings(inst)
+    locals_: list[ContextGroup] = []
+    products: list[PauliOperator] = []
+    outputs: dict[int, int | None] = {}
+    for q, index in first.items():
+        bits = gf2.input_vector(index, inst.input_bits)
+        joint, context = joint_observable(inst, bits)
+        outputs[q] = _output(inst, joint)
+        if outputs[q] is None:
+            raise SpecialContextNotStabilizingError(
+                f"joint observable {joint} for settings "
+                f"{tuple((q >> k) & 1 for k in range(inst.parties))} is not in the "
+                "resource group up to sign"
+            )
+        locals_.append(context)
+        products.append(joint.canonical())
+    special = close_context(list(dict.fromkeys(products)), width=inst.parties)
+    table = TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
+    return [*locals_, special], table
 
 
 def mbqc_contexts(inst: MBQCInstance) -> list[ContextGroup]:
@@ -292,63 +356,29 @@ def mbqc_contexts(inst: MBQCInstance) -> list[ContextGroup]:
     sign, otherwise the instance has indeterminate outputs and no
     state-pinned analysis is meaningful.
     """
-    seen_settings: set[tuple[int, ...]] = set()
-    locals_: list[ContextGroup] = []
-    joints: list[PauliOperator] = []
-    joint_keys: set[tuple[int, int, int]] = set()
-    for index in range(1 << inst.input_bits):
-        bits = gf2.input_vector(index, inst.input_bits)
-        q = tuple(int(b) for b in _settings(inst, bits))
-        if q in seen_settings:
-            continue
-        seen_settings.add(q)
-        joint, context = joint_observable(inst, bits)
-        locals_.append(context)
-        if member_sign(inst.resource, joint) is MemberSign.NOT_MEMBER:
-            raise SpecialContextNotStabilizingError(
-                f"joint observable {joint} for settings {q} is not in the "
-                "resource group up to sign"
-            )
-        canon = joint.canonical()
-        if canon.identity_key() not in joint_keys:
-            joint_keys.add(canon.identity_key())
-            joints.append(canon)
-    special = close_context(joints, width=inst.parties)
-    return [*locals_, special]
+    return _contexts_and_table(inst)[0]
 
 
 def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     """Decide contextuality of the state-pinned presheaf and check the theorem."""
-    contexts = mbqc_contexts(inst)
+    contexts, table = _contexts_and_table(inst)
     special = contexts[-1]
     pins = []
     for op in special.members:
-        verdict = member_sign(inst.resource, op)
-        if verdict is MemberSign.NOT_MEMBER:
+        bit = _output(inst, op)
+        if bit is None:
             raise SpecialContextNotStabilizingError(
                 f"special context member {op} is not in the resource group up to sign"
             )
-        pins.append(StateConstraint(observable=op, value_bit=0 if verdict is MemberSign.PLUS else 1))
+        pins.append(StateConstraint(observable=op, value_bit=bit))
     problem = build_global_problem(contexts, pins)
     outcome = solve_global(problem)
-    table: TruthTable | None
-    indeterminate: tuple[tuple[int, ...], ...]
-    try:
-        table = truth_table(inst)
-        indeterminate = ()
-    except IndeterminateInputsError as exc:
-        table = None
-        indeterminate = exc.inputs
-    affine = gf2.fit_affine(table.outputs) if table is not None else None
-    inconsistent = (
-        isinstance(outcome, GlobalSection) and table is not None and affine is None
-    )
+    affine = gf2.fit_affine(table.outputs)
     return ContextualityReport(
         global_section=outcome,
         truth_table=table,
-        indeterminate_inputs=indeterminate,
         affine=affine,
-        theorem_consistent=not inconsistent,
+        theorem_consistent=not (isinstance(outcome, GlobalSection) and affine is None),
         contexts=tuple(contexts),
         pins=tuple(pins),
         problem=problem,

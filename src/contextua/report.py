@@ -110,13 +110,9 @@ def build_analysis(
 
 def mbqc_block(rep: ContextualityReport) -> MbqcBlock:
     return MbqcBlock(
-        input_bits=rep.truth_table.input_bits
-        if rep.truth_table is not None
-        else len(rep.indeterminate_inputs[0]),
-        truth_table=rep.truth_table.outputs if rep.truth_table is not None else None,
-        indeterminate_inputs=tuple(
-            "".join(str(b) for b in bits) for bits in rep.indeterminate_inputs
-        ),
+        input_bits=rep.truth_table.input_bits,
+        truth_table=rep.truth_table.outputs,
+        indeterminate_inputs=(),
         affine_coefficients=rep.affine.a if rep.affine is not None else None,
         affine_constant=rep.affine.c if rep.affine is not None else None,
         theorem_consistent=rep.theorem_consistent,

@@ -9,9 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from contextua import gf2
+from contextua.contexts import ContextGroup, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
-from contextua.pauli import PauliOperator, commutes, format_pauli
-from contextua.stabilizer import StabilizerGroup, make_stabilizer
+from contextua.pauli import PauliOperator, commutes, format_pauli, multiply_all
+from contextua.stabilizer import (
+    MemberSign,
+    StabilizerGroup,
+    make_stabilizer,
+    member_sign,
+)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -222,3 +228,43 @@ def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
                 )
             )
     return tables
+
+
+def reference_mbqc(
+    inst: MBQCInstance,
+) -> tuple[tuple[int | None, ...], list[ContextGroup] | None]:
+    """The MBQC layer evaluated input by input, as an oracle for the one pass.
+
+    For every input in binary order: settings q = Q i by numpy, the product
+    of the selected locals, and its sign in the resource group. Returns the
+    output of each input (None where undetermined) and the contexts: one per
+    setting in first-reached order, each the closure of its locals and
+    their product, then the closure of the distinct products. The contexts
+    are None when some output is undetermined.
+    """
+    n, m = inst.parties, inst.input_bits
+    outputs: list[int | None] = []
+    contexts: list[ContextGroup] = []
+    seen: set[tuple[int, ...]] = set()
+    joints: dict[tuple[int, int, int], PauliOperator] = {}
+    for index in range(1 << m):
+        bits = np.array(gf2.input_vector(index, m), dtype=np.uint8)
+        q = tuple(int(b) for b in (inst.setting_matrix @ bits) % 2)
+        locals_ = [inst.observables[q[k]][k] for k in range(n)]
+        joint = multiply_all(locals_, width=n)
+        verdict = member_sign(inst.resource, joint)
+        outputs.append(
+            None
+            if verdict is MemberSign.NOT_MEMBER
+            else 0 if verdict is MemberSign.PLUS else 1
+        )
+        if q in seen:
+            continue
+        seen.add(q)
+        gens = [op.canonical() for op in (*locals_, joint) if not op.is_identity_class]
+        contexts.append(close_context(gens, width=n))
+        joints.setdefault(joint.canonical().identity_key(), joint.canonical())
+    if None in outputs:
+        return tuple(outputs), None
+    contexts.append(close_context(list(joints.values()), width=n))
+    return tuple(outputs), contexts

@@ -318,6 +318,22 @@ class TestBadInvocations:
         assert result.stderr.startswith("error: ")
         assert field in result.stderr
 
+    def test_input_bits_over_the_limit(self, runner, tmp_path):
+        raw = {
+            "parties": 1,
+            "input_bits": 17,
+            "Q": [[1] + [0] * 16],
+            "observables": [["Z"], ["-Z"]],
+            "resource": ["+Z"],
+        }
+        inst = write_instance(tmp_path, raw)
+        result = runner.invoke(
+            main, ["mbqc", "--instance", inst, "run", "--input", "1" * 17]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "input_bits" in result.stderr and "16" in result.stderr
+
     def test_missing_required_option(self, runner):
         result = runner.invoke(main, ["mbqc", "table"])
         assert result.exit_code == 2

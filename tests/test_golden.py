@@ -29,8 +29,12 @@ def _mermin_obs(*extra):
     return ["analyze", "--obs", str(FIXTURES / "mermin.txt"), *extra]
 
 
-def _mbqc(fixture, command):
-    return ["mbqc", "--instance", str(FIXTURES / fixture), command]
+def _mbqc(fixture, command, directory=FIXTURES):
+    return ["mbqc", "--instance", str(directory / fixture), command]
+
+
+# Five GHZ parties, six input bits, rank(Q) = 2: 64 inputs share 4 settings.
+_SHARED = "instance_ghz_shared_settings.json"
 
 
 _CONTEXTS = ("--contexts", str(FIXTURES / "mermin_contexts.txt"))
@@ -45,6 +49,8 @@ COMMANDS = {
     "mbqc_table_anders_browne": _mbqc("anders_browne.json", "table"),
     "mbqc_report_z_product": _mbqc("z_product.json", "report"),
     "mbqc_table_z_product": _mbqc("z_product.json", "table"),
+    "mbqc_report_ghz_shared_settings": _mbqc(_SHARED, "report", GOLDEN),
+    "mbqc_table_ghz_shared_settings": _mbqc(_SHARED, "table", GOLDEN),
     "analyze_all_three_qubit": ["analyze", "--obs", ALL_THREE_QUBIT],
 }
 

@@ -9,14 +9,12 @@ import contextua
 from contextua import fixtures
 from contextua.io import (
     FileFormatError,
-    instance_to_dict,
     load_instance,
     parse_observable_file,
     parse_pin_file,
-    parse_stabilizer_file,
     sha256_digest,
 )
-from contextua.mbqc import contextuality_report, validate_instance
+from contextua.mbqc import contextuality_report
 from contextua.pauli import parse_pauli
 from contextua.presheaf import build_global_problem, solve_global
 from contextua.report import (
@@ -96,24 +94,6 @@ class TestPinFiles:
                 parse_pin_file(text)
 
 
-class TestStabilizerFiles:
-    def test_parse_generators(self):
-        group = parse_stabilizer_file("# GHZ\n+XXX\n+ZZI\n+IZZ\n")
-        assert [g.body() for g in group.generators] == ["XXX", "ZZI", "IZZ"]
-
-    def test_empty_is_refused(self):
-        with pytest.raises(FileFormatError):
-            parse_stabilizer_file("# only comments\n")
-
-    def test_bad_line(self):
-        with pytest.raises(FileFormatError):
-            parse_stabilizer_file("+XXX\nwhat\n")
-
-    def test_invalid_group_propagates(self):
-        with pytest.raises(ValueError):
-            parse_stabilizer_file("+X\n+Z\n")
-
-
 class TestInstanceIO:
     def test_load_instance(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -133,14 +113,6 @@ class TestInstanceIO:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(FileFormatError):
             load_instance(path)
-
-    def test_round_trip(self):
-        inst = fixtures.anders_browne_instance()
-        raw = instance_to_dict(inst)
-        assert raw["observables"][0] == ["+XII", "+IXI", "+IIX"]
-        assert raw["resource"] == ["+XXX", "+ZZI", "+IZZ"]
-        again = validate_instance(raw)
-        assert instance_to_dict(again) == raw
 
 
 class TestFixtureFiles:

@@ -1,12 +1,15 @@
 """Instance validation, runs, truth tables and the affine-output statement."""
+import sys
+
 import numpy as np
 import pytest
 
-from contextua import gf2
+from contextua import gf2, mbqc
 from contextua.fixtures import anders_browne_instance, z_product_instance
 from contextua.mbqc import (
     IndeterminateInputsError,
     InvalidResourceError,
+    MalformedFieldError,
     NonLocalObservableError,
     ShapeMismatchError,
     SpecialContextNotStabilizingError,
@@ -18,10 +21,15 @@ from contextua.mbqc import (
     truth_table,
     validate_instance,
 )
-from contextua.pauli import parse_pauli
+from contextua.pauli import format_pauli, parse_pauli
 from contextua.presheaf import Empty, GlobalSection, brute_force_global
 
-from conftest import random_valid_instance
+from conftest import (
+    LETTERS,
+    random_stabilizer_group,
+    random_valid_instance,
+    reference_mbqc,
+)
 
 
 def xor_raw():
@@ -44,6 +52,59 @@ def undetermined_raw():
         "observables": [["X", "X"], ["Y", "Y"]],
         "resource": ["+ZI", "+IZ"],
     }
+
+
+def wide_raw(input_bits):
+    """One party whose setting bit is the first of many input bits."""
+    return {
+        "parties": 1,
+        "input_bits": input_bits,
+        "Q": [[1] + [0] * (input_bits - 1)],
+        "observables": [["Z"], ["-Z"]],
+        "resource": ["+Z"],
+    }
+
+
+def random_raw_instance(rng, max_parties=3, max_input_bits=6):
+    """Unconstrained letters, signs and Q over a random resource.
+
+    Unlike random_valid_instance, many of these leave some input's output
+    undetermined.
+    """
+    n = int(rng.integers(1, max_parties + 1))
+    m = int(rng.integers(0, max_input_bits + 1))
+    group = random_stabilizer_group(rng, n)
+    observables = [
+        [
+            ("-" if rng.integers(0, 2) else "+")
+            + "".join(LETTERS[int(rng.integers(0, 4))] if j == k else "I" for j in range(n))
+            for k in range(n)
+        ]
+        for _ in (0, 1)
+    ]
+    return validate_instance(
+        {
+            "parties": n,
+            "input_bits": m,
+            "Q": rng.integers(0, 2, size=(n, m)).tolist(),
+            "observables": observables,
+            "resource": [format_pauli(g) for g in group.generators],
+        }
+    )
+
+
+def ghz_rank_one_instance():
+    """Three GHZ parties, six input bits, 64 inputs sharing two settings."""
+    column = [1, 0, 1, 1, 0, 1]
+    return validate_instance(
+        {
+            "parties": 3,
+            "input_bits": 6,
+            "Q": [column, column, [0] * 6],
+            "observables": [["X", "X", "X"], ["Y", "Y", "Y"]],
+            "resource": ["+XXX", "+ZZI", "+IZZ"],
+        }
+    )
 
 
 class TestValidateInstance:
@@ -114,6 +175,15 @@ class TestValidateInstance:
         raw["parties"] = 0
         with pytest.raises(ShapeMismatchError):
             validate_instance(raw)
+
+    def test_sixteen_input_bits_validate(self):
+        inst = validate_instance(wide_raw(16))
+        assert inst.input_bits == 16
+        assert inst.setting_matrix.shape == (1, 16)
+
+    def test_input_bits_over_the_limit(self):
+        with pytest.raises(MalformedFieldError, match="input_bits.*16"):
+            validate_instance(wide_raw(17))
 
 
 class TestJointObservable:
@@ -321,7 +391,7 @@ class TestTheoremProperty:
             report = contextuality_report(inst)
             assert report.theorem_consistent
             assert report.truth_table is not None
-            assert report.indeterminate_inputs == ()
+            assert len(report.truth_table.outputs) == 1 << inst.input_bits
             if report.is_contextual:
                 certificates += 1
                 assert gf2.verify_certificate(report.problem, report.global_section)
@@ -331,3 +401,67 @@ class TestTheoremProperty:
                 mapped = linear_output_map(report.global_section, inst)
                 assert mapped.affine == report.affine
         assert sections > 5
+
+
+class TestOnePass:
+    def test_matches_the_per_input_reference(self):
+        """Tables, undetermined inputs and contexts agree with the oracle."""
+        rng = np.random.default_rng(403)
+        instances = [random_valid_instance(rng, max_input_bits=6) for _ in range(120)]
+        instances += [random_raw_instance(rng) for _ in range(120)]
+        determined = undetermined = 0
+        for inst in instances:
+            outputs, contexts = reference_mbqc(inst)
+            for index, expected in enumerate(outputs):
+                assert run(inst, gf2.input_vector(index, inst.input_bits)) == expected
+            if contexts is None:
+                undetermined += 1
+                with pytest.raises(IndeterminateInputsError) as excinfo:
+                    truth_table(inst)
+                assert excinfo.value.inputs == tuple(
+                    gf2.input_vector(index, inst.input_bits)
+                    for index, out in enumerate(outputs)
+                    if out is None
+                )
+                with pytest.raises(SpecialContextNotStabilizingError):
+                    mbqc_contexts(inst)
+            else:
+                determined += 1
+                assert truth_table(inst).outputs == outputs
+                assert [c.members for c in mbqc_contexts(inst)] == [
+                    c.members for c in contexts
+                ]
+        assert determined > 100 and undetermined > 30
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Count calls to mbqc's named functions wherever contextua binds them."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(mbqc, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "contextua" and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_report_evaluates_each_setting_once(self, monkeypatch):
+        inst = ghz_rank_one_instance()
+        calls = self.count_calls(monkeypatch, "joint_observable", "close_context")
+        report = contextuality_report(inst)
+        assert len(report.truth_table.outputs) == 64
+        assert calls == {"joint_observable": 2, "close_context": 3}
+
+    def test_table_and_run_build_no_context(self, monkeypatch):
+        inst = ghz_rank_one_instance()
+        calls = self.count_calls(monkeypatch, "close_context")
+        table = truth_table(inst)
+        for index, expected in enumerate(table.outputs):
+            assert run(inst, gf2.input_vector(index, 6)) == expected
+        assert calls == {"close_context": 0}
