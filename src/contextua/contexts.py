@@ -6,7 +6,10 @@ representative); all sign information is carried by product relations, e.g.
 the relation ({XYY, YXY, YYX, XXX}, sign_bit=1) records that the product of
 those four observables is minus the identity. Any valuation that respects a
 left-nullspace basis of relations respects every product constraint of the
-context, so the relation set stays small.
+context, so the relation set stays small. Everything here works on packed
+symplectic ints: relations come from one :func:`~contextua.gf2.eliminate`
+of the members' vectors, and maximal contexts from a pivoted Bron-Kerbosch
+search over int-bitset neighbourhoods.
 
 Membership and inclusion are projective and answered by the context's
 :class:`~contextua.pauli.PauliBasis`, which reduces packed symplectic
@@ -16,7 +19,7 @@ actually multiplying the chosen generators, never stored per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +52,21 @@ class Relation:
         return f"{product} = {value}"
 
 
-def _sort_key(op: PauliOperator) -> str:
-    return op.body()
+def _sort_key(op: PauliOperator) -> int:
+    """An int that orders like op.body(): qubit 0 first, I < X < Y < Z."""
+    key = 0
+    for k in range(op.width):
+        z = op.z_bits >> k & 1
+        key = key << 2 | z << 1 | z ^ (op.x_bits >> k & 1)
+    return key
+
+
+def _set_bits(bitset: int) -> Iterator[int]:
+    """The set bits of an int, lowest first."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
 
 
 @dataclass(eq=False)
@@ -138,7 +154,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         raise ValueError("empty generator list needs an explicit width")
     w = width if width is not None else ops[0].width
     seen_signs: dict[tuple[int, int, int], int] = {}
-    members: list[PauliOperator] = []
+    given: list[PauliOperator] = []
     for op in ops:
         if op.width != w:
             raise ValueError(f"width mismatch: {op.width} vs {w}")
@@ -156,29 +172,32 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
                 )
             continue
         seen_signs[key] = op.sign
-        members.append(op.canonical())
-    for i, p in enumerate(members):
-        for q in members[i + 1 :]:
-            if not commutes(p, q):
-                raise NonCommutingGeneratorsError(
-                    f"{p.body()} and {q.body()} do not commute"
-                )
-    members.sort(key=_sort_key)
+        given.append(op.canonical())
+    members = sorted(given, key=_sort_key)
+    basis = PauliBasis(w, members)
+    # The symplectic form is bilinear, so commuting with every generator
+    # means commuting with the whole group.
+    vectors = [op.packed() for op in members]
+    swapped = [g.z_bits | g.x_bits << w for g in basis.generators]
+    if any((v & s).bit_count() & 1 for v in vectors for s in swapped):
+        # Name the same pair as a scan of every pair in the given order.
+        for i, p in enumerate(given):
+            for q in given[i + 1 :]:
+                if not commutes(p, q):
+                    raise NonCommutingGeneratorsError(
+                        f"{p.body()} and {q.body()} do not commute"
+                    )
 
-    matrix = gf2.unpack_rows([op.packed() for op in members], 2 * w)
+    rows, pivots = gf2.eliminate(vectors, 2 * w)
     relations = []
-    for selector in gf2.left_nullspace(matrix):
-        chosen = tuple(op for op, bit in zip(members, selector) if bit)
+    for row in rows[len(pivots) :]:
+        chosen = tuple(members[j] for j in _set_bits(row >> 2 * w))
         product = multiply_all(chosen, width=w)
         if product.x_bits or product.z_bits:
             raise AssertionError("nullspace product is not a phase")
         relations.append(Relation(members=chosen, sign_bit=product.phase_exp // 2))
 
-    return ContextGroup(
-        members=tuple(members),
-        basis=PauliBasis(w, members),
-        relations=tuple(relations),
-    )
+    return ContextGroup(members=tuple(members), basis=basis, relations=tuple(relations))
 
 
 def commutation_graph(obs: Sequence[PauliOperator]) -> np.ndarray:
@@ -193,21 +212,34 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> np.ndarray:
 
 
 def _maximal_cliques(adj: np.ndarray) -> list[frozenset[int]]:
-    """Bron-Kerbosch enumeration of all maximal cliques (exhaustive)."""
-    n = adj.shape[0]
-    neighbours = [frozenset(np.flatnonzero(adj[v]).tolist()) for v in range(n)]
+    """All maximal cliques, by Bron-Kerbosch with Tomita pivoting.
+
+    Vertex sets are int bitsets (bit v is vertex v). Each call branches only
+    on the candidates outside the neighbourhood of a pivot that has the most
+    neighbours among the candidates (Tomita, Tanaka and Takahashi, TCS 363,
+    2006), so the search takes O(3^(n/3)) steps at worst.
+    """
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    neighbours = [int.from_bytes(row.tobytes(), "little") for row in rows]
     cliques: list[frozenset[int]] = []
 
-    def extend(clique: frozenset[int], candidates: frozenset[int], excluded: frozenset[int]) -> None:
-        if not candidates and not excluded:
-            cliques.append(clique)
+    def extend(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates:
+            if not excluded:
+                cliques.append(frozenset(_set_bits(clique)))
             return
-        for v in sorted(candidates):
-            extend(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        pivot = max(
+            (neighbours[u] & candidates for u in _set_bits(candidates | excluded)),
+            key=int.bit_count,
+        )
+        for v in _set_bits(candidates & ~pivot):
+            bit = 1 << v
+            extend(clique | bit, candidates & neighbours[v], excluded & neighbours[v])
+            candidates ^= bit
+            excluded |= bit
 
-    extend(frozenset(), frozenset(range(n)), frozenset())
+    if neighbours:
+        extend(0, (1 << len(neighbours)) - 1, 0)
     return cliques
 
 
@@ -230,9 +262,8 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     widths = {op.width for op in unique}
     if len(widths) > 1:
         raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
-    adj = commutation_graph(unique)
-    contexts = [
-        close_context(unique[i] for i in sorted(clique)) for clique in _maximal_cliques(adj)
-    ]
-    contexts.sort(key=lambda c: tuple(op.body() for op in c.members))
-    return contexts
+    # Indexed in body order, sorted cliques order like their contexts' members;
+    # the identity lies in every clique, so dropping it changes no comparison.
+    unique.sort(key=_sort_key)
+    cliques = sorted(sorted(clique) for clique in _maximal_cliques(commutation_graph(unique)))
+    return [close_context(unique[i] for i in clique) for clique in cliques]

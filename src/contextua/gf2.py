@@ -1,9 +1,11 @@
 """Linear algebra over GF(2).
 
 Bit matrices cross the API as numpy arrays of dtype uint8 with entries in
-{0, 1}, shape (rows, cols). Inside :func:`rref`, the one elimination
+{0, 1}, shape (rows, cols). Inside :func:`eliminate`, the one elimination
 routine, each row is a Python int holding column c at bit c, followed by
-the row's transform bits, so a single XOR updates a row of both. Elimination
+the row's transform bits, so a single XOR updates a row of both;
+:func:`rref` wraps it for numpy matrices, and callers that already hold
+int rows (``contexts.close_context``) call it directly. Elimination
 is fully deterministic: pivots are chosen at the lowest-index column and the
 lowest-index row, so solutions, nullspace bases and inconsistency
 certificates are byte-stable across runs.
@@ -57,23 +59,17 @@ def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
-def rref(matrix) -> RrefResult:
-    """Gauss-Jordan elimination over GF(2).
+def eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], tuple[int, ...]]:
+    """Gauss-Jordan elimination over GF(2) on int rows.
 
-    Returns (reduced, pivots, transform) with reduced = transform @ matrix
-    (mod 2) and transform invertible. Rows at index >= rank of the reduced
-    matrix are zero, and the corresponding transform rows form a basis of the
-    left nullspace of the input.
+    Row r holds column c at bit c, for c < cols. Returns (reduced, pivots):
+    reduced row r holds its reduced bits below bit cols and, from bit cols
+    up, its transform row, whose bit j selects input row j. Rows at index
+    >= len(pivots) have no reduced bits left; their transform rows form a
+    basis of the left nullspace of the input.
     """
-    mat = as_bits(matrix)
-    n, cols = mat.shape
-    # Row r holds column c at bit c and, above the matrix bits, its
-    # transform row, initially e_r.
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    rows = [
-        int.from_bytes(bits.tobytes(), "little") | 1 << (cols + r)
-        for r, bits in enumerate(packed)
-    ]
+    n = len(rows)
+    rows = [row | 1 << (cols + r) for r, row in enumerate(rows)]
     pivots: list[int] = []
     for col in range(cols):
         rank = len(pivots)
@@ -90,10 +86,25 @@ def rref(matrix) -> RrefResult:
             if r != rank and rows[r] & bit:
                 rows[r] ^= lead
         pivots.append(col)
+    return rows, tuple(pivots)
+
+
+def rref(matrix) -> RrefResult:
+    """Gauss-Jordan elimination over GF(2), by :func:`eliminate`.
+
+    Returns (reduced, pivots, transform) with reduced = transform @ matrix
+    (mod 2) and transform invertible. Rows at index >= rank of the reduced
+    matrix are zero, and the corresponding transform rows form a basis of the
+    left nullspace of the input.
+    """
+    mat = as_bits(matrix)
+    n, cols = mat.shape
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    rows, pivots = eliminate([int.from_bytes(bits.tobytes(), "little") for bits in packed], cols)
     mask = (1 << cols) - 1
     return RrefResult(
         reduced=unpack_rows([row & mask for row in rows], cols),
-        pivots=tuple(pivots),
+        pivots=pivots,
         transform=unpack_rows([row >> cols for row in rows], n),
     )
 

@@ -325,10 +325,13 @@ def truth_table(inst: MBQCInstance) -> TruthTable:
     return TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
 
 
-def _contexts_and_table(inst: MBQCInstance) -> tuple[list[ContextGroup], TruthTable]:
+def _contexts_and_table(
+    inst: MBQCInstance,
+) -> tuple[list[ContextGroup], TruthTable, list[StateConstraint]]:
+    """The contexts, the table and the special context's pins, in one walk."""
     settings, first = _distinct_settings(inst)
     locals_: list[ContextGroup] = []
-    products: list[PauliOperator] = []
+    pin_bits: dict[PauliOperator, int] = {}
     outputs: dict[int, int | None] = {}
     for q, index in first.items():
         bits = gf2.input_vector(index, inst.input_bits)
@@ -341,10 +344,12 @@ def _contexts_and_table(inst: MBQCInstance) -> tuple[list[ContextGroup], TruthTa
                 "resource group up to sign"
             )
         locals_.append(context)
-        products.append(joint.canonical())
-    special = close_context(list(dict.fromkeys(products)), width=inst.parties)
+        # The canonical joint is (-1)^sign_bit times the joint.
+        pin_bits[joint.canonical()] = outputs[q] ^ joint.sign_bit
+    special = close_context(list(pin_bits), width=inst.parties)
     table = TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
-    return [*locals_, special], table
+    pins = [StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members]
+    return [*locals_, special], table, pins
 
 
 def mbqc_contexts(inst: MBQCInstance) -> list[ContextGroup]:
@@ -361,16 +366,7 @@ def mbqc_contexts(inst: MBQCInstance) -> list[ContextGroup]:
 
 def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     """Decide contextuality of the state-pinned presheaf and check the theorem."""
-    contexts, table = _contexts_and_table(inst)
-    special = contexts[-1]
-    pins = []
-    for op in special.members:
-        bit = _output(inst, op)
-        if bit is None:
-            raise SpecialContextNotStabilizingError(
-                f"special context member {op} is not in the resource group up to sign"
-            )
-        pins.append(StateConstraint(observable=op, value_bit=bit))
+    contexts, table, pins = _contexts_and_table(inst)
     problem = build_global_problem(contexts, pins)
     outcome = solve_global(problem)
     affine = gf2.fit_affine(table.outputs)

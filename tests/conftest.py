@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from contextua import gf2
-from contextua.contexts import ContextGroup, close_context
+from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
 from contextua.pauli import PauliOperator, commutes, format_pauli, multiply_all
 from contextua.stabilizer import (
@@ -137,6 +137,46 @@ def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
             break
     pivots = tuple(int(np.argmax(mat[r])) for r in range(rank))
     return mat, pivots, transform
+
+
+def reference_close_context(
+    gens: list[PauliOperator],
+) -> tuple[tuple[PauliOperator, ...], tuple[PauliOperator, ...], list[tuple[tuple, int]]]:
+    """Context closure by body strings, uint8 matrices and reference_rref.
+
+    An oracle for close_context on inputs without sign conflicts: members
+    are the canonical non-identity generators, deduplicated, checked pair by
+    pair in the given order and sorted by body string; generators are the
+    members that raise the rank, in member order; relations are the left
+    nullspace rows of the member matrix, each with the sign of its product.
+    Returns (members, generators, [(relation members, sign bit), ...]).
+    """
+    given: list[PauliOperator] = []
+    for op in gens:
+        canon = op.canonical()
+        if not canon.is_identity_class and canon not in given:
+            given.append(canon)
+    for i, p in enumerate(given):
+        for q in given[i + 1 :]:
+            if not commutes(p, q):
+                raise NonCommutingGeneratorsError(f"{p.body()} and {q.body()} do not commute")
+    members = tuple(sorted(given, key=lambda op: op.body()))
+    if not members:
+        return (), (), []
+    matrix = np.array([op.symplectic() for op in members], dtype=np.uint8)
+    generators: list[PauliOperator] = []
+    for k, op in enumerate(members):
+        kept = [members.index(g) for g in generators]
+        if len(reference_rref(matrix[kept + [k]])[1]) > len(generators):
+            generators.append(op)
+    _, pivots, transform = reference_rref(matrix)
+    relations = []
+    for selector in transform[len(pivots) :]:
+        chosen = tuple(op for op, bit in zip(members, selector) if bit)
+        product = multiply_all(chosen, width=members[0].width)
+        assert product.is_identity_class
+        relations.append((chosen, product.sign_bit))
+    return members, tuple(generators), relations
 
 
 def _embedded_vector(letter_index: int, party: int, width: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Context closure, membership and clique search."""
 import inspect
+import time
 from itertools import product
 
 import numpy as np
@@ -11,20 +12,33 @@ from contextua.contexts import (
     MinusIdentityError,
     NonCommutingGeneratorsError,
     Relation,
+    _maximal_cliques,
+    _sort_key,
     close_context,
     commutation_graph,
     maximal_contexts,
 )
 from contextua.fixtures import ghz_group, mermin_observables
-from contextua.pauli import multiply_all, parse_pauli
+from contextua.pauli import identity, multiply_all, parse_pauli
 from contextua.presheaf import spectrum
 from contextua.stabilizer import MemberSign, member_sign
 
-from conftest import dense_operator, random_commuting_set
+from conftest import (
+    dense_operator,
+    random_commuting_set,
+    random_pauli,
+    random_stabilizer_group,
+    reference_close_context,
+)
 
 
 def ops(*texts):
     return [parse_pauli(t) for t in texts]
+
+
+def all_paulis(width):
+    """Every non-identity width-qubit Pauli, in body-string order."""
+    return [parse_pauli("".join(b)) for b in product("IXYZ", repeat=width)][1:]
 
 
 class TestCloseContext:
@@ -117,6 +131,84 @@ class TestCloseContext:
                 sub = [g for i, g in enumerate(ctx.generators) if (mask >> i) & 1]
                 elements.add(multiply_all(sub, width=width).identity_key())
             assert len(elements) == ctx.group_order
+
+
+class TestIntPath:
+    """close_context on packed ints against the body-string, uint8 oracle."""
+
+    @staticmethod
+    def commuting_inputs(rng, count):
+        """Commuting sets of widths 1-6 with signs, repeats and the identity.
+
+        Half are drawn by rejection and signed at random, half are random
+        products of a full-rank stabilizer group's generators (signed as in
+        the group), which gives many relations.
+        """
+        for t in range(count):
+            width = 1 + t % 6
+            if t % 2:
+                chosen = random_commuting_set(rng, width, int(rng.integers(1, 2 * width + 2)))
+                chosen = [op.negate() if rng.integers(0, 2) else op for op in chosen]
+            else:
+                group = random_stabilizer_group(rng, width)
+                chosen = [
+                    multiply_all(
+                        [g for g, bit in zip(group.generators, rng.integers(0, 2, width)) if bit],
+                        width=width,
+                    )
+                    for _ in range(int(rng.integers(1, 3 * width + 1)))
+                ]
+            repeats = [chosen[int(i)] for i in rng.integers(0, len(chosen), size=2)]
+            gens = [*chosen, *repeats, identity(width)]
+            yield [gens[int(i)] for i in rng.permutation(len(gens))]
+
+    def test_matches_the_reference_closure(self):
+        rng = np.random.default_rng(104)
+        relations = 0
+        for gens in self.commuting_inputs(rng, 240):
+            ctx = close_context(gens)
+            members, generators, expected = reference_close_context(gens)
+            assert ctx.members == members
+            assert ctx.generators == generators
+            assert [(r.members, r.sign_bit) for r in ctx.relations] == expected
+            relations += len(expected)
+        assert relations > 200
+
+    def test_sort_key_orders_like_body_strings(self):
+        paulis = all_paulis(4)
+        rng = np.random.default_rng(105)
+        shuffled = [paulis[int(i)] for i in rng.permutation(len(paulis))]
+        assert sorted(shuffled, key=_sort_key) == paulis
+        assert len({_sort_key(op) for op in paulis}) == 255
+
+    def test_noncommuting_error_names_the_first_pair(self):
+        rng = np.random.default_rng(106)
+        failures = 0
+        for _ in range(300):
+            width = int(rng.integers(1, 5))
+            gens = [random_pauli(rng, width, signed=False) for _ in range(int(rng.integers(2, 7)))]
+            try:
+                reference_close_context(gens)
+            except NonCommutingGeneratorsError as expected:
+                failures += 1
+                with pytest.raises(NonCommutingGeneratorsError) as excinfo:
+                    close_context(gens)
+                assert str(excinfo.value) == str(expected)
+        assert failures > 150
+
+    @pytest.mark.parametrize(
+        "texts,message",
+        [
+            (("+XX", "-XX"), "generators include both +XX and -XX"),
+            (("-II",), "generator is minus the identity"),
+            (("X", "Z", "-X"), "generators include both +X and -X"),
+            (("XZ", "-II", "ZX"), "generator is minus the identity"),
+        ],
+    )
+    def test_minus_identity_messages(self, texts, message):
+        with pytest.raises(MinusIdentityError) as excinfo:
+            close_context(ops(*texts))
+        assert str(excinfo.value) == message
 
 
 class TestMembership:
@@ -253,6 +345,37 @@ class TestCliqueSearch:
                     op.identity_key() in {m.identity_key() for m in c.members}
                     for c in contexts
                 )
+
+    def test_cliques_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(107)
+        graphs = [np.zeros((0, 0), dtype=bool), np.zeros((7, 7), dtype=bool)]
+        graphs.append(~np.eye(9, dtype=bool))
+        for _ in range(60):
+            n = int(rng.integers(1, 41))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+            graphs.append(upper | upper.T)
+        for adj in graphs:
+            graph = nx.Graph()
+            graph.add_nodes_from(range(adj.shape[0]))
+            graph.add_edges_from(zip(*np.nonzero(np.triu(adj, 1))))
+            expected = {frozenset(c) for c in nx.find_cliques(graph)}
+            found = _maximal_cliques(adj)
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+
+    @pytest.mark.parametrize("width,count", [(2, 15), (3, 135), (4, 2295)])
+    def test_all_paulis_census(self, width, count):
+        """Maximal commuting sets of all Paulis: prod_k (2^k + 1) of them.
+
+        The 20 s budget on four qubits (about 1 s here) makes a search
+        without pivoting, which takes minutes, fail instead of hang.
+        """
+        start = time.perf_counter()
+        cliques = _maximal_cliques(commutation_graph(all_paulis(width)))
+        assert time.perf_counter() - start < 20
+        assert len(cliques) == count
+        assert {len(c) for c in cliques} == {(1 << width) - 1}
 
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,8 @@ COMMANDS = {
     "mbqc_report_ghz_shared_settings": _mbqc(_SHARED, "report", GOLDEN),
     "mbqc_table_ghz_shared_settings": _mbqc(_SHARED, "table", GOLDEN),
     "analyze_all_three_qubit": ["analyze", "--obs", ALL_THREE_QUBIT],
+    # The identity alone: one maximal clique that closes to the empty context.
+    "analyze_identity_only": ["analyze", "--obs", str(GOLDEN / "obs_identity_only.txt")],
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]

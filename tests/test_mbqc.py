@@ -453,10 +453,12 @@ class TestOnePass:
 
     def test_report_evaluates_each_setting_once(self, monkeypatch):
         inst = ghz_rank_one_instance()
-        calls = self.count_calls(monkeypatch, "joint_observable", "close_context")
+        calls = self.count_calls(
+            monkeypatch, "joint_observable", "close_context", "member_sign"
+        )
         report = contextuality_report(inst)
         assert len(report.truth_table.outputs) == 64
-        assert calls == {"joint_observable": 2, "close_context": 3}
+        assert calls == {"joint_observable": 2, "close_context": 3, "member_sign": 2}
 
     def test_table_and_run_build_no_context(self, monkeypatch):
         inst = ghz_rank_one_instance()
