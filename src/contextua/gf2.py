@@ -3,17 +3,24 @@
 Bit matrices cross the API as numpy arrays of dtype uint8 with entries in
 {0, 1}, shape (rows, cols). Inside :func:`eliminate`, the one elimination
 routine, each row is a Python int holding column c at bit c, followed by
-the row's transform bits, so a single XOR updates a row of both;
-:func:`rref` wraps it for numpy matrices, and callers that already hold
-int rows (``contexts.close_context``) call it directly. Elimination
-is fully deterministic: pivots are chosen at the lowest-index column and the
+the row's transform bits, so a single XOR updates a row of both.
+:func:`rref` wraps it for numpy matrices and keeps its int rows: the n x n
+transform is unpacked only when read, and :func:`solve` takes reduced
+right-hand sides as parities of the packed rows and unpacks only the
+certificate row. Callers that already hold int rows
+(``contexts.close_context``) call :func:`eliminate` directly.
+
+The systems met in practice are sparse, so elimination visits only the
+rows that hold each column: rows wait in buckets keyed by their lowest set
+bit, the next column that would clear them. The result is exactly that of
+column-scan Gauss-Jordan with the pivot at the lowest-index column and the
 lowest-index row, so solutions, nullspace bases and inconsistency
 certificates are byte-stable across runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,15 +47,35 @@ def as_bit_vector(data, *, length: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RrefResult:
-    """Reduced row-echelon form together with the row transform producing it."""
+    """Reduced row-echelon form together with the row transform producing it.
+
+    rows are the int rows of :func:`eliminate`, which carry the transform
+    bits; the n x n transform is unpacked from them only when it is read.
+    """
 
     reduced: np.ndarray
     pivots: tuple[int, ...]
-    transform: np.ndarray
+    rows: Sequence[int]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def transform(self) -> np.ndarray:
+        """The uint8 transform, unpacked on every read."""
+        return self.transform_rows(range(len(self.rows)))
+
+    def transform_rows(self, indices: Iterable[int]) -> np.ndarray:
+        """The selected rows of the transform, unpacked."""
+        cols = self.reduced.shape[1]
+        return unpack_rows([self.rows[r] >> cols for r in indices], len(self.rows))
+
+    def reduce_rhs(self, rhs: np.ndarray) -> list[int]:
+        """transform @ rhs (mod 2), one bit per row, from the packed rows."""
+        packed = int.from_bytes(np.packbits(rhs, bitorder="little").tobytes(), "little")
+        shifted = packed << self.reduced.shape[1]
+        return [(row & shifted).bit_count() & 1 for row in self.rows]
 
 
 def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
@@ -67,45 +94,94 @@ def eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], tuple[int, ...
     up, its transform row, whose bit j selects input row j. Rows at index
     >= len(pivots) have no reduced bits left; their transform rows form a
     basis of the left nullspace of the input.
+
+    The result is that of column-scan Gauss-Jordan: for each column c in
+    turn, the lowest-position row at or after position rank that holds c
+    (the lead) is swapped into position rank and XORed into every other
+    row holding c. Here that takes two passes, which touch only the rows
+    holding each column:
+
+    - Forward. Invariant: before column c, an unreduced row (position >=
+      rank) has no bits below c, so the rows holding c are exactly those
+      whose lowest bit is c, and buckets[c] holds their positions. The lead
+      is the lowest position in buckets[c]. The row it swaps with does not
+      hold c (it would be the lead), so it stays in its own bucket under
+      its new position. The lead is XORed into the other rows of
+      buckets[c] only, and each is filed under its new lowest bit, which
+      is above c.
+    - Back substitution. From the last pivot row to the first, each pivot
+      row takes in the finished rows of the later pivot columns it holds.
+
+    Unreduced rows only ever take in leads, so the forward pass chooses
+    the same leads, makes the same swaps and leaves the same non-pivot rows
+    as the column scan; the scan differs only in also clearing each column
+    from the earlier pivot rows. In both, pivot row k ends as lead k plus a
+    sum of later leads, zero in every other pivot column. Each later lead's
+    lowest bit is its own pivot column, so that sum is forced column by
+    column and the rows agree bit for bit, transform bits included.
     """
-    n = len(rows)
+    mask = (1 << cols) - 1
     rows = [row | 1 << (cols + r) for r, row in enumerate(rows)]
+    buckets: list[list[int]] = [[] for _ in range(cols)]
+    for r, row in enumerate(rows):
+        low = row & mask
+        if low:
+            buckets[(low & -low).bit_length() - 1].append(r)
     pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == n:
-            break
-        bit = 1 << col
-        pivot = next((r for r in range(rank, n) if rows[r] & bit), None)
-        if pivot is None:
+    for col, bucket in enumerate(buckets):
+        if not bucket:
             continue
+        rank = len(pivots)
+        pivot = min(bucket)
         lead = rows[pivot]
-        rows[pivot] = rows[rank]
-        rows[rank] = lead
-        for r in range(n):
-            if r != rank and rows[r] & bit:
-                rows[r] ^= lead
+        if pivot != rank:
+            moved = rows[rank]
+            rows[pivot] = moved
+            rows[rank] = lead
+            low = moved & mask
+            if low:
+                filed = buckets[(low & -low).bit_length() - 1]
+                filed[filed.index(rank)] = pivot
+        for r in bucket:
+            if r != pivot:
+                row = rows[r] ^ lead
+                rows[r] = row
+                low = row & mask
+                if low:
+                    buckets[(low & -low).bit_length() - 1].append(r)
         pivots.append(col)
+    place = [0] * cols
+    later = 0
+    for k in range(len(pivots) - 1, -1, -1):
+        row = rows[k]
+        hits = row & later
+        while hits:
+            bit = hits & -hits
+            row ^= rows[place[bit.bit_length() - 1]]
+            hits ^= bit
+        rows[k] = row
+        place[pivots[k]] = k
+        later |= 1 << pivots[k]
     return rows, tuple(pivots)
 
 
 def rref(matrix) -> RrefResult:
     """Gauss-Jordan elimination over GF(2), by :func:`eliminate`.
 
-    Returns (reduced, pivots, transform) with reduced = transform @ matrix
+    Returns (reduced, pivots, rows) with reduced = transform @ matrix
     (mod 2) and transform invertible. Rows at index >= rank of the reduced
     matrix are zero, and the corresponding transform rows form a basis of the
     left nullspace of the input.
     """
     mat = as_bits(matrix)
-    n, cols = mat.shape
+    cols = mat.shape[1]
     packed = np.packbits(mat, axis=1, bitorder="little")
     rows, pivots = eliminate([int.from_bytes(bits.tobytes(), "little") for bits in packed], cols)
     mask = (1 << cols) - 1
     return RrefResult(
         reduced=unpack_rows([row & mask for row in rows], cols),
         pivots=pivots,
-        transform=unpack_rows([row >> cols for row in rows], n),
+        rows=rows,
     )
 
 
@@ -116,7 +192,7 @@ def rank(matrix) -> int:
 def left_nullspace(matrix) -> np.ndarray:
     """Basis (as rows) of {c : c @ matrix = 0 mod 2}, in elimination order."""
     result = rref(matrix)
-    return result.transform[result.rank :].copy()
+    return result.transform_rows(range(result.rank, len(result.rows)))
 
 
 def nullspace(matrix) -> np.ndarray:
@@ -143,8 +219,8 @@ def linear_solve(matrix, rhs) -> np.ndarray | None:
     mat = as_bits(matrix)
     vec = as_bit_vector(rhs, length=mat.shape[0])
     result = rref(mat)
-    reduced_rhs = (result.transform @ vec) % 2
-    if np.any(reduced_rhs[result.rank :]):
+    reduced_rhs = result.reduce_rhs(vec)
+    if any(reduced_rhs[result.rank :]):
         return None
     solution = np.zeros(mat.shape[1], dtype=np.uint8)
     for row, p in enumerate(result.pivots):
@@ -229,10 +305,10 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     reproducible because elimination order is deterministic.
     """
     result = rref(system.matrix)
-    reduced_rhs = (result.transform @ system.rhs) % 2
+    reduced_rhs = result.reduce_rhs(system.rhs)
     for r in range(result.rank, system.num_rows):
         if reduced_rhs[r]:
-            return Certificate(row_selector=result.transform[r].copy())
+            return Certificate(row_selector=result.transform_rows([r])[0])
     assignment = np.zeros(system.num_vars, dtype=np.uint8)
     for row, p in enumerate(result.pivots):
         assignment[p] = reduced_rhs[row]

@@ -75,12 +75,14 @@ class MBQCInstance:
     """A validated instance; build through validate_instance.
 
     observables[setting][party] is the full-width embedded operator the
-    party measures for that setting bit.
+    party measures for that setting bit. columns packs Q's columns once:
+    bit k of columns[j] is Q[k, j].
     """
 
     parties: int
     input_bits: int
     setting_matrix: np.ndarray
+    columns: tuple[int, ...]
     observables: tuple[tuple[PauliOperator, ...], ...]
     resource: StabilizerGroup
 
@@ -232,24 +234,19 @@ def validate_instance(raw: dict) -> MBQCInstance:
         parties=parties,
         input_bits=input_bits,
         setting_matrix=matrix,
+        columns=tuple(
+            sum(row[j] << k for k, row in enumerate(q_rows)) for j in range(input_bits)
+        ),
         observables=observables,
         resource=resource,
     )
-
-
-def _columns(inst: MBQCInstance) -> list[int]:
-    """Columns of Q packed as ints: bit k of column j is Q[k, j]."""
-    return [
-        sum(int(bit) << k for k, bit in enumerate(inst.setting_matrix[:, j]))
-        for j in range(inst.input_bits)
-    ]
 
 
 def _setting_of(inst: MBQCInstance, bits: Sequence[int]) -> int:
     """Settings q = Q*i for one input, packed: bit k is party k's setting."""
     if len(bits) != inst.input_bits:
         raise ValueError(f"input must have {inst.input_bits} bits")
-    return reduce(xor, (c for b, c in zip(bits, _columns(inst)) if b & 1), 0)
+    return reduce(xor, (c for b, c in zip(bits, inst.columns) if b & 1), 0)
 
 
 def _distinct_settings(inst: MBQCInstance) -> tuple[list[int], dict[int, int]]:
@@ -260,7 +257,7 @@ def _distinct_settings(inst: MBQCInstance) -> tuple[list[int], dict[int, int]]:
     first-reached order.
     """
     settings = [0]
-    for column in reversed(_columns(inst)):
+    for column in reversed(inst.columns):
         settings += [q ^ column for q in settings]
     first: dict[int, int] = {}
     for index, q in enumerate(settings):

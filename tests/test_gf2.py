@@ -1,8 +1,11 @@
 """GF(2) elimination, solving and affine fitting against brute force."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from contextua import gf2
+from contextua.contexts import close_context
 from contextua.gf2 import (
     AffineForm,
     Certificate,
@@ -19,8 +22,10 @@ from contextua.gf2 import (
     solve,
     verify_certificate,
 )
+from contextua.pauli import multiply_all
+from contextua.presheaf import StateConstraint, build_global_problem
 
-from conftest import exhaustive_affine_tables, reference_rref
+from conftest import exhaustive_affine_tables, random_stabilizer_group, reference_rref
 
 
 def random_matrix(rng, rows, cols):
@@ -42,12 +47,47 @@ def brute_solutions(matrix, rhs):
     return cand[hits]
 
 
+def sparse_matrix(rng, rows, cols, density):
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+def block_systems():
+    """Global-section matrices shaped like ``analyze --contexts`` on blocks.
+
+    Each block lists every element of a random maximal stabilizer group;
+    every other system also pins the signed elements of the first group.
+    """
+    rng = np.random.default_rng(12)
+    mats = []
+    for k, (width, count) in enumerate([(3, 6), (3, 8), (4, 5), (4, 12), (5, 4), (5, 6)]):
+        groups = [random_stabilizer_group(rng, width) for _ in range(count)]
+        elements = [
+            [
+                multiply_all(
+                    [g for j, g in enumerate(group.generators) if mask >> j & 1], width=width
+                )
+                for mask in range(1, 1 << width)
+            ]
+            for group in groups
+        ]
+        contexts = [
+            close_context([op.canonical() for op in group], width=width) for group in elements
+        ]
+        pins = [StateConstraint.from_eigenvalue(op, 1) for op in elements[0]] if k % 2 else []
+        mats.append(build_global_problem(contexts, pins).matrix)
+    return mats
+
+
 def rref_inputs():
     """Matrices every rref test runs on.
 
     Random matrices up to 8 x 8, then edge shapes: no rows, no columns,
     single rows, tall and wide, and widths on both sides of 64 and 128
-    columns, each once dense and once as a low-rank product.
+    columns, each once dense and once as a low-rank product. Then the sparse
+    inputs that elimination meets in practice: random matrices of density
+    1-5 %, tall, wide and square; duplicate rows, adjacent and far apart,
+    and zero rows between the rows; global-section systems over stabilizer
+    blocks; and hand-made row swaps.
     """
     rng = np.random.default_rng(11)
     mats = [
@@ -60,6 +100,22 @@ def rref_inputs():
         mats.append(random_matrix(rng, r, c))
         inner = int(rng.integers(1, 6))
         mats.append((random_matrix(rng, r, inner) @ random_matrix(rng, inner, c)) % 2)
+    for r, c in [(200, 60), (60, 200), (200, 200), (150, 150), (120, 40)]:
+        for density in (0.01, 0.03, 0.05):
+            mats.append(sparse_matrix(rng, r, c, density))
+    base = sparse_matrix(rng, 40, 50, 0.05)
+    spaced = np.zeros((80, 50), dtype=np.uint8)
+    spaced[1::2] = base
+    mats += [np.repeat(base, 2, axis=0), np.vstack([base, base[::-1]]), spaced]
+    mats += block_systems()
+    # A row at the rank position that holds the current column is the pivot
+    # itself, so a swapped-out row holds only later columns and must be
+    # re-filed under its new position. Below, it becomes the next pivot,
+    # loses the next pivot to a lower row, and becomes a pivot two columns
+    # later.
+    mats.append(np.array([[0, 1, 0], [1, 0, 0], [0, 1, 1]], dtype=np.uint8))
+    mats.append(np.array([[0, 1], [0, 1], [1, 0]], dtype=np.uint8))
+    mats.append(np.array([[0, 0, 1], [0, 1, 1], [1, 1, 0], [0, 1, 0]], dtype=np.uint8))
     return mats
 
 
@@ -236,6 +292,39 @@ class TestSystemSolve:
         outcome = solve(system)
         assert isinstance(outcome, Certificate)
         assert outcome.selected == (0, 1)
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_tall_system_builds_no_dense_transform(self, consistent):
+        """Peak memory stays far below the n x n transform's n^2 bytes.
+
+        The answer is still exactly the one the transform gives.
+        """
+        rng = np.random.default_rng(45)
+        n, cols = 4000, 40
+        mat = random_matrix(rng, n, cols)
+        if consistent:
+            rhs = (mat @ rng.integers(0, 2, size=cols).astype(np.uint8)) % 2
+        else:
+            rhs = rng.integers(0, 2, size=n).astype(np.uint8)
+        system = Gf2System(matrix=mat, rhs=rhs, labels=tuple(range(cols)))
+        tracemalloc.start()
+        try:
+            outcome = solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 4
+        _, pivots, transform = reference_rref(mat)
+        reduced_rhs = (transform @ rhs) % 2
+        if consistent:
+            assert isinstance(outcome, Gf2Solution)
+            expected = np.zeros(cols, dtype=np.uint8)
+            expected[list(pivots)] = reduced_rhs[: len(pivots)]
+            assert np.array_equal(outcome.assignment, expected)
+        else:
+            assert isinstance(outcome, Certificate)
+            first = next(r for r in range(len(pivots), n) if reduced_rhs[r])
+            assert np.array_equal(outcome.row_selector, transform[first])
 
     def test_solution_nullspace_satisfies_system(self):
         rng = np.random.default_rng(43)

@@ -185,6 +185,18 @@ class TestValidateInstance:
         with pytest.raises(MalformedFieldError, match="input_bits.*16"):
             validate_instance(wide_raw(17))
 
+    def test_columns_pack_the_setting_matrix(self):
+        """Bit k of columns[j] is Q[k, j], packed once at validation."""
+        assert anders_browne_instance().columns == (0b101, 0b110)
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            inst = random_valid_instance(rng, max_input_bits=6)
+            q = inst.setting_matrix
+            assert inst.columns == tuple(
+                sum(int(q[k, j]) << k for k in range(inst.parties))
+                for j in range(inst.input_bits)
+            )
+
 
 class TestJointObservable:
     def test_or_gate_settings(self):
