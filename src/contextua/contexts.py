@@ -19,11 +19,10 @@ actually multiplying the chosen generators, never stored per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from . import gf2
+from .gf2 import set_bits
 from .pauli import PauliBasis, PauliOperator, commutes, multiply_all
 
 
@@ -59,14 +58,6 @@ def _sort_key(op: PauliOperator) -> int:
         z = op.z_bits >> k & 1
         key = key << 2 | z << 1 | z ^ (op.x_bits >> k & 1)
     return key
-
-
-def _set_bits(bitset: int) -> Iterator[int]:
-    """The set bits of an int, lowest first."""
-    while bitset:
-        low = bitset & -bitset
-        yield low.bit_length() - 1
-        bitset ^= low
 
 
 @dataclass(eq=False)
@@ -191,7 +182,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     rows, pivots = gf2.eliminate(vectors, 2 * w)
     relations = []
     for row in rows[len(pivots) :]:
-        chosen = tuple(members[j] for j in _set_bits(row >> 2 * w))
+        chosen = tuple(members[j] for j in set_bits(row >> 2 * w))
         product = multiply_all(chosen, width=w)
         if product.x_bits or product.z_bits:
             raise AssertionError("nullspace product is not a phase")
@@ -200,39 +191,38 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     return ContextGroup(members=tuple(members), basis=basis, relations=tuple(relations))
 
 
-def commutation_graph(obs: Sequence[PauliOperator]) -> np.ndarray:
-    """Boolean adjacency matrix: edge (i, j) iff obs[i] and obs[j] commute."""
-    n = len(obs)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
+def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
+    """Int-bitset neighbourhoods: bit j of entry i iff i != j and obs[i], obs[j] commute."""
+    neighbours = [0] * len(obs)
+    for i in range(len(obs)):
+        for j in range(i + 1, len(obs)):
             if commutes(obs[i], obs[j]):
-                adj[i, j] = adj[j, i] = True
-    return adj
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
+    return neighbours
 
 
-def _maximal_cliques(adj: np.ndarray) -> list[frozenset[int]]:
+def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
     """All maximal cliques, by Bron-Kerbosch with Tomita pivoting.
 
-    Vertex sets are int bitsets (bit v is vertex v). Each call branches only
-    on the candidates outside the neighbourhood of a pivot that has the most
-    neighbours among the candidates (Tomita, Tanaka and Takahashi, TCS 363,
-    2006), so the search takes O(3^(n/3)) steps at worst.
+    Neighbourhoods and vertex sets are int bitsets (bit v is vertex v). Each
+    call branches only on the candidates outside the neighbourhood of a
+    pivot that has the most neighbours among the candidates (Tomita, Tanaka
+    and Takahashi, TCS 363, 2006), so the search takes O(3^(n/3)) steps at
+    worst.
     """
-    rows = np.packbits(adj, axis=1, bitorder="little")
-    neighbours = [int.from_bytes(row.tobytes(), "little") for row in rows]
     cliques: list[frozenset[int]] = []
 
     def extend(clique: int, candidates: int, excluded: int) -> None:
         if not candidates:
             if not excluded:
-                cliques.append(frozenset(_set_bits(clique)))
+                cliques.append(frozenset(set_bits(clique)))
             return
         pivot = max(
-            (neighbours[u] & candidates for u in _set_bits(candidates | excluded)),
+            (neighbours[u] & candidates for u in set_bits(candidates | excluded)),
             key=int.bit_count,
         )
-        for v in _set_bits(candidates & ~pivot):
+        for v in set_bits(candidates & ~pivot):
             bit = 1 << v
             extend(clique | bit, candidates & neighbours[v], excluded & neighbours[v])
             candidates ^= bit

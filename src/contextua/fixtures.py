@@ -74,14 +74,6 @@ def ghz_pins() -> tuple[StateConstraint, ...]:
     return tuple(pins)
 
 
-def ghz_pins_file_text() -> str:
-    lines = ["# eigenvalues of the product observables on the GHZ state"]
-    for pin in ghz_pins():
-        value = "+1" if pin.value_bit == 0 else "-1"
-        lines.append(f"pin {pin.observable.body()} {value}")
-    return "\n".join(lines) + "\n"
-
-
 def anders_browne_raw() -> dict:
     """Three parties computing OR of two bits from a GHZ resource."""
     return {

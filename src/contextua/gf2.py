@@ -1,14 +1,14 @@
-"""Linear algebra over GF(2).
+"""Linear algebra over GF(2) on packed ints.
 
-Bit matrices cross the API as numpy arrays of dtype uint8 with entries in
-{0, 1}, shape (rows, cols). Inside :func:`eliminate`, the one elimination
-routine, each row is a Python int holding column c at bit c, followed by
-the row's transform bits, so a single XOR updates a row of both.
-:func:`rref` wraps it for numpy matrices and keeps its int rows: the n x n
-transform is unpacked only when read, and :func:`solve` takes reduced
-right-hand sides as parities of the packed rows and unpacks only the
-certificate row. Callers that already hold int rows
-(``contexts.close_context``) call :func:`eliminate` directly.
+A bit vector is a Python int whose bit c is entry c, and a matrix is a
+:class:`BitMatrix` of such rows. A system's right-hand side holds bit r for
+row r, a solution bit c for variable c, and a certificate names its rows
+by index. Inside :func:`eliminate`, the one elimination routine, each row
+also carries its transform bits above the matrix bits, so a single XOR
+updates a row of both. :func:`solve` reads the reduced right-hand sides as
+parities of those rows and the certificate off the transform bits of one
+of them, so the n x n transform is never built. Callers that already hold
+int rows (``contexts.close_context``) call :func:`eliminate` directly.
 
 The systems met in practice are sparse, so elimination visits only the
 rows that hold each column: rows wait in buckets keyed by their lowest set
@@ -20,70 +20,49 @@ certificates are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
-
-import numpy as np
+from typing import Hashable, Iterator, Sequence
 
 
-def as_bits(data, *, cols: int | None = None) -> np.ndarray:
-    """Coerce array-like data to a 2-D uint8 matrix with entries in {0, 1}."""
-    mat = np.atleast_2d(np.asarray(data, dtype=np.uint8))
-    if mat.size and not np.all(mat <= 1):
-        raise ValueError("entries must be bits")
-    if cols is not None and mat.shape[1] != cols:
-        raise ValueError(f"expected {cols} columns, got {mat.shape[1]}")
-    return mat
+def set_bits(bits: int) -> Iterator[int]:
+    """The indices of the set bits of an int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
-def as_bit_vector(data, *, length: int | None = None) -> np.ndarray:
-    """Coerce array-like data to a 1-D uint8 vector with entries in {0, 1}."""
-    vec = np.asarray(data, dtype=np.uint8).ravel()
-    if vec.size and not np.all(vec <= 1):
-        raise ValueError("entries must be bits")
-    if length is not None and vec.shape[0] != length:
-        raise ValueError(f"expected length {length}, got {vec.shape[0]}")
-    return vec
+@dataclass(frozen=True)
+class BitMatrix:
+    """A matrix over GF(2): row r is an int holding column c at bit c."""
+
+    rows: tuple[int, ...]
+    cols: int
+
+    def __post_init__(self) -> None:
+        if self.cols < 0 or any(row < 0 or row >> self.cols for row in self.rows):
+            raise ValueError(f"rows must be bit sets below column {self.cols}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.cols
 
 
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row-echelon form together with the row transform producing it.
 
-    rows are the int rows of :func:`eliminate`, which carry the transform
-    bits; the n x n transform is unpacked from them only when it is read.
+    rows are the int rows of :func:`eliminate`: row r holds reduced row r
+    below bit cols and, from bit cols up, the transform row that selects the
+    input rows summing to it.
     """
 
-    reduced: np.ndarray
+    reduced: BitMatrix
     pivots: tuple[int, ...]
     rows: Sequence[int]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @property
-    def transform(self) -> np.ndarray:
-        """The uint8 transform, unpacked on every read."""
-        return self.transform_rows(range(len(self.rows)))
-
-    def transform_rows(self, indices: Iterable[int]) -> np.ndarray:
-        """The selected rows of the transform, unpacked."""
-        cols = self.reduced.shape[1]
-        return unpack_rows([self.rows[r] >> cols for r in indices], len(self.rows))
-
-    def reduce_rhs(self, rhs: np.ndarray) -> list[int]:
-        """transform @ rhs (mod 2), one bit per row, from the packed rows."""
-        packed = int.from_bytes(np.packbits(rhs, bitorder="little").tobytes(), "little")
-        shifted = packed << self.reduced.shape[1]
-        return [(row & shifted).bit_count() & 1 for row in self.rows]
-
-
-def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
-    """The uint8 bit matrix whose row r has bit c of rows[r] in column c."""
-    width = (cols + 7) // 8
-    data = b"".join(row.to_bytes(width, "little") for row in rows)
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], tuple[int, ...]]:
@@ -165,76 +144,21 @@ def eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], tuple[int, ...
     return rows, tuple(pivots)
 
 
-def rref(matrix) -> RrefResult:
+def rref(matrix: BitMatrix) -> RrefResult:
     """Gauss-Jordan elimination over GF(2), by :func:`eliminate`.
 
-    Returns (reduced, pivots, rows) with reduced = transform @ matrix
-    (mod 2) and transform invertible. Rows at index >= rank of the reduced
-    matrix are zero, and the corresponding transform rows form a basis of the
-    left nullspace of the input.
+    Returns (reduced, pivots, rows): reduced row r is the sum of the input
+    rows that the transform bits of rows[r] select, and the transform is
+    invertible. Rows at index >= rank of the reduced matrix are zero, and
+    their transform bits form a basis of the left nullspace of the input.
     """
-    mat = as_bits(matrix)
-    cols = mat.shape[1]
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    rows, pivots = eliminate([int.from_bytes(bits.tobytes(), "little") for bits in packed], cols)
-    mask = (1 << cols) - 1
+    rows, pivots = eliminate(matrix.rows, matrix.cols)
+    mask = (1 << matrix.cols) - 1
     return RrefResult(
-        reduced=unpack_rows([row & mask for row in rows], cols),
+        reduced=BitMatrix(tuple(row & mask for row in rows), matrix.cols),
         pivots=pivots,
         rows=rows,
     )
-
-
-def rank(matrix) -> int:
-    return rref(matrix).rank
-
-
-def left_nullspace(matrix) -> np.ndarray:
-    """Basis (as rows) of {c : c @ matrix = 0 mod 2}, in elimination order."""
-    result = rref(matrix)
-    return result.transform_rows(range(result.rank, len(result.rows)))
-
-
-def nullspace(matrix) -> np.ndarray:
-    """Basis (as rows) of {x : matrix @ x = 0 mod 2}, ordered by free column."""
-    return _nullspace_of(rref(matrix))
-
-
-def _nullspace_of(result: RrefResult) -> np.ndarray:
-    """Row i sets free column i to 1 and each pivot variable to match it."""
-    n_cols = result.reduced.shape[1]
-    pivots = list(result.pivots)
-    free = sorted(set(range(n_cols)) - set(pivots))
-    basis = np.zeros((len(free), n_cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = result.reduced[: result.rank][:, free].T
-    return basis
-
-
-def linear_solve(matrix, rhs) -> np.ndarray | None:
-    """One solution of matrix @ x = rhs over GF(2), or None if inconsistent.
-
-    Free variables are set to zero, so the returned solution is deterministic.
-    """
-    mat = as_bits(matrix)
-    vec = as_bit_vector(rhs, length=mat.shape[0])
-    result = rref(mat)
-    reduced_rhs = result.reduce_rhs(vec)
-    if any(reduced_rhs[result.rank :]):
-        return None
-    solution = np.zeros(mat.shape[1], dtype=np.uint8)
-    for row, p in enumerate(result.pivots):
-        solution[p] = reduced_rhs[row]
-    return solution
-
-
-def row_space_contains(matrix, vector) -> bool:
-    """True iff vector lies in the GF(2) row space of matrix."""
-    mat = as_bits(matrix)
-    vec = as_bit_vector(vector, length=mat.shape[1])
-    if mat.shape[0] == 0:
-        return not np.any(vec)
-    return linear_solve(mat.T, vec) is not None
 
 
 @dataclass(frozen=True)
@@ -242,85 +166,96 @@ class Gf2System:
     """A linear system A x = b over GF(2) with labelled columns.
 
     Labels name the variables (one hashable label per column, pairwise
-    distinct); rows are the constraints.
+    distinct); rows are the constraints, and bit r of rhs is row r's
+    right-hand side.
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    matrix: BitMatrix
+    rhs: int
     labels: tuple[Hashable, ...]
 
     def __post_init__(self) -> None:
-        mat = as_bits(self.matrix)
-        vec = as_bit_vector(self.rhs, length=mat.shape[0])
-        if len(self.labels) != mat.shape[1]:
+        if self.rhs < 0 or self.rhs >> self.num_rows:
+            raise ValueError(f"rhs must be a bit set below row {self.num_rows}")
+        if len(self.labels) != self.num_vars:
             raise ValueError("one label per column required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be pairwise distinct")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "rhs", vec)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def num_rows(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix.rows)
 
     @property
     def num_vars(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.cols
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Certificate:
     """A proof that a GF(2) system is unsolvable.
 
-    The selected rows of the coefficient matrix sum to the zero vector while
-    the selected right-hand-side bits sum to 1, exhibiting 0 = 1.
+    The selected rows (ascending row indices) of the coefficient matrix sum
+    to the zero vector while their right-hand-side bits sum to 1, exhibiting
+    0 = 1.
     """
 
-    row_selector: np.ndarray
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.row_selector))
+    selected: tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Gf2Solution:
-    """A particular solution plus a basis of the homogeneous solution space."""
+    """A particular solution plus a basis of the homogeneous solution space.
 
-    assignment: np.ndarray
-    nullspace: np.ndarray
+    Bit c of the assignment and of each nullspace row is variable c.
+    """
+
+    assignment: int
+    nullspace: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
-        return self.nullspace.shape[0]
+        return len(self.nullspace)
 
 
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
     On success the assignment satisfies A x = b with free variables fixed to
-    zero. On failure the certificate's selector is the transform row of the
-    first all-zero reduced row with nonzero reduced right-hand side, which is
-    reproducible because elimination order is deterministic.
+    zero, and nullspace row i sets the i-th free variable and the pivot
+    variables that match it. On failure the certificate selects the
+    transform row of the first all-zero reduced row with nonzero reduced
+    right-hand side, which is reproducible because elimination order is
+    deterministic.
     """
     result = rref(system.matrix)
-    reduced_rhs = result.reduce_rhs(system.rhs)
-    for r in range(result.rank, system.num_rows):
-        if reduced_rhs[r]:
-            return Certificate(row_selector=result.transform_rows([r])[0])
-    assignment = np.zeros(system.num_vars, dtype=np.uint8)
-    for row, p in enumerate(result.pivots):
-        assignment[p] = reduced_rhs[row]
-    return Gf2Solution(assignment=assignment, nullspace=_nullspace_of(result))
+    cols = system.num_vars
+    shifted = system.rhs << cols
+    for row in result.rows[result.rank :]:
+        if (row & shifted).bit_count() & 1:
+            return Certificate(selected=tuple(set_bits(row >> cols)))
+    assignment = 0
+    for row, p in zip(result.rows, result.pivots):
+        assignment |= ((row & shifted).bit_count() & 1) << p
+    pivots = set(result.pivots)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = {c: 1 << c for c in free}
+    for row, p in zip(result.reduced.rows, result.pivots):
+        for c in set_bits(row ^ 1 << p):
+            basis[c] |= 1 << p
+    return Gf2Solution(assignment=assignment, nullspace=tuple(basis[c] for c in free))
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:
     """Re-sum the selected rows and check they exhibit 0 = 1."""
-    sel = as_bit_vector(certificate.row_selector, length=system.num_rows)
-    lhs = (sel @ system.matrix) % 2
-    rhs = int(sel @ system.rhs) % 2
-    return not np.any(lhs) and rhs == 1
+    if not all(0 <= r < system.num_rows for r in certificate.selected):
+        raise ValueError("selected rows must be row indices of the system")
+    lhs = rhs = 0
+    for r in certificate.selected:
+        lhs ^= system.matrix.rows[r]
+        rhs ^= system.rhs >> r & 1
+    return not lhs and rhs == 1
 
 
 @dataclass(frozen=True)
@@ -344,25 +279,24 @@ def input_vector(index: int, m: int) -> tuple[int, ...]:
     return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
 
 
-def fit_affine(outputs) -> AffineForm | None:
+def fit_affine(outputs: Sequence[int]) -> AffineForm | None:
     """Fit o(i) = a . i xor c to a complete truth table, or return None.
 
     The table holds 2^m output bits indexed in binary order (input bit i_1 is
     the most significant index bit). The only possible candidate is forced:
-    c = o(0) and a_j = o(e_j) xor o(0); it is then verified on every input.
+    c = o(0) and a_j = o(e_j) xor o(0); it is then verified on every input,
+    where it predicts c xor the parity of the index bits that a selects.
     """
-    table = as_bit_vector(outputs)
-    size = table.shape[0]
+    table = tuple(outputs)
+    size = len(table)
     m = size.bit_length() - 1
     if size == 0 or size != 1 << m:
         raise ValueError("table must hold exactly 2^m outputs")
+    if not set(table) <= {0, 1}:
+        raise ValueError("entries must be bits")
     c = int(table[0])
     a = tuple(int(table[1 << (m - 1 - j)]) ^ c for j in range(m))
-    indices = np.arange(size)
-    predicted = np.full(size, c, dtype=np.uint8)
-    for j, coeff in enumerate(a):
-        if coeff:
-            predicted ^= ((indices >> (m - 1 - j)) & 1).astype(np.uint8)
-    if np.array_equal(predicted, table):
+    selected = sum(coeff << (m - 1 - j) for j, coeff in enumerate(a))
+    if all(bit == c ^ ((index & selected).bit_count() & 1) for index, bit in enumerate(table)):
         return AffineForm(a=a, c=c)
     return None

@@ -19,8 +19,6 @@ from functools import reduce
 from operator import xor
 from typing import Sequence
 
-import numpy as np
-
 from . import gf2
 from .contexts import ContextGroup, close_context
 from .pauli import PauliOperator, from_letter, multiply_all, parse_pauli
@@ -81,7 +79,6 @@ class MBQCInstance:
 
     parties: int
     input_bits: int
-    setting_matrix: np.ndarray
     columns: tuple[int, ...]
     observables: tuple[tuple[PauliOperator, ...], ...]
     resource: StabilizerGroup
@@ -200,7 +197,6 @@ def validate_instance(raw: dict) -> MBQCInstance:
         for entry in row:
             if not _is_int(entry) or entry not in (0, 1):
                 raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
-    matrix = np.array(q_rows, dtype=np.uint8).reshape(parties, input_bits)
     if not isinstance(observable_lists, list) or not all(
         isinstance(lst, list) for lst in observable_lists
     ):
@@ -233,7 +229,6 @@ def validate_instance(raw: dict) -> MBQCInstance:
     return MBQCInstance(
         parties=parties,
         input_bits=input_bits,
-        setting_matrix=matrix,
         columns=tuple(
             sum(row[j] << k for k, row in enumerate(q_rows)) for j in range(input_bits)
         ),
@@ -406,13 +401,11 @@ def linear_output_map(section: GlobalSection, inst: MBQCInstance) -> LinearOutpu
             )
         outcomes.append((s0, s0 if s1 is None else s1))
     c = sum(s0 for s0, _ in outcomes) % 2
-    coefficients = []
-    for j in range(inst.input_bits):
-        total = 0
-        for k, (s0, s1) in enumerate(outcomes):
-            total ^= (s0 ^ s1) & int(inst.setting_matrix[k, j])
-        coefficients.append(total)
-    affine = gf2.AffineForm(a=tuple(coefficients), c=c)
+    # Coefficient j is the parity of the flipping parties that column j sets.
+    flips = sum((s0 ^ s1) << k for k, (s0, s1) in enumerate(outcomes))
+    affine = gf2.AffineForm(
+        a=tuple((column & flips).bit_count() & 1 for column in inst.columns), c=c
+    )
     table = truth_table(inst)
     for index, expected in enumerate(table.outputs):
         bits = gf2.input_vector(index, inst.input_bits)

@@ -5,17 +5,18 @@ of its observables, encoded as bit assignments (value a means eigenvalue
 (-1)^a). Restriction maps a valuation to any subcontext, that is, any
 context whose group lies inside the valuation's context. A global section is a
 single bit assignment over all named observables whose restriction to every
-context is a valuation; deciding whether one exists reduces to a GF(2)
-linear system whose rows are the context relations plus any pinned
-eigenvalues of a distinguished state. An inconsistency certificate for that
-system is a Kochen-Specker style proof of contextuality.
+context is a valuation. Deciding whether one exists is one GF(2) system:
+one variable per observable, one int row per context relation (bit c names
+observable c) plus one unit row per pinned eigenvalue of a distinguished
+state. A solution of the system is a global section, and an inconsistency
+certificate for it, a set of rows that sums to 0 = 1, is a Kochen-Specker
+style proof of contextuality. :func:`brute_force_global` decides the same
+question by exhausting the assignments, as an oracle for the solver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import gf2
 from .contexts import ContextGroup
@@ -193,14 +194,14 @@ def build_global_problem(
                 columns[key] = len(labels)
                 labels.append(op.body())
     rows: list[int] = []
-    rhs: list[int] = []
+    rhs = 0
     for ctx in contexts:
         for rel in ctx.relations:
             row = 0
             for op in rel.members:
                 row ^= 1 << columns[op.identity_key()]
+            rhs |= rel.sign_bit << len(rows)
             rows.append(row)
-            rhs.append(rel.sign_bit)
     for constraint in constraints:
         key = constraint.observable.identity_key()
         if key not in columns:
@@ -208,24 +209,26 @@ def build_global_problem(
                 f"pinned observable {constraint.observable.body()} "
                 "does not occur in any context"
             )
+        rhs |= constraint.value_bit << len(rows)
         rows.append(1 << columns[key])
-        rhs.append(constraint.value_bit)
     return gf2.Gf2System(
-        matrix=gf2.unpack_rows(rows, len(labels)),
-        rhs=np.array(rhs, dtype=np.uint8),
+        matrix=gf2.BitMatrix(tuple(rows), len(labels)),
+        rhs=rhs,
         labels=tuple(labels),
     )
 
 
-def _lowest_solution(solution: gf2.Gf2Solution) -> np.ndarray:
-    """Binary-lowest assignment in the solution's affine space (MSB = var 0)."""
-    assignment = solution.assignment.copy()
-    if solution.nullspace.shape[0] == 0:
+def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
+    """Binary-lowest assignment in the solution's affine space (MSB = var 0).
+
+    Reduced nullspace rows lead at distinct lowest variables that no other
+    row holds; clearing each lead the assignment holds minimises it.
+    """
+    assignment = solution.assignment
+    if not solution.nullspace:
         return assignment
-    reduced = gf2.rref(solution.nullspace)
-    for row in reduced.reduced[: reduced.rank]:
-        lead = int(np.flatnonzero(row)[0])
-        if assignment[lead]:
+    for row in gf2.rref(gf2.BitMatrix(solution.nullspace, num_vars)).reduced.rows:
+        if assignment & row & -row:
             assignment ^= row
     return assignment
 
@@ -239,8 +242,8 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
     outcome = gf2.solve(problem)
     if isinstance(outcome, gf2.Certificate):
         return outcome
-    assignment = _lowest_solution(outcome)
-    values = {label: int(bit) for label, bit in zip(problem.labels, assignment)}
+    assignment = _lowest_solution(outcome, problem.num_vars)
+    values = {label: assignment >> c & 1 for c, label in enumerate(problem.labels)}
     return GlobalSection(values=values, dimension=outcome.dimension)
 
 
@@ -254,6 +257,8 @@ def brute_force_global(
     agree on existence. The returned witness is the lowest satisfying
     assignment in binary order (variable 0 most significant).
     """
+    import numpy as np
+
     problem = build_global_problem(contexts, constraints)
     v = problem.num_vars
     if v > 20:
@@ -261,7 +266,10 @@ def brute_force_global(
     candidates = np.arange(1 << v, dtype=np.int64)
     shifts = np.array([v - 1 - j for j in range(v)], dtype=np.int64)
     bits = ((candidates[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    residual = (bits @ problem.matrix.T + problem.rhs[None, :]) % 2
+    rows = np.array(problem.matrix.rows, dtype=np.int64).reshape(-1, 1)
+    matrix = ((rows >> np.arange(v)) & 1).astype(np.uint8)
+    rhs = np.array([problem.rhs >> r & 1 for r in range(problem.num_rows)], dtype=np.uint8)
+    residual = (bits @ matrix.T + rhs[None, :]) % 2
     satisfying = np.flatnonzero(~residual.any(axis=1))
     if satisfying.size == 0:
         return Empty()

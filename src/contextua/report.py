@@ -68,10 +68,8 @@ def equation_lines(problem: gf2.Gf2System, rows: Sequence[int]) -> tuple[str, ..
     """Render system rows as product equations over the variable labels."""
     lines = []
     for r in rows:
-        terms = sorted(
-            label for label, bit in zip(problem.labels, problem.matrix[r]) if bit
-        )
-        rhs = "-1" if problem.rhs[r] else "+1"
+        terms = sorted(problem.labels[c] for c in gf2.set_bits(problem.matrix.rows[r]))
+        rhs = "-1" if problem.rhs >> r & 1 else "+1"
         lines.append(f"{' * '.join(terms) if terms else 'I'} = {rhs}")
     return tuple(lines)
 

@@ -4,17 +4,20 @@ The group data is the signed generator list, held in a
 :class:`~contextua.pauli.PauliBasis`: membership queries reduce the packed
 symplectic vector against the generators and multiply the chosen ones to
 recover the sign. The dense state-vector path exists for desk-scale checks
-and is capped at 10 qubits; the sign arithmetic itself has no cap.
+and is capped at 10 qubits; the sign arithmetic itself has no cap. Only
+the dense path uses numpy, and it imports it when first called.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .contexts import MinusIdentityError, NonCommutingGeneratorsError
 from .pauli import PauliBasis, PauliOperator, commutes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DependentGeneratorsError(ValueError):
@@ -128,6 +131,8 @@ def _reverse_bits(mask: int, width: int) -> int:
 
 def apply_pauli(op: PauliOperator, amplitudes: np.ndarray) -> np.ndarray:
     """Apply the operator to a dense vector by index shuffling (no matrices)."""
+    import numpy as np
+
     n = op.width
     if amplitudes.shape != (1 << n,):
         raise ValueError(f"amplitude vector must have length {1 << n}")
@@ -151,6 +156,8 @@ def state_vector(group: StabilizerGroup) -> DenseState:
     survives; the survivor is normalized with its first nonzero amplitude made
     real positive, so repeated calls give the identical vector.
     """
+    import numpy as np
+
     n = group.width
     if n > _DENSE_WIDTH_CAP:
         raise WidthTooLargeError(f"width {n} exceeds the dense cap of {_DENSE_WIDTH_CAP}")
@@ -171,6 +178,8 @@ def state_vector(group: StabilizerGroup) -> DenseState:
 
 def expectation(state: DenseState, op: PauliOperator) -> float:
     """⟨ψ|P|ψ⟩ as a real number (operators here are Hermitian)."""
+    import numpy as np
+
     if op.width != state.width:
         raise ValueError(f"width mismatch: {op.width} vs {state.width}")
     return float(np.vdot(state.amplitudes, apply_pauli(op, state.amplitudes)).real)

@@ -2,7 +2,9 @@
 
 The dense-matrix helpers here are written directly against explicit 2x2
 matrices and np.kron, independently of the package's symplectic arithmetic,
-so they can serve as ground truth for it.
+so they can serve as ground truth for it. The GF(2) helpers work on uint8
+arrays through reference_rref, independently of the package's int rows;
+pack_rows, unpack_rows and bit_system convert between the two formats.
 """
 from __future__ import annotations
 
@@ -102,7 +104,7 @@ def random_stabilizer_group(rng: np.random.Generator, width: int) -> StabilizerG
             continue
         vector = np.asarray(candidate.symplectic(), dtype=np.uint8)
         stacked = np.array(basis + [vector], dtype=np.uint8)
-        if gf2.rank(stacked) <= len(basis):
+        if rank(stacked) <= len(basis):
             continue
         gens.append(candidate)
         basis.append(vector)
@@ -137,6 +139,47 @@ def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
             break
     pivots = tuple(int(np.argmax(mat[r])) for r in range(rank))
     return mat, pivots, transform
+
+
+def pack_rows(matrix) -> tuple[int, ...]:
+    """Int rows of a 0/1 matrix: bit c of row r is entry (r, c)."""
+    return tuple(sum(int(bit) << c for c, bit in enumerate(row)) for row in matrix)
+
+
+def unpack_rows(rows, cols: int) -> np.ndarray:
+    """The uint8 matrix whose entry (r, c) is bit c of rows[r]."""
+    return np.array(
+        [[(row >> c) & 1 for c in range(cols)] for row in rows], dtype=np.uint8
+    ).reshape(len(rows), cols)
+
+
+def bit_matrix(matrix) -> gf2.BitMatrix:
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    return gf2.BitMatrix(pack_rows(mat), mat.shape[1])
+
+
+def bit_system(matrix, rhs, labels=None) -> gf2.Gf2System:
+    """A Gf2System from a 0/1 matrix and right-hand side; labels default to 0..n-1."""
+    bits = bit_matrix(matrix)
+    if labels is None:
+        labels = tuple(range(bits.cols))
+    return gf2.Gf2System(matrix=bits, rhs=pack_rows([rhs])[0], labels=labels)
+
+
+def rank(matrix) -> int:
+    return len(reference_rref(matrix)[1])
+
+
+def row_space_contains(matrix, vector) -> bool:
+    """True iff vector lies in the GF(2) row space of matrix."""
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    return rank(np.vstack([mat, np.asarray(vector, dtype=np.uint8)])) == rank(mat)
+
+
+def left_nullspace(matrix) -> np.ndarray:
+    """Basis (as rows) of {c : c @ matrix = 0 mod 2}, in elimination order."""
+    _, pivots, transform = reference_rref(matrix)
+    return transform[len(pivots) :]
 
 
 def reference_close_context(
@@ -190,10 +233,11 @@ def _embedded_vector(letter_index: int, party: int, width: int) -> np.ndarray:
     return vec
 
 
-def random_valid_instance(
+def random_valid_raw(
     rng: np.random.Generator, max_parties: int = 4, max_input_bits: int = 3
-) -> MBQCInstance:
-    """A random instance whose every reachable joint observable is determined.
+) -> dict:
+    """JSON-shaped data of a random instance whose every reachable joint
+    observable is determined.
 
     Sampling: draw a full-rank resource group, resample per-party observable
     letters until the all-zeros setting has its joint in the group's row
@@ -209,7 +253,7 @@ def random_valid_instance(
         v0 = np.zeros(2 * n, dtype=np.uint8)
         for k in range(n):
             v0 ^= _embedded_vector(int(letters[0][k]), k, n)
-        if gf2.row_space_contains(g_matrix, v0):
+        if row_space_contains(g_matrix, v0):
             break
     else:
         raise RuntimeError("observable sampling stalled")
@@ -222,7 +266,7 @@ def random_valid_instance(
         dtype=np.uint8,
     )
     stacked = np.vstack([deltas, g_matrix])
-    admissible = [sel[:n] for sel in gf2.left_nullspace(stacked)]
+    admissible = [sel[:n] for sel in left_nullspace(stacked)]
     columns = []
     for _ in range(m):
         col = np.zeros(n, dtype=np.uint8)
@@ -245,14 +289,19 @@ def random_valid_instance(
         ]
         for b in (0, 1)
     ]
-    raw = {
+    return {
         "parties": n,
         "input_bits": m,
         "Q": [[int(b) for b in row] for row in setting_matrix],
         "observables": observables,
         "resource": [format_pauli(g) for g in group.generators],
     }
-    return validate_instance(raw)
+
+
+def random_valid_instance(
+    rng: np.random.Generator, max_parties: int = 4, max_input_bits: int = 3
+) -> MBQCInstance:
+    return validate_instance(random_valid_raw(rng, max_parties, max_input_bits))
 
 
 def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
@@ -275,7 +324,8 @@ def reference_mbqc(
 ) -> tuple[tuple[int | None, ...], list[ContextGroup] | None]:
     """The MBQC layer evaluated input by input, as an oracle for the one pass.
 
-    For every input in binary order: settings q = Q i by numpy, the product
+    For every input in binary order: settings q = Q i by numpy, with Q
+    unpacked from the instance's columns, the product
     of the selected locals, and its sign in the resource group. Returns the
     output of each input (None where undetermined) and the contexts: one per
     setting in first-reached order, each the closure of its locals and
@@ -283,13 +333,14 @@ def reference_mbqc(
     are None when some output is undetermined.
     """
     n, m = inst.parties, inst.input_bits
+    setting_matrix = unpack_rows(inst.columns, n).T
     outputs: list[int | None] = []
     contexts: list[ContextGroup] = []
     seen: set[tuple[int, ...]] = set()
     joints: dict[tuple[int, int, int], PauliOperator] = {}
     for index in range(1 << m):
         bits = np.array(gf2.input_vector(index, m), dtype=np.uint8)
-        q = tuple(int(b) for b in (inst.setting_matrix @ bits) % 2)
+        q = tuple(int(b) for b in (setting_matrix @ bits) % 2)
         locals_ = [inst.observables[q[k]][k] for k in range(n)]
         joint = multiply_all(locals_, width=n)
         verdict = member_sign(inst.resource, joint)

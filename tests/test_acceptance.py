@@ -36,20 +36,15 @@ from contextua.report import parse_json
 from contextua.stabilizer import MemberSign, make_stabilizer, member_sign
 
 from conftest import (
+    bit_system,
     dense_from_string,
     exhaustive_affine_tables,
     random_commuting_set,
     random_valid_instance,
+    unpack_rows,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def selector_for(problem, rows):
-    vector = np.zeros(problem.num_rows, dtype=np.uint8)
-    for r in rows:
-        vector[r] = 1
-    return gf2.Certificate(row_selector=vector)
 
 
 def test_criterion_1_state_independent_certificate():
@@ -67,7 +62,7 @@ def test_criterion_1_state_independent_certificate():
 
     problem = build_global_problem(mermin_contexts())
     assert problem.num_rows == 5
-    certificate = selector_for(problem, analysis.certificate.rows)
+    certificate = gf2.Certificate(selected=analysis.certificate.rows)
     assert gf2.verify_certificate(problem, certificate)
 
     assert problem.num_vars == 10  # brute force walks all 2^10 assignments
@@ -184,7 +179,7 @@ def test_criterion_6_solver_oracle_equivalence():
             rhs = (matrix @ planted) % 2
         else:
             rhs = rng.integers(0, 2, size=r).astype(np.uint8)
-        system = gf2.Gf2System(matrix=matrix, rhs=rhs, labels=tuple(range(n)))
+        system = bit_system(matrix, rhs)
         outcome = gf2.solve(system)
 
         indices = np.arange(1 << n)
@@ -196,11 +191,13 @@ def test_criterion_6_solver_oracle_equivalence():
         if isinstance(outcome, gf2.Gf2Solution):
             solved += 1
             assert exists
-            assert np.array_equal((matrix @ outcome.assignment) % 2, rhs)
+            assignment = unpack_rows([outcome.assignment], n)[0]
+            assert np.array_equal((matrix @ assignment) % 2, rhs)
         else:
             refuted += 1
             assert not exists
-            sel = outcome.row_selector
+            sel = np.zeros(r, dtype=np.uint8)
+            sel[list(outcome.selected)] = 1
             assert not ((sel @ matrix) % 2).any()
             assert int(sel @ rhs) % 2 == 1
             assert gf2.verify_certificate(system, outcome)

@@ -1,6 +1,9 @@
 """End-to-end command tests through click's CliRunner."""
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from contextua import fixtures
 from contextua.cli import main
 from contextua.report import parse_json
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 @pytest.fixture
@@ -342,3 +346,17 @@ class TestBadInvocations:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "contextua" in result.output
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """Only the dense oracles need numpy, and they import it when called."""
+        result = subprocess.run(
+            [sys.executable, "-c", "import contextua.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -25,6 +25,7 @@ from contextua.stabilizer import MemberSign, member_sign
 
 from conftest import (
     dense_operator,
+    pack_rows,
     random_commuting_set,
     random_pauli,
     random_stabilizer_group,
@@ -288,9 +289,9 @@ class TestElimination:
 
 class TestCliqueSearch:
     def test_anticommuting_pair_has_no_edge(self):
-        adj = commutation_graph(ops("X", "Z"))
-        assert not adj[0, 1] and not adj[1, 0]
-        assert not adj[0, 0]
+        assert commutation_graph(ops("X", "Z")) == [0, 0]
+        # XX commutes with ZZ and XI; ZZ and XI anticommute.
+        assert commutation_graph(ops("XX", "ZZ", "XI")) == [0b110, 0b001, 0b001]
 
     def test_single_qubit_letters_give_three_singletons(self):
         contexts = maximal_contexts(ops("X", "Y", "Z"))
@@ -360,7 +361,7 @@ class TestCliqueSearch:
             graph.add_nodes_from(range(adj.shape[0]))
             graph.add_edges_from(zip(*np.nonzero(np.triu(adj, 1))))
             expected = {frozenset(c) for c in nx.find_cliques(graph)}
-            found = _maximal_cliques(adj)
+            found = _maximal_cliques(pack_rows(adj))
             assert len(found) == len(set(found))
             assert set(found) == expected
 

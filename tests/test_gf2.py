@@ -8,16 +8,12 @@ from contextua import gf2
 from contextua.contexts import close_context
 from contextua.gf2 import (
     AffineForm,
+    BitMatrix,
     Certificate,
     Gf2Solution,
     Gf2System,
     fit_affine,
     input_vector,
-    left_nullspace,
-    linear_solve,
-    nullspace,
-    rank,
-    row_space_contains,
     rref,
     solve,
     verify_certificate,
@@ -25,7 +21,18 @@ from contextua.gf2 import (
 from contextua.pauli import multiply_all
 from contextua.presheaf import StateConstraint, build_global_problem
 
-from conftest import exhaustive_affine_tables, random_stabilizer_group, reference_rref
+from conftest import (
+    bit_matrix,
+    bit_system,
+    exhaustive_affine_tables,
+    left_nullspace,
+    pack_rows,
+    random_stabilizer_group,
+    rank,
+    reference_rref,
+    row_space_contains,
+    unpack_rows,
+)
 
 
 def random_matrix(rng, rows, cols):
@@ -74,7 +81,8 @@ def block_systems():
             close_context([op.canonical() for op in group], width=width) for group in elements
         ]
         pins = [StateConstraint.from_eigenvalue(op, 1) for op in elements[0]] if k % 2 else []
-        mats.append(build_global_problem(contexts, pins).matrix)
+        problem = build_global_problem(contexts, pins)
+        mats.append(unpack_rows(problem.matrix.rows, problem.num_vars))
     return mats
 
 
@@ -122,61 +130,84 @@ def rref_inputs():
 RREF_INPUTS = rref_inputs()
 
 
+def transform_of(result, cols):
+    """The transform bits of rref's int rows, unpacked."""
+    return unpack_rows([row >> cols for row in result.rows], len(result.rows))
+
+
+def bits_of(value, length):
+    """An int's low bits as a uint8 vector, bit 0 first."""
+    return unpack_rows([value], length)[0]
+
+
 class TestRref:
     def test_matches_reference_elimination(self):
         """Same reduced form, pivots and transform as the uint8 oracle."""
         for mat in RREF_INPUTS:
-            result = rref(mat)
+            result = rref(bit_matrix(mat))
             reduced, pivots, transform = reference_rref(mat)
             assert result.pivots == pivots
-            assert result.reduced.dtype == np.uint8
-            assert np.array_equal(result.reduced, reduced)
-            assert np.array_equal(result.transform, transform)
+            assert result.reduced == BitMatrix(pack_rows(reduced), mat.shape[1])
+            assert np.array_equal(transform_of(result, mat.shape[1]), transform)
 
     def test_reduced_equals_transform_times_input(self):
+        """Each reduced row is the XOR of the input rows its transform bits select."""
         for mat in RREF_INPUTS:
-            result = rref(mat)
-            assert np.array_equal((result.transform @ mat) % 2, result.reduced)
+            matrix = bit_matrix(mat)
+            result = rref(matrix)
+            for row, reduced in zip(result.rows, result.reduced.rows):
+                total = 0
+                for r, input_row in enumerate(matrix.rows):
+                    if row >> (matrix.cols + r) & 1:
+                        total ^= input_row
+                assert total == reduced
 
     def test_transform_is_invertible(self):
         for mat in RREF_INPUTS:
-            result = rref(mat)
-            assert rank(result.transform) == mat.shape[0]
+            result = rref(bit_matrix(mat))
+            assert rank(transform_of(result, mat.shape[1])) == mat.shape[0]
 
     def test_echelon_shape(self):
         """Pivots increase strictly and pivot columns hold a single one."""
         for mat in RREF_INPUTS:
-            result = rref(mat)
+            result = rref(bit_matrix(mat))
+            assert result.reduced.shape == mat.shape
             assert list(result.pivots) == sorted(result.pivots)
             assert len(set(result.pivots)) == len(result.pivots)
             for row, p in enumerate(result.pivots):
-                column = result.reduced[:, p]
-                assert column[row] == 1 and int(column.sum()) == 1
-            assert not result.reduced[result.rank :].any()
+                holders = [r for r, bits in enumerate(result.reduced.rows) if bits >> p & 1]
+                assert holders == [row]
+            assert not any(result.reduced.rows[result.rank :])
 
     def test_idempotent(self):
         for mat in RREF_INPUTS:
-            reduced = rref(mat).reduced
-            assert np.array_equal(rref(reduced).reduced, reduced)
+            reduced = rref(bit_matrix(mat)).reduced
+            assert rref(reduced).reduced == reduced
 
     def test_known_ranks(self):
-        assert rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-        assert rank(np.eye(5, dtype=np.uint8)) == 5
-        assert rank([[1, 1], [1, 1]]) == 1
-        assert rank([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 2
+        assert rref(BitMatrix((0, 0, 0), 4)).rank == 0
+        assert rref(BitMatrix(tuple(1 << k for k in range(5)), 5)).rank == 5
+        assert rref(BitMatrix((0b11, 0b11), 2)).rank == 1
+        assert rref(bit_matrix([[1, 0, 1], [0, 1, 1], [1, 1, 0]])).rank == 2
 
     def test_rejects_non_bits(self):
+        """A row with a bit at or beyond the column count is refused."""
         with pytest.raises(ValueError):
-            rref([[0, 2]])
+            rref(BitMatrix((0b100,), 2))
+        with pytest.raises(ValueError):
+            BitMatrix((-1,), 2)
 
 
 class TestNullspaces:
     def test_left_nullspace_annihilates(self):
+        """rref's transform rows past the rank are a left-nullspace basis."""
         rng = np.random.default_rng(21)
         for _ in range(150):
             mat = random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 7)))
-            basis = left_nullspace(mat)
+            result = rref(bit_matrix(mat))
+            basis = transform_of(result, mat.shape[1])[result.rank :]
             assert basis.shape[0] == mat.shape[0] - rank(mat)
+            assert np.array_equal(basis, left_nullspace(mat))
             if basis.shape[0]:
                 assert not ((basis @ mat) % 2).any()
                 assert rank(basis) == basis.shape[0]
@@ -185,7 +216,9 @@ class TestNullspaces:
         rng = np.random.default_rng(22)
         for _ in range(150):
             mat = random_matrix(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)))
-            basis = nullspace(mat)
+            outcome = solve(bit_system(mat, np.zeros(mat.shape[0], dtype=np.uint8)))
+            basis = unpack_rows(outcome.nullspace, mat.shape[1])
+            assert outcome.assignment == 0
             assert basis.shape[0] == mat.shape[1] - rank(mat)
             if basis.shape[0]:
                 assert not ((mat @ basis.T) % 2).any()
@@ -196,9 +229,9 @@ class TestNullspaces:
         rng = np.random.default_rng(23)
         for _ in range(60):
             mat = random_matrix(rng, int(rng.integers(1, 6)), int(rng.integers(1, 9)))
-            basis = nullspace(mat)
             zero = np.zeros(mat.shape[0], dtype=np.uint8)
-            assert brute_solutions(mat, zero).shape[0] == 1 << basis.shape[0]
+            outcome = solve(bit_system(mat, zero))
+            assert brute_solutions(mat, zero).shape[0] == 1 << outcome.dimension
 
 
 class TestLinearSolve:
@@ -208,25 +241,28 @@ class TestLinearSolve:
             mat = random_matrix(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
             seed = rng.integers(0, 2, size=mat.shape[1]).astype(np.uint8)
             rhs = (mat @ seed) % 2
-            found = linear_solve(mat, rhs)
-            assert found is not None
-            assert np.array_equal((mat @ found) % 2, rhs)
+            found = solve(bit_system(mat, rhs))
+            assert isinstance(found, Gf2Solution)
+            assert np.array_equal((mat @ bits_of(found.assignment, mat.shape[1])) % 2, rhs)
 
     def test_inconsistent_returns_none(self):
+        """An inconsistent system gives a certificate, not a solution."""
         mat = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        assert linear_solve(mat, [0, 1]) is None
+        assert solve(bit_system(mat, [0, 1])) == Certificate(selected=(0, 1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             mat = random_matrix(rng, 4, 6)
             rhs = (mat @ rng.integers(0, 2, size=6).astype(np.uint8)) % 2
-            first = linear_solve(mat, rhs)
-            second = linear_solve(mat, rhs)
-            assert np.array_equal(first, second)
+            first = solve(bit_system(mat, rhs))
+            second = solve(bit_system(mat, rhs))
+            assert first == second
 
 
 class TestRowSpace:
+    """The row-space oracle that random_valid_instance samples with."""
+
     def test_membership_matches_brute_force(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
@@ -245,11 +281,13 @@ class TestRowSpace:
 
 class TestSystemSolve:
     def test_label_validation(self):
-        mat = np.eye(2, dtype=np.uint8)
+        mat = BitMatrix((0b01, 0b10), 2)
         with pytest.raises(ValueError):
-            Gf2System(matrix=mat, rhs=[0, 0], labels=("a",))
+            Gf2System(matrix=mat, rhs=0, labels=("a",))
         with pytest.raises(ValueError):
-            Gf2System(matrix=mat, rhs=[0, 0], labels=("a", "a"))
+            Gf2System(matrix=mat, rhs=0, labels=("a", "a"))
+        with pytest.raises(ValueError):
+            Gf2System(matrix=mat, rhs=0b100, labels=("a", "b"))
 
     def test_against_brute_force(self):
         """Existence agrees with enumeration; witnesses and proofs check out.
@@ -268,30 +306,33 @@ class TestSystemSolve:
                 rhs = (mat @ seed) % 2
             else:
                 rhs = rng.integers(0, 2, size=r).astype(np.uint8)
-            system = Gf2System(matrix=mat, rhs=rhs, labels=tuple(range(n)))
+            system = bit_system(mat, rhs)
             outcome = solve(system)
             hits = brute_solutions(mat, rhs)
             if isinstance(outcome, Gf2Solution):
                 solved += 1
                 assert hits.shape[0] == 1 << outcome.dimension
-                assert np.array_equal((mat @ outcome.assignment) % 2, rhs)
+                assert np.array_equal((mat @ bits_of(outcome.assignment, n)) % 2, rhs)
             else:
                 refuted += 1
                 assert hits.shape[0] == 0
                 assert isinstance(outcome, Certificate)
                 assert verify_certificate(system, outcome)
-                sel = outcome.row_selector
+                sel = np.zeros(r, dtype=np.uint8)
+                sel[list(outcome.selected)] = 1
                 assert not ((sel @ mat) % 2).any()
                 assert int(sel @ rhs) % 2 == 1
         assert solved > 50 and refuted > 50
 
     def test_certificate_selected_indices(self):
-        system = Gf2System(
-            matrix=[[1, 0], [1, 0], [0, 1]], rhs=[0, 1, 0], labels=("u", "v")
-        )
+        system = Gf2System(matrix=BitMatrix((0b01, 0b01, 0b10), 2), rhs=0b010, labels=("u", "v"))
         outcome = solve(system)
         assert isinstance(outcome, Certificate)
         assert outcome.selected == (0, 1)
+        assert verify_certificate(system, outcome)
+        assert not verify_certificate(system, Certificate(selected=(0, 2)))
+        with pytest.raises(ValueError):
+            verify_certificate(system, Certificate(selected=(0, 3)))
 
     @pytest.mark.parametrize("consistent", [True, False])
     def test_tall_system_builds_no_dense_transform(self, consistent):
@@ -306,7 +347,7 @@ class TestSystemSolve:
             rhs = (mat @ rng.integers(0, 2, size=cols).astype(np.uint8)) % 2
         else:
             rhs = rng.integers(0, 2, size=n).astype(np.uint8)
-        system = Gf2System(matrix=mat, rhs=rhs, labels=tuple(range(cols)))
+        system = bit_system(mat, rhs)
         tracemalloc.start()
         try:
             outcome = solve(system)
@@ -320,11 +361,11 @@ class TestSystemSolve:
             assert isinstance(outcome, Gf2Solution)
             expected = np.zeros(cols, dtype=np.uint8)
             expected[list(pivots)] = reduced_rhs[: len(pivots)]
-            assert np.array_equal(outcome.assignment, expected)
+            assert np.array_equal(bits_of(outcome.assignment, cols), expected)
         else:
             assert isinstance(outcome, Certificate)
             first = next(r for r in range(len(pivots), n) if reduced_rhs[r])
-            assert np.array_equal(outcome.row_selector, transform[first])
+            assert outcome.selected == tuple(np.flatnonzero(transform[first]))
 
     def test_solution_nullspace_satisfies_system(self):
         rng = np.random.default_rng(43)
@@ -333,10 +374,10 @@ class TestSystemSolve:
             seed = rng.integers(0, 2, size=mat.shape[1]).astype(np.uint8)
             rhs = (mat @ seed) % 2
             labels = tuple(f"x{i}" for i in range(mat.shape[1]))
-            outcome = solve(Gf2System(matrix=mat, rhs=rhs, labels=labels))
+            outcome = solve(bit_system(mat, rhs, labels))
             assert isinstance(outcome, Gf2Solution)
             for row in outcome.nullspace:
-                shifted = (outcome.assignment ^ row).astype(np.uint8)
+                shifted = bits_of(outcome.assignment ^ row, mat.shape[1])
                 assert np.array_equal((mat @ shifted) % 2, rhs)
 
 

@@ -28,6 +28,7 @@ from conftest import (
     LETTERS,
     random_stabilizer_group,
     random_valid_instance,
+    random_valid_raw,
     reference_mbqc,
 )
 
@@ -112,7 +113,7 @@ class TestValidateInstance:
         inst = anders_browne_instance()
         assert inst.parties == 3
         assert inst.input_bits == 2
-        assert np.array_equal(inst.setting_matrix, [[1, 0], [0, 1], [1, 1]])
+        assert inst.columns == (0b101, 0b110)  # Q = [[1, 0], [0, 1], [1, 1]]
         assert [op.body() for op in inst.observables[0]] == ["XII", "IXI", "IIX"]
         assert [op.body() for op in inst.observables[1]] == ["YII", "IYI", "IIY"]
         assert inst.resource.rank == 3
@@ -179,7 +180,7 @@ class TestValidateInstance:
     def test_sixteen_input_bits_validate(self):
         inst = validate_instance(wide_raw(16))
         assert inst.input_bits == 16
-        assert inst.setting_matrix.shape == (1, 16)
+        assert inst.columns == (1,) + (0,) * 15
 
     def test_input_bits_over_the_limit(self):
         with pytest.raises(MalformedFieldError, match="input_bits.*16"):
@@ -190,11 +191,11 @@ class TestValidateInstance:
         assert anders_browne_instance().columns == (0b101, 0b110)
         rng = np.random.default_rng(9)
         for _ in range(40):
-            inst = random_valid_instance(rng, max_input_bits=6)
-            q = inst.setting_matrix
-            assert inst.columns == tuple(
-                sum(int(q[k, j]) << k for k in range(inst.parties))
-                for j in range(inst.input_bits)
+            raw = random_valid_raw(rng, max_input_bits=6)
+            q = raw["Q"]
+            assert validate_instance(raw).columns == tuple(
+                sum(q[k][j] << k for k in range(raw["parties"]))
+                for j in range(raw["input_bits"])
             )
 
 

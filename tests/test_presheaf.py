@@ -203,8 +203,8 @@ class TestGlobalProblem:
         problem = build_global_problem(mermin_contexts(), ghz_pins())
         assert problem.num_rows == 9
         assert problem.num_vars == 10
-        for row in problem.matrix[5:]:
-            assert int(row.sum()) == 1
+        for row in problem.matrix.rows[5:]:
+            assert row.bit_count() == 1
 
     def test_relation_free_context_contributes_no_rows(self):
         problem = build_global_problem([close_context(ops("X"))])
