@@ -144,21 +144,13 @@ def cmd_mermin(fmt: str) -> None:
         fixtures.mermin_contexts_file_text().encode("utf-8"),
     )
     contexts = fixtures.mermin_contexts()
-    problem_free = build_global_problem(contexts)
-    free = report_mod.build_analysis(
-        contexts, problem_free, solve_global(problem_free)
-    )
-    pins = fixtures.ghz_pins()
-    problem_pinned = build_global_problem(contexts, pins)
-    pinned = report_mod.build_analysis(
-        contexts, problem_pinned, solve_global(problem_pinned), pins
-    )
+    analyses = []
+    for name, pins in (("state_independent", ()), ("ghz_pinned", fixtures.ghz_pins())):
+        problem = build_global_problem(contexts, pins)
+        outcome = solve_global(problem)
+        analyses.append((name, report_mod.build_analysis(contexts, problem, outcome, pins)))
     _emit(
-        Report(
-            version=TOOL_VERSION,
-            input_sha256=digest,
-            analyses=(("state_independent", free), ("ghz_pinned", pinned)),
-        ),
+        Report(version=TOOL_VERSION, input_sha256=digest, analyses=tuple(analyses)),
         fmt,
     )
 

@@ -4,24 +4,25 @@ A context is the group generated by a set of pairwise commuting Hermitian
 observables. Observables are identified projectively (the canonical positive
 representative); all sign information is carried by product relations, e.g.
 the relation ({XYY, YXY, YYX, XXX}, sign_bit=1) records that the product of
-those four observables is minus the identity. Any valuation that respects a
-left-nullspace basis of relations respects every product constraint of the
-context, so the relation set stays small. Everything here works on packed
-symplectic ints: relations come from one :func:`~contextua.gf2.eliminate`
-of the members' vectors, and maximal contexts from a pivoted Bron-Kerbosch
-search over int-bitset neighbourhoods.
+those four observables is minus the identity. Everything here works on
+packed symplectic ints. The context's :class:`~contextua.pauli.PauliBasis`
+takes the sorted members in one pass; each member it does not keep yields
+one relation, its fundamental circuit: the generators whose product it is,
+and itself. These relations are a basis of all product constraints of the
+context, so any valuation that respects them respects every one, and the
+relation set stays small. Maximal contexts come from a pivoted
+Bron-Kerbosch search over int-bitset neighbourhoods.
 
-Membership and inclusion are projective and answered by the context's
-:class:`~contextua.pauli.PauliBasis`, which reduces packed symplectic
-vectors against the generators; sign data is recovered on demand by
-actually multiplying the chosen generators, never stored per element.
+Membership and inclusion are projective and answered by the same basis,
+which reduces packed symplectic vectors against the generators; sign data
+is recovered on demand by actually multiplying the chosen generators, never
+stored per element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import gf2
 from .gf2 import set_bits
 from .pauli import PauliBasis, PauliOperator, commutes, multiply_all
 
@@ -70,8 +71,9 @@ class ContextGroup:
         basis: the greedy independent subset of members, as a PauliBasis;
             its ``generators`` generate a group of exactly 2 ** rank
             elements that never contains minus the identity.
-        relations: one Relation per left-nullspace basis vector of the member
-            symplectic matrix, with signs computed by exact multiplication.
+        relations: one Relation per member outside the basis, in member
+            order: its fundamental circuit, with the sign computed by exact
+            multiplication.
 
     Construct through :func:`close_context`; the constructor assumes its
     arguments are already validated and canonical.
@@ -165,7 +167,15 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         seen_signs[key] = op.sign
         given.append(op.canonical())
     members = sorted(given, key=_sort_key)
-    basis = PauliBasis(w, members)
+    basis = PauliBasis(w)
+    relations = []
+    for op in members:
+        circuit = basis.add(op)
+        if circuit is None:
+            continue
+        chosen = (*(basis.generators[j] for j in set_bits(circuit)), op)
+        product = multiply_all(chosen, width=w)
+        relations.append(Relation(members=chosen, sign_bit=product.phase_exp // 2))
     # The symplectic form is bilinear, so commuting with every generator
     # means commuting with the whole group.
     vectors = [op.packed() for op in members]
@@ -178,15 +188,6 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
                     raise NonCommutingGeneratorsError(
                         f"{p.body()} and {q.body()} do not commute"
                     )
-
-    rows, pivots = gf2.eliminate(vectors, 2 * w)
-    relations = []
-    for row in rows[len(pivots) :]:
-        chosen = tuple(members[j] for j in set_bits(row >> 2 * w))
-        product = multiply_all(chosen, width=w)
-        if product.x_bits or product.z_bits:
-            raise AssertionError("nullspace product is not a phase")
-        relations.append(Relation(members=chosen, sign_bit=product.phase_exp // 2))
 
     return ContextGroup(members=tuple(members), basis=basis, relations=tuple(relations))
 

@@ -3,19 +3,17 @@
 A bit vector is a Python int whose bit c is entry c, and a matrix is a
 :class:`BitMatrix` of such rows. A system's right-hand side holds bit r for
 row r, a solution bit c for variable c, and a certificate names its rows
-by index. Inside :func:`eliminate`, the one elimination routine, each row
-also carries its transform bits above the matrix bits, so a single XOR
-updates a row of both. :func:`solve` reads the reduced right-hand sides as
-parities of those rows and the certificate off the transform bits of one
-of them, so the n x n transform is never built. Callers that already hold
-int rows (``contexts.close_context``) call :func:`eliminate` directly.
+by index.
 
-The systems met in practice are sparse, so elimination visits only the
-rows that hold each column: rows wait in buckets keyed by their lowest set
-bit, the next column that would clear them. The result is exactly that of
-column-scan Gauss-Jordan with the pivot at the lowest-index column and the
-lowest-index row, so solutions, nullspace bases and inconsistency
-certificates are byte-stable across runs.
+:class:`Basis` is the one elimination routine. Vectors are inserted one at
+a time; each is reduced against a pivot table keyed by lowest set bit and
+kept when something is left, so the kept vectors are the greedy basis of
+the insertion order. Every reduced vector carries its combination over
+the kept ones, at most rank bits wide, so a dependent vector yields its
+fundamental circuit (the unique kept vectors that sum to it) directly.
+One back substitution turns the table into reduced row-echelon form.
+``pauli.PauliBasis`` (and through it ``contexts.close_context`` and
+``stabilizer``), :func:`solve` and :func:`rref` all run on it.
 """
 from __future__ import annotations
 
@@ -47,13 +45,79 @@ class BitMatrix:
         return len(self.rows), self.cols
 
 
+class Basis:
+    """The greedy basis of a stream of GF(2) vectors.
+
+    Kept vector j is stored reduced against the ones kept before it, under
+    its lowest set bit (its pivot), together with its combination: the bit
+    set over kept vectors whose sum it is, holding bit j itself. Reducing a
+    vector clears its lowest bit with the row stored there until no row is,
+    at one XOR per pivot met.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}
+
+    def reduce(self, vector: int) -> tuple[int, int]:
+        """(remainder, combination) of vector against the kept vectors.
+
+        The remainder is 0 exactly when vector lies in their span; vector is
+        then the sum of the kept vectors that the combination selects.
+        """
+        combination = 0
+        rows = self._rows
+        while vector:
+            entry = rows.get(vector & -vector)
+            if entry is None:
+                break
+            vector ^= entry[0]
+            combination ^= entry[1]
+        return vector, combination
+
+    def add(self, vector: int) -> tuple[int, int]:
+        """Reduce vector, keeping it when a remainder is left.
+
+        Returns :meth:`reduce`'s (remainder, combination). For a vector that
+        is not kept, the combination plus the vector itself is its
+        fundamental circuit in the binary matroid of the stream.
+        """
+        remainder, combination = self.reduce(vector)
+        if remainder:
+            self._rows[remainder & -remainder] = (remainder, combination | 1 << len(self._rows))
+        return remainder, combination
+
+    def reduced_rows(self) -> list[tuple[int, int, int]]:
+        """(pivot, row, combination) per kept vector, in pivot order.
+
+        Back substitution, from the highest pivot down, clears every other
+        pivot from each row, so the rows are the reduced row-echelon form of
+        the span and each combination still selects the kept vectors that
+        sum to its row.
+        """
+        done: dict[int, tuple[int, int]] = {}
+        later = 0
+        for low in sorted(self._rows, reverse=True):
+            row, combination = self._rows[low]
+            hits = row & later
+            while hits:
+                bit = hits & -hits
+                finished, selected = done[bit]
+                row ^= finished
+                combination ^= selected
+                hits ^= bit
+            done[low] = (row, combination)
+            later |= low
+        return [(low.bit_length() - 1, *done[low]) for low in sorted(done)]
+
+
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row-echelon form together with the row transform producing it.
 
-    rows are the int rows of :func:`eliminate`: row r holds reduced row r
-    below bit cols and, from bit cols up, the transform row that selects the
-    input rows summing to it.
+    Row r of rows holds reduced row r below bit cols and, from bit cols up,
+    the transform row that selects the input rows summing to it. The pivot
+    rows come first; then each dependent input row, in input order, with
+    its fundamental circuit as transform and no reduced bits.
     """
 
     reduced: BitMatrix
@@ -65,98 +129,30 @@ class RrefResult:
         return len(self.pivots)
 
 
-def eliminate(rows: Sequence[int], cols: int) -> tuple[list[int], tuple[int, ...]]:
-    """Gauss-Jordan elimination over GF(2) on int rows.
-
-    Row r holds column c at bit c, for c < cols. Returns (reduced, pivots):
-    reduced row r holds its reduced bits below bit cols and, from bit cols
-    up, its transform row, whose bit j selects input row j. Rows at index
-    >= len(pivots) have no reduced bits left; their transform rows form a
-    basis of the left nullspace of the input.
-
-    The result is that of column-scan Gauss-Jordan: for each column c in
-    turn, the lowest-position row at or after position rank that holds c
-    (the lead) is swapped into position rank and XORed into every other
-    row holding c. Here that takes two passes, which touch only the rows
-    holding each column:
-
-    - Forward. Invariant: before column c, an unreduced row (position >=
-      rank) has no bits below c, so the rows holding c are exactly those
-      whose lowest bit is c, and buckets[c] holds their positions. The lead
-      is the lowest position in buckets[c]. The row it swaps with does not
-      hold c (it would be the lead), so it stays in its own bucket under
-      its new position. The lead is XORed into the other rows of
-      buckets[c] only, and each is filed under its new lowest bit, which
-      is above c.
-    - Back substitution. From the last pivot row to the first, each pivot
-      row takes in the finished rows of the later pivot columns it holds.
-
-    Unreduced rows only ever take in leads, so the forward pass chooses
-    the same leads, makes the same swaps and leaves the same non-pivot rows
-    as the column scan; the scan differs only in also clearing each column
-    from the earlier pivot rows. In both, pivot row k ends as lead k plus a
-    sum of later leads, zero in every other pivot column. Each later lead's
-    lowest bit is its own pivot column, so that sum is forced column by
-    column and the rows agree bit for bit, transform bits included.
-    """
-    mask = (1 << cols) - 1
-    rows = [row | 1 << (cols + r) for r, row in enumerate(rows)]
-    buckets: list[list[int]] = [[] for _ in range(cols)]
-    for r, row in enumerate(rows):
-        low = row & mask
-        if low:
-            buckets[(low & -low).bit_length() - 1].append(r)
-    pivots: list[int] = []
-    for col, bucket in enumerate(buckets):
-        if not bucket:
-            continue
-        rank = len(pivots)
-        pivot = min(bucket)
-        lead = rows[pivot]
-        if pivot != rank:
-            moved = rows[rank]
-            rows[pivot] = moved
-            rows[rank] = lead
-            low = moved & mask
-            if low:
-                filed = buckets[(low & -low).bit_length() - 1]
-                filed[filed.index(rank)] = pivot
-        for r in bucket:
-            if r != pivot:
-                row = rows[r] ^ lead
-                rows[r] = row
-                low = row & mask
-                if low:
-                    buckets[(low & -low).bit_length() - 1].append(r)
-        pivots.append(col)
-    place = [0] * cols
-    later = 0
-    for k in range(len(pivots) - 1, -1, -1):
-        row = rows[k]
-        hits = row & later
-        while hits:
-            bit = hits & -hits
-            row ^= rows[place[bit.bit_length() - 1]]
-            hits ^= bit
-        rows[k] = row
-        place[pivots[k]] = k
-        later |= 1 << pivots[k]
-    return rows, tuple(pivots)
-
-
 def rref(matrix: BitMatrix) -> RrefResult:
-    """Gauss-Jordan elimination over GF(2), by :func:`eliminate`.
+    """Gauss-Jordan elimination over GF(2), by one pass of a :class:`Basis`.
 
-    Returns (reduced, pivots, rows): reduced row r is the sum of the input
-    rows that the transform bits of rows[r] select, and the transform is
-    invertible. Rows at index >= rank of the reduced matrix are zero, and
-    their transform bits form a basis of the left nullspace of the input.
+    Reduced row r is the sum of the input rows that the transform bits of
+    rows[r] select, and the transform is invertible. Rows at index >= rank
+    of the reduced matrix are zero, and their transform bits form a basis
+    of the left nullspace of the input.
     """
-    rows, pivots = eliminate(matrix.rows, matrix.cols)
-    mask = (1 << matrix.cols) - 1
+    cols = matrix.cols
+    basis = Basis()
+    kept: list[int] = []
+    dependent: list[int] = []
+    for r, row in enumerate(matrix.rows):
+        remainder, combination = basis.add(row)
+        if remainder:
+            kept.append(1 << cols + r)
+        else:
+            dependent.append(sum(kept[j] for j in set_bits(combination)) | 1 << cols + r)
+    reduced = basis.reduced_rows()
+    rows = [row | sum(kept[j] for j in set_bits(c)) for _, row, c in reduced] + dependent
+    mask = (1 << cols) - 1
     return RrefResult(
-        reduced=BitMatrix(tuple(row & mask for row in rows), matrix.cols),
-        pivots=pivots,
+        reduced=BitMatrix(tuple(row & mask for row in rows), cols),
+        pivots=tuple(pivot for pivot, _, _ in reduced),
         rows=rows,
     )
 
@@ -198,7 +194,11 @@ class Certificate:
 
     The selected rows (ascending row indices) of the coefficient matrix sum
     to the zero vector while their right-hand-side bits sum to 1, exhibiting
-    0 = 1.
+    0 = 1. :func:`solve` selects the fundamental circuit of the first row k
+    whose prefix, rows 0..k, is inconsistent: row k and the unique rows of
+    the greedy basis of rows 0..k-1 that sum to its left-hand side. So the
+    certificate depends on the system and its row order alone, and no
+    proper subset of it sums to zero.
     """
 
     selected: tuple[int, ...]
@@ -222,29 +222,33 @@ class Gf2Solution:
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
-    On success the assignment satisfies A x = b with free variables fixed to
-    zero, and nullspace row i sets the i-th free variable and the pivot
-    variables that match it. On failure the certificate selects the
-    transform row of the first all-zero reduced row with nonzero reduced
-    right-hand side, which is reproducible because elimination order is
-    deterministic.
+    Rows stream into one :class:`Basis` with their right-hand side at bit
+    num_vars, so a row whose left-hand side reduces to zero leaves 1 there
+    exactly when the rows up to it are inconsistent. The first such row
+    stops the pass, and its fundamental circuit is the :class:`Certificate`.
+    Otherwise one back substitution gives the solution: the assignment
+    satisfies A x = b with free variables fixed to zero, and nullspace row i
+    sets the i-th free variable and the pivot variables that match it.
     """
-    result = rref(system.matrix)
     cols = system.num_vars
-    shifted = system.rhs << cols
-    for row in result.rows[result.rank :]:
-        if (row & shifted).bit_count() & 1:
-            return Certificate(selected=tuple(set_bits(row >> cols)))
+    basis = Basis()
+    kept: list[int] = []
+    for r, row in enumerate(system.matrix.rows):
+        remainder, combination = basis.add(row | (system.rhs >> r & 1) << cols)
+        if remainder == 1 << cols:
+            return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
+        if remainder:
+            kept.append(r)
+    reduced = basis.reduced_rows()
+    pivots = {pivot for pivot, _, _ in reduced}
+    nullspace = {c: 1 << c for c in range(cols) if c not in pivots}
+    mask = (1 << cols) - 1
     assignment = 0
-    for row, p in zip(result.rows, result.pivots):
-        assignment |= ((row & shifted).bit_count() & 1) << p
-    pivots = set(result.pivots)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = {c: 1 << c for c in free}
-    for row, p in zip(result.reduced.rows, result.pivots):
-        for c in set_bits(row ^ 1 << p):
-            basis[c] |= 1 << p
-    return Gf2Solution(assignment=assignment, nullspace=tuple(basis[c] for c in free))
+    for pivot, row, _ in reduced:
+        assignment |= (row >> cols & 1) << pivot
+        for c in set_bits((row & mask) ^ 1 << pivot):
+            nullspace[c] |= 1 << pivot
+    return Gf2Solution(assignment=assignment, nullspace=tuple(nullspace.values()))
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

@@ -9,12 +9,18 @@ qubit k, qubit 0 being the leftmost letter of a string like "XYZ") and
 phase_exp lives in Z_4. A single-qubit Y is i*X*Z, so a Hermitian operator
 always satisfies phase_exp = popcount(x & z) mod 2; its sign is +1 when
 phase_exp - popcount(x & z) is 0 mod 4 and -1 when it is 2 mod 4.
+
+:class:`PauliBasis` keeps a greedy independent set of operators on the one
+streaming GF(2) basis of :mod:`contextua.gf2`, fed their packed symplectic
+vectors: it holds the basis and the generators, and recovers a sign by
+multiplying the generators a reduction selects.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+
+from . import gf2
 
 _PAULI_RE = re.compile(r"^([+-]?)([IXYZ]+)$")
 
@@ -208,43 +214,36 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
 class PauliBasis:
     """Independent Pauli operators, kept for sign-resolved membership.
 
-    Operators are inserted in order; one that is a product of the operators
+    Operators are inserted in order into one :class:`~contextua.gf2.Basis`
+    of packed symplectic vectors; one that is a product of the operators
     already kept, up to phase, is not kept, so ``generators`` is the greedy
-    independent subset of the insertion order. Each generator's packed
-    symplectic vector is stored reduced against the earlier ones, with its
-    pivot bit and the set of generators whose product it is. Expressing a
-    vector over the generators then takes one XOR per generator, and one
-    product of the chosen generators, in generator order, gives the sign.
+    independent subset of the insertion order. Expressing an operator over
+    the generators takes one XOR per pivot met, and one product of the
+    chosen generators, in generator order, gives the sign.
     """
 
-    def __init__(self, width: int, ops: Iterable[PauliOperator] = ()) -> None:
+    def __init__(self, width: int) -> None:
         self.width = width
         self.generators: tuple[PauliOperator, ...] = ()
-        # One (pivot bit, reduced vector, generator mask) per generator.
-        self._rows: list[tuple[int, int, int]] = []
-        for op in ops:
-            self.add(op)
+        self._basis = gf2.Basis()
 
-    def _reduce(self, op: PauliOperator) -> tuple[int, int]:
-        """(remainder, generator mask) of op's packed vector after reduction."""
+    def _vector(self, op: PauliOperator) -> int:
         if op.width != self.width:
             raise ValueError(f"width mismatch: {op.width} vs {self.width}")
-        vector = op.packed()
-        mask = 0
-        for pivot, row, combination in self._rows:
-            if vector & pivot:
-                vector ^= row
-                mask ^= combination
-        return vector, mask
+        return op.packed()
 
-    def add(self, op: PauliOperator) -> bool:
-        """Keep op if it is independent of the generators; report whether it was."""
-        vector, mask = self._reduce(op)
-        if not vector:
-            return False
-        self._rows.append((vector & -vector, vector, mask | 1 << len(self.generators)))
-        self.generators = (*self.generators, op)
-        return True
+    def add(self, op: PauliOperator) -> int | None:
+        """Keep op if it is independent of the generators.
+
+        Returns None when op is kept. Otherwise returns the bit set of the
+        generators whose product is op up to phase: with op, its fundamental
+        circuit.
+        """
+        remainder, combination = self._basis.add(self._vector(op))
+        if remainder:
+            self.generators = (*self.generators, op)
+            return None
+        return combination
 
     def decompose(self, op: PauliOperator) -> tuple[tuple[int, ...], int] | None:
         """Express op over the generators, with the realized sign.
@@ -253,10 +252,10 @@ class PauliBasis:
         with exponent 1 equals (-1)^sign_bit times op, or None when op is not
         a product of generators up to phase.
         """
-        vector, mask = self._reduce(op)
-        if vector:
+        remainder, combination = self._basis.reduce(self._vector(op))
+        if remainder:
             return None
-        exponents = tuple((mask >> j) & 1 for j in range(len(self.generators)))
+        exponents = tuple((combination >> j) & 1 for j in range(len(self.generators)))
         chosen = [g for g, e in zip(self.generators, exponents) if e]
         realized = multiply_all(chosen, width=self.width)
         return exponents, (realized.phase_exp - op.phase_exp) % 4 // 2

@@ -16,7 +16,7 @@ from .contexts import ContextGroup
 from .mbqc import ContextualityReport
 from .presheaf import GlobalSection, StateConstraint
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Stabilizer groups with sign-resolved membership, plus a dense oracle.
 
 The group data is the signed generator list, held in a
-:class:`~contextua.pauli.PauliBasis`: membership queries reduce the packed
-symplectic vector against the generators and multiply the chosen ones to
+:class:`~contextua.pauli.PauliBasis` over the one streaming GF(2) basis of
+:mod:`contextua.gf2`: membership queries reduce the packed symplectic
+vector against its pivot table and multiply the chosen generators to
 recover the sign. The dense state-vector path exists for desk-scale checks
 and is capped at 10 qubits; the sign arithmetic itself has no cap. Only
 the dense path uses numpy, and it imports it when first called.
@@ -86,7 +87,7 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> St
                 )
     basis = PauliBasis(width)
     for op in ops:
-        if basis.add(op):
+        if basis.add(op) is None:
             continue
         _, sign_bit = basis.decompose(op)
         if sign_bit == 0:

@@ -182,6 +182,54 @@ def left_nullspace(matrix) -> np.ndarray:
     return transform[len(pivots) :]
 
 
+def greedy_rows(matrix) -> tuple[int, ...]:
+    """The rows that raise the rank of the rows before them, ascending.
+
+    Row r raises its prefix rank exactly when column r of the transpose is
+    independent of the columns before it, that is, a pivot column of
+    reference_rref on the transpose.
+    """
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    return reference_rref(mat.T)[1]
+
+
+def fundamental_circuits(matrix) -> dict[int, tuple[int, ...]]:
+    """Each row outside the greedy rows, mapped to its fundamental circuit.
+
+    The circuit of row r is r with the greedy rows that sum to it, ascending.
+    The greedy rows B are independent, so reference_rref of [B^T | V^T],
+    with the other rows V, pivots on B's columns and leaves [I | S] on top,
+    where column i of S selects the rows of B that sum to row i of V.
+    Those rows all precede it, since the greedy rows before it span it.
+    """
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    basis = greedy_rows(mat)
+    others = [r for r in range(mat.shape[0]) if r not in basis]
+    stacked = np.hstack([mat[list(basis)].T, mat[others].T])
+    reduced, pivots, _ = reference_rref(stacked)
+    assert pivots == tuple(range(len(basis)))
+    return {
+        r: tuple(sorted([*(basis[j] for j in np.flatnonzero(reduced[: len(basis), len(basis) + i])), r]))
+        for i, r in enumerate(others)
+    }
+
+
+def reference_certificate(matrix, rhs) -> tuple[int, ...] | None:
+    """The rows gf2.solve must select for A x = b, or None when consistent.
+
+    The first row k whose prefix 0..k is inconsistent is the first row that
+    raises the prefix rank of [A | b] but not of A. The certificate is its
+    fundamental circuit over the greedy rows of A before it.
+    """
+    mat = np.atleast_2d(np.asarray(matrix, dtype=np.uint8))
+    column = np.asarray(rhs, dtype=np.uint8).reshape(-1, 1)
+    basis = greedy_rows(mat)
+    k = next((r for r in greedy_rows(np.hstack([mat, column])) if r not in basis), None)
+    if k is None:
+        return None
+    return fundamental_circuits(mat[: k + 1])[k]
+
+
 def reference_close_context(
     gens: list[PauliOperator],
 ) -> tuple[tuple[PauliOperator, ...], tuple[PauliOperator, ...], list[tuple[tuple, int]]]:
@@ -190,8 +238,9 @@ def reference_close_context(
     An oracle for close_context on inputs without sign conflicts: members
     are the canonical non-identity generators, deduplicated, checked pair by
     pair in the given order and sorted by body string; generators are the
-    members that raise the rank, in member order; relations are the left
-    nullspace rows of the member matrix, each with the sign of its product.
+    members that raise the rank, in member order; each other member gives
+    one relation, in member order: its fundamental circuit over the
+    generators, with the sign of its product.
     Returns (members, generators, [(relation members, sign bit), ...]).
     """
     given: list[PauliOperator] = []
@@ -207,19 +256,13 @@ def reference_close_context(
     if not members:
         return (), (), []
     matrix = np.array([op.symplectic() for op in members], dtype=np.uint8)
-    generators: list[PauliOperator] = []
-    for k, op in enumerate(members):
-        kept = [members.index(g) for g in generators]
-        if len(reference_rref(matrix[kept + [k]])[1]) > len(generators):
-            generators.append(op)
-    _, pivots, transform = reference_rref(matrix)
     relations = []
-    for selector in transform[len(pivots) :]:
-        chosen = tuple(op for op, bit in zip(members, selector) if bit)
+    for circuit in fundamental_circuits(matrix).values():
+        chosen = tuple(members[j] for j in circuit)
         product = multiply_all(chosen, width=members[0].width)
         assert product.is_identity_class
         relations.append((chosen, product.sign_bit))
-    return members, tuple(generators), relations
+    return members, tuple(members[j] for j in greedy_rows(matrix)), relations
 
 
 def _embedded_vector(letter_index: int, party: int, width: int) -> np.ndarray:

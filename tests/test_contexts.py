@@ -271,19 +271,24 @@ class TestElimination:
         assert points[0].value_of(parse_pauli("-XXX")) == 0
 
     def test_close_context_eliminates_at_most_once(self, monkeypatch):
-        calls = []
-        original = gf2.rref
+        """One pass: each member enters the basis once, and rref never runs."""
+        inserted = []
+        original = gf2.Basis.add
 
-        def counting(matrix):
-            calls.append(matrix)
-            return original(matrix)
+        def counting(basis, vector):
+            inserted.append(vector)
+            return original(basis, vector)
 
-        monkeypatch.setattr(gf2, "rref", counting)
+        def refuse(matrix):
+            raise AssertionError("close_context ran a second elimination")
+
+        monkeypatch.setattr(gf2.Basis, "add", counting)
+        monkeypatch.setattr(gf2, "rref", refuse)
         all_z = ["".join(z) for z in product("IZ", repeat=3)][1:]
         for block in (ops("X"), ops("XII", "IXI", "IIX", "XXX"), ops(*all_z)):
-            calls.clear()
+            inserted.clear()
             ctx = close_context(block)
-            assert len(calls) <= 1
+            assert inserted == [op.packed() for op in ctx.members]
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
 

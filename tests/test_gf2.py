@@ -15,6 +15,7 @@ from contextua.gf2 import (
     fit_affine,
     input_vector,
     rref,
+    set_bits,
     solve,
     verify_certificate,
 )
@@ -25,10 +26,11 @@ from conftest import (
     bit_matrix,
     bit_system,
     exhaustive_affine_tables,
-    left_nullspace,
+    fundamental_circuits,
     pack_rows,
     random_stabilizer_group,
     rank,
+    reference_certificate,
     reference_rref,
     row_space_contains,
     unpack_rows,
@@ -140,15 +142,25 @@ def bits_of(value, length):
     return unpack_rows([value], length)[0]
 
 
+def assert_circuit(mat, selected):
+    """Rows that sum to zero with every proper subset independent."""
+    assert rank(mat[list(selected)].reshape(len(selected), mat.shape[1])) == len(selected) - 1
+
+
 class TestRref:
     def test_matches_reference_elimination(self):
-        """Same reduced form, pivots and transform as the uint8 oracle."""
+        """Same reduced form and pivots as the uint8 oracle.
+
+        The rows past the rank are the fundamental circuits of the dependent
+        rows, in input order, each over the greedy rows before it.
+        """
         for mat in RREF_INPUTS:
             result = rref(bit_matrix(mat))
-            reduced, pivots, transform = reference_rref(mat)
+            reduced, pivots, _ = reference_rref(mat)
             assert result.pivots == pivots
             assert result.reduced == BitMatrix(pack_rows(reduced), mat.shape[1])
-            assert np.array_equal(transform_of(result, mat.shape[1]), transform)
+            found = [tuple(set_bits(row >> mat.shape[1])) for row in result.rows[result.rank :]]
+            assert found == list(fundamental_circuits(mat).values())
 
     def test_reduced_equals_transform_times_input(self):
         """Each reduced row is the XOR of the input rows its transform bits select."""
@@ -207,7 +219,6 @@ class TestNullspaces:
             result = rref(bit_matrix(mat))
             basis = transform_of(result, mat.shape[1])[result.rank :]
             assert basis.shape[0] == mat.shape[0] - rank(mat)
-            assert np.array_equal(basis, left_nullspace(mat))
             if basis.shape[0]:
                 assert not ((basis @ mat) % 2).any()
                 assert rank(basis) == basis.shape[0]
@@ -313,6 +324,7 @@ class TestSystemSolve:
                 solved += 1
                 assert hits.shape[0] == 1 << outcome.dimension
                 assert np.array_equal((mat @ bits_of(outcome.assignment, n)) % 2, rhs)
+                assert reference_certificate(mat, rhs) is None
             else:
                 refuted += 1
                 assert hits.shape[0] == 0
@@ -322,7 +334,32 @@ class TestSystemSolve:
                 sel[list(outcome.selected)] = 1
                 assert not ((sel @ mat) % 2).any()
                 assert int(sel @ rhs) % 2 == 1
+                assert outcome.selected == reference_certificate(mat, rhs)
+                assert_circuit(mat, outcome.selected)
         assert solved > 50 and refuted > 50
+
+    def test_certificates_on_rref_inputs(self):
+        """Every rref input, once with a random and once with a planted rhs.
+
+        A certificate is exactly the fundamental circuit of the first row
+        whose prefix is inconsistent; a solution satisfies the system.
+        """
+        rng = np.random.default_rng(46)
+        refuted = 0
+        for mat in RREF_INPUTS:
+            rows, cols = mat.shape
+            planted = (mat @ rng.integers(0, 2, size=cols).astype(np.uint8)) % 2
+            for rhs in (rng.integers(0, 2, size=rows).astype(np.uint8), planted):
+                outcome = solve(bit_system(mat, rhs))
+                expected = reference_certificate(mat, rhs)
+                if expected is None:
+                    assert isinstance(outcome, Gf2Solution)
+                    assert np.array_equal((mat @ bits_of(outcome.assignment, cols)) % 2, rhs)
+                else:
+                    refuted += 1
+                    assert outcome == Certificate(selected=expected)
+                    assert_circuit(mat, outcome.selected)
+        assert refuted > 120
 
     def test_certificate_selected_indices(self):
         system = Gf2System(matrix=BitMatrix((0b01, 0b01, 0b10), 2), rhs=0b010, labels=("u", "v"))
@@ -338,7 +375,8 @@ class TestSystemSolve:
     def test_tall_system_builds_no_dense_transform(self, consistent):
         """Peak memory stays far below the n x n transform's n^2 bytes.
 
-        The answer is still exactly the one the transform gives.
+        The solution is still exactly the one the reference transform
+        gives, and the certificate the reference one.
         """
         rng = np.random.default_rng(45)
         n, cols = 4000, 40
@@ -355,17 +393,14 @@ class TestSystemSolve:
         finally:
             tracemalloc.stop()
         assert peak < n * n // 4
-        _, pivots, transform = reference_rref(mat)
-        reduced_rhs = (transform @ rhs) % 2
         if consistent:
             assert isinstance(outcome, Gf2Solution)
+            _, pivots, transform = reference_rref(mat)
             expected = np.zeros(cols, dtype=np.uint8)
-            expected[list(pivots)] = reduced_rhs[: len(pivots)]
+            expected[list(pivots)] = ((transform @ rhs) % 2)[: len(pivots)]
             assert np.array_equal(bits_of(outcome.assignment, cols), expected)
         else:
-            assert isinstance(outcome, Certificate)
-            first = next(r for r in range(len(pivots), n) if reduced_rhs[r])
-            assert outcome.selected == tuple(np.flatnonzero(transform[first]))
+            assert outcome == Certificate(selected=reference_certificate(mat, rhs))
 
     def test_solution_nullspace_satisfies_system(self):
         rng = np.random.default_rng(43)

@@ -80,9 +80,9 @@ def test_report_matches_golden(name, fmt, tmp_path):
 
 
 def test_all_three_qubit_golden_is_the_large_case():
-    """The 63-observable report keeps its 135 contexts and 7-row certificate."""
+    """The 63-observable report keeps its 135 contexts and a 6-row certificate."""
     text = golden_path("analyze_all_three_qubit", "text").read_text(encoding="utf-8")
     assert "observables (63):" in text
     assert "  135) " in text and "  136) " not in text
     certificate = text.split("certificate (no global section exists):\n")[1]
-    assert len(certificate.split("  sum of the selected rows")[0].splitlines()) == 7
+    assert len(certificate.split("  sum of the selected rows")[0].splitlines()) == 6

@@ -1,9 +1,11 @@
 """The names and result attributes the benchmark's tracer depends on.
 
 perfbench/tracing.py wraps library functions by module attribute and reads
-attributes of their results. Loading it here and running two commands under
+attributes of their results. Loading it here and running three commands under
 it makes a rename or a changed result type fail this test instead of only
-the traced benchmark run.
+the traced benchmark run. Two of the commands are contextual; the
+noncontextual z_product report has a one-dimensional section space, so its
+binary-lowest section still runs gf2.rref.
 """
 import importlib.util
 from pathlib import Path
@@ -30,12 +32,15 @@ def test_tracer_sees_every_layer_it_reports():
     try:
         runner = CliRunner()
         mermin = runner.invoke(main, ["mermin"])
-        instance = str(ROOT / "fixtures" / "anders_browne.json")
-        report = runner.invoke(main, ["mbqc", "--instance", instance, "report"])
+        reports = [
+            runner.invoke(main, ["mbqc", "--instance", str(ROOT / "fixtures" / name), "report"])
+            for name in ("anders_browne.json", "z_product.json")
+        ]
     finally:
         tracer.uninstall()
     assert mermin.exit_code == 0, mermin.output
-    assert report.exit_code == 0, report.output
+    for report in reports:
+        assert report.exit_code == 0, report.output
     for name in (
         "gf2.rref",
         "contexts.close_context",
