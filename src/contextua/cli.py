@@ -93,6 +93,11 @@ def cmd_analyze(
     try:
         loose, blocks = io.parse_observable_file(obs_path.read_text(encoding="utf-8"))
         if contexts_path is not None:
+            if blocks:
+                raise io.FileFormatError(
+                    "observable file has context blocks; with --contexts, "
+                    "give them in the context file only"
+                )
             extra_loose, blocks = io.parse_observable_file(
                 contexts_path.read_text(encoding="utf-8")
             )
@@ -126,11 +131,7 @@ def cmd_analyze(
     outcome = solve_global(problem)
     analysis = report_mod.build_analysis(contexts, problem, outcome, pins)
     _emit(
-        Report(
-            version=TOOL_VERSION,
-            input_sha256=digest,
-            analyses=(("analysis", analysis),),
-        ),
+        Report(version=TOOL_VERSION, input_sha256=digest, analyses={"analysis": analysis}),
         fmt,
     )
 
@@ -144,15 +145,12 @@ def cmd_mermin(fmt: str) -> None:
         fixtures.mermin_contexts_file_text().encode("utf-8"),
     )
     contexts = fixtures.mermin_contexts()
-    analyses = []
+    analyses = {}
     for name, pins in (("state_independent", ()), ("ghz_pinned", fixtures.ghz_pins())):
         problem = build_global_problem(contexts, pins)
         outcome = solve_global(problem)
-        analyses.append((name, report_mod.build_analysis(contexts, problem, outcome, pins)))
-    _emit(
-        Report(version=TOOL_VERSION, input_sha256=digest, analyses=tuple(analyses)),
-        fmt,
-    )
+        analyses[name] = report_mod.build_analysis(contexts, problem, outcome, pins)
+    _emit(Report(version=TOOL_VERSION, input_sha256=digest, analyses=analyses), fmt)
 
 
 @main.group("mbqc")
@@ -247,9 +245,7 @@ def mbqc_report(ctx: click.Context, fmt: str) -> None:
     )
     _emit(
         Report(
-            version=TOOL_VERSION,
-            input_sha256=ctx.obj["digest"],
-            analyses=(("mbqc", analysis),),
+            version=TOOL_VERSION, input_sha256=ctx.obj["digest"], analyses={"mbqc": analysis}
         ),
         fmt,
     )

@@ -5,7 +5,7 @@ from .contexts import ContextGroup, close_context
 from .mbqc import MBQCInstance, validate_instance
 from .pauli import PauliOperator, parse_pauli
 from .presheaf import StateConstraint
-from .stabilizer import MemberSign, StabilizerGroup, make_stabilizer, member_sign
+from .stabilizer import StabilizerGroup, make_stabilizer, member_sign
 
 MERMIN_BODIES = (
     "XII", "YII", "IXI", "IYI", "IIX", "IIY",
@@ -63,15 +63,10 @@ def ghz_group() -> StabilizerGroup:
 def ghz_pins() -> tuple[StateConstraint, ...]:
     """Eigenvalue pins of the four product observables on the GHZ state."""
     group = ghz_group()
-    pins = []
-    for body in ("XXX", "XYY", "YXY", "YYX"):
-        op = parse_pauli(body)
-        verdict = member_sign(group, op)
-        assert verdict is not MemberSign.NOT_MEMBER
-        pins.append(
-            StateConstraint(observable=op, value_bit=0 if verdict is MemberSign.PLUS else 1)
-        )
-    return tuple(pins)
+    return tuple(
+        StateConstraint(observable=op, value_bit=member_sign(group, op))
+        for op in map(parse_pauli, ("XXX", "XYY", "YXY", "YYX"))
+    )
 
 
 def anders_browne_raw() -> dict:

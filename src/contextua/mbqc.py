@@ -28,7 +28,7 @@ from .presheaf import (
     build_global_problem,
     solve_global,
 )
-from .stabilizer import MemberSign, StabilizerGroup, make_stabilizer, member_sign
+from .stabilizer import StabilizerGroup, make_stabilizer, member_sign
 
 
 # Every analysis walks all 2^input_bits inputs; larger instances are refused.
@@ -264,14 +264,6 @@ def _locals(inst: MBQCInstance, q: int) -> list[PauliOperator]:
     return [inst.observables[(q >> k) & 1][k] for k in range(inst.parties)]
 
 
-def _output(inst: MBQCInstance, product: PauliOperator) -> int | None:
-    """Bit fixed by the resource: 0 for sign +1, 1 for -1, None for neither."""
-    verdict = member_sign(inst.resource, product)
-    if verdict is MemberSign.NOT_MEMBER:
-        return None
-    return 0 if verdict is MemberSign.PLUS else 1
-
-
 def joint_observable(
     inst: MBQCInstance, bits: Sequence[int]
 ) -> tuple[PauliOperator, ContextGroup]:
@@ -297,14 +289,14 @@ def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
     gives output 0, sign -1 gives output 1.
     """
     locals_ = _locals(inst, _setting_of(inst, bits))
-    return _output(inst, multiply_all(locals_, width=inst.parties))
+    return member_sign(inst.resource, multiply_all(locals_, width=inst.parties))
 
 
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
     settings, first = _distinct_settings(inst)
     outputs = {
-        q: _output(inst, multiply_all(_locals(inst, q), width=inst.parties))
+        q: member_sign(inst.resource, multiply_all(_locals(inst, q), width=inst.parties))
         for q in first
     }
     missing = tuple(
@@ -328,7 +320,7 @@ def _contexts_and_table(
     for q, index in first.items():
         bits = gf2.input_vector(index, inst.input_bits)
         joint, context = joint_observable(inst, bits)
-        outputs[q] = _output(inst, joint)
+        outputs[q] = member_sign(inst.resource, joint)
         if outputs[q] is None:
             raise SpecialContextNotStabilizingError(
                 f"joint observable {joint} for settings "

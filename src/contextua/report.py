@@ -1,15 +1,21 @@
 """Report documents: a JSON-stable, round-trippable record of an analysis.
 
-Every field bottoms out in strings, integers, and booleans so that
-rendering is byte-identical across runs and parse(render(r)) == r holds
+The dataclasses below are the one definition of the JSON document. Each
+field is a key, in key order: a field name is the key, a tuple an array, a
+dict an object, a nested dataclass an object and None null; every value
+bottoms out in strings, integers and booleans. :func:`render_json` adds
+the constant ``"tool": "contextua"`` in front, so rendering is
+byte-identical across runs and parse_json(render_json(r)) == r holds
 exactly. Builders translate solver outputs into report blocks; the text
 renderer mirrors the JSON content for terminal reading.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import gf2
 from .contexts import ContextGroup
@@ -29,10 +35,18 @@ class CertificateBlock:
 
 @dataclass(frozen=True)
 class SectionBlock:
-    """A global section as (observable, bit) pairs plus solution dimension."""
+    """A global section as observable -> bit, plus solution dimension."""
 
-    values: tuple[tuple[str, int], ...]
+    values: dict[str, int]
     dimension: int
+
+
+@dataclass(frozen=True)
+class AffineBlock:
+    """The fitted form o(i) = coefficients . i xor constant."""
+
+    coefficients: tuple[int, ...]
+    constant: int
 
 
 @dataclass(frozen=True)
@@ -40,9 +54,14 @@ class MbqcBlock:
     input_bits: int
     truth_table: tuple[int, ...] | None
     indeterminate_inputs: tuple[str, ...]
-    affine_coefficients: tuple[int, ...] | None
-    affine_constant: int | None
+    affine: AffineBlock | None
     theorem_consistent: bool
+
+
+@dataclass(frozen=True)
+class Pin:
+    observable: str
+    value_bit: int
 
 
 @dataclass(frozen=True)
@@ -51,7 +70,7 @@ class Analysis:
     observables: tuple[str, ...]
     contexts: tuple[tuple[str, ...], ...]
     spectrum_sizes: tuple[int, ...]
-    pins: tuple[tuple[str, int], ...]
+    pins: tuple[Pin, ...]
     certificate: CertificateBlock | None
     section: SectionBlock | None
     mbqc: MbqcBlock | None
@@ -61,7 +80,7 @@ class Analysis:
 class Report:
     version: str
     input_sha256: str
-    analyses: tuple[tuple[str, Analysis], ...]
+    analyses: dict[str, Analysis]
 
 
 def equation_lines(problem: gf2.Gf2System, rows: Sequence[int]) -> tuple[str, ...]:
@@ -91,15 +110,13 @@ def build_analysis(
     else:
         verdict = "noncontextual"
         certificate = None
-        section = SectionBlock(
-            values=tuple(outcome.values.items()), dimension=outcome.dimension
-        )
+        section = SectionBlock(values=dict(outcome.values), dimension=outcome.dimension)
     return Analysis(
         verdict=verdict,
         observables=problem.labels,
         contexts=tuple(tuple(op.body() for op in c.members) for c in contexts),
         spectrum_sizes=tuple(c.group_order for c in contexts),
-        pins=tuple((p.observable.body(), p.value_bit) for p in pins),
+        pins=tuple(Pin(p.observable.body(), p.value_bit) for p in pins),
         certificate=certificate,
         section=section,
         mbqc=mbqc,
@@ -111,124 +128,71 @@ def mbqc_block(rep: ContextualityReport) -> MbqcBlock:
         input_bits=rep.truth_table.input_bits,
         truth_table=rep.truth_table.outputs,
         indeterminate_inputs=(),
-        affine_coefficients=rep.affine.a if rep.affine is not None else None,
-        affine_constant=rep.affine.c if rep.affine is not None else None,
+        affine=None if rep.affine is None else AffineBlock(rep.affine.a, rep.affine.c),
         theorem_consistent=rep.theorem_consistent,
     )
 
 
-def to_dict(report: Report) -> dict:
-    def analysis_dict(a: Analysis) -> dict:
-        return {
-            "verdict": a.verdict,
-            "observables": list(a.observables),
-            "contexts": [list(c) for c in a.contexts],
-            "spectrum_sizes": list(a.spectrum_sizes),
-            "pins": [{"observable": o, "value_bit": b} for o, b in a.pins],
-            "certificate": None
-            if a.certificate is None
-            else {
-                "rows": list(a.certificate.rows),
-                "equations": list(a.certificate.equations),
-            },
-            "section": None
-            if a.section is None
-            else {
-                "values": {label: bit for label, bit in a.section.values},
-                "dimension": a.section.dimension,
-            },
-            "mbqc": None
-            if a.mbqc is None
-            else {
-                "input_bits": a.mbqc.input_bits,
-                "truth_table": None
-                if a.mbqc.truth_table is None
-                else list(a.mbqc.truth_table),
-                "indeterminate_inputs": list(a.mbqc.indeterminate_inputs),
-                "affine": None
-                if a.mbqc.affine_coefficients is None
-                else {
-                    "coefficients": list(a.mbqc.affine_coefficients),
-                    "constant": a.mbqc.affine_constant,
-                },
-                "theorem_consistent": a.mbqc.theorem_consistent,
-            },
-        }
-
-    return {
-        "tool": "contextua",
-        "version": report.version,
-        "input_sha256": report.input_sha256,
-        "analyses": {name: analysis_dict(a) for name, a in report.analyses},
-    }
+def _same(value: Any) -> Any:
+    return value
 
 
-def from_dict(data: dict) -> Report:
-    def analysis_from(d: dict) -> Analysis:
-        cert = d["certificate"]
-        sect = d["section"]
-        mb = d["mbqc"]
-        return Analysis(
-            verdict=d["verdict"],
-            observables=tuple(d["observables"]),
-            contexts=tuple(tuple(c) for c in d["contexts"]),
-            spectrum_sizes=tuple(d["spectrum_sizes"]),
-            pins=tuple((p["observable"], p["value_bit"]) for p in d["pins"]),
-            certificate=None
-            if cert is None
-            else CertificateBlock(
-                rows=tuple(cert["rows"]), equations=tuple(cert["equations"])
-            ),
-            section=None
-            if sect is None
-            else SectionBlock(
-                values=tuple(sect["values"].items()), dimension=sect["dimension"]
-            ),
-            mbqc=None
-            if mb is None
-            else MbqcBlock(
-                input_bits=mb["input_bits"],
-                truth_table=None
-                if mb["truth_table"] is None
-                else tuple(mb["truth_table"]),
-                indeterminate_inputs=tuple(mb["indeterminate_inputs"]),
-                affine_coefficients=None
-                if mb["affine"] is None
-                else tuple(mb["affine"]["coefficients"]),
-                affine_constant=None
-                if mb["affine"] is None
-                else mb["affine"]["constant"],
-                theorem_consistent=mb["theorem_consistent"],
-            ),
+@functools.cache
+def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """(encode, decode) between values of type tp and their JSON form.
+
+    Encoding leaves tuples of plain values as they are: json writes a tuple
+    as an array.
+    """
+    args = get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        fields = [(name, *_codec(hint)) for name, hint in get_type_hints(tp).items()]
+        return (
+            lambda v: {name: enc(getattr(v, name)) for name, enc, _ in fields},
+            lambda d: tp(**{name: dec(d[name]) for name, _, dec in fields}),
         )
-
-    return Report(
-        version=data["version"],
-        input_sha256=data["input_sha256"],
-        analyses=tuple(
-            (name, analysis_from(a)) for name, a in data["analyses"].items()
-        ),
-    )
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        enc, dec = _codec(inner)
+        return (
+            _same if enc is _same else lambda v: None if v is None else enc(v),
+            _same if dec is _same else lambda d: None if d is None else dec(d),
+        )
+    origin = get_origin(tp)
+    if origin is tuple:
+        enc, dec = _codec(args[0])
+        return (
+            _same if enc is _same else lambda v: [enc(x) for x in v],
+            tuple if dec is _same else lambda d: tuple(dec(x) for x in d),
+        )
+    if origin is dict:
+        enc, dec = _codec(args[1])
+        return (
+            _same if enc is _same else lambda v: {k: enc(x) for k, x in v.items()},
+            _same if dec is _same else lambda d: {k: dec(x) for k, x in d.items()},
+        )
+    return _same, _same
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(to_dict(report), indent=2) + "\n"
+    document = {"tool": "contextua", **_codec(Report)[0](report)}
+    return json.dumps(document, indent=2) + "\n"
 
 
 def parse_json(text: str) -> Report:
-    return from_dict(json.loads(text))
+    return _codec(Report)[1](json.loads(text))
 
 
-def _affine_text(coefficients: tuple[int, ...], constant: int) -> str:
-    terms = [f"i{j + 1}" for j, c in enumerate(coefficients) if c]
-    if constant:
+def _affine_text(affine: AffineBlock) -> str:
+    terms = [f"i{j + 1}" for j, c in enumerate(affine.coefficients) if c]
+    if affine.constant:
         terms.insert(0, "1")
     return " + ".join(terms) if terms else "0"
 
 
 def render_text(report: Report) -> str:
     lines = [f"contextua {report.version}", f"input sha256: {report.input_sha256}"]
-    for name, a in report.analyses:
+    for name, a in report.analyses.items():
         lines.append("")
         lines.append(f"[{name}]")
         lines.append(f"verdict: {a.verdict}")
@@ -238,8 +202,8 @@ def render_text(report: Report) -> str:
             lines.append(f"  {k}) {' '.join(members)}   (spectrum size {size})")
         if a.pins:
             lines.append("pinned eigenvalues:")
-            for label, bit in a.pins:
-                lines.append(f"  {label} = {'-1' if bit else '+1'}")
+            for pin in a.pins:
+                lines.append(f"  {pin.observable} = {'-1' if pin.value_bit else '+1'}")
         if a.certificate is not None:
             lines.append("certificate (no global section exists):")
             for eq in a.certificate.equations:
@@ -249,7 +213,7 @@ def render_text(report: Report) -> str:
             lines.append(
                 f"global section (solution space dimension {a.section.dimension}):"
             )
-            for label, bit in a.section.values:
+            for label, bit in a.section.values.items():
                 lines.append(f"  {label} = {'-1' if bit else '+1'}")
         if a.mbqc is not None:
             m = a.mbqc
@@ -263,10 +227,8 @@ def render_text(report: Report) -> str:
                     "truth table: indeterminate for inputs "
                     + ", ".join(m.indeterminate_inputs)
                 )
-            if m.affine_coefficients is not None:
-                lines.append(
-                    f"affine form: o(i) = {_affine_text(m.affine_coefficients, m.affine_constant or 0)}"
-                )
+            if m.affine is not None:
+                lines.append(f"affine form: o(i) = {_affine_text(m.affine)}")
             elif m.truth_table is not None:
                 lines.append("affine form: none (the computed function is not affine)")
             lines.append(

@@ -10,7 +10,6 @@ the dense path uses numpy, and it imports it when first called.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -30,14 +29,6 @@ class WidthTooLargeError(ValueError):
 
 
 _DENSE_WIDTH_CAP = 10
-
-
-class MemberSign(enum.IntEnum):
-    """Outcome of a sign-resolved membership query: +P, -P, or neither."""
-
-    PLUS = 1
-    MINUS = -1
-    NOT_MEMBER = 0
 
 
 @dataclass(frozen=True)
@@ -100,14 +91,15 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> St
     return StabilizerGroup(basis)
 
 
-def member_sign(group: StabilizerGroup, op: PauliOperator) -> MemberSign:
-    """Resolve whether +op, -op, or neither lies in the group."""
+def member_sign(group: StabilizerGroup, op: PauliOperator) -> int | None:
+    """Outcome bit the group fixes for op, or None.
+
+    0 means +op lies in the group, 1 means -op does, None means neither.
+    """
     if not op.is_hermitian:
         raise ValueError(f"non-Hermitian query: {op!r}")
     decomposed = group.basis.decompose(op)
-    if decomposed is None:
-        return MemberSign.NOT_MEMBER
-    return MemberSign.MINUS if decomposed[1] else MemberSign.PLUS
+    return None if decomposed is None else decomposed[1]
 
 
 @dataclass(eq=False)

@@ -14,12 +14,7 @@ from contextua import gf2
 from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
 from contextua.pauli import PauliOperator, commutes, format_pauli, multiply_all
-from contextua.stabilizer import (
-    MemberSign,
-    StabilizerGroup,
-    make_stabilizer,
-    member_sign,
-)
+from contextua.stabilizer import StabilizerGroup, make_stabilizer, member_sign
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -386,12 +381,7 @@ def reference_mbqc(
         q = tuple(int(b) for b in (setting_matrix @ bits) % 2)
         locals_ = [inst.observables[q[k]][k] for k in range(n)]
         joint = multiply_all(locals_, width=n)
-        verdict = member_sign(inst.resource, joint)
-        outputs.append(
-            None
-            if verdict is MemberSign.NOT_MEMBER
-            else 0 if verdict is MemberSign.PLUS else 1
-        )
+        outputs.append(member_sign(inst.resource, joint))
         if q in seen:
             continue
         seen.add(q)

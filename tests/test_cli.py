@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from contextua import fixtures
 from contextua.cli import main
-from contextua.report import parse_json
+from contextua.report import AffineBlock, parse_json
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -79,8 +79,8 @@ class TestAnalyze:
         )
         assert result.exit_code == 0
         report = parse_json(result.output)
-        name, analysis = report.analyses[0]
-        assert name == "analysis"
+        assert list(report.analyses) == ["analysis"]
+        analysis = report.analyses["analysis"]
         assert analysis.verdict == "contextual"
         assert len(analysis.pins) == 4
 
@@ -110,6 +110,14 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
         assert result.exit_code == 2
 
+    def test_context_blocks_in_both_files(self, runner, tmp_path):
+        obs = write(tmp_path, "obs.txt", "X\ncontext:\nZ\nY\n")
+        ctx = write(tmp_path, "ctx.txt", "context:\nX\n")
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
+        assert result.exit_code == 2
+        assert "error:" in result.stderr
+        assert "context blocks" in result.stderr
+
     def test_observable_outside_every_context(self, runner, tmp_path):
         obs = write(tmp_path, "obs.txt", "XX\nZZ\nXI\n")
         ctx = write(tmp_path, "ctx.txt", "context:\nXX\ncontext:\nZZ\n")
@@ -135,9 +143,8 @@ class TestMermin:
         result = runner.invoke(main, ["mermin", "--format", "json"])
         assert result.exit_code == 0
         report = parse_json(result.output)
-        names = [name for name, _ in report.analyses]
-        assert names == ["state_independent", "ghz_pinned"]
-        for _, analysis in report.analyses:
+        assert list(report.analyses) == ["state_independent", "ghz_pinned"]
+        for analysis in report.analyses.values():
             assert analysis.verdict == "contextual"
             assert len(analysis.observables) == 10
             assert len(analysis.contexts) == 5
@@ -261,9 +268,9 @@ class TestMbqcReport:
         )
         assert result.exit_code == 0
         report = parse_json(result.output)
-        _, analysis = report.analyses[0]
+        analysis = report.analyses["mbqc"]
         assert analysis.verdict == "noncontextual"
-        assert analysis.mbqc.affine_coefficients == (0,)
+        assert analysis.mbqc.affine == AffineBlock(coefficients=(0,), constant=0)
         assert analysis.mbqc.truth_table == (0, 0)
 
     def test_unstabilized_joint_exit_code(self, runner, tmp_path):

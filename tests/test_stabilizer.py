@@ -7,7 +7,6 @@ from contextua.fixtures import ghz_group
 from contextua.pauli import parse_pauli
 from contextua.stabilizer import (
     DependentGeneratorsError,
-    MemberSign,
     WidthTooLargeError,
     apply_pauli,
     expectation,
@@ -67,16 +66,16 @@ class TestMakeStabilizer:
 class TestMemberSign:
     def test_ghz_fixtures(self):
         group = ghz_group()
-        assert member_sign(group, parse_pauli("XXX")) == MemberSign.PLUS
-        assert member_sign(group, parse_pauli("-XXX")) == MemberSign.MINUS
-        assert member_sign(group, parse_pauli("XYY")) == MemberSign.MINUS
-        assert member_sign(group, parse_pauli("YXY")) == MemberSign.MINUS
-        assert member_sign(group, parse_pauli("YYX")) == MemberSign.MINUS
-        assert member_sign(group, parse_pauli("ZII")) == MemberSign.NOT_MEMBER
-        assert member_sign(group, parse_pauli("III")) == MemberSign.PLUS
+        assert member_sign(group, parse_pauli("XXX")) == 0
+        assert member_sign(group, parse_pauli("-XXX")) == 1
+        assert member_sign(group, parse_pauli("XYY")) == 1
+        assert member_sign(group, parse_pauli("YXY")) == 1
+        assert member_sign(group, parse_pauli("YYX")) == 1
+        assert member_sign(group, parse_pauli("ZII")) is None
+        assert member_sign(group, parse_pauli("III")) == 0
 
     def test_matches_dense_expectation(self):
-        """PLUS/MINUS/NOT_MEMBER line up with ⟨ψ|P|ψ⟩ = +1/-1/0."""
+        """Bits 0/1 and None line up with ⟨ψ|P|ψ⟩ = +1/-1/0."""
         rng = np.random.default_rng(301)
         for _ in range(40):
             width = int(rng.integers(1, 6))
@@ -84,9 +83,9 @@ class TestMemberSign:
             state = state_vector(group)
             for _ in range(12):
                 query = random_pauli(rng, width)
-                verdict = member_sign(group, query)
+                bit = member_sign(group, query)
                 value = expectation(state, query)
-                assert abs(value - int(verdict)) < 1e-9
+                assert abs(value - (0 if bit is None else 1 - 2 * bit)) < 1e-9
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
