@@ -75,8 +75,8 @@ class ContextGroup:
             order: its fundamental circuit, with the sign computed by exact
             multiplication.
 
-    Construct through :func:`close_context`; the constructor assumes its
-    arguments are already validated and canonical.
+    Construct through :func:`close_context` or :func:`maximal_contexts`;
+    the constructor assumes its arguments are validated and canonical.
     """
 
     members: tuple[PauliOperator, ...]
@@ -166,21 +166,13 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
             continue
         seen_signs[key] = op.sign
         given.append(op.canonical())
-    members = sorted(given, key=_sort_key)
-    basis = PauliBasis(w)
-    relations = []
-    for op in members:
-        circuit = basis.add(op)
-        if circuit is None:
-            continue
-        chosen = (*(basis.generators[j] for j in set_bits(circuit)), op)
-        product = multiply_all(chosen, width=w)
-        relations.append(Relation(members=chosen, sign_bit=product.phase_exp // 2))
-    # The symplectic form is bilinear, so commuting with every generator
-    # means commuting with the whole group.
-    vectors = [op.packed() for op in members]
-    swapped = [g.z_bits | g.x_bits << w for g in basis.generators]
-    if any((v & s).bit_count() & 1 for v in vectors for s in swapped):
+    context = _close(sorted(given, key=_sort_key), w)
+    # The symplectic form is bilinear, so the group commutes exactly when
+    # its generators commute pairwise.
+    vectors = [g.packed() for g in context.generators]
+    swapped = [g.z_bits | g.x_bits << w for g in context.generators]
+    pairs = ((v, s) for i, v in enumerate(vectors) for s in swapped[:i])
+    if any((v & s).bit_count() & 1 for v, s in pairs):
         # Name the same pair as a scan of every pair in the given order.
         for i, p in enumerate(given):
             for q in given[i + 1 :]:
@@ -188,7 +180,24 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
                     raise NonCommutingGeneratorsError(
                         f"{p.body()} and {q.body()} do not commute"
                     )
+    return context
 
+
+def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
+    """The context of unchecked distinct canonical members, sorted by _sort_key.
+
+    An identity member, which can only come first, is dropped.
+    """
+    if members and members[0].is_identity_class:
+        members = members[1:]
+    basis = PauliBasis(width)
+    relations = []
+    for op in members:
+        circuit = basis.add(op)
+        if circuit is None:
+            continue
+        chosen = (*(basis.generators[j] for j in set_bits(circuit)), op)
+        relations.append(Relation(chosen, sign_bit=multiply_all(chosen).phase_exp // 2))
     return ContextGroup(members=tuple(members), basis=basis, relations=tuple(relations))
 
 
@@ -237,17 +246,19 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     """One closed context per maximal clique of the commutation graph.
 
-    Input observables are canonicalized and deduplicated by identity first.
-    The output order is lexicographic in the sorted member body strings, so
-    repeated runs produce identical context lists.
+    Each input observable is validated, canonicalized and deduplicated once,
+    and every clique is closed on those shared operators. Contexts come in
+    lexicographic order of their member body strings, so runs agree.
     """
     unique: list[PauliOperator] = []
     seen: set[tuple[int, int, int]] = set()
     for op in obs:
-        canon = op.canonical()
-        if canon.identity_key() not in seen:
-            seen.add(canon.identity_key())
-            unique.append(canon)
+        if not op.is_hermitian:
+            raise ValueError(f"non-Hermitian observable: {op!r}")
+        key = op.identity_key()
+        if key not in seen:
+            seen.add(key)
+            unique.append(op.canonical())
     if not unique:
         return []
     widths = {op.width for op in unique}
@@ -257,4 +268,4 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     # the identity lies in every clique, so dropping it changes no comparison.
     unique.sort(key=_sort_key)
     cliques = sorted(sorted(clique) for clique in _maximal_cliques(commutation_graph(unique)))
-    return [close_context(unique[i] for i in clique) for clique in cliques]
+    return [_close([unique[i] for i in clique], unique[0].width) for clique in cliques]

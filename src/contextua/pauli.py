@@ -95,8 +95,11 @@ class PauliOperator:
         return (self.width, self.x_bits, self.z_bits)
 
     def canonical(self) -> "PauliOperator":
-        """The positive-sign representative of the projective class {+P, -P}."""
-        return PauliOperator(self.width, self.x_bits, self.z_bits, self.y_count % 4)
+        """The positive-sign representative of {+P, -P}; self if already so."""
+        phase = self.y_count % 4
+        if phase == self.phase_exp:
+            return self
+        return PauliOperator(self.width, self.x_bits, self.z_bits, phase)
 
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.width, self.x_bits, self.z_bits, self.phase_exp + 2)
@@ -197,10 +200,14 @@ def multiply_all(ops, width: int | None = None) -> PauliOperator:
         if width is None:
             raise ValueError("empty product needs an explicit width")
         return identity(width)
-    result = ops[0]
+    w, x, z, phase = ops[0].width, ops[0].x_bits, ops[0].z_bits, ops[0].phase_exp
     for op in ops[1:]:
-        result = multiply(result, op)
-    return result
+        if op.width != w:
+            raise ValueError(f"width mismatch: {w} vs {op.width}")
+        phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
+        x ^= op.x_bits
+        z ^= op.z_bits
+    return PauliOperator(w, x, z, phase % 4)
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:

@@ -111,10 +111,12 @@ def build_analysis(
         verdict = "noncontextual"
         certificate = None
         section = SectionBlock(values=dict(outcome.values), dimension=outcome.dimension)
+    # Contexts share their observables: render each distinct one once.
+    bodies = {op: op.body() for op in {op for c in contexts for op in c.members}}
     return Analysis(
         verdict=verdict,
         observables=problem.labels,
-        contexts=tuple(tuple(op.body() for op in c.members) for c in contexts),
+        contexts=tuple(tuple(bodies[op] for op in c.members) for c in contexts),
         spectrum_sizes=tuple(c.group_order for c in contexts),
         pins=tuple(Pin(p.observable.body(), p.value_bit) for p in pins),
         certificate=certificate,

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from contextua import contexts as contexts_module
 from contextua import gf2
 from contextua.contexts import (
     ContextGroup,
@@ -19,7 +20,7 @@ from contextua.contexts import (
     maximal_contexts,
 )
 from contextua.fixtures import ghz_group, mermin_observables
-from contextua.pauli import identity, multiply_all, parse_pauli
+from contextua.pauli import PauliOperator, commutes, identity, multiply_all, parse_pauli
 from contextua.presheaf import spectrum
 from contextua.stabilizer import member_sign
 
@@ -175,6 +176,37 @@ class TestIntPath:
             relations += len(expected)
         assert relations > 200
 
+    def test_maximal_contexts_close_like_the_reference(self):
+        """Each clique is closed as the oracle closes the pool's observables in it.
+
+        Pools hold the identity, both signs of some observables and repeats;
+        each context must also be maximal among the pool's observables.
+        """
+        rng = np.random.default_rng(108)
+        pools = [all_paulis(3)]
+        for t in range(60):
+            width = 1 + t % 4
+            pool = [random_pauli(rng, width) for _ in range(int(rng.integers(1, 9)))]
+            pool += [op.negate() for op in pool[:2]] + [pool[0], identity(width)]
+            pools.append([pool[int(i)] for i in rng.permutation(len(pool))])
+        relations = 0
+        for pool in pools:
+            for ctx in maximal_contexts(pool):
+                keys = {op.identity_key() for op in ctx.members}
+                clique = [op for op in pool if op.is_identity_class or op.identity_key() in keys]
+                members, generators, expected = reference_close_context(clique)
+                assert ctx.members == members
+                assert ctx.generators == generators
+                assert [(r.members, r.sign_bit) for r in ctx.relations] == expected
+                relations += len(expected)
+                for op in pool:
+                    if op not in clique:
+                        assert not all(commutes(op, m) for m in ctx.members)
+        assert relations > 540
+        full = maximal_contexts(pools[0])
+        assert len(full) == 135
+        assert {(len(c.members), c.rank, len(c.relations)) for c in full} == {(7, 3, 4)}
+
     def test_sort_key_orders_like_body_strings(self):
         paulis = all_paulis(4)
         rng = np.random.default_rng(105)
@@ -291,6 +323,24 @@ class TestElimination:
             assert inserted == [op.packed() for op in ctx.members]
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
+    def test_maximal_contexts_prepare_each_observable_once(self, monkeypatch):
+        """One key per input observable, and no copy of a canonical one."""
+        keyed = []
+
+        def counting(op):
+            keyed.append(op)
+            return _sort_key(op)
+
+        monkeypatch.setattr(contexts_module, "_sort_key", counting)
+        pool = mermin_observables() + [parse_pauli("-XXX"), identity(3)]
+        assert len(maximal_contexts(pool)) == 15
+        assert 0 < len(keyed) <= len(pool)
+        for op in ops("X", "XYZ", "-XYZ", "-Y", "IIII"):
+            if op.sign == 1:
+                assert op.canonical() is op
+            else:
+                assert op.canonical() == op.negate()
+
 
 class TestCliqueSearch:
     def test_anticommuting_pair_has_no_edge(self):
@@ -386,3 +436,11 @@ class TestCliqueSearch:
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):
             maximal_contexts(ops("X", "XX"))
+
+    def test_rejects_non_hermitian(self):
+        """iX is not an observable: maximal_contexts refuses it as close_context does."""
+        ix = PauliOperator(1, 1, 0, 1)
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            close_context([ix])
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            maximal_contexts([parse_pauli("Z"), ix])

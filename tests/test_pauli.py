@@ -111,11 +111,33 @@ class TestProducts:
                 expected = expected @ dense_operator(op)
             assert np.allclose(dense_operator(multiply_all(ops, width=width)), expected)
 
+    def test_multiply_all_matches_the_pairwise_chain(self):
+        """The int fold equals left-to-right multiply, phases of any kind included."""
+        x, y, z = (parse_pauli(s) for s in "XYZ")
+        assert multiply_all([x, y]) == PauliOperator(1, 0, 1, 1)  # X*Y = iZ
+        assert multiply_all([x, y, z]) == PauliOperator(1, 0, 0, 1)  # XYZ = i
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            width = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 7))
+            bits = rng.integers(0, 1 << width, size=(n, 2))
+            phases = rng.integers(0, 4, size=n)
+            ops = [PauliOperator(width, int(x), int(z), int(p)) for (x, z), p in zip(bits, phases)]
+            chain = ops[0]
+            for op in ops[1:]:
+                chain = multiply(chain, op)
+            assert multiply_all(ops) == chain
+            assert multiply_all(iter(ops), width=width) == chain
+        assert multiply_all([], width=3) == identity(3)
+
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             multiply(parse_pauli("X"), parse_pauli("XX"))
         with pytest.raises(ValueError):
             multiply_all([])
+        for mixed in (["X", "XX"], ["XX", "ZZ", "Y"], ["Z", "Y", "X", "IZ"]):
+            with pytest.raises(ValueError, match="width mismatch"):
+                multiply_all([parse_pauli(t) for t in mixed])
 
 
 class TestCommutation:
