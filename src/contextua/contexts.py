@@ -13,10 +13,10 @@ context, so any valuation that respects them respects every one, and the
 relation set stays small. Maximal contexts come from a pivoted
 Bron-Kerbosch search over int-bitset neighbourhoods.
 
-Membership and inclusion are projective and answered by the same basis,
-which reduces packed symplectic vectors against the generators; sign data
-is recovered on demand by actually multiplying the chosen generators, never
-stored per element.
+Membership and inclusion are projective and answered by the same basis;
+signs come from multiplying the chosen generators, never stored per element.
+:func:`~contextua.stabilizer.make_stabilizer` closes a stabilizer group with
+the same insertion pass and generator-pair check.
 """
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ class MinusIdentityError(ValueError):
 class Relation:
     """A product constraint inside one context.
 
-    The product of the selected member observables (canonical positive
-    representatives, in member order) equals (-1)^sign_bit times the identity.
+    The product of the selected member observables (in a context, canonical
+    positive representatives) equals (-1)^sign_bit times the identity.
     """
 
     members: tuple[PauliOperator, ...]
@@ -93,7 +93,7 @@ class ContextGroup:
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return self.basis.rank
 
     @property
     def group_order(self) -> int:
@@ -108,25 +108,11 @@ class ContextGroup:
         """
         return self.basis.decompose(op.canonical())
 
-    def contains(self, op: PauliOperator) -> bool:
-        """Projective membership: is op (up to sign) in the group?"""
-        return self.decompose(op) is not None
-
-    def element_sign(self, op: PauliOperator) -> int | None:
-        """Sign bit of the group element matching op's identity, or None.
-
-        0 means +op is the group element, 1 means -op is (for canonical op).
-        """
-        result = self.decompose(op)
-        if result is None:
-            return None
-        return result[1]
-
     def is_subgroup_of(self, other: "ContextGroup") -> bool:
         """Projective inclusion: every generator lies in the other group."""
         if self.width != other.width:
             return False
-        return all(other.contains(g) for g in self.generators)
+        return all(other.decompose(g) is not None for g in self.generators)
 
     def __repr__(self) -> str:
         names = ", ".join(op.body() for op in self.members)
@@ -167,19 +153,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         seen_signs[key] = op.sign
         given.append(op.canonical())
     context = _close(sorted(given, key=_sort_key), w)
-    # The symplectic form is bilinear, so the group commutes exactly when
-    # its generators commute pairwise.
-    vectors = [g.packed() for g in context.generators]
-    swapped = [g.z_bits | g.x_bits << w for g in context.generators]
-    pairs = ((v, s) for i, v in enumerate(vectors) for s in swapped[:i])
-    if any((v & s).bit_count() & 1 for v, s in pairs):
-        # Name the same pair as a scan of every pair in the given order.
-        for i, p in enumerate(given):
-            for q in given[i + 1 :]:
-                if not commutes(p, q):
-                    raise NonCommutingGeneratorsError(
-                        f"{p.body()} and {q.body()} do not commute"
-                    )
+    _check_commuting(context.basis, given)
     return context
 
 
@@ -191,14 +165,41 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     if members and members[0].is_identity_class:
         members = members[1:]
     basis = PauliBasis(width)
+    return ContextGroup(tuple(members), basis, relations=_insert(basis, members))
+
+
+def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[Relation, ...]:
+    """Add ops to the basis in order, with one Relation per op it does not keep.
+
+    The relation is the op's fundamental circuit, signed by exact
+    multiplication; the sign is meaningful once the ops are known to commute.
+    """
     relations = []
-    for op in members:
+    for op in ops:
         circuit = basis.add(op)
         if circuit is None:
             continue
         chosen = (*(basis.generators[j] for j in set_bits(circuit)), op)
         relations.append(Relation(chosen, sign_bit=multiply_all(chosen).phase_exp // 2))
-    return ContextGroup(members=tuple(members), basis=basis, relations=tuple(relations))
+    return tuple(relations)
+
+
+def _check_commuting(basis: PauliBasis, given: Sequence[PauliOperator]) -> None:
+    """Raise NonCommutingGeneratorsError unless given, which spans the basis, commutes.
+
+    The symplectic form is bilinear, so checking the generator pairs suffices;
+    on failure the given pairs are scanned in order to name the first.
+    """
+    vectors = [g.packed() for g in basis.generators]
+    swapped = [g.z_bits | g.x_bits << basis.width for g in basis.generators]
+    pairs = ((v, s) for i, v in enumerate(vectors) for s in swapped[:i])
+    if any((v & s).bit_count() & 1 for v, s in pairs):
+        for i, p in enumerate(given):
+            for q in given[i + 1 :]:
+                if not commutes(p, q):
+                    raise NonCommutingGeneratorsError(
+                        f"{p.body()} and {q.body()} do not commute"
+                    )
 
 
 def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from .contexts import ContextGroup, close_context
 from .mbqc import MBQCInstance, validate_instance
-from .pauli import PauliOperator, parse_pauli
+from .pauli import PauliBasis, PauliOperator, parse_pauli
 from .presheaf import StateConstraint
-from .stabilizer import StabilizerGroup, make_stabilizer, member_sign
+from .stabilizer import make_stabilizer, member_sign
 
 MERMIN_BODIES = (
     "XII", "YII", "IXI", "IYI", "IIX", "IIY",
@@ -56,7 +56,7 @@ def mermin_contexts_file_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def ghz_group() -> StabilizerGroup:
+def ghz_group() -> PauliBasis:
     return make_stabilizer([parse_pauli(g) for g in GHZ_GENERATORS])
 
 

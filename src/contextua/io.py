@@ -72,7 +72,9 @@ def parse_observable_file(
 
 
 def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
+    """The pins in file order; none may give an observable both eigenvalues."""
     pins: list[StateConstraint] = []
+    values: dict[tuple[int, int, int], int] = {}
     for number, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "pin":
@@ -85,9 +87,12 @@ def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
             op = parse_pauli(parts[1])
         except ValueError as exc:
             raise FileFormatError(f"line {number}: {exc}") from exc
-        pins.append(
-            StateConstraint.from_eigenvalue(op, 1 if parts[2] == "+1" else -1)
-        )
+        pin = StateConstraint.from_eigenvalue(op, 1 if parts[2] == "+1" else -1)
+        if values.setdefault(pin.observable.identity_key(), pin.value_bit) != pin.value_bit:
+            raise FileFormatError(
+                f"line {number}: {pin.observable.body()} is pinned to both +1 and -1"
+            )
+        pins.append(pin)
     return tuple(pins)
 
 

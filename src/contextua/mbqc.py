@@ -21,14 +21,14 @@ from typing import Sequence
 
 from . import gf2
 from .contexts import ContextGroup, close_context
-from .pauli import PauliOperator, from_letter, multiply_all, parse_pauli
+from .pauli import PauliBasis, PauliOperator, PauliParseError, multiply_all, parse_pauli
 from .presheaf import (
     GlobalSection,
     StateConstraint,
     build_global_problem,
     solve_global,
 )
-from .stabilizer import StabilizerGroup, make_stabilizer, member_sign
+from .stabilizer import make_stabilizer, member_sign
 
 
 # Every analysis walks all 2^input_bits inputs; larger instances are refused.
@@ -81,7 +81,7 @@ class MBQCInstance:
     input_bits: int
     columns: tuple[int, ...]
     observables: tuple[tuple[PauliOperator, ...], ...]
-    resource: StabilizerGroup
+    resource: PauliBasis
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,6 @@ class TruthTable:
             raise ValueError("truth table must cover every input")
         if any(bit not in (0, 1) for bit in self.outputs):
             raise ValueError("outputs must be bits")
-
-    def lookup(self, bits: Sequence[int]) -> int:
-        index = 0
-        for b in bits:
-            index = (index << 1) | (b & 1)
-        return self.outputs[index]
 
 
 @dataclass(eq=False)
@@ -143,25 +137,22 @@ def _parse_observable(entry: str, party: int, parties: int) -> PauliOperator:
         raise MalformedFieldError(
             f"observables entry for party {party} must be a Pauli string, got {entry!r}"
         )
-    text = entry.strip()
-    sign = 1
-    if text[:1] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    if len(text) == 1:
-        op = from_letter(text, party, parties)
-    else:
-        op = parse_pauli(text)
-        if op.width != parties:
-            raise ShapeMismatchError(
-                f"observable {entry!r} has width {op.width}, expected {parties}"
-            )
-        if not set(op.support()) <= {party}:
-            raise NonLocalObservableError(
-                f"observable {entry!r} for party {party} acts on qubits "
-                f"{sorted(op.support())}"
-            )
-    return op.negate() if sign == -1 else op
+    try:
+        op = parse_pauli(entry)
+    except PauliParseError as exc:
+        raise MalformedFieldError(f"observables entry for party {party}: {exc}") from exc
+    if op.width == 1:
+        return PauliOperator(parties, op.x_bits << party, op.z_bits << party, op.phase_exp)
+    if op.width != parties:
+        raise ShapeMismatchError(
+            f"observable {entry!r} has width {op.width}, expected {parties}"
+        )
+    if not set(op.support()) <= {party}:
+        raise NonLocalObservableError(
+            f"observable {entry!r} for party {party} acts on qubits "
+            f"{sorted(op.support())}"
+        )
+    return op
 
 
 def _is_int(value) -> bool:

@@ -234,6 +234,10 @@ class PauliBasis:
         self.generators: tuple[PauliOperator, ...] = ()
         self._basis = gf2.Basis()
 
+    @property
+    def rank(self) -> int:
+        return len(self.generators)
+
     def _vector(self, op: PauliOperator) -> int:
         if op.width != self.width:
             raise ValueError(f"width mismatch: {op.width} vs {self.width}")

@@ -1,20 +1,20 @@
 """Stabilizer groups with sign-resolved membership, plus a dense oracle.
 
-The group data is the signed generator list, held in a
-:class:`~contextua.pauli.PauliBasis` over the one streaming GF(2) basis of
-:mod:`contextua.gf2`: membership queries reduce the packed symplectic
-vector against its pivot table and multiply the chosen generators to
-recover the sign. The dense state-vector path exists for desk-scale checks
-and is capped at 10 qubits; the sign arithmetic itself has no cap. Only
-the dense path uses numpy, and it imports it when first called.
+A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
+signed generators, closed by the insertion pass and generator-pair check of
+:func:`contextua.contexts.close_context`: membership queries reduce the
+packed symplectic vector against the basis and multiply the chosen
+generators to recover the sign. The dense state-vector path exists for
+desk-scale checks and is capped at 10 qubits; the sign arithmetic itself has
+no cap. Only the dense path uses numpy, and it imports it when first called.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .contexts import MinusIdentityError, NonCommutingGeneratorsError
-from .pauli import PauliBasis, PauliOperator, commutes
+from .contexts import MinusIdentityError, _check_commuting, _insert
+from .pauli import PauliBasis, PauliOperator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,30 +31,8 @@ class WidthTooLargeError(ValueError):
 _DENSE_WIDTH_CAP = 10
 
 
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """Independent, pairwise commuting signed generators.
-
-    Build through :func:`make_stabilizer`, which validates the generators.
-    """
-
-    basis: PauliBasis
-
-    @property
-    def generators(self) -> tuple[PauliOperator, ...]:
-        return self.basis.generators
-
-    @property
-    def width(self) -> int:
-        return self.basis.width
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-
-def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> StabilizerGroup:
-    """Validate signed generators into a StabilizerGroup.
+def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> PauliBasis:
+    """Validate signed generators into the PauliBasis of their group.
 
     Requires Hermitian, equal-width, pairwise commuting, symplectically
     independent generators; a dependent generator whose sign disagrees with
@@ -70,35 +48,27 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> St
             raise ValueError(f"width mismatch: {op.width} vs {width}")
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-    for i, p in enumerate(ops):
-        for q in ops[i + 1 :]:
-            if not commutes(p, q):
-                raise NonCommutingGeneratorsError(
-                    f"{p.body()} and {q.body()} do not commute"
-                )
     basis = PauliBasis(width)
-    for op in ops:
-        if basis.add(op) is None:
-            continue
-        _, sign_bit = basis.decompose(op)
-        if sign_bit == 0:
-            raise DependentGeneratorsError(
-                f"{op} is the product of earlier generators"
+    relations = _insert(basis, ops)
+    _check_commuting(basis, ops)
+    if relations:
+        op = relations[0].members[-1]
+        if relations[0].sign_bit:
+            raise MinusIdentityError(
+                f"{op} conflicts in sign with the product of earlier generators"
             )
-        raise MinusIdentityError(
-            f"{op} conflicts in sign with the product of earlier generators"
-        )
-    return StabilizerGroup(basis)
+        raise DependentGeneratorsError(f"{op} is the product of earlier generators")
+    return basis
 
 
-def member_sign(group: StabilizerGroup, op: PauliOperator) -> int | None:
-    """Outcome bit the group fixes for op, or None.
+def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:
+    """Outcome bit the group of the basis fixes for op, or None.
 
     0 means +op lies in the group, 1 means -op does, None means neither.
     """
     if not op.is_hermitian:
         raise ValueError(f"non-Hermitian query: {op!r}")
-    decomposed = group.basis.decompose(op)
+    decomposed = basis.decompose(op)
     return None if decomposed is None else decomposed[1]
 
 
@@ -142,7 +112,7 @@ def apply_pauli(op: PauliOperator, amplitudes: np.ndarray) -> np.ndarray:
     return out
 
 
-def state_vector(group: StabilizerGroup) -> DenseState:
+def state_vector(basis: PauliBasis) -> DenseState:
     """A unit vector stabilized by every generator (eigenvalue +1).
 
     Projects computational basis states through the group projector until one
@@ -151,14 +121,14 @@ def state_vector(group: StabilizerGroup) -> DenseState:
     """
     import numpy as np
 
-    n = group.width
+    n = basis.width
     if n > _DENSE_WIDTH_CAP:
         raise WidthTooLargeError(f"width {n} exceeds the dense cap of {_DENSE_WIDTH_CAP}")
     dim = 1 << n
     for seed in range(dim):
         vec = np.zeros(dim, dtype=complex)
         vec[seed] = 1.0
-        for g in group.generators:
+        for g in basis.generators:
             vec = (vec + apply_pauli(g, vec)) / 2.0
         norm = np.linalg.norm(vec)
         if norm > 1e-9:

@@ -13,8 +13,8 @@ import numpy as np
 from contextua import gf2
 from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
-from contextua.pauli import PauliOperator, commutes, format_pauli, multiply_all
-from contextua.stabilizer import StabilizerGroup, make_stabilizer, member_sign
+from contextua.pauli import PauliBasis, PauliOperator, commutes, format_pauli, multiply_all
+from contextua.stabilizer import make_stabilizer, member_sign
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -83,7 +83,7 @@ def random_commuting_set(
     return chosen
 
 
-def random_stabilizer_group(rng: np.random.Generator, width: int) -> StabilizerGroup:
+def random_stabilizer_group(rng: np.random.Generator, width: int) -> PauliBasis:
     """A full-rank stabilizer group (width independent signed generators)."""
     gens: list[PauliOperator] = []
     basis: list[np.ndarray] = []

@@ -66,6 +66,19 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "X = -1" in result.output
 
+    def test_contradictory_pins(self, runner, tmp_path):
+        """No state gives XX both eigenvalues: malformed input, not contextuality."""
+        obs = write(tmp_path, "o.txt", "XX\n")
+        pin = write(tmp_path, "p.txt", "pin XX +1\npin -XX +1\n")
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", pin])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and "XX" in result.stderr
+        agreeing = write(tmp_path, "q.txt", "pin XX +1\npin -XX -1\n")
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", agreeing])
+        assert result.exit_code == 0
+        assert "XX = +1" in result.output
+
     def test_pinned_ghz_contexts(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -313,9 +326,12 @@ class TestBadInvocations:
             ("Q", ("Q", 0, 0), 2),
             ("parties", ("parties",), 2.7),
             ("resource", ("resource",), "+ZI"),
+            ("observables", ("observables", 0, 0), "--XII"),
+            ("observables", ("observables", 0, 0), "+-XII"),
         ],
         ids=["empty-observable", "negative-Q", "numeric-observable", "Q-entry-2",
-             "fractional-parties", "resource-string"],
+             "fractional-parties", "resource-string", "double-minus-observable",
+             "plus-minus-observable"],
     )
     def test_malformed_instance_field(self, runner, tmp_path, field, path, value):
         raw = fixtures.anders_browne_raw()

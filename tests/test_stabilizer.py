@@ -4,7 +4,7 @@ import pytest
 
 from contextua.contexts import MinusIdentityError, NonCommutingGeneratorsError
 from contextua.fixtures import ghz_group
-from contextua.pauli import parse_pauli
+from contextua.pauli import PauliOperator, parse_pauli
 from contextua.stabilizer import (
     DependentGeneratorsError,
     WidthTooLargeError,
@@ -61,6 +61,36 @@ class TestMakeStabilizer:
             make_stabilizer([])
         with pytest.raises(ValueError):
             make_stabilizer(ops("X", "XX"))
+
+    @pytest.mark.parametrize(
+        "gens,error,message",
+        [
+            ([], ValueError, "at least one generator is required"),
+            (ops("X", "XX"), ValueError, "width mismatch: 2 vs 1"),
+            ([PauliOperator(1, 1, 0, 1)], ValueError,
+             "non-Hermitian generator: PauliOperator(width=1, x=0x1, z=0x0, phase_exp=1)"),
+            (ops("II"), DependentGeneratorsError, "+II is the product of earlier generators"),
+            (ops("-II"), MinusIdentityError,
+             "-II conflicts in sign with the product of earlier generators"),
+            (ops("XI", "IZ", "ZI"), NonCommutingGeneratorsError, "XI and ZI do not commute"),
+            (ops("XI", "IX", "XX", "ZI"), NonCommutingGeneratorsError,
+             "XI and ZI do not commute"),
+            (ops("X", "X"), DependentGeneratorsError, "+X is the product of earlier generators"),
+            (ops("XI", "IX", "-XX"), MinusIdentityError,
+             "-XX conflicts in sign with the product of earlier generators"),
+            (ops("X", "-X"), MinusIdentityError,
+             "-X conflicts in sign with the product of earlier generators"),
+        ],
+        ids=["empty", "width", "non-hermitian", "identity", "minus-identity",
+             "non-commuting", "non-commuting-before-dependent", "repeated",
+             "dependent-sign-conflict", "opposite-signs"],
+    )
+    def test_error_contract(self, gens, error, message):
+        """Type and message of every refusal, in the documented precedence."""
+        with pytest.raises(ValueError) as excinfo:
+            make_stabilizer(gens)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 class TestMemberSign:
