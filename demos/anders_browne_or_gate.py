@@ -34,10 +34,10 @@ def show_affine_search(outputs: tuple[int, ...], m: int) -> None:
     for mask in range(1 << m):
         coefficients = tuple((mask >> (m - 1 - j)) & 1 for j in range(m))
         for constant in (0, 1):
-            form = AffineForm(a=coefficients, c=constant)
+            form = AffineForm(coefficients=coefficients, constant=constant)
             table = tuple(form.evaluate(input_vector(i, m)) for i in range(1 << m))
             marker = "matches!" if table == outputs else "differs"
-            print(f"        a={coefficients} c={constant}: {table}  {marker}")
+            print(f"        coefficients={coefficients} constant={constant}: {table}  {marker}")
 
 
 def main() -> None:
@@ -86,10 +86,13 @@ def main() -> None:
     clean = z_product_instance()
     clean_report = contextuality_report(clean)
     assert not clean_report.is_contextual
-    mapped = linear_output_map(clean_report.global_section, clean)
+    mapped = linear_output_map(clean_report, clean)
     print(f"truth table: {clean_report.truth_table.outputs}")
     print(f"per-party outcome bits (setting 0, setting 1): {mapped.outcomes}")
-    print(f"affine output map: a={mapped.affine.a} c={mapped.affine.c}")
+    print(
+        f"affine output map: coefficients={mapped.affine.coefficients} "
+        f"constant={mapped.affine.constant}"
+    )
 
 
 if __name__ == "__main__":

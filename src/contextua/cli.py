@@ -15,12 +15,7 @@ import click
 from . import fixtures, io
 from . import report as report_mod
 from .contexts import close_context, maximal_contexts
-from .mbqc import (
-    IndeterminateInputsError,
-    SpecialContextNotStabilizingError,
-    contextuality_report,
-    truth_table,
-)
+from .mbqc import IndeterminateInputsError, contextuality_report, truth_table
 from .mbqc import run as run_instance
 from .presheaf import build_global_problem, solve_global
 from .report import TOOL_VERSION, Report
@@ -233,7 +228,7 @@ def mbqc_report(ctx: click.Context, fmt: str) -> None:
     instance = ctx.obj["instance"]
     try:
         result = contextuality_report(instance)
-    except SpecialContextNotStabilizingError as exc:
+    except IndeterminateInputsError as exc:
         _echo(f"error: {exc}", err=True)
         sys.exit(_EXIT_INDETERMINATE)
     analysis = report_mod.build_analysis(

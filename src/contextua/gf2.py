@@ -264,16 +264,16 @@ def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:
 
 @dataclass(frozen=True)
 class AffineForm:
-    """An affine Boolean form o(i) = a . i xor c over Z_2^m."""
+    """An affine Boolean form o(i) = coefficients . i xor constant over Z_2^m."""
 
-    a: tuple[int, ...]
-    c: int
+    coefficients: tuple[int, ...]
+    constant: int
 
     def evaluate(self, bits: Sequence[int]) -> int:
-        if len(bits) != len(self.a):
+        if len(bits) != len(self.coefficients):
             raise ValueError("input length does not match form arity")
-        total = self.c
-        for coeff, bit in zip(self.a, bits):
+        total = self.constant
+        for coeff, bit in zip(self.coefficients, bits):
             total ^= coeff & bit
         return total
 
@@ -302,5 +302,5 @@ def fit_affine(outputs: Sequence[int]) -> AffineForm | None:
     a = tuple(int(table[1 << (m - 1 - j)]) ^ c for j in range(m))
     selected = sum(coeff << (m - 1 - j) for j, coeff in enumerate(a))
     if all(bit == c ^ ((index & selected).bit_count() & 1) for index, bit in enumerate(table)):
-        return AffineForm(a=a, c=c)
+        return AffineForm(coefficients=a, constant=c)
     return None

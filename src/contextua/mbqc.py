@@ -51,12 +51,8 @@ class InvalidResourceError(ValueError):
     """The resource is not a valid stabilizer group (or not one at all)."""
 
 
-class SpecialContextNotStabilizingError(ValueError):
-    """Some reachable joint observable is not in the resource group up to sign."""
-
-
 class IndeterminateInputsError(ValueError):
-    """Truth table requested but some inputs have undetermined output."""
+    """Some inputs' joint observable is not in the resource group up to sign."""
 
     def __init__(self, inputs: tuple[tuple[int, ...], ...]) -> None:
         self.inputs = inputs
@@ -283,6 +279,20 @@ def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
     return member_sign(inst.resource, multiply_all(locals_, width=inst.parties))
 
 
+def _table(
+    settings: list[int], outputs: dict[int, int | None], input_bits: int
+) -> TruthTable:
+    """The table from each setting's output; raises naming undetermined inputs."""
+    missing = tuple(
+        gf2.input_vector(index, input_bits)
+        for index, q in enumerate(settings)
+        if outputs[q] is None
+    )
+    if missing:
+        raise IndeterminateInputsError(missing)
+    return TruthTable(input_bits, tuple(outputs[q] for q in settings))
+
+
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
     settings, first = _distinct_settings(inst)
@@ -290,58 +300,36 @@ def truth_table(inst: MBQCInstance) -> TruthTable:
         q: member_sign(inst.resource, multiply_all(_locals(inst, q), width=inst.parties))
         for q in first
     }
-    missing = tuple(
-        gf2.input_vector(index, inst.input_bits)
-        for index, q in enumerate(settings)
-        if outputs[q] is None
-    )
-    if missing:
-        raise IndeterminateInputsError(missing)
-    return TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
-
-
-def _contexts_and_table(
-    inst: MBQCInstance,
-) -> tuple[list[ContextGroup], TruthTable, list[StateConstraint]]:
-    """The contexts, the table and the special context's pins, in one walk."""
-    settings, first = _distinct_settings(inst)
-    locals_: list[ContextGroup] = []
-    pin_bits: dict[PauliOperator, int] = {}
-    outputs: dict[int, int | None] = {}
-    for q, index in first.items():
-        bits = gf2.input_vector(index, inst.input_bits)
-        joint, context = joint_observable(inst, bits)
-        outputs[q] = member_sign(inst.resource, joint)
-        if outputs[q] is None:
-            raise SpecialContextNotStabilizingError(
-                f"joint observable {joint} for settings "
-                f"{tuple((q >> k) & 1 for k in range(inst.parties))} is not in the "
-                "resource group up to sign"
-            )
-        locals_.append(context)
-        # The canonical joint is (-1)^sign_bit times the joint.
-        pin_bits[joint.canonical()] = outputs[q] ^ joint.sign_bit
-    special = close_context(list(pin_bits), width=inst.parties)
-    table = TruthTable(inst.input_bits, tuple(outputs[q] for q in settings))
-    pins = [StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members]
-    return [*locals_, special], table, pins
-
-
-def mbqc_contexts(inst: MBQCInstance) -> list[ContextGroup]:
-    """One context per reachable setting vector, plus the special context.
-
-    Local contexts appear in first-reached order over binary input
-    enumeration. The special context is the closure of the reachable joint
-    observables; every one of them must lie in the resource group up to
-    sign, otherwise the instance has indeterminate outputs and no
-    state-pinned analysis is meaningful.
-    """
-    return _contexts_and_table(inst)[0]
+    return _table(settings, outputs, inst.input_bits)
 
 
 def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
-    """Decide contextuality of the state-pinned presheaf and check the theorem."""
-    contexts, table, pins = _contexts_and_table(inst)
+    """Decide contextuality of the state-pinned presheaf and check the theorem.
+
+    The contexts are one per reachable setting vector, in first-reached
+    order over binary input enumeration, then the special context: the
+    closure of the reachable joint observables, each pinned to its output.
+    Every joint must lie in the resource group up to sign; otherwise the
+    instance has indeterminate outputs, no state-pinned analysis is
+    meaningful, and IndeterminateInputsError names the inputs.
+    """
+    settings, first = _distinct_settings(inst)
+    contexts: list[ContextGroup] = []
+    joints: dict[int, PauliOperator] = {}
+    outputs: dict[int, int | None] = {}
+    for q, index in first.items():
+        joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
+        outputs[q] = member_sign(inst.resource, joint)
+        joints[q] = joint
+        contexts.append(context)
+    table = _table(settings, outputs, inst.input_bits)
+    # The canonical joint is (-1)^sign_bit times the joint.
+    pin_bits = {joint.canonical(): outputs[q] ^ joint.sign_bit for q, joint in joints.items()}
+    special = close_context(list(pin_bits), width=inst.parties)
+    contexts.append(special)
+    pins = tuple(
+        StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members
+    )
     problem = build_global_problem(contexts, pins)
     outcome = solve_global(problem)
     affine = gf2.fit_affine(table.outputs)
@@ -351,19 +339,24 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
         affine=affine,
         theorem_consistent=not (isinstance(outcome, GlobalSection) and affine is None),
         contexts=tuple(contexts),
-        pins=tuple(pins),
+        pins=pins,
         problem=problem,
     )
 
 
-def linear_output_map(section: GlobalSection, inst: MBQCInstance) -> LinearOutputMap:
-    """Read the affine output description off a global section.
+def linear_output_map(report: ContextualityReport, inst: MBQCInstance) -> LinearOutputMap:
+    """Read the affine output description off a report's global section.
 
     The outcome bit for party k at setting b is the section's value on the
     signed observable O_k(b). A setting whose observable never occurs in any
     reachable context leaves no trace in the output; its outcome bit falls
-    back to the setting-0 bit, which drops its coefficient.
+    back to the setting-0 bit, which drops its coefficient. The form read
+    off must equal report.affine, the one affine form that agrees with the
+    table on every input.
     """
+    if report.is_contextual:
+        raise ValueError("a contextual report has no global section to read")
+    section = report.global_section
     outcomes: list[tuple[int, int]] = []
     for k in range(inst.parties):
         pair: list[int | None] = []
@@ -383,17 +376,14 @@ def linear_output_map(section: GlobalSection, inst: MBQCInstance) -> LinearOutpu
                 f"section does not cover party {k}'s setting-0 observable"
             )
         outcomes.append((s0, s0 if s1 is None else s1))
-    c = sum(s0 for s0, _ in outcomes) % 2
     # Coefficient j is the parity of the flipping parties that column j sets.
     flips = sum((s0 ^ s1) << k for k, (s0, s1) in enumerate(outcomes))
     affine = gf2.AffineForm(
-        a=tuple((column & flips).bit_count() & 1 for column in inst.columns), c=c
+        coefficients=tuple((column & flips).bit_count() & 1 for column in inst.columns),
+        constant=sum(s0 for s0, _ in outcomes) % 2,
     )
-    table = truth_table(inst)
-    for index, expected in enumerate(table.outputs):
-        bits = gf2.input_vector(index, inst.input_bits)
-        if affine.evaluate(bits) != expected:
-            raise VerificationFailedError(
-                f"derived map disagrees with the table at input {bits}"
-            )
+    if affine != report.affine:
+        raise VerificationFailedError(
+            f"section's map {affine} differs from the table's fit {report.affine}"
+        )
     return LinearOutputMap(affine=affine, outcomes=tuple(outcomes))

@@ -144,16 +144,6 @@ def identity(width: int) -> PauliOperator:
     return PauliOperator(width, 0, 0, 0)
 
 
-def from_letter(letter: str, qubit: int, width: int) -> PauliOperator:
-    """Embed a single-qubit Pauli letter at the given qubit of a width-n register."""
-    if letter not in _LETTER_BITS:
-        raise PauliParseError(f"unknown Pauli letter {letter!r}")
-    if not 0 <= qubit < width:
-        raise ValueError(f"qubit {qubit} outside register of width {width}")
-    x, z, t = _LETTER_BITS[letter]
-    return PauliOperator(width, x << qubit, z << qubit, t)
-
-
 def parse_pauli(text: str) -> PauliOperator:
     """Parse a signed Pauli string such as '-XYY' into a Hermitian operator.
 

@@ -42,19 +42,11 @@ class SectionBlock:
 
 
 @dataclass(frozen=True)
-class AffineBlock:
-    """The fitted form o(i) = coefficients . i xor constant."""
-
-    coefficients: tuple[int, ...]
-    constant: int
-
-
-@dataclass(frozen=True)
 class MbqcBlock:
     input_bits: int
     truth_table: tuple[int, ...] | None
     indeterminate_inputs: tuple[str, ...]
-    affine: AffineBlock | None
+    affine: gf2.AffineForm | None
     theorem_consistent: bool
 
 
@@ -130,7 +122,7 @@ def mbqc_block(rep: ContextualityReport) -> MbqcBlock:
         input_bits=rep.truth_table.input_bits,
         truth_table=rep.truth_table.outputs,
         indeterminate_inputs=(),
-        affine=None if rep.affine is None else AffineBlock(rep.affine.a, rep.affine.c),
+        affine=rep.affine,
         theorem_consistent=rep.theorem_consistent,
     )
 
@@ -185,7 +177,7 @@ def parse_json(text: str) -> Report:
     return _codec(Report)[1](json.loads(text))
 
 
-def _affine_text(affine: AffineBlock) -> str:
+def _affine_text(affine: gf2.AffineForm) -> str:
     terms = [f"i{j + 1}" for j, c in enumerate(affine.coefficients) if c]
     if affine.constant:
         terms.insert(0, "1")

@@ -348,7 +348,7 @@ def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
     for mask in range(1 << m):
         coefficients = tuple((mask >> (m - 1 - j)) & 1 for j in range(m))
         for constant in (0, 1):
-            form = gf2.AffineForm(a=coefficients, c=constant)
+            form = gf2.AffineForm(coefficients=coefficients, constant=constant)
             tables.add(
                 tuple(
                     form.evaluate(gf2.input_vector(i, m)) for i in range(1 << m)

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 from contextua import fixtures
 from contextua.cli import main
-from contextua.report import AffineBlock, parse_json
+from contextua.gf2 import AffineForm
+from contextua.report import parse_json
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -283,7 +284,7 @@ class TestMbqcReport:
         report = parse_json(result.output)
         analysis = report.analyses["mbqc"]
         assert analysis.verdict == "noncontextual"
-        assert analysis.mbqc.affine == AffineBlock(coefficients=(0,), constant=0)
+        assert analysis.mbqc.affine == AffineForm(coefficients=(0,), constant=0)
         assert analysis.mbqc.truth_table == (0, 0)
 
     def test_unstabilized_joint_exit_code(self, runner, tmp_path):
@@ -297,6 +298,7 @@ class TestMbqcReport:
         inst = write_instance(tmp_path, raw)
         result = runner.invoke(main, ["mbqc", "--instance", inst, "report"])
         assert result.exit_code == 3
+        assert "indeterminate" in result.stderr
 
     def test_byte_identical_runs(self, runner, tmp_path):
         inst = write_instance(tmp_path, fixtures.anders_browne_raw())

@@ -425,19 +425,19 @@ class TestAffine:
         assert input_vector(5, 3) == (1, 0, 1)
 
     def test_evaluate_checks_arity(self):
-        form = AffineForm(a=(1, 0), c=1)
+        form = AffineForm(coefficients=(1, 0), constant=1)
         with pytest.raises(ValueError):
             form.evaluate((1,))
 
     def test_fit_recovers_known_forms(self):
         xor = fit_affine([0, 1, 1, 0])
-        assert xor == AffineForm(a=(1, 1), c=0)
+        assert xor == AffineForm(coefficients=(1, 1), constant=0)
         negated = fit_affine([1, 0, 0, 1])
-        assert negated == AffineForm(a=(1, 1), c=1)
+        assert negated == AffineForm(coefficients=(1, 1), constant=1)
         constant = fit_affine([1, 1, 1, 1])
-        assert constant == AffineForm(a=(0, 0), c=1)
+        assert constant == AffineForm(coefficients=(0, 0), constant=1)
         second_bit = fit_affine([0, 1, 0, 1])
-        assert second_bit == AffineForm(a=(0, 1), c=0)
+        assert second_bit == AffineForm(coefficients=(0, 1), constant=0)
 
     def test_fit_rejects_non_affine(self):
         assert fit_affine([0, 1, 1, 1]) is None
@@ -465,8 +465,8 @@ class TestAffine:
         for _ in range(100):
             m = int(rng.integers(1, 4))
             planted = AffineForm(
-                a=tuple(int(b) for b in rng.integers(0, 2, size=m)),
-                c=int(rng.integers(0, 2)),
+                coefficients=tuple(int(b) for b in rng.integers(0, 2, size=m)),
+                constant=int(rng.integers(0, 2)),
             )
             table = [planted.evaluate(input_vector(i, m)) for i in range(1 << m)]
             assert fit_affine(table) == planted

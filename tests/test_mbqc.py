@@ -1,4 +1,5 @@
 """Instance validation, runs, truth tables and the affine-output statement."""
+import dataclasses
 import sys
 
 import numpy as np
@@ -12,11 +13,10 @@ from contextua.mbqc import (
     MalformedFieldError,
     NonLocalObservableError,
     ShapeMismatchError,
-    SpecialContextNotStabilizingError,
+    VerificationFailedError,
     contextuality_report,
     joint_observable,
     linear_output_map,
-    mbqc_contexts,
     run,
     truth_table,
     validate_instance,
@@ -293,7 +293,7 @@ class TestRunAndTable:
 
 class TestMbqcContexts:
     def test_or_gate_contexts(self):
-        contexts = mbqc_contexts(anders_browne_instance())
+        contexts = contextuality_report(anders_browne_instance()).contexts
         assert len(contexts) == 5
         bodies = [tuple(m.body() for m in c.members) for c in contexts]
         assert bodies[0] == ("IIX", "IXI", "XII", "XXX")
@@ -313,14 +313,15 @@ class TestMbqcContexts:
                 "resource": ["+ZI", "+IZ"],
             }
         )
-        contexts = mbqc_contexts(inst)
+        contexts = contextuality_report(inst).contexts
         assert len(contexts) == 2
         assert [m.body() for m in contexts[1].members] == ["ZZ"]
         assert contexts[1].is_subgroup_of(contexts[0])
 
     def test_unstabilized_joint_is_rejected(self):
-        with pytest.raises(SpecialContextNotStabilizingError):
-            mbqc_contexts(validate_instance(undetermined_raw()))
+        with pytest.raises(IndeterminateInputsError) as excinfo:
+            contextuality_report(validate_instance(undetermined_raw()))
+        assert excinfo.value.inputs == ((0,), (1,))
 
 
 class TestContextualityReport:
@@ -343,13 +344,13 @@ class TestContextualityReport:
     def test_xor_instance_is_noncontextual(self):
         report = contextuality_report(validate_instance(xor_raw()))
         assert not report.is_contextual
-        assert report.affine == gf2.AffineForm(a=(1, 1), c=0)
+        assert report.affine == gf2.AffineForm(coefficients=(1, 1), constant=0)
         assert report.theorem_consistent
 
     def test_constant_instance(self):
         report = contextuality_report(z_product_instance())
         assert not report.is_contextual
-        assert report.affine == gf2.AffineForm(a=(0,), c=0)
+        assert report.affine == gf2.AffineForm(coefficients=(0,), constant=0)
         assert report.theorem_consistent
 
     def test_brute_force_agrees_on_fixtures(self):
@@ -365,16 +366,15 @@ class TestContextualityReport:
 
 class TestLinearOutputMap:
     def test_xor_map(self):
-        report = contextuality_report(validate_instance(xor_raw()))
-        mapped = linear_output_map(report.global_section, validate_instance(xor_raw()))
-        assert mapped.affine == gf2.AffineForm(a=(1, 1), c=0)
+        inst = validate_instance(xor_raw())
+        mapped = linear_output_map(contextuality_report(inst), inst)
+        assert mapped.affine == gf2.AffineForm(coefficients=(1, 1), constant=0)
         assert mapped.outcomes == ((0, 1), (0, 1))
 
     def test_constant_map(self):
         inst = z_product_instance()
-        report = contextuality_report(inst)
-        mapped = linear_output_map(report.global_section, inst)
-        assert mapped.affine == gf2.AffineForm(a=(0,), c=0)
+        mapped = linear_output_map(contextuality_report(inst), inst)
+        assert mapped.affine == gf2.AffineForm(coefficients=(0,), constant=0)
         assert mapped.outcomes == ((0, 0), (0, 0))
 
     def test_identity_local_contributes_its_sign(self):
@@ -387,10 +387,35 @@ class TestLinearOutputMap:
                 "resource": ["+Z"],
             }
         )
-        report = contextuality_report(inst)
-        mapped = linear_output_map(report.global_section, inst)
+        mapped = linear_output_map(contextuality_report(inst), inst)
         assert mapped.outcomes == ((0, 1),)
-        assert mapped.affine == gf2.AffineForm(a=(1,), c=0)
+        assert mapped.affine == gf2.AffineForm(coefficients=(1,), constant=0)
+
+    def test_contextual_report_is_refused(self):
+        inst = anders_browne_instance()
+        with pytest.raises(ValueError, match="contextual report"):
+            linear_output_map(contextuality_report(inst), inst)
+
+    def test_planted_affine_form_is_caught(self):
+        """The map read off the section is checked against report.affine."""
+        inst = validate_instance(xor_raw())
+        report = contextuality_report(inst)
+        for planted in (
+            gf2.AffineForm(coefficients=(1, 1), constant=1),
+            gf2.AffineForm(coefficients=(1, 0), constant=0),
+            None,
+        ):
+            with pytest.raises(VerificationFailedError):
+                linear_output_map(dataclasses.replace(report, affine=planted), inst)
+
+    def test_reads_the_report_without_evaluating(self, monkeypatch):
+        inst = validate_instance(xor_raw())
+        report = contextuality_report(inst)
+        calls = TestOnePass.count_calls(
+            monkeypatch, "truth_table", "member_sign", "joint_observable", "close_context"
+        )
+        linear_output_map(report, inst)
+        assert calls == dict.fromkeys(calls, 0)
 
 
 class TestTheoremProperty:
@@ -410,7 +435,7 @@ class TestTheoremProperty:
             else:
                 sections += 1
                 assert report.affine is not None
-                mapped = linear_output_map(report.global_section, inst)
+                mapped = linear_output_map(report, inst)
                 assert mapped.affine == report.affine
         assert sections > 5
 
@@ -428,19 +453,21 @@ class TestOnePass:
                 assert run(inst, gf2.input_vector(index, inst.input_bits)) == expected
             if contexts is None:
                 undetermined += 1
-                with pytest.raises(IndeterminateInputsError) as excinfo:
-                    truth_table(inst)
-                assert excinfo.value.inputs == tuple(
+                missing = tuple(
                     gf2.input_vector(index, inst.input_bits)
                     for index, out in enumerate(outputs)
                     if out is None
                 )
-                with pytest.raises(SpecialContextNotStabilizingError):
-                    mbqc_contexts(inst)
+                with pytest.raises(IndeterminateInputsError) as excinfo:
+                    truth_table(inst)
+                assert excinfo.value.inputs == missing
+                with pytest.raises(IndeterminateInputsError) as excinfo:
+                    contextuality_report(inst)
+                assert excinfo.value.inputs == missing
             else:
                 determined += 1
                 assert truth_table(inst).outputs == outputs
-                assert [c.members for c in mbqc_contexts(inst)] == [
+                assert [c.members for c in contextuality_report(inst).contexts] == [
                     c.members for c in contexts
                 ]
         assert determined > 100 and undetermined > 30

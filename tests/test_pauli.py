@@ -8,7 +8,6 @@ from contextua.pauli import (
     PauliParseError,
     commutes,
     format_pauli,
-    from_letter,
     identity,
     multiply,
     multiply_all,
@@ -37,15 +36,6 @@ class TestParsing:
             op = random_pauli(rng, int(rng.integers(1, 4)))
             text = format_pauli(op)
             assert np.allclose(dense_operator(parse_pauli(text)), dense_from_string(text))
-
-    def test_from_letter_embeds(self):
-        op = from_letter("Y", 1, 3)
-        assert op.body() == "IYI"
-        assert op.support() == (1,)
-        with pytest.raises(ValueError):
-            from_letter("Q", 0, 2)
-        with pytest.raises(ValueError):
-            from_letter("X", 5, 2)
 
 
 class TestStructure:

@@ -12,8 +12,8 @@ import jsonschema
 import pytest
 
 import contextua
+from contextua.gf2 import AffineForm
 from contextua.report import (
-    AffineBlock,
     Analysis,
     CertificateBlock,
     MbqcBlock,
@@ -60,7 +60,7 @@ mbqc_blocks = st.builds(
     input_bits=st.integers(0, 3),
     truth_table=st.none() | tuples(bits),
     indeterminate_inputs=tuples(st.text(alphabet="01", max_size=3)),
-    affine=st.none() | st.builds(AffineBlock, coefficients=tuples(bits), constant=bits),
+    affine=st.none() | st.builds(AffineForm, coefficients=tuples(bits), constant=bits),
     theorem_consistent=st.booleans(),
 )
 analyses = st.builds(
