@@ -14,6 +14,12 @@ fundamental circuit (the unique kept vectors that sum to it) directly.
 One back substitution turns the table into reduced row-echelon form.
 ``pauli.PauliBasis`` (and through it ``contexts.close_context`` and
 ``stabilizer``), :func:`solve` and :func:`rref` all run on it.
+
+:func:`solve` streams its rows mirrored, so each pivots on its last
+variable rather than its first. Variables of a global-section system are
+numbered by first appearance, so the last variable of a row is seldom held
+by an earlier row, and the pass makes little fill-in. With those pivots the
+solution whose free variables are zero is the binary-lowest one.
 """
 from __future__ import annotations
 
@@ -219,22 +225,44 @@ class Gf2Solution:
         return len(self.nullspace)
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _mirror(vector: int, width: int) -> int:
+    """vector with bit c moved to bit width - 1 - c, for vector below 2^width.
+
+    Reversing the bits of every byte (one table lookup each) and reading the
+    little-endian bytes as big-endian reverses all 8k bits; the shift drops
+    the padding above width.
+    """
+    size = (width + 7) // 8
+    flipped = vector.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(flipped, "big") >> 8 * size - width
+
+
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
-    Rows stream into one :class:`Basis` with their right-hand side at bit
-    num_vars, so a row whose left-hand side reduces to zero leaves 1 there
+    Rows stream into one :class:`Basis` mirrored, variable c at bit
+    num_vars - 1 - c, with their right-hand side at bit num_vars; each row is
+    mirrored as it is streamed, so a pass that stops early mirrors no more.
+    A row whose left-hand side reduces to zero leaves 1 at bit num_vars
     exactly when the rows up to it are inconsistent. The first such row
-    stops the pass, and its fundamental circuit is the :class:`Certificate`.
-    Otherwise one back substitution gives the solution: the assignment
-    satisfies A x = b with free variables fixed to zero, and nullspace row i
-    sets the i-th free variable and the pivot variables that match it.
+    stops the pass, and its fundamental circuit is the :class:`Certificate`,
+    which no pivot rule changes.
+
+    Otherwise one back substitution gives the solution. Each kept row
+    pivots on its last variable, so every pivot variable depends only on
+    free variables of lower index, and the assignment, with free variables
+    fixed to zero, is the binary-lowest solution (variable 0 most
+    significant). Nullspace row i sets the i-th free variable, in variable
+    order, and the pivot variables that match it.
     """
     cols = system.num_vars
     basis = Basis()
     kept: list[int] = []
     for r, row in enumerate(system.matrix.rows):
-        remainder, combination = basis.add(row | (system.rhs >> r & 1) << cols)
+        remainder, combination = basis.add(_mirror(row, cols) | (system.rhs >> r & 1) << cols)
         if remainder == 1 << cols:
             return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
         if remainder:
@@ -248,7 +276,10 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
         assignment |= (row >> cols & 1) << pivot
         for c in set_bits((row & mask) ^ 1 << pivot):
             nullspace[c] |= 1 << pivot
-    return Gf2Solution(assignment=assignment, nullspace=tuple(nullspace.values()))
+    return Gf2Solution(
+        assignment=_mirror(assignment, cols),
+        nullspace=tuple(_mirror(row, cols) for row in reversed(nullspace.values())),
+    )
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

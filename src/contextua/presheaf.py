@@ -223,6 +223,10 @@ def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
 
     Reduced nullspace rows lead at distinct lowest variables that no other
     row holds; clearing each lead the assignment holds minimises it.
+    ``gf2.solve`` already returns the binary-lowest assignment, so this
+    flips no bit. It stays so that the section :func:`solve_global` reports
+    is defined here and not by a pivot rule inside ``gf2.solve``, and it is
+    the one caller of ``gf2.rref``, whose span the benchmark traces.
     """
     assignment = solution.assignment
     if not solution.nullspace:

@@ -342,6 +342,41 @@ def random_valid_instance(
     return validate_instance(random_valid_raw(rng, max_parties, max_input_bits))
 
 
+def ghz_raw(rng: np.random.Generator, parties: int, inputs: int, inner_rank: int) -> dict:
+    """JSON-shaped data of a GHZ instance whose setting matrix has a given rank.
+
+    Q = A B with A and B drawn full rank r = inner_rank over the first
+    parties - 1 rows, and the last row the parity of the others. Every
+    column of Q then has even weight, so every joint of X and Y locals has
+    an even number of Y factors and lies in the GHZ group up to sign, and
+    there are 2^r distinct settings.
+    """
+    def full_rank(rows: int, cols: int) -> np.ndarray:
+        while True:
+            mat = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            if rank(mat) == inner_rank:
+                return mat
+
+    top = full_rank(parties - 1, inner_rank) @ full_rank(inner_rank, inputs) % 2
+    setting_matrix = np.vstack([top, top.sum(axis=0) % 2])
+    return {
+        "parties": parties,
+        "input_bits": inputs,
+        "Q": [[int(b) for b in row] for row in setting_matrix],
+        "observables": [["X"] * parties, ["Y"] * parties],
+        "resource": ["+" + "X" * parties]
+        + ["+" + "I" * k + "ZZ" + "I" * (parties - k - 2) for k in range(parties - 1)],
+    }
+
+
+def large_ghz_instance() -> MBQCInstance:
+    """The seeded n = 16, m = 12 GHZ instance of inner rank 11: 2048 settings.
+
+    Its global-section system has 6132 rows over 2080 observables.
+    """
+    return validate_instance(ghz_raw(np.random.default_rng(16), 16, 12, 11))
+
+
 def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
     """Truth tables of all 2^(m+1) affine forms on m bits."""
     tables = set()

@@ -39,6 +39,7 @@ from conftest import (
     bit_system,
     dense_from_string,
     exhaustive_affine_tables,
+    large_ghz_instance,
     random_commuting_set,
     random_valid_instance,
     unpack_rows,
@@ -284,3 +285,18 @@ def test_criterion_8_byte_identical_reports(tmp_path):
         assert first.output.encode("utf-8") == second.output.encode("utf-8")
         json.loads(first.output)  # stays well-formed
     print(f"criterion 8 PASS: {len(invocations)} report commands byte-stable")
+
+
+def test_criterion_9_large_global_section_solve():
+    """The n = 16, m = 12 GHZ report's global system is decided in 0.25 s."""
+    report = contextuality_report(large_ghz_instance())
+    problem = report.problem
+    assert problem.matrix.shape == (6132, 2080)
+    start = time.perf_counter()
+    outcome = solve_global(problem)
+    elapsed = time.perf_counter() - start
+    assert outcome == report.global_section
+    assert isinstance(outcome, gf2.Certificate)
+    assert gf2.verify_certificate(problem, outcome)
+    assert elapsed < 0.25
+    print(f"criterion 9 PASS: {problem.num_rows} x {problem.num_vars} system, {elapsed:.3f}s")

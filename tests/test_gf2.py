@@ -402,6 +402,24 @@ class TestSystemSolve:
         else:
             assert outcome == Certificate(selected=reference_certificate(mat, rhs))
 
+    def test_assignment_is_binary_lowest(self):
+        """The assignment is the first solution in binary order, variable 0 first."""
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            mat = sparse_matrix(rng, int(rng.integers(1, 15)), n, 0.3)
+            rhs = (mat @ rng.integers(0, 2, size=n).astype(np.uint8)) % 2
+            outcome = solve(bit_system(mat, rhs))
+            assert isinstance(outcome, Gf2Solution)
+            assert np.array_equal(bits_of(outcome.assignment, n), brute_solutions(mat, rhs)[0])
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 2080])
+    def test_mirror_reverses_bits(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            text = "".join(str(b) for b in rng.integers(0, 2, size=width))
+            assert gf2._mirror(int(text or "0", 2), width) == int(text[::-1] or "0", 2)
+
     def test_solution_nullspace_satisfies_system(self):
         rng = np.random.default_rng(43)
         for _ in range(80):

@@ -17,6 +17,7 @@ from contextua.presheaf import (
     TooLargeError,
     UnknownConstrainedObservableError,
     Valuation,
+    _lowest_solution,
     brute_force_global,
     build_global_problem,
     restrict,
@@ -260,6 +261,33 @@ class TestSolveGlobal:
         assert isinstance(outcome, GlobalSection)
         assert outcome.value_of(parse_pauli("X")) == 0
         assert outcome.value_of(parse_pauli("-X")) == 1
+
+    def test_solve_already_gives_the_lowest_solution(self):
+        """_lowest_solution flips no bit of gf2.solve's assignment."""
+        rng = np.random.default_rng(203)
+        consistent = 0
+        for _ in range(80):
+            width = int(rng.integers(1, 5))
+            contexts = []
+            for _ in range(int(rng.integers(1, 5))):
+                chosen = random_commuting_set(rng, width, int(rng.integers(1, 6)))
+                if chosen:
+                    contexts.append(close_context(chosen))
+            if not contexts:
+                continue
+            target = contexts[0]
+            point = spectrum(target)[int(rng.integers(0, target.group_order))]
+            pins = [
+                StateConstraint(observable=op, value_bit=point.values[op])
+                for op in target.members
+                if rng.integers(0, 2)
+            ]
+            problem = build_global_problem(contexts, pins)
+            outcome = gf2.solve(problem)
+            if isinstance(outcome, gf2.Gf2Solution):
+                consistent += 1
+                assert _lowest_solution(outcome, problem.num_vars) == outcome.assignment
+        assert consistent > 20
 
 
 class TestBruteForce:
