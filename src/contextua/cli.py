@@ -79,23 +79,22 @@ def cmd_analyze(
     obs_path: Path, contexts_path: Path | None, pin_path: Path | None, fmt: str
 ) -> None:
     """Decide whether an observable set admits a global section."""
-    chunks = [obs_path.read_bytes()]
-    if contexts_path is not None:
-        chunks.append(contexts_path.read_bytes())
-    if pin_path is not None:
-        chunks.append(pin_path.read_bytes())
-    digest = io.sha256_digest(*chunks)
+    # Each file is read once: the digest names exactly the bytes parsed.
+    obs_data = obs_path.read_bytes()
+    contexts_data = contexts_path.read_bytes() if contexts_path is not None else None
+    pin_data = pin_path.read_bytes() if pin_path is not None else None
+    digest = io.sha256_digest(
+        *[data for data in (obs_data, contexts_data, pin_data) if data is not None]
+    )
     try:
-        loose, blocks = io.parse_observable_file(obs_path.read_text(encoding="utf-8"))
+        loose, blocks = io.parse_observable_file(obs_data.decode("utf-8"))
         if contexts_path is not None:
             if blocks:
                 raise io.FileFormatError(
                     "observable file has context blocks; with --contexts, "
                     "give them in the context file only"
                 )
-            extra_loose, blocks = io.parse_observable_file(
-                contexts_path.read_text(encoding="utf-8")
-            )
+            extra_loose, blocks = io.parse_observable_file(contexts_data.decode("utf-8"))
             if extra_loose:
                 raise io.FileFormatError(
                     "context file must contain only context blocks"
@@ -114,11 +113,7 @@ def cmd_analyze(
             if not loose:
                 raise io.FileFormatError("no observables given")
             contexts = maximal_contexts(loose)
-        pins = (
-            io.parse_pin_file(pin_path.read_text(encoding="utf-8"))
-            if pin_path is not None
-            else ()
-        )
+        pins = io.parse_pin_file(pin_data.decode("utf-8")) if pin_data is not None else ()
         problem = build_global_problem(contexts, pins)
     except ValueError as exc:
         _input_error(str(exc))
@@ -160,13 +155,14 @@ def cmd_mermin(fmt: str) -> None:
 def cmd_mbqc(ctx: click.Context, instance_path: Path) -> None:
     """Work with one measurement-based computation instance."""
     ctx.ensure_object(dict)
+    data = instance_path.read_bytes()
     try:
-        instance = io.load_instance(instance_path)
+        instance = io.load_instance(data)
     except ValueError as exc:
         _input_error(str(exc))
         return
     ctx.obj["instance"] = instance
-    ctx.obj["digest"] = io.sha256_digest(instance_path.read_bytes())
+    ctx.obj["digest"] = io.sha256_digest(data)
 
 
 @cmd_mbqc.command("run")

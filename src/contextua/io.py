@@ -96,8 +96,10 @@ def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
     return tuple(pins)
 
 
-def load_instance(path: str | Path) -> MBQCInstance:
-    text = Path(path).read_text(encoding="utf-8")
+def load_instance(source: str | Path | bytes) -> MBQCInstance:
+    """Validate an instance file, given its path or the bytes read from it."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    text = data.decode("utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -11,6 +11,10 @@ and fills the 2^m-entry table by lookup. The module builds the instance's
 measurement contexts, decides contextuality of the state-pinned presheaf,
 tabulates the computed function, and checks the statement that a
 noncontextual instance computes an affine function of its input.
+
+Each party's local acts on its own qubit, so a setting's local context is
+built already in member order (see :func:`joint_observable`); the sorting
+:func:`~contextua.contexts.close_context` stays its oracle in the tests.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from operator import xor
 from typing import Sequence
 
 from . import gf2
-from .contexts import ContextGroup, close_context
+from .contexts import ContextGroup, _check_commuting, _close, close_context
 from .pauli import PauliBasis, PauliOperator, PauliParseError, multiply_all, parse_pauli
 from .presheaf import (
     GlobalSection,
@@ -257,14 +261,22 @@ def joint_observable(
     """The measured product observable for one input, and its local context.
 
     The context is generated by the selected per-party observables together
-    with their product, so the product appears as a named member.
+    with their product, so the product appears as a named member. It is
+    built in member order without the sort of :func:`close_context`, which
+    stays its oracle: party k's local has its body letter at position k and
+    I elsewhere, and of two such bodies the one with its letter further left
+    sorts later, so the canonical non-identity locals in descending party
+    order are sorted. A joint of two or more of them agrees with the
+    leftmost up to its letter and has more letters after it, so it sorts
+    last; with one, the joint is that local up to sign and is not repeated.
     """
     locals_ = _locals(inst, _setting_of(inst, bits))
     joint = multiply_all(locals_, width=inst.parties)
-    gens = [
-        op.canonical() for op in (*locals_, joint) if not op.is_identity_class
-    ]
-    context = close_context(gens, width=inst.parties)
+    members = [op.canonical() for op in reversed(locals_) if not op.is_identity_class]
+    if len(members) > 1:
+        members.append(joint.canonical())
+    context = _close(members, inst.parties)
+    _check_commuting(context.basis, members)
     return joint, context
 
 

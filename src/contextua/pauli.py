@@ -99,10 +99,10 @@ class PauliOperator:
         phase = self.y_count % 4
         if phase == self.phase_exp:
             return self
-        return PauliOperator(self.width, self.x_bits, self.z_bits, phase)
+        return _unchecked(self.width, self.x_bits, self.z_bits, phase)
 
     def negate(self) -> "PauliOperator":
-        return PauliOperator(self.width, self.x_bits, self.z_bits, self.phase_exp + 2)
+        return _unchecked(self.width, self.x_bits, self.z_bits, (self.phase_exp + 2) % 4)
 
     def body(self) -> str:
         """The unsigned letter string, e.g. 'XYZ'."""
@@ -140,6 +140,26 @@ class PauliOperator:
         )
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _unchecked(width: int, x_bits: int, z_bits: int, phase_exp: int) -> PauliOperator:
+    """An operator made by exact arithmetic on valid operators, built unchecked.
+
+    Its width is its operands', its bits lie within it and the caller has
+    reduced its phase mod 4, so the constructor's checks are skipped; direct
+    ``PauliOperator(...)`` keeps them. Fields are set as the frozen
+    constructor sets them: filling ``__dict__`` would give each its own dict.
+    """
+    op = _new(PauliOperator)
+    _set(op, "width", width)
+    _set(op, "x_bits", x_bits)
+    _set(op, "z_bits", z_bits)
+    _set(op, "phase_exp", phase_exp)
+    return op
+
+
 def identity(width: int) -> PauliOperator:
     return PauliOperator(width, 0, 0, 0)
 
@@ -161,7 +181,7 @@ def parse_pauli(text: str) -> PauliOperator:
         x |= xb << k
         z |= zb << k
         phase += t
-    return PauliOperator(len(letters), x, z, phase % 4)
+    return _unchecked(len(letters), x, z, phase % 4)
 
 
 def format_pauli(op: PauliOperator) -> str:
@@ -180,7 +200,7 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
     phase = p.phase_exp + q.phase_exp + 2 * (p.z_bits & q.x_bits).bit_count()
-    return PauliOperator(p.width, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits, phase % 4)
+    return _unchecked(p.width, p.x_bits ^ q.x_bits, p.z_bits ^ q.z_bits, phase % 4)
 
 
 def multiply_all(ops, width: int | None = None) -> PauliOperator:
@@ -197,7 +217,7 @@ def multiply_all(ops, width: int | None = None) -> PauliOperator:
         phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
         x ^= op.x_bits
         z ^= op.z_bits
-    return PauliOperator(w, x, z, phase % 4)
+    return _unchecked(w, x, z, phase % 4)
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:

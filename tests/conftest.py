@@ -394,21 +394,22 @@ def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
 
 def reference_mbqc(
     inst: MBQCInstance,
-) -> tuple[tuple[int | None, ...], list[ContextGroup] | None]:
+) -> tuple[tuple[int | None, ...], list[tuple[int, ContextGroup]], ContextGroup | None]:
     """The MBQC layer evaluated input by input, as an oracle for the one pass.
 
     For every input in binary order: settings q = Q i by numpy, with Q
     unpacked from the instance's columns, the product
     of the selected locals, and its sign in the resource group. Returns the
-    output of each input (None where undetermined) and the contexts: one per
-    setting in first-reached order, each the closure of its locals and
-    their product, then the closure of the distinct products. The contexts
-    are None when some output is undetermined.
+    output of each input (None where undetermined); one local context per
+    setting in first-reached order, with the index of the input that first
+    reaches it, each the close_context closure of its locals and their
+    product; and the special context, the closure of the distinct products,
+    which is None when some output is undetermined.
     """
     n, m = inst.parties, inst.input_bits
     setting_matrix = unpack_rows(inst.columns, n).T
     outputs: list[int | None] = []
-    contexts: list[ContextGroup] = []
+    contexts: list[tuple[int, ContextGroup]] = []
     seen: set[tuple[int, ...]] = set()
     joints: dict[tuple[int, int, int], PauliOperator] = {}
     for index in range(1 << m):
@@ -421,9 +422,17 @@ def reference_mbqc(
             continue
         seen.add(q)
         gens = [op.canonical() for op in (*locals_, joint) if not op.is_identity_class]
-        contexts.append(close_context(gens, width=n))
+        contexts.append((index, close_context(gens, width=n)))
         joints.setdefault(joint.canonical().identity_key(), joint.canonical())
     if None in outputs:
-        return tuple(outputs), None
-    contexts.append(close_context(list(joints.values()), width=n))
-    return tuple(outputs), contexts
+        return tuple(outputs), contexts, None
+    return tuple(outputs), contexts, close_context(list(joints.values()), width=n)
+
+
+def context_fields(context: ContextGroup) -> tuple:
+    """Everything a context determines: members, generators, signed relations."""
+    return (
+        context.members,
+        context.generators,
+        tuple((relation.members, relation.sign_bit) for relation in context.relations),
+    )

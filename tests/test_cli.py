@@ -1,4 +1,5 @@
 """End-to-end command tests through click's CliRunner."""
+import builtins
 import gc
 import json
 import os
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from contextua import fixtures
 from contextua.cli import main
 from contextua.gf2 import AffineForm
+from contextua.io import sha256_digest
 from contextua.report import parse_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,6 +308,85 @@ class TestMbqcReport:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+
+ANALYZE_INPUTS = {
+    "--obs": "mermin.txt", "--contexts": "mermin_contexts.txt", "--pin": "ghz_pins.txt"
+}
+
+
+def crlf_copies(tmp_path, names):
+    """Copies of the named fixtures with \\r\\n line ends, in the given order."""
+    paths = []
+    for name in names:
+        path = tmp_path / name
+        path.write_bytes((FIXTURES / name).read_bytes().replace(b"\n", b"\r\n"))
+        paths.append(path)
+    return paths
+
+
+class TestInputFiles:
+    """Each input file is read once: the digest names exactly the bytes parsed."""
+
+    @staticmethod
+    def count_opens(monkeypatch, paths):
+        opens = dict.fromkeys(map(str, paths), 0)
+        path_open, builtin_open = Path.open, builtins.open
+
+        def counting_path_open(self, *args, **kwargs):
+            if str(self) in opens:
+                opens[str(self)] += 1
+            return path_open(self, *args, **kwargs)
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) in opens:
+                opens[str(file)] += 1
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_path_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return opens
+
+    def test_analyze_reads_each_file_once(self, runner, tmp_path, monkeypatch):
+        paths = crlf_copies(tmp_path, ANALYZE_INPUTS.values())
+        args = ["analyze", "--format", "json"]
+        for option, path in zip(ANALYZE_INPUTS, paths):
+            args += [option, str(path)]
+        opens = self.count_opens(monkeypatch, paths)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert opens == dict.fromkeys(opens, 1)
+        report = json.loads(result.output)
+        assert report["input_sha256"] == sha256_digest(*(p.read_bytes() for p in paths))
+        lf_args = ["analyze", "--format", "json"]
+        for option, name in ANALYZE_INPUTS.items():
+            lf_args += [option, str(FIXTURES / name)]
+        lf_report = json.loads(runner.invoke(main, lf_args).output)
+        assert report["analyses"] == lf_report["analyses"]
+
+    def test_mbqc_reads_the_instance_once(self, runner, tmp_path, monkeypatch):
+        (path,) = crlf_copies(tmp_path, ["anders_browne.json"])
+        opens = self.count_opens(monkeypatch, [path])
+        result = runner.invoke(
+            main, ["mbqc", "--instance", str(path), "report", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert opens == {str(path): 1}
+        assert json.loads(result.output)["input_sha256"] == sha256_digest(path.read_bytes())
+
+    @pytest.mark.parametrize("option", [*ANALYZE_INPUTS, "--instance"])
+    def test_invalid_utf8_is_an_input_error(self, runner, tmp_path, option):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"+X\n\xff\xfe\n")
+        if option == "--instance":
+            args = ["mbqc", "--instance", str(bad), "report"]
+        else:
+            args = ["analyze"]
+            for name, fixture in ANALYZE_INPUTS.items():
+                args += [name, str(bad) if name == option else str(FIXTURES / fixture)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
 
 
 class TestBadInvocations:

@@ -26,6 +26,7 @@ from contextua.presheaf import Empty, GlobalSection, brute_force_global
 
 from conftest import (
     LETTERS,
+    context_fields,
     random_stabilizer_group,
     random_valid_instance,
     random_valid_raw,
@@ -441,36 +442,72 @@ class TestTheoremProperty:
 
 
 class TestOnePass:
+    @staticmethod
+    def assert_matches_reference(inst):
+        """Outputs, undetermined inputs and every context agree with the oracle.
+
+        Contexts are compared in full: members, generators and signed
+        relations, each local one through joint_observable, and all of
+        them through the report when every output is determined.
+        """
+        outputs, local_contexts, special = reference_mbqc(inst)
+        for index, expected in enumerate(outputs):
+            assert run(inst, gf2.input_vector(index, inst.input_bits)) == expected
+        for index, expected in local_contexts:
+            _, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
+            assert context_fields(context) == context_fields(expected)
+        if special is None:
+            missing = tuple(
+                gf2.input_vector(index, inst.input_bits)
+                for index, out in enumerate(outputs)
+                if out is None
+            )
+            with pytest.raises(IndeterminateInputsError) as excinfo:
+                truth_table(inst)
+            assert excinfo.value.inputs == missing
+            with pytest.raises(IndeterminateInputsError) as excinfo:
+                contextuality_report(inst)
+            assert excinfo.value.inputs == missing
+            return False
+        assert truth_table(inst).outputs == outputs
+        expected = [context for _, context in local_contexts] + [special]
+        assert [context_fields(c) for c in contextuality_report(inst).contexts] == [
+            context_fields(c) for c in expected
+        ]
+        return True
+
     def test_matches_the_per_input_reference(self):
         """Tables, undetermined inputs and contexts agree with the oracle."""
         rng = np.random.default_rng(403)
         instances = [random_valid_instance(rng, max_input_bits=6) for _ in range(120)]
         instances += [random_raw_instance(rng) for _ in range(120)]
-        determined = undetermined = 0
-        for inst in instances:
-            outputs, contexts = reference_mbqc(inst)
-            for index, expected in enumerate(outputs):
-                assert run(inst, gf2.input_vector(index, inst.input_bits)) == expected
-            if contexts is None:
-                undetermined += 1
-                missing = tuple(
-                    gf2.input_vector(index, inst.input_bits)
-                    for index, out in enumerate(outputs)
-                    if out is None
-                )
-                with pytest.raises(IndeterminateInputsError) as excinfo:
-                    truth_table(inst)
-                assert excinfo.value.inputs == missing
-                with pytest.raises(IndeterminateInputsError) as excinfo:
-                    contextuality_report(inst)
-                assert excinfo.value.inputs == missing
-            else:
-                determined += 1
-                assert truth_table(inst).outputs == outputs
-                assert [c.members for c in contextuality_report(inst).contexts] == [
-                    c.members for c in contexts
-                ]
-        assert determined > 100 and undetermined > 30
+        determined = sum(self.assert_matches_reference(inst) for inst in instances)
+        assert determined > 100 and len(instances) - determined > 30
+
+    @pytest.mark.parametrize(
+        "parties, q, observables, resource",
+        [
+            # One party: the joint is the local up to sign.
+            (1, [[1]], [["Z"], ["-Z"]], ["+Z"]),
+            # Identity locals, signed and unsigned, beside non-identity ones.
+            (3, [[1, 0], [0, 1], [1, 1]], [["I", "X", "-I"], ["-I", "-X", "Z"]],
+             ["+IXI", "+IIZ", "+ZII"]),
+            # Signed locals fold into the joint's sign.
+            (2, [[1], [1]], [["-X", "-X"], ["Y", "-Y"]], ["+XX", "+ZZ"]),
+            # Every setting has exactly one non-identity local.
+            (3, [[1], [0], [1]], [["I", "-I", "Z"], ["X", "I", "I"]],
+             ["+IIZ", "+XII", "+IZI"]),
+        ],
+    )
+    def test_edge_locals_match_the_reference(self, parties, q, observables, resource):
+        raw = {
+            "parties": parties,
+            "input_bits": len(q[0]),
+            "Q": q,
+            "observables": observables,
+            "resource": resource,
+        }
+        self.assert_matches_reference(validate_instance(raw))
 
     @staticmethod
     def count_calls(monkeypatch, *names):
@@ -497,7 +534,8 @@ class TestOnePass:
         )
         report = contextuality_report(inst)
         assert len(report.truth_table.outputs) == 64
-        assert calls == {"joint_observable": 2, "close_context": 3, "member_sign": 2}
+        # Local contexts are built in member order; only the special context is closed.
+        assert calls == {"joint_observable": 2, "close_context": 1, "member_sign": 2}
 
     def test_table_and_run_build_no_context(self, monkeypatch):
         inst = ghz_rank_one_instance()

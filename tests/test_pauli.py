@@ -1,6 +1,8 @@
 """Symplectic Pauli arithmetic against a dense-matrix oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextua.pauli import (
     NonHermitianError,
@@ -67,6 +69,47 @@ class TestStructure:
         with pytest.raises(ValueError):
             PauliOperator(width=1, x_bits=2, z_bits=0)
         assert PauliOperator(width=1, x_bits=0, z_bits=0, phase_exp=7).phase_exp == 3
+
+
+@st.composite
+def operators(draw, width=None):
+    """A valid operator of any phase, through the checked constructor."""
+    width = width or draw(st.integers(1, 8))
+    x, z = (draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+    return PauliOperator(width, x, z, draw(st.integers(0, 3)))
+
+
+@st.composite
+def operator_lists(draw):
+    width = draw(st.integers(1, 8))
+    return draw(st.lists(operators(width), min_size=1, max_size=5))
+
+
+class TestUncheckedConstruction:
+    """Arithmetic results skip the constructor's checks but must pass them."""
+
+    @staticmethod
+    def assert_as_if_checked(op):
+        checked = PauliOperator(op.width, op.x_bits, op.z_bits, op.phase_exp)
+        assert op.phase_exp in range(4)
+        assert op == checked and hash(op) == hash(checked)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(ops=operator_lists(), sign=st.sampled_from(["", "+", "-"]),
+           body=st.text(alphabet="IXYZ", min_size=1, max_size=8))
+    def test_results_equal_checked_construction(self, ops, sign, body):
+        p, q = ops[0], ops[-1]
+        for op in (multiply(p, q), multiply_all(ops), p.canonical(), p.negate(),
+                   parse_pauli(sign + body)):
+            self.assert_as_if_checked(op)
+
+    @pytest.mark.parametrize(
+        "width, x_bits, z_bits",
+        [(0, 0, 0), (-1, 0, 0), (1, 2, 0), (1, 0, 2), (3, 8, 0), (3, 0, 1 << 5)],
+    )
+    def test_direct_construction_keeps_its_checks(self, width, x_bits, z_bits):
+        with pytest.raises(ValueError):
+            PauliOperator(width, x_bits, z_bits)
 
 
 class TestProducts:
