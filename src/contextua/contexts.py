@@ -8,10 +8,12 @@ those four observables is minus the identity. Everything here works on
 packed symplectic ints. The context's :class:`~contextua.pauli.PauliBasis`
 takes the sorted members in one pass; each member it does not keep yields
 one relation, its fundamental circuit: the generators whose product it is,
-and itself. These relations are a basis of all product constraints of the
+and itself, with the product's sign folded on ints while the circuit is
+walked. These relations are a basis of all product constraints of the
 context, so any valuation that respects them respects every one, and the
 relation set stays small. Maximal contexts come from a pivoted
-Bron-Kerbosch search over int-bitset neighbourhoods.
+Bron-Kerbosch search over int-bitset neighbourhoods, which refuses inputs
+with more than MAX_CONTEXTS of them.
 
 Membership and inclusion are projective and answered by the same basis;
 signs come from multiplying the chosen generators, never stored per element.
@@ -24,7 +26,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2 import set_bits
-from .pauli import PauliBasis, PauliOperator, commutes, multiply_all
+from .pauli import PauliBasis, PauliOperator, commutes
+
+# The clique search refuses inputs with more maximal contexts than this; all
+# 255 four-qubit Paulis have 2295.
+MAX_CONTEXTS = 10_000
 
 
 class NonCommutingGeneratorsError(ValueError):
@@ -33,6 +39,10 @@ class NonCommutingGeneratorsError(ValueError):
 
 class MinusIdentityError(ValueError):
     """The generated group contains minus the identity, so no valuation exists."""
+
+
+class ContextBudgetError(ValueError):
+    """An observable set has more maximal contexts than MAX_CONTEXTS."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,8 @@ class ContextGroup:
             its ``generators`` generate a group of exactly 2 ** rank
             elements that never contains minus the identity.
         relations: one Relation per member outside the basis, in member
-            order: its fundamental circuit, with the sign computed by exact
-            multiplication.
+            order: its fundamental circuit, with the sign of its exact
+            product.
 
     Construct through :func:`close_context` or :func:`maximal_contexts`;
     the constructor assumes its arguments are validated and canonical.
@@ -171,16 +181,29 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
 def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[Relation, ...]:
     """Add ops to the basis in order, with one Relation per op it does not keep.
 
-    The relation is the op's fundamental circuit, signed by exact
-    multiplication; the sign is meaningful once the ops are known to commute.
+    The relation is the op's fundamental circuit: the generators it names,
+    lowest bit first, then the op. Its sign is folded while the circuit is
+    walked, as the left-to-right product of :func:`~contextua.pauli.multiply_all`
+    would give it; it is meaningful once the ops are known to commute.
     """
     relations = []
     for op in ops:
         circuit = basis.add(op)
         if circuit is None:
             continue
-        chosen = (*(basis.generators[j] for j in set_bits(circuit)), op)
-        relations.append(Relation(chosen, sign_bit=multiply_all(chosen).phase_exp // 2))
+        generators = basis.generators
+        chosen = []
+        phase = z = 0
+        while circuit:
+            low = circuit & -circuit
+            g = generators[low.bit_length() - 1]
+            chosen.append(g)
+            phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+            z ^= g.z_bits
+            circuit ^= low
+        chosen.append(op)
+        phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
+        relations.append(Relation(tuple(chosen), sign_bit=phase % 4 // 2))
     return tuple(relations)
 
 
@@ -218,9 +241,10 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
 
     Neighbourhoods and vertex sets are int bitsets (bit v is vertex v). Each
     call branches only on the candidates outside the neighbourhood of a
-    pivot that has the most neighbours among the candidates (Tomita, Tanaka
-    and Takahashi, TCS 363, 2006), so the search takes O(3^(n/3)) steps at
-    worst.
+    pivot that has the most neighbours among the candidates, the lowest
+    such vertex (Tomita, Tanaka and Takahashi, TCS 363, 2006), so the search
+    takes O(3^(n/3)) steps at worst. More than MAX_CONTEXTS cliques raise
+    ContextBudgetError.
     """
     cliques: list[frozenset[int]] = []
 
@@ -228,14 +252,27 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
         if not candidates:
             if not excluded:
                 cliques.append(frozenset(set_bits(clique)))
+                if len(cliques) > MAX_CONTEXTS:
+                    raise ContextBudgetError(
+                        f"more than {MAX_CONTEXTS} maximal contexts; "
+                        "the clique search stops at that budget"
+                    )
             return
-        pivot = max(
-            (neighbours[u] & candidates for u in set_bits(candidates | excluded)),
-            key=int.bit_count,
-        )
-        for v in set_bits(candidates & ~pivot):
-            bit = 1 << v
-            extend(clique | bit, candidates & neighbours[v], excluded & neighbours[v])
+        pool = candidates | excluded
+        pivot, most = 0, -1
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            covered = neighbours[low.bit_length() - 1] & candidates
+            count = covered.bit_count()
+            if count > most:
+                pivot, most = covered, count
+        branch = candidates & ~pivot
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            near = neighbours[bit.bit_length() - 1]
+            extend(clique | bit, candidates & near, excluded & near)
             candidates ^= bit
             excluded |= bit
 

@@ -24,7 +24,7 @@ from operator import xor
 from typing import Sequence
 
 from . import gf2
-from .contexts import ContextGroup, _check_commuting, _close, close_context
+from .contexts import ContextGroup, _close, close_context
 from .pauli import PauliBasis, PauliOperator, PauliParseError, multiply_all, parse_pauli
 from .presheaf import (
     GlobalSection,
@@ -269,15 +269,17 @@ def joint_observable(
     order are sorted. A joint of two or more of them agrees with the
     leftmost up to its letter and has more letters after it, so it sorts
     last; with one, the joint is that local up to sign and is not repeated.
+
+    No commutation check runs: a validated instance refuses any party
+    observable outside its own qubit (NonLocalObservableError), so the
+    locals commute and their joint, their product, commutes with each.
     """
     locals_ = _locals(inst, _setting_of(inst, bits))
     joint = multiply_all(locals_, width=inst.parties)
     members = [op.canonical() for op in reversed(locals_) if not op.is_identity_class]
     if len(members) > 1:
         members.append(joint.canonical())
-    context = _close(members, inst.parties)
-    _check_commuting(context.basis, members)
-    return joint, context
+    return joint, _close(members, inst.parties)
 
 
 def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from contextua import gf2
 from contextua.cli import main
-from contextua.contexts import close_context
+from contextua.contexts import close_context, maximal_contexts
 from contextua.fixtures import (
     anders_browne_instance,
     ghz_group,
@@ -300,3 +300,16 @@ def test_criterion_9_large_global_section_solve():
     assert gf2.verify_certificate(problem, outcome)
     assert elapsed < 0.25
     print(f"criterion 9 PASS: {problem.num_rows} x {problem.num_vars} system, {elapsed:.3f}s")
+
+
+def test_criterion_10_four_qubit_census():
+    """All 255 four-qubit Paulis give their 2,295 maximal contexts in under 5 s."""
+    obs = [parse_pauli("".join(b)) for b in itertools.product("IXYZ", repeat=4)][1:]
+    start = time.perf_counter()
+    contexts = maximal_contexts(obs)
+    elapsed = time.perf_counter() - start
+    assert len(contexts) == 2295
+    assert {len(c.members) for c in contexts} == {15}
+    assert all(c.rank == 4 and len(c.relations) == 11 for c in contexts)
+    assert elapsed < 5
+    print(f"criterion 10 PASS: {len(contexts)} contexts of 255 Paulis, {elapsed:.3f}s")

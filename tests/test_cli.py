@@ -448,6 +448,17 @@ class TestBadInvocations:
         result = runner.invoke(main, ["mbqc", "table"])
         assert result.exit_code == 2
 
+    def test_nonlocal_party_observable(self, runner, tmp_path):
+        """Party 0 may not measure qubit 1: the instance is refused, not analysed."""
+        raw = json.loads((FIXTURES / "z_product.json").read_text())
+        raw["observables"][0][0] = "IZ"
+        inst = write_instance(tmp_path, raw)
+        result = runner.invoke(main, ["mbqc", "--instance", inst, "report"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "party 0" in result.stderr and "[1]" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0

@@ -2,17 +2,24 @@
 import inspect
 import time
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextua import contexts as contexts_module
 from contextua import gf2
+from contextua.cli import main
 from contextua.contexts import (
+    ContextBudgetError,
     ContextGroup,
     MinusIdentityError,
     NonCommutingGeneratorsError,
     Relation,
+    _insert,
     _maximal_cliques,
     _sort_key,
     close_context,
@@ -20,7 +27,15 @@ from contextua.contexts import (
     maximal_contexts,
 )
 from contextua.fixtures import ghz_group, mermin_observables
-from contextua.pauli import PauliOperator, commutes, identity, multiply_all, parse_pauli
+from contextua.gf2 import set_bits
+from contextua.pauli import (
+    PauliBasis,
+    PauliOperator,
+    commutes,
+    identity,
+    multiply_all,
+    parse_pauli,
+)
 from contextua.presheaf import spectrum
 from contextua.stabilizer import member_sign
 
@@ -444,3 +459,104 @@ class TestCliqueSearch:
             close_context([ix])
         with pytest.raises(ValueError, match="non-Hermitian"):
             maximal_contexts([parse_pauli("Z"), ix])
+
+
+def clifford_relabel(rng, obs, gates=32):
+    """The positive operators of obs after random H, S and CNOT gates.
+
+    The symplectic images keep every commutation, so the relabelled set has
+    the same commutation graph, vertex for vertex.
+    """
+    width = obs[0].width
+    vectors = [(op.x_bits, op.z_bits) for op in obs]
+    for _ in range(gates):
+        gate, a = int(rng.integers(3)), int(rng.integers(width))
+        b = (a + 1 + int(rng.integers(width - 1))) % width
+        moved = []
+        for x, z in vectors:
+            xa, za = x >> a & 1, z >> a & 1
+            if gate == 0:  # Hadamard on a swaps x_a and z_a
+                x, z = x ^ (xa ^ za) << a, z ^ (xa ^ za) << a
+            elif gate == 1:  # phase on a: z_a ^= x_a
+                z ^= xa << a
+            else:  # CNOT a -> b: x_b ^= x_a, z_a ^= z_b
+                x, z = x ^ xa << b, z ^ (z >> b & 1) << a
+            moved.append((x, z))
+        vectors = moved
+    return [PauliOperator(width, x, z, (x & z).bit_count()) for x, z in vectors]
+
+
+class TestCliqueSearchOnPaulis:
+    def test_relabelled_four_qubit_subsets_match_networkx(self):
+        """Commutation graphs of the benchmark's shapes: 20 to 84 of the 255 Paulis."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(151)
+        four = all_paulis(4)
+        for size in (20, 29, 32, 41, 50, 64, 80, 84):
+            subset = [four[int(i)] for i in rng.choice(len(four), size, replace=False)]
+            obs = clifford_relabel(rng, subset)
+            neighbours = commutation_graph(obs)
+            assert neighbours == commutation_graph(subset)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(size))
+            graph.add_edges_from(
+                (i, j) for i in range(size) for j in set_bits(neighbours[i]) if i < j
+            )
+            expected = {frozenset(c) for c in nx.find_cliques(graph)}
+            found = _maximal_cliques(neighbours)
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+
+
+class TestContextBudget:
+    def test_search_stops_past_the_budget(self, monkeypatch):
+        """The Mermin set has 15 maximal contexts: 15 pass, 14 are refused."""
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 15)
+        assert len(maximal_contexts(mermin_observables())) == 15
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 14)
+        with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
+            maximal_contexts(mermin_observables())
+
+    def test_analyze_exits_2_naming_the_budget(self, monkeypatch):
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 14)
+        obs = Path(__file__).resolve().parent.parent / "fixtures" / "mermin.txt"
+        result = CliRunner().invoke(main, ["analyze", "--obs", str(obs)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: more than 14 maximal contexts")
+        assert "Traceback" not in result.stderr
+
+
+def commuting_lists(max_size=12):
+    """A width and signed operators of that width, each kept if it commutes with those before."""
+
+    def keep_commuting(width, texts):
+        kept = []
+        for op in map(parse_pauli, texts):
+            if all(commutes(op, p) for p in kept):
+                kept.append(op)
+        return width, kept
+
+    def texts(width):
+        signed = st.tuples(st.sampled_from("+-"), st.text("IXYZ", min_size=width, max_size=width))
+        return st.lists(signed.map("".join), max_size=max_size).map(
+            lambda drawn: keep_commuting(width, drawn)
+        )
+
+    return st.integers(1, 4).flatmap(texts)
+
+
+class TestInsertSigns:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=commuting_lists())
+    def test_folded_sign_is_the_product_sign(self, drawn):
+        """Each relation equals its circuit signed by multiply_all."""
+        width, obs = drawn
+        replay = PauliBasis(width)
+        expected = []
+        for op in obs:
+            circuit = replay.add(op)
+            if circuit is not None:
+                chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
+                expected.append(Relation(chosen, multiply_all(chosen).phase_exp // 2))
+        assert _insert(PauliBasis(width), obs) == tuple(expected)
