@@ -8,15 +8,15 @@ those four observables is minus the identity. Everything here works on
 packed symplectic ints. The context's :class:`~contextua.pauli.PauliBasis`
 takes the sorted members in one pass; each member it does not keep yields
 one relation, its fundamental circuit: the generators whose product it is,
-and itself, with the product's sign folded on ints while the circuit is
-walked. These relations are a basis of all product constraints of the
-context, so any valuation that respects them respects every one, and the
-relation set stays small. Maximal contexts come from a pivoted
-Bron-Kerbosch search over int-bitset neighbourhoods, which refuses inputs
+and itself, signed by the basis's one signed-circuit routine. These
+relations are a basis of all product constraints of the context, so any
+valuation that respects them respects every one, and the relation set
+stays small. Maximal contexts come from a pivoted Bron-Kerbosch search
+over int-bitset neighbourhoods, on an explicit stack, which refuses inputs
 with more than MAX_CONTEXTS of them.
 
 Membership and inclusion are projective and answered by the same basis;
-signs come from multiplying the chosen generators, never stored per element.
+a decomposition names the generators and signs them by the same routine.
 :func:`~contextua.stabilizer.make_stabilizer` closes a stabilizer group with
 the same insertion pass and generator-pair check.
 """
@@ -109,12 +109,12 @@ class ContextGroup:
     def group_order(self) -> int:
         return 1 << self.rank
 
-    def decompose(self, op: PauliOperator) -> tuple[tuple[int, ...], int] | None:
+    def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
         """Express op over the generators, with the realized sign.
 
-        Returns (exponents, sign_bit) such that the product of generators with
-        exponent 1 equals (-1)^sign_bit times the canonical representative of
-        op, or None when op is not in the group projectively.
+        Returns (chosen, sign_bit), the generators whose product in generator
+        order is (-1)^sign_bit times the canonical representative of op, or
+        None when op is not in the group projectively.
         """
         return self.basis.decompose(op.canonical())
 
@@ -182,28 +182,15 @@ def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[Relation, 
     """Add ops to the basis in order, with one Relation per op it does not keep.
 
     The relation is the op's fundamental circuit: the generators it names,
-    lowest bit first, then the op. Its sign is folded while the circuit is
-    walked, as the left-to-right product of :func:`~contextua.pauli.multiply_all`
-    would give it; it is meaningful once the ops are known to commute.
+    lowest bit first, then the op, signed by ``basis.signed_circuit``; the
+    sign is meaningful once the ops are known to commute.
     """
     relations = []
     for op in ops:
         circuit = basis.add(op)
-        if circuit is None:
-            continue
-        generators = basis.generators
-        chosen = []
-        phase = z = 0
-        while circuit:
-            low = circuit & -circuit
-            g = generators[low.bit_length() - 1]
-            chosen.append(g)
-            phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
-            z ^= g.z_bits
-            circuit ^= low
-        chosen.append(op)
-        phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
-        relations.append(Relation(tuple(chosen), sign_bit=phase % 4 // 2))
+        if circuit is not None:
+            chosen, sign_bit = basis.signed_circuit(circuit, op)
+            relations.append(Relation((*chosen, op), sign_bit))
     return tuple(relations)
 
 
@@ -240,15 +227,17 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
     """All maximal cliques, by Bron-Kerbosch with Tomita pivoting.
 
     Neighbourhoods and vertex sets are int bitsets (bit v is vertex v). Each
-    call branches only on the candidates outside the neighbourhood of a
+    step branches only on the candidates outside the neighbourhood of a
     pivot that has the most neighbours among the candidates, the lowest
     such vertex (Tomita, Tanaka and Takahashi, TCS 363, 2006), so the search
-    takes O(3^(n/3)) steps at worst. More than MAX_CONTEXTS cliques raise
+    takes O(3^(n/3)) steps at worst. It runs on an explicit stack, so it has
+    no recursion-depth limit. More than MAX_CONTEXTS cliques raise
     ContextBudgetError.
     """
     cliques: list[frozenset[int]] = []
-
-    def extend(clique: int, candidates: int, excluded: int) -> None:
+    stack = [(0, (1 << len(neighbours)) - 1, 0)] if neighbours else []
+    while stack:
+        clique, candidates, excluded = stack.pop()
         if not candidates:
             if not excluded:
                 cliques.append(frozenset(set_bits(clique)))
@@ -257,7 +246,7 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
                         f"more than {MAX_CONTEXTS} maximal contexts; "
                         "the clique search stops at that budget"
                     )
-            return
+            continue
         pool = candidates | excluded
         pivot, most = 0, -1
         while pool:
@@ -272,12 +261,9 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
             bit = branch & -branch
             branch ^= bit
             near = neighbours[bit.bit_length() - 1]
-            extend(clique | bit, candidates & near, excluded & near)
+            stack.append((clique | bit, candidates & near, excluded & near))
             candidates ^= bit
             excluded |= bit
-
-    if neighbours:
-        extend(0, (1 << len(neighbours)) - 1, 0)
     return cliques
 
 

@@ -12,8 +12,8 @@ phase_exp - popcount(x & z) is 0 mod 4 and -1 when it is 2 mod 4.
 
 :class:`PauliBasis` keeps a greedy independent set of operators on the one
 streaming GF(2) basis of :mod:`contextua.gf2`, fed their packed symplectic
-vectors: it holds the basis and the generators, and recovers a sign by
-multiplying the generators a reduction selects.
+vectors. Every sign it reports comes from :meth:`PauliBasis.signed_circuit`,
+one walk over a generator bit set that folds their product's sign on ints.
 """
 from __future__ import annotations
 
@@ -235,7 +235,7 @@ class PauliBasis:
     of packed symplectic vectors; one that is a product of the operators
     already kept, up to phase, is not kept, so ``generators`` is the greedy
     independent subset of the insertion order. Expressing an operator over
-    the generators takes one XOR per pivot met, and one product of the
+    the generators takes one XOR per pivot met, and one fold over the
     chosen generators, in generator order, gives the sign.
     """
 
@@ -266,20 +266,38 @@ class PauliBasis:
             return None
         return combination
 
-    def decompose(self, op: PauliOperator) -> tuple[tuple[int, ...], int] | None:
-        """Express op over the generators, with the realized sign.
+    def signed_circuit(
+        self, bits: int, op: PauliOperator
+    ) -> tuple[tuple[PauliOperator, ...], int]:
+        """The generators bits selects, lowest bit first, and a sign bit.
 
-        Returns (exponents, sign_bit) such that the product of the generators
-        with exponent 1 equals (-1)^sign_bit times op, or None when op is not
-        a product of generators up to phase.
+        The bit is that of their left-to-right product times op, as
+        :func:`multiply_all` gives it: for a circuit, whether it is -I.
+        """
+        generators = self.generators
+        chosen = []
+        phase = z = 0
+        while bits:
+            low = bits & -bits
+            g = generators[low.bit_length() - 1]
+            chosen.append(g)
+            phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+            z ^= g.z_bits
+            bits ^= low
+        phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
+        return tuple(chosen), phase % 4 // 2
+
+    def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
+        """Express a Hermitian op over the generators, with the realized sign.
+
+        Returns (chosen, sign_bit), the generators whose product in generator
+        order is (-1)^sign_bit times op, or None when op is not a product of
+        generators up to phase.
         """
         remainder, combination = self._basis.reduce(self._vector(op))
         if remainder:
             return None
-        exponents = tuple((combination >> j) & 1 for j in range(len(self.generators)))
-        chosen = [g for g, e in zip(self.generators, exponents) if e]
-        realized = multiply_all(chosen, width=self.width)
-        return exponents, (realized.phase_exp - op.phase_exp) % 4 // 2
+        return self.signed_circuit(combination, op)
 
     def __repr__(self) -> str:
         return f"PauliBasis(width={self.width}, generators={self.generators!r})"

@@ -2,9 +2,11 @@
 
 Each context carries its spectrum: the set of multiplicative ±1 valuations
 of its observables, encoded as bit assignments (value a means eigenvalue
-(-1)^a). Restriction maps a valuation to any subcontext, that is, any
-context whose group lies inside the valuation's context. A global section is a
-single bit assignment over all named observables whose restriction to every
+(-1)^a). A valuation's value on a group element is the sign bit of the
+element's decomposition over the generators plus their bits. Restriction
+maps a valuation to any subcontext, that is, any context whose group lies
+inside the valuation's context. A global section is a single bit
+assignment over all named observables whose restriction to every
 context is a valuation. Deciding whether one exists is one GF(2) system:
 one variable per observable, one int row per context relation (bit c names
 observable c) plus one unit row per pinned eigenvalue of a distinguished
@@ -75,20 +77,11 @@ class Valuation:
         Extends the member assignment multiplicatively through the group.
         Raises KeyError for operators outside the context.
         """
-        if op.is_identity_class:
-            return op.sign_bit
-        canon = op.canonical()
-        if canon in self.values:
-            return (self.values[canon] + op.sign_bit) % 2
-        decomposed = self.context.decompose(canon)
+        decomposed = self.context.decompose(op)
         if decomposed is None:
             raise KeyError(f"{op} is not in this context")
-        exponents, sign_bit = decomposed
-        total = sign_bit + op.sign_bit
-        for g, e in zip(self.context.generators, exponents):
-            if e:
-                total += self.values[g]
-        return total % 2
+        chosen, sign_bit = decomposed
+        return (sign_bit + op.sign_bit + sum(self.values[g] for g in chosen)) % 2
 
 
 def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
@@ -105,10 +98,10 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     forms = [(op, context.decompose(op)) for op in context.members]
     points = []
     for idx in range(1 << g):
-        gen_bits = [(idx >> (g - 1 - j)) & 1 for j in range(g)]
+        gen_bits = {gen: (idx >> (g - 1 - j)) & 1 for j, gen in enumerate(context.generators)}
         values = {
-            op: (sign_bit + sum(b for b, e in zip(gen_bits, exponents) if e)) % 2
-            for op, (exponents, sign_bit) in forms
+            op: (sign_bit + sum(gen_bits[gen] for gen in chosen)) % 2
+            for op, (chosen, sign_bit) in forms
         }
         points.append(Valuation(context=context, values=values))
     return tuple(points)

@@ -3,8 +3,8 @@
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
 signed generators, closed by the insertion pass and generator-pair check of
 :func:`contextua.contexts.close_context`: membership queries reduce the
-packed symplectic vector against the basis and multiply the chosen
-generators to recover the sign. The dense state-vector path exists for
+packed symplectic vector against the basis and fold the sign of the
+chosen generators' product on ints. The dense state-vector path exists for
 desk-scale checks and is capped at 10 qubits; the sign arithmetic itself has
 no cap. Only the dense path uses numpy, and it imports it when first called.
 """

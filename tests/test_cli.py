@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,17 @@ class TestAnalyze:
         document = json.loads(result.output)
         assert document["tool"] == "contextua"
         assert "analysis" in document["analyses"]
+
+    def test_one_context_of_1023_members(self, runner, tmp_path):
+        """All Z-type strings on 10 qubits commute: one clique, found without recursion."""
+        texts = ["".join(p) for p in product("IZ", repeat=10)][1:]
+        obs = write(tmp_path, "all_z.txt", "\n".join(texts) + "\n")
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        analysis = parse_json(result.output).analyses["analysis"]
+        assert analysis.verdict == "noncontextual"
+        assert len(analysis.contexts) == 1
+        assert len(analysis.contexts[0]) == 1023
 
     def test_malformed_observable_file(self, runner, tmp_path):
         obs = write(tmp_path, "bad.txt", "XX\nnot-a-pauli\n")

@@ -263,12 +263,10 @@ class TestMembership:
     def test_decompose_and_element_sign(self):
         ctx = close_context(ops("XXX", "XYY", "YXY", "YYX"))
         xxx = parse_pauli("XXX")
-        exps, sign_bit = ctx.decompose(xxx)
+        chosen, sign_bit = ctx.decompose(xxx)
         assert sign_bit == 0
         assert member_sign(ctx.basis, xxx) == 0
-        product = multiply_all(
-            [g for g, e in zip(ctx.generators, exps) if e], width=3
-        )
+        product = multiply_all(chosen, width=3)
         assert product.identity_key() == xxx.identity_key()
 
     def test_minus_xxx_is_the_product_of_the_other_three(self):
@@ -435,6 +433,12 @@ class TestCliqueSearch:
             assert len(found) == len(set(found))
             assert set(found) == expected
 
+    def test_complete_graph_deeper_than_the_recursion_limit(self):
+        """One clique of 1,100 vertices: the search keeps its own stack."""
+        n = 1100
+        full = (1 << n) - 1
+        assert _maximal_cliques([full ^ 1 << v for v in range(n)]) == [frozenset(range(n))]
+
     @pytest.mark.parametrize("width,count", [(2, 15), (3, 135), (4, 2295)])
     def test_all_paulis_census(self, width, count):
         """Maximal commuting sets of all Paulis: prod_k (2^k + 1) of them.
@@ -560,3 +564,28 @@ class TestInsertSigns:
                 chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
                 expected.append(Relation(chosen, multiply_all(chosen).phase_exp // 2))
         assert _insert(PauliBasis(width), obs) == tuple(expected)
+
+
+class TestDecompose:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=commuting_lists(), subset=st.integers(0, 15), flip=st.booleans(),
+           other=st.text("IXYZ", min_size=4, max_size=4))
+    def test_signed_product_names_its_generators(self, drawn, subset, flip, other):
+        """decompose inverts multiply_all on independent commuting generators."""
+        width, obs = drawn
+        basis = PauliBasis(width)
+        for op in obs:
+            basis.add(op)
+        gens = basis.generators
+        chosen = tuple(g for j, g in enumerate(gens) if subset >> j & 1)
+        product = multiply_all(chosen, width=width)
+        query = product.negate() if flip else product
+        assert basis.decompose(query) == (chosen, int(flip))
+        assert basis.decompose(identity(width)) == ((), 0)
+        outsider = parse_pauli(other[:width])
+        span = {
+            multiply_all([g for j, g in enumerate(gens) if mask >> j & 1], width=width)
+            .identity_key()
+            for mask in range(1 << len(gens))
+        }
+        assert (basis.decompose(outsider) is None) == (outsider.identity_key() not in span)
