@@ -256,14 +256,16 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
             count = covered.bit_count()
             if count > most:
                 pivot, most = covered, count
+        # Children are pushed highest vertex first, each without the branch
+        # vertices below it, so they pop lowest first, as the recursion runs.
         branch = candidates & ~pivot
         while branch:
-            bit = branch & -branch
-            branch ^= bit
-            near = neighbours[bit.bit_length() - 1]
-            stack.append((clique | bit, candidates & near, excluded & near))
-            candidates ^= bit
-            excluded |= bit
+            v = branch.bit_length() - 1
+            branch ^= 1 << v
+            near = neighbours[v]
+            stack.append(
+                (clique | 1 << v, candidates & ~branch & near, (excluded | branch) & near)
+            )
     return cliques
 
 

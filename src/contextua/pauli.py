@@ -120,11 +120,6 @@ class PauliOperator:
         """The symplectic vector as one int: x_k at bit k, z_k at bit n + k."""
         return self.x_bits | self.z_bits << self.width
 
-    def symplectic(self) -> tuple[int, ...]:
-        """The length-2n GF(2) vector (x_0..x_{n-1}, z_0..z_{n-1})."""
-        packed = self.packed()
-        return tuple((packed >> k) & 1 for k in range(2 * self.width))
-
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
 
@@ -292,8 +287,11 @@ class PauliBasis:
 
         Returns (chosen, sign_bit), the generators whose product in generator
         order is (-1)^sign_bit times op, or None when op is not a product of
-        generators up to phase.
+        generators up to phase. A non-Hermitian op, which no sign relates to
+        such a product, raises NonHermitianError.
         """
+        if not op.is_hermitian:
+            raise NonHermitianError(f"non-Hermitian query: {op!r}")
         remainder, combination = self._basis.reduce(self._vector(op))
         if remainder:
             return None

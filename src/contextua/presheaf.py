@@ -12,8 +12,8 @@ one variable per observable, one int row per context relation (bit c names
 observable c) plus one unit row per pinned eigenvalue of a distinguished
 state. A solution of the system is a global section, and an inconsistency
 certificate for it, a set of rows that sums to 0 = 1, is a Kochen-Specker
-style proof of contextuality. :func:`brute_force_global` decides the same
-question by exhausting the assignments, as an oracle for the solver.
+style proof of contextuality, which :func:`contextua.gf2.verify_certificate`
+checks exactly.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ class NotASubcontextError(ValueError):
 
 class UnknownConstrainedObservableError(ValueError):
     """A pinned observable does not occur in any provided context."""
-
-
-class TooLargeError(ValueError):
-    """Brute-force enumeration refused: too many observables."""
 
 
 @dataclass(eq=True)
@@ -158,11 +154,6 @@ class GlobalSection:
         return (self.values[op.canonical().body()] + op.sign_bit) % 2
 
 
-@dataclass(frozen=True)
-class Empty:
-    """Brute-force verdict: no assignment satisfies the problem."""
-
-
 def build_global_problem(
     contexts: Sequence[ContextGroup],
     constraints: Iterable[StateConstraint] = (),
@@ -242,37 +233,6 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
     assignment = _lowest_solution(outcome, problem.num_vars)
     values = {label: assignment >> c & 1 for c, label in enumerate(problem.labels)}
     return GlobalSection(values=values, dimension=outcome.dimension)
-
-
-def brute_force_global(
-    contexts: Sequence[ContextGroup],
-    constraints: Iterable[StateConstraint] = (),
-) -> GlobalSection | Empty:
-    """Independent oracle: exhaust all bit assignments over the observables.
-
-    Kept deliberately separate from the linear-algebra path; the two must
-    agree on existence. The returned witness is the lowest satisfying
-    assignment in binary order (variable 0 most significant).
-    """
-    import numpy as np
-
-    problem = build_global_problem(contexts, constraints)
-    v = problem.num_vars
-    if v > 20:
-        raise TooLargeError(f"{v} observables exceed the 2^20 enumeration cap")
-    candidates = np.arange(1 << v, dtype=np.int64)
-    shifts = np.array([v - 1 - j for j in range(v)], dtype=np.int64)
-    bits = ((candidates[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    rows = np.array(problem.matrix.rows, dtype=np.int64).reshape(-1, 1)
-    matrix = ((rows >> np.arange(v)) & 1).astype(np.uint8)
-    rhs = np.array([problem.rhs >> r & 1 for r in range(problem.num_rows)], dtype=np.uint8)
-    residual = (bits @ matrix.T + rhs[None, :]) % 2
-    satisfying = np.flatnonzero(~residual.any(axis=1))
-    if satisfying.size == 0:
-        return Empty()
-    witness = bits[satisfying[0]]
-    values = {label: int(bit) for label, bit in zip(problem.labels, witness)}
-    return GlobalSection(values=values, dimension=int(round(np.log2(satisfying.size))))
 
 
 def section_valuation(section: GlobalSection, context: ContextGroup) -> Valuation:

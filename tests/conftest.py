@@ -2,9 +2,12 @@
 
 The dense-matrix helpers here are written directly against explicit 2x2
 matrices and np.kron, independently of the package's symplectic arithmetic,
-so they can serve as ground truth for it. The GF(2) helpers work on uint8
-arrays through reference_rref, independently of the package's int rows;
-pack_rows, unpack_rows and bit_system convert between the two formats.
+so they can serve as ground truth for it; stabilizer_state builds the state
+a group fixes from them. The GF(2) helpers work on uint8 arrays through
+reference_rref, independently of the package's int rows; pack_rows,
+unpack_rows and bit_system convert between the two formats.
+brute_force_global decides a global-section system by trying every
+assignment, as ground truth for the solver.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from contextua import gf2
 from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
 from contextua.pauli import PauliBasis, PauliOperator, commutes, format_pauli, multiply_all
+from contextua.presheaf import GlobalSection
 from contextua.stabilizer import make_stabilizer, member_sign
 
 I2 = np.eye(2, dtype=complex)
@@ -49,6 +53,22 @@ def dense_operator(op: PauliOperator) -> np.ndarray:
             factor = X2 @ factor
         out = np.kron(out, factor)
     return out
+
+
+def stabilizer_state(group: PauliBasis) -> np.ndarray:
+    """A unit vector the group stabilizes (unique up to phase at full rank).
+
+    The projector is the product of (I + g)/2 over the generators; its first
+    nonzero column j is normalised. Column j's entries above j vanish, since
+    the projector is Hermitian and its earlier columns are zero, and entry j
+    is its squared norm, so the first nonzero amplitude is real and positive.
+    """
+    dim = 1 << group.width
+    projector = np.eye(dim, dtype=complex)
+    for g in group.generators:
+        projector = projector @ (np.eye(dim) + dense_operator(g)) / 2
+    column = next(col for col in projector.T if np.linalg.norm(col) > 1e-9)
+    return column / np.linalg.norm(column)
 
 
 def ghz_vector() -> np.ndarray:
@@ -97,7 +117,7 @@ def random_stabilizer_group(rng: np.random.Generator, width: int) -> PauliBasis:
             continue
         if not all(commutes(candidate, g) for g in gens):
             continue
-        vector = np.asarray(candidate.symplectic(), dtype=np.uint8)
+        vector = unpack_rows([candidate.packed()], 2 * width)[0]
         stacked = np.array(basis + [vector], dtype=np.uint8)
         if rank(stacked) <= len(basis):
             continue
@@ -159,6 +179,24 @@ def bit_system(matrix, rhs, labels=None) -> gf2.Gf2System:
     if labels is None:
         labels = tuple(range(bits.cols))
     return gf2.Gf2System(matrix=bits, rhs=pack_rows([rhs])[0], labels=labels)
+
+
+def brute_force_global(problem: gf2.Gf2System) -> GlobalSection | None:
+    """Exhaust every assignment of the problem's variables: the solver's oracle.
+
+    Returns None when no assignment satisfies every row, else the binary-lowest
+    satisfying assignment (variable 0 most significant) as a GlobalSection,
+    with the dimension of the solution space.
+    """
+    v = problem.num_vars
+    assignments = (np.arange(1 << v)[:, None] >> np.arange(v - 1, -1, -1)) & 1
+    matrix = unpack_rows(problem.matrix.rows, v)
+    rhs = unpack_rows([problem.rhs], problem.num_rows)[0]
+    satisfying = np.flatnonzero(~((assignments @ matrix.T + rhs) % 2).any(axis=1))
+    if satisfying.size == 0:
+        return None
+    values = dict(zip(problem.labels, map(int, assignments[satisfying[0]])))
+    return GlobalSection(values=values, dimension=satisfying.size.bit_length() - 1)
 
 
 def rank(matrix) -> int:
@@ -250,7 +288,7 @@ def reference_close_context(
     members = tuple(sorted(given, key=lambda op: op.body()))
     if not members:
         return (), (), []
-    matrix = np.array([op.symplectic() for op in members], dtype=np.uint8)
+    matrix = unpack_rows([op.packed() for op in members], 2 * members[0].width)
     relations = []
     for circuit in fundamental_circuits(matrix).values():
         chosen = tuple(members[j] for j in circuit)
@@ -285,7 +323,7 @@ def random_valid_raw(
     n = int(rng.integers(1, max_parties + 1))
     m = int(rng.integers(1, max_input_bits + 1))
     group = random_stabilizer_group(rng, n)
-    g_matrix = np.array([g.symplectic() for g in group.generators], dtype=np.uint8)
+    g_matrix = unpack_rows([g.packed() for g in group.generators], 2 * n)
     for _ in range(500):
         letters = rng.integers(0, 4, size=(2, n))
         v0 = np.zeros(2 * n, dtype=np.uint8)

@@ -478,8 +478,10 @@ class TestBadInvocations:
 
 
 class TestStartup:
+    """The runtime needs click alone: numpy is a test dependency only."""
+
     def test_cli_import_leaves_numpy_unloaded(self):
-        """Only the dense oracles need numpy, and they import it when called."""
+        """Importing the command line loads no numpy."""
         result = subprocess.run(
             [sys.executable, "-c", "import contextua.cli, sys; print('numpy' in sys.modules)"],
             capture_output=True,
@@ -489,3 +491,24 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_package_and_demo_run_without_numpy(self):
+        """With numpy blocked, every module imports and the Mermin demo runs."""
+        demo = ROOT / "demos" / "mermin_presheaf.py"
+        script = (
+            "import pkgutil, runpy, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import contextua\n"
+            "for module in pkgutil.iter_modules(contextua.__path__):\n"
+            "    __import__('contextua.' + module.name)\n"
+            f"runpy.run_path({str(demo)!r}, run_name='__main__')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "still no global section" in result.stdout

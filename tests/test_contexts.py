@@ -29,6 +29,7 @@ from contextua.contexts import (
 from contextua.fixtures import ghz_group, mermin_observables
 from contextua.gf2 import set_bits
 from contextua.pauli import (
+    NonHermitianError,
     PauliBasis,
     PauliOperator,
     commutes,
@@ -433,6 +434,34 @@ class TestCliqueSearch:
             assert len(found) == len(set(found))
             assert set(found) == expected
 
+    def test_discovery_order_is_the_recursive_order(self):
+        """The explicit stack finds cliques in the order the recursion does."""
+
+        def recursive_cliques(neighbours):
+            found = []
+
+            def extend(clique, candidates, excluded):
+                if not candidates | excluded:
+                    found.append(frozenset(clique))
+                    return
+                pool = set_bits(candidates | excluded)
+                pivot = max(pool, key=lambda u: (neighbours[u] & candidates).bit_count())
+                for v in set_bits(candidates & ~neighbours[pivot]):
+                    extend(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
+                    candidates ^= 1 << v
+                    excluded |= 1 << v
+
+            if neighbours:
+                extend(set(), (1 << len(neighbours)) - 1, 0)
+            return found
+
+        rng = np.random.default_rng(109)
+        for _ in range(200):
+            n = int(rng.integers(0, 41))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+            neighbours = pack_rows(upper | upper.T)
+            assert _maximal_cliques(neighbours) == recursive_cliques(neighbours)
+
     def test_complete_graph_deeper_than_the_recursion_limit(self):
         """One clique of 1,100 vertices: the search keeps its own stack."""
         n = 1100
@@ -581,6 +610,8 @@ class TestDecompose:
         product = multiply_all(chosen, width=width)
         query = product.negate() if flip else product
         assert basis.decompose(query) == (chosen, int(flip))
+        with pytest.raises(NonHermitianError):
+            basis.decompose(PauliOperator(width, query.x_bits, query.z_bits, query.phase_exp + 1))
         assert basis.decompose(identity(width)) == ((), 0)
         outsider = parse_pauli(other[:width])
         span = {

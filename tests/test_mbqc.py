@@ -22,10 +22,10 @@ from contextua.mbqc import (
     validate_instance,
 )
 from contextua.pauli import format_pauli, parse_pauli
-from contextua.presheaf import Empty, GlobalSection, brute_force_global
 
 from conftest import (
     LETTERS,
+    brute_force_global,
     context_fields,
     random_stabilizer_group,
     random_valid_instance,
@@ -361,8 +361,8 @@ class TestContextualityReport:
             validate_instance(xor_raw()),
         ):
             report = contextuality_report(inst)
-            slow = brute_force_global(report.contexts, report.pins)
-            assert report.is_contextual == (slow == Empty())
+            slow = brute_force_global(report.problem)
+            assert report.is_contextual == (slow is None)
 
 
 class TestLinearOutputMap:

@@ -9,16 +9,13 @@ from contextua.contexts import ContextGroup, Relation, close_context
 from contextua.fixtures import ghz_pins, mermin_contexts
 from contextua.pauli import PauliBasis, parse_pauli
 from contextua.presheaf import (
-    Empty,
     EmptySpectrumError,
     GlobalSection,
     NotASubcontextError,
     StateConstraint,
-    TooLargeError,
     UnknownConstrainedObservableError,
     Valuation,
     _lowest_solution,
-    brute_force_global,
     build_global_problem,
     restrict,
     section_valuation,
@@ -26,7 +23,7 @@ from contextua.presheaf import (
     spectrum,
 )
 
-from conftest import random_commuting_set
+from conftest import brute_force_global, random_commuting_set
 
 
 def ops(*texts):
@@ -292,24 +289,15 @@ class TestSolveGlobal:
 
 class TestBruteForce:
     def test_mermin_has_no_assignment(self):
-        assert brute_force_global(mermin_contexts()) == Empty()
-        assert brute_force_global(mermin_contexts(), ghz_pins()) == Empty()
+        assert brute_force_global(build_global_problem(mermin_contexts())) is None
+        assert brute_force_global(build_global_problem(mermin_contexts(), ghz_pins())) is None
 
     def test_single_observables_have_sections(self):
         contexts = [close_context(ops("X")), close_context(ops("Z"))]
-        outcome = brute_force_global(contexts)
+        outcome = brute_force_global(build_global_problem(contexts))
         assert isinstance(outcome, GlobalSection)
         assert outcome.values == {"X": 0, "Z": 0}
         assert outcome.dimension == 2
-
-    def test_enumeration_cap(self):
-        width = 21
-        contexts = [
-            close_context([parse_pauli("I" * k + "X" + "I" * (width - 1 - k))])
-            for k in range(width)
-        ]
-        with pytest.raises(TooLargeError):
-            brute_force_global(contexts)
 
     def test_agrees_with_linear_solver(self):
         """Existence, witness and dimension all match on random problems."""
@@ -332,9 +320,9 @@ class TestBruteForce:
                     pins.append(StateConstraint(observable=op, value_bit=point.values[op]))
             problem = build_global_problem(contexts, pins)
             fast = solve_global(problem)
-            slow = brute_force_global(contexts, pins)
+            slow = brute_force_global(problem)
             if isinstance(fast, gf2.Certificate):
-                assert slow == Empty()
+                assert slow is None
             else:
                 assert isinstance(slow, GlobalSection)
                 assert fast == slow
