@@ -31,8 +31,8 @@ def main() -> None:
     for k, ctx in enumerate(contexts, start=1):
         members = " ".join(op.body() for op in ctx.members)
         print(f"W{k}: {{{members}}}")
-        for relation in ctx.relations:
-            print(f"    relation: {relation}")
+        for line in equation_lines(build_global_problem([ctx]), range(len(ctx.relations))):
+            print(f"    relation: {line}")
         print(f"    spectrum: {len(spectrum(ctx))} local valuations")
     print()
 

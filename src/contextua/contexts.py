@@ -2,18 +2,19 @@
 
 A context is the group generated by a set of pairwise commuting Hermitian
 observables. Observables are identified projectively (the canonical positive
-representative); all sign information is carried by product relations, e.g.
-the relation ({XYY, YXY, YYX, XXX}, sign_bit=1) records that the product of
-those four observables is minus the identity. Everything here works on
-packed symplectic ints. The context's :class:`~contextua.pauli.PauliBasis`
-takes the sorted members in one pass; each member it does not keep yields
-one relation, its fundamental circuit: the generators whose product it is,
-and itself, signed by the basis's one signed-circuit routine. These
-relations are a basis of all product constraints of the context, so any
-valuation that respects them respects every one, and the relation set
-stays small. Maximal contexts come from a pivoted Bron-Kerbosch search
-over int-bitset neighbourhoods, on an explicit stack, which refuses inputs
-with more than MAX_CONTEXTS of them.
+representative); all sign information is carried by product relations,
+held as :class:`~contextua.gf2.Gf2System` holds its rows: an int row over
+the members (bit i names ``members[i]``) and a sign bit, so in {XXX, XYY,
+YXY, YYX} the row 0b1111 with sign bit 1 says that the four multiply to
+minus the identity. Everything here works on packed symplectic ints. The
+context's :class:`~contextua.pauli.PauliBasis` takes the sorted members in
+one pass; each member it does not keep yields one relation, its
+fundamental circuit: the generators whose product it is, and itself,
+signed by the basis's one signed-circuit routine. These relations are a
+basis of all product constraints of the context, so any valuation that
+respects them respects every one, and the relation set stays small.
+Maximal contexts come from a pivoted Bron-Kerbosch search over int-bitset
+neighbourhoods, on an explicit stack, refusing more than MAX_CONTEXTS.
 
 Membership and inclusion are projective and answered by the same basis;
 a decomposition names the generators and signs them by the same routine.
@@ -45,23 +46,6 @@ class ContextBudgetError(ValueError):
     """An observable set has more maximal contexts than MAX_CONTEXTS."""
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A product constraint inside one context.
-
-    The product of the selected member observables (in a context, canonical
-    positive representatives) equals (-1)^sign_bit times the identity.
-    """
-
-    members: tuple[PauliOperator, ...]
-    sign_bit: int
-
-    def __str__(self) -> str:
-        product = " * ".join(op.body() for op in self.members)
-        value = "-1" if self.sign_bit else "+1"
-        return f"{product} = {value}"
-
-
 def _sort_key(op: PauliOperator) -> int:
     """An int that orders like op.body(): qubit 0 first, I < X < Y < Z."""
     key = 0
@@ -81,9 +65,10 @@ class ContextGroup:
         basis: the greedy independent subset of members, as a PauliBasis;
             its ``generators`` generate a group of exactly 2 ** rank
             elements that never contains minus the identity.
-        relations: one Relation per member outside the basis, in member
-            order: its fundamental circuit, with the sign of its exact
-            product.
+        relations: one int row per member outside the basis, in member
+            order: its fundamental circuit, bit i naming ``members[i]``.
+        signs: bit r is the sign bit of row r: the product of the row's
+            members is (-1)^bit times the identity.
 
     Construct through :func:`close_context` or :func:`maximal_contexts`;
     the constructor assumes its arguments are validated and canonical.
@@ -91,7 +76,8 @@ class ContextGroup:
 
     members: tuple[PauliOperator, ...]
     basis: PauliBasis
-    relations: tuple[Relation, ...]
+    relations: tuple[int, ...]
+    signs: int
 
     @property
     def width(self) -> int:
@@ -114,9 +100,10 @@ class ContextGroup:
 
         Returns (chosen, sign_bit), the generators whose product in generator
         order is (-1)^sign_bit times the canonical representative of op, or
-        None when op is not in the group projectively.
+        None when op is not in the group projectively. A non-Hermitian op is
+        passed on as it is, so PauliBasis.decompose refuses it.
         """
-        return self.basis.decompose(op.canonical())
+        return self.basis.decompose(op.canonical() if op.is_hermitian else op)
 
     def is_subgroup_of(self, other: "ContextGroup") -> bool:
         """Projective inclusion: every generator lies in the other group."""
@@ -175,23 +162,32 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     if members and members[0].is_identity_class:
         members = members[1:]
     basis = PauliBasis(width)
-    return ContextGroup(tuple(members), basis, relations=_insert(basis, members))
+    return ContextGroup(tuple(members), basis, *_insert(basis, members))
 
 
-def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[Relation, ...]:
-    """Add ops to the basis in order, with one Relation per op it does not keep.
+def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[tuple[int, ...], int]:
+    """Add ops to the basis in order, with one relation row per op it does not keep.
 
-    The relation is the op's fundamental circuit: the generators it names,
-    lowest bit first, then the op, signed by ``basis.signed_circuit``; the
-    sign is meaningful once the ops are known to commute.
+    Returns (rows, signs) over the positions of ops: each row is an op's
+    fundamental circuit, the kept ops it names and itself (its top bit); bit
+    r of signs is row r's sign, meaningful once the ops are known to commute.
     """
-    relations = []
-    for op in ops:
+    kept: list[int] = []
+    rows: list[int] = []
+    signs = 0
+    for i, op in enumerate(ops):
         circuit = basis.add(op)
-        if circuit is not None:
-            chosen, sign_bit = basis.signed_circuit(circuit, op)
-            relations.append(Relation((*chosen, op), sign_bit))
-    return tuple(relations)
+        if circuit is None:
+            kept.append(1 << i)
+            continue
+        signs |= basis.signed_circuit(circuit, op)[1] << len(rows)
+        row = 1 << i
+        while circuit:
+            low = circuit & -circuit
+            row |= kept[low.bit_length() - 1]
+            circuit ^= low
+        rows.append(row)
+    return tuple(rows), signs
 
 
 def _check_commuting(basis: PauliBasis, given: Sequence[PauliOperator]) -> None:

@@ -10,10 +10,11 @@ assignment over all named observables whose restriction to every
 context is a valuation. Deciding whether one exists is one GF(2) system:
 one variable per observable, one int row per context relation (bit c names
 observable c) plus one unit row per pinned eigenvalue of a distinguished
-state. A solution of the system is a global section, and an inconsistency
-certificate for it, a set of rows that sums to 0 = 1, is a Kochen-Specker
-style proof of contextuality, which :func:`contextua.gf2.verify_certificate`
-checks exactly.
+state. A context holds its relations as such rows over its own members,
+so they only change columns. A solution of the system is a global section,
+and an inconsistency certificate for it, a set of rows that sums to 0 = 1,
+is a Kochen-Specker style proof of contextuality, which
+:func:`contextua.gf2.verify_certificate` checks exactly.
 """
 from __future__ import annotations
 
@@ -57,10 +58,10 @@ class Valuation:
         for bit in self.values.values():
             if bit not in (0, 1):
                 raise ValueError(f"valuation bits must be 0 or 1, got {bit!r}")
-        for rel in self.context.relations:
-            total = sum(self.values[op] for op in rel.members) % 2
-            if total != rel.sign_bit:
-                raise ValueError(f"valuation violates relation {rel}")
+        packed = sum(bit << i for i, bit in enumerate(self.bits))
+        for r, row in enumerate(self.context.relations):
+            if (packed & row).bit_count() & 1 != self.context.signs >> r & 1:
+                raise ValueError(f"valuation violates relation {r} of {self.context!r}")
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -86,9 +87,8 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     Enumeration order is binary counting on the generator bits, generator 0
     taken as the most significant, so the order is reproducible.
     """
-    for rel in context.relations:
-        if not rel.members and rel.sign_bit:
-            raise EmptySpectrumError("context contains minus the identity")
+    if any(not row and context.signs >> r & 1 for r, row in enumerate(context.relations)):
+        raise EmptySpectrumError("context contains minus the identity")
     g = context.rank
     # Members always decompose; each is expressed over the generators once.
     forms = [(op, context.decompose(op)) for op in context.members]
@@ -169,22 +169,26 @@ def build_global_problem(
     widths = {c.width for c in contexts}
     if len(widths) > 1:
         raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
-    columns: dict[tuple[int, int, int], int] = {}
+    columns: dict[tuple[int, int, int], int] = {}  # observable -> its column's bit
     labels: list[str] = []
-    for ctx in contexts:
-        for op in ctx.members:
-            key = op.identity_key()
-            if key not in columns:
-                columns[key] = len(labels)
-                labels.append(op.body())
     rows: list[int] = []
     rhs = 0
     for ctx in contexts:
-        for rel in ctx.relations:
+        table = []
+        for op in ctx.members:
+            key = op.identity_key()
+            bit = columns.get(key)
+            if bit is None:
+                bit = columns[key] = 1 << len(labels)
+                labels.append(op.body())
+            table.append(bit)
+        rhs |= ctx.signs << len(rows)
+        for relation in ctx.relations:
             row = 0
-            for op in rel.members:
-                row ^= 1 << columns[op.identity_key()]
-            rhs |= rel.sign_bit << len(rows)
+            while relation:
+                low = relation & -relation
+                row |= table[low.bit_length() - 1]
+                relation ^= low
             rows.append(row)
     for constraint in constraints:
         key = constraint.observable.identity_key()
@@ -194,7 +198,7 @@ def build_global_problem(
                 "does not occur in any context"
             )
         rhs |= constraint.value_bit << len(rows)
-        rows.append(1 << columns[key])
+        rows.append(columns[key])
     return gf2.Gf2System(
         matrix=gf2.BitMatrix(tuple(rows), len(labels)),
         rhs=rhs,

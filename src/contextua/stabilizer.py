@@ -2,7 +2,9 @@
 
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
 signed generators, closed by the insertion pass and generator-pair check of
-:func:`contextua.contexts.close_context`: membership queries reduce the
+:func:`contextua.contexts.close_context`; the top bit of the first relation
+row names a refused generator: dependent or, when the row's sign is -1,
+putting minus the identity in the group. Membership queries reduce the
 packed symplectic vector against the basis and fold the sign of the
 chosen generators' product on ints, with no cap on the width. The sign a
 group fixes for a member is its exact eigenvalue on the stabilized state,
@@ -36,11 +38,11 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
     basis = PauliBasis(width)
-    relations = _insert(basis, ops)
+    rows, signs = _insert(basis, ops)
     _check_commuting(basis, ops)
-    if relations:
-        op = relations[0].members[-1]
-        if relations[0].sign_bit:
+    if rows:
+        op = ops[rows[0].bit_length() - 1]
+        if signs & 1:
             raise MinusIdentityError(
                 f"{op} conflicts in sign with the product of earlier generators"
             )

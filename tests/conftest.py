@@ -467,10 +467,25 @@ def reference_mbqc(
     return tuple(outputs), contexts, close_context(list(joints.values()), width=n)
 
 
+def expand_relation(context: ContextGroup, r: int) -> tuple[tuple[PauliOperator, ...], int]:
+    """Relation row r of a context as (its members in member order, its sign bit).
+
+    In member order the generators a relation names come first, in generator
+    order, and its dependent member last: the circuit order.
+    """
+    row = context.relations[r]
+    members = tuple(op for i, op in enumerate(context.members) if row >> i & 1)
+    return members, context.signs >> r & 1
+
+
 def context_fields(context: ContextGroup) -> tuple:
-    """Everything a context determines: members, generators, signed relations."""
+    """Everything a context determines: members, generators, signed relations.
+
+    ``signs`` is kept whole as well, so a stray bit past the last row shows.
+    """
     return (
         context.members,
         context.generators,
-        tuple((relation.members, relation.sign_bit) for relation in context.relations),
+        tuple(expand_relation(context, r) for r in range(len(context.relations))),
+        context.signs,
     )

@@ -1,6 +1,8 @@
 """Context closure, membership and clique search."""
+import gc
 import inspect
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -18,7 +20,6 @@ from contextua.contexts import (
     ContextGroup,
     MinusIdentityError,
     NonCommutingGeneratorsError,
-    Relation,
     _insert,
     _maximal_cliques,
     _sort_key,
@@ -42,6 +43,7 @@ from contextua.stabilizer import member_sign
 
 from conftest import (
     dense_operator,
+    expand_relation,
     pack_rows,
     random_commuting_set,
     random_pauli,
@@ -66,23 +68,24 @@ class TestCloseContext:
         assert ctx.rank == 1
         assert ctx.group_order == 2
         assert ctx.relations == ()
+        assert ctx.signs == 0
 
     def test_local_mermin_block_has_one_even_relation(self):
         """Three single-qubit letters and their product close with sign +1."""
         ctx = close_context(ops("XII", "IXI", "IIX", "XXX"))
         assert ctx.rank == 3
-        assert len(ctx.relations) == 1
-        relation = ctx.relations[0]
-        assert relation.sign_bit == 0
-        assert {m.body() for m in relation.members} == {"XII", "IXI", "IIX", "XXX"}
-        assert str(relation).endswith("= +1")
+        assert ctx.relations == (0b1111,)
+        assert ctx.signs == 0
+        members, sign_bit = expand_relation(ctx, 0)
+        assert sign_bit == 0
+        assert {m.body() for m in members} == {"XII", "IXI", "IIX", "XXX"}
 
     def test_product_block_has_one_odd_relation(self):
         ctx = close_context(ops("XXX", "XYY", "YXY", "YYX"))
         assert ctx.rank == 3
-        assert len(ctx.relations) == 1
-        assert ctx.relations[0].sign_bit == 1
-        assert str(ctx.relations[0]).endswith("= -1")
+        assert ctx.relations == (0b1111,)
+        assert ctx.signs == 1
+        assert expand_relation(ctx, 0)[1] == 1
 
     def test_members_are_canonical_sorted_deduplicated(self):
         ctx = close_context(ops("-ZZ", "XX", "-ZZ", "+XX"))
@@ -126,14 +129,16 @@ class TestCloseContext:
                 continue
             ctx = close_context(chosen)
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
-            for relation in ctx.relations:
-                product = multiply_all(relation.members, width=width)
+            assert ctx.signs >> len(ctx.relations) == 0
+            for r in range(len(ctx.relations)):
+                members, sign_bit = expand_relation(ctx, r)
+                product = multiply_all(members, width=width)
                 assert product.is_identity_class
-                assert product.sign == (-1 if relation.sign_bit else 1)
+                assert product.sign == (-1 if sign_bit else 1)
                 matrix = np.eye(1 << width)
-                for member in relation.members:
+                for member in members:
                     matrix = matrix @ dense_operator(member)
-                expected = (-1 if relation.sign_bit else 1) * np.eye(1 << width)
+                expected = (-1 if sign_bit else 1) * np.eye(1 << width)
                 assert np.allclose(matrix, expected)
 
     def test_group_order_is_two_to_rank(self):
@@ -188,7 +193,8 @@ class TestIntPath:
             members, generators, expected = reference_close_context(gens)
             assert ctx.members == members
             assert ctx.generators == generators
-            assert [(r.members, r.sign_bit) for r in ctx.relations] == expected
+            assert [expand_relation(ctx, r) for r in range(len(ctx.relations))] == expected
+            assert ctx.signs >> len(expected) == 0
             relations += len(expected)
         assert relations > 200
 
@@ -213,7 +219,8 @@ class TestIntPath:
                 members, generators, expected = reference_close_context(clique)
                 assert ctx.members == members
                 assert ctx.generators == generators
-                assert [(r.members, r.sign_bit) for r in ctx.relations] == expected
+                assert [expand_relation(ctx, r) for r in range(len(ctx.relations))] == expected
+                assert ctx.signs >> len(expected) == 0
                 relations += len(expected)
                 for op in pool:
                     if op not in clique:
@@ -277,6 +284,16 @@ class TestMembership:
         assert ctx.decompose(xxx)[1] == 1
         assert member_sign(ctx.basis, xxx) == 1
         assert member_sign(ctx.basis, parse_pauli("XYY")) == 0
+
+    def test_non_hermitian_query_is_refused(self):
+        """iX and -iX get no sign from the context of X, nor a value from its points."""
+        ctx = close_context(ops("X"))
+        for phase in (1, 3):
+            query = PauliOperator(1, 1, 0, phase)
+            with pytest.raises(NonHermitianError):
+                ctx.decompose(query)
+            with pytest.raises(NonHermitianError):
+                spectrum(ctx)[0].value_of(query)
 
     def test_non_member(self):
         ctx = close_context(ops("XX"))
@@ -356,6 +373,31 @@ class TestElimination:
                 assert op.canonical() == op.negate()
 
 
+class TestMemory:
+    def test_three_qubit_census_retains_under_160_kib(self):
+        """The 135 maximal contexts of all 63 three-qubit Paulis stay small.
+
+        Retained is what tracemalloc still traces after the call, with its
+        result alive; one call beforehand warms every cache.
+        """
+        paulis = all_paulis(3)
+        maximal_contexts(paulis)
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            contexts = maximal_contexts(paulis)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(contexts) == 135
+        assert retained < 160 * 1024
+
+
 class TestCliqueSearch:
     def test_anticommuting_pair_has_no_edge(self):
         assert commutation_graph(ops("X", "Z")) == [0, 0]
@@ -389,7 +431,7 @@ class TestCliqueSearch:
         }
         found = {frozenset(m.body() for m in c.members) for c in with_relations}
         assert found == expected
-        signs = sorted(c.relations[0].sign_bit for c in with_relations)
+        signs = sorted(c.signs for c in with_relations)
         assert signs == [0, 0, 0, 0, 1]
         relation_free = [c for c in contexts if not c.relations]
         assert all(len(c.members) == 3 for c in relation_free)
@@ -583,16 +625,26 @@ class TestInsertSigns:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(drawn=commuting_lists())
     def test_folded_sign_is_the_product_sign(self, drawn):
-        """Each relation equals its circuit signed by multiply_all."""
+        """Each relation row is its circuit over the ops' positions, signed by multiply_all."""
         width, obs = drawn
         replay = PauliBasis(width)
-        expected = []
-        for op in obs:
+        kept, expected, relations = [], [], []
+        for i, op in enumerate(obs):
             circuit = replay.add(op)
-            if circuit is not None:
-                chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
-                expected.append(Relation(chosen, multiply_all(chosen).phase_exp // 2))
-        assert _insert(PauliBasis(width), obs) == tuple(expected)
+            if circuit is None:
+                kept.append(i)
+                continue
+            chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
+            expected.append(sum(1 << kept[j] for j in set_bits(circuit)) | 1 << i)
+            relations.append((chosen, multiply_all(chosen).phase_exp // 2))
+        rows, signs = _insert(PauliBasis(width), obs)
+        assert rows == tuple(expected)
+        expanded = [
+            (tuple(op for i, op in enumerate(obs) if row >> i & 1), signs >> r & 1)
+            for r, row in enumerate(rows)
+        ]
+        assert expanded == relations
+        assert signs >> len(rows) == 0
 
 
 class TestDecompose:
@@ -610,8 +662,11 @@ class TestDecompose:
         product = multiply_all(chosen, width=width)
         query = product.negate() if flip else product
         assert basis.decompose(query) == (chosen, int(flip))
+        skewed = PauliOperator(width, query.x_bits, query.z_bits, query.phase_exp + 1)
         with pytest.raises(NonHermitianError):
-            basis.decompose(PauliOperator(width, query.x_bits, query.z_bits, query.phase_exp + 1))
+            basis.decompose(skewed)
+        with pytest.raises(NonHermitianError):
+            close_context(gens, width=width).decompose(skewed)
         assert basis.decompose(identity(width)) == ((), 0)
         outsider = parse_pauli(other[:width])
         span = {

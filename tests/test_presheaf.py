@@ -1,13 +1,13 @@
 """Spectra, restriction maps and the global-section decision problem."""
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from contextua import gf2
-from contextua.contexts import ContextGroup, Relation, close_context
+from contextua.contexts import ContextGroup, close_context, maximal_contexts
 from contextua.fixtures import ghz_pins, mermin_contexts
-from contextua.pauli import PauliBasis, parse_pauli
+from contextua.pauli import PauliBasis, PauliOperator, identity, parse_pauli
 from contextua.presheaf import (
     EmptySpectrumError,
     GlobalSection,
@@ -23,11 +23,34 @@ from contextua.presheaf import (
     spectrum,
 )
 
-from conftest import brute_force_global, random_commuting_set
+from conftest import brute_force_global, expand_relation, random_commuting_set, random_pauli
 
 
 def ops(*texts):
     return [parse_pauli(t) for t in texts]
+
+
+def reference_global_problem(contexts, pins):
+    """The global system built straight from operators, as (rows, rhs, labels).
+
+    Columns number each identity_key by its first appearance over the
+    contexts' members; each relation row sets the columns of its expanded
+    members, and each pin is a unit row.
+    """
+    columns = {}
+    for ctx in contexts:
+        for op in ctx.members:
+            columns.setdefault(op.identity_key(), (len(columns), op.body()))
+    rows, rhs = [], 0
+    for ctx in contexts:
+        for r in range(len(ctx.relations)):
+            members, sign_bit = expand_relation(ctx, r)
+            rhs |= sign_bit << len(rows)
+            rows.append(sum(1 << columns[op.identity_key()][0] for op in members))
+    for pin in pins:
+        rhs |= pin.value_bit << len(rows)
+        rows.append(1 << columns[pin.observable.identity_key()][0])
+    return tuple(rows), rhs, tuple(body for _, body in sorted(columns.values()))
 
 
 class TestValuation:
@@ -45,7 +68,8 @@ class TestValuation:
         ctx = close_context(ops("XII", "IXI", "IIX", "XXX"))
         values = {op: 0 for op in ctx.members}
         values[parse_pauli("XXX")] = 1
-        with pytest.raises(ValueError):
+        message = r"relation 0 of ContextGroup\(\[IIX, IXI, XII, XXX\]\)$"
+        with pytest.raises(ValueError, match=message):
             Valuation(context=ctx, values=values)
 
     def test_value_of_signed_and_identity(self):
@@ -77,9 +101,10 @@ class TestSpectrum:
         points = spectrum(ctx)
         assert len(points) == 8
         assert len({p.bits for p in points}) == 8
+        members, sign_bit = expand_relation(ctx, 0)
         for p in points:
-            total = sum(p.values[op] for op in ctx.relations[0].members) % 2
-            assert total == ctx.relations[0].sign_bit
+            total = sum(p.values[op] for op in members) % 2
+            assert total == sign_bit
 
     def test_ghz_point_is_in_the_product_spectrum(self):
         """The GHZ eigenvalue pattern XXX=+1, others=-1 is one of the points."""
@@ -113,7 +138,8 @@ class TestSpectrum:
         broken = ContextGroup(
             members=(),
             basis=PauliBasis(1),
-            relations=(Relation(members=(), sign_bit=1),),
+            relations=(0,),
+            signs=1,
         )
         with pytest.raises(EmptySpectrumError):
             spectrum(broken)
@@ -218,6 +244,51 @@ class TestGlobalProblem:
     def test_requires_contexts(self):
         with pytest.raises(ValueError):
             build_global_problem([])
+
+    def test_matches_the_operator_oracle(self):
+        """Rows, right-hand sides and labels agree in full with the oracle.
+
+        On the three-qubit census, and on the maximal contexts of random
+        pools (with a negated observable and the identity, so an all-identity
+        pool gives one empty context), shuffled, with random pins, signed
+        ones included.
+        """
+        rng = np.random.default_rng(204)
+        census = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=3)][1:]
+        cases = [(maximal_contexts(census), census)]
+        for t in range(80):
+            width = 1 + t % 4
+            pool = [random_pauli(rng, width) for _ in range(int(rng.integers(1, 9)))]
+            pool += [pool[0].negate(), identity(width)]
+            contexts = maximal_contexts(pool)
+            cases.append(([contexts[int(i)] for i in rng.permutation(len(contexts))], pool))
+        rows = 0
+        for contexts, pool in cases:
+            named = [op for op in pool if not op.is_identity_class]
+            pins = [
+                StateConstraint(
+                    observable=named[int(rng.integers(0, len(named)))],
+                    value_bit=int(rng.integers(0, 2)),
+                )
+                for _ in range(int(rng.integers(0, 5)) if named else 0)
+            ]
+            problem = build_global_problem(contexts, pins)
+            expected = reference_global_problem(contexts, pins)
+            assert (problem.matrix.rows, problem.rhs, problem.labels) == expected
+            assert problem.num_vars == len(problem.labels)
+            rows += problem.num_rows
+        assert rows > 700
+
+    def test_keys_each_context_member_once(self, monkeypatch):
+        """identity_key runs once per context member and pin, not per relation member."""
+        contexts, pins = mermin_contexts(), ghz_pins()
+        calls = []
+        original = PauliOperator.identity_key
+        monkeypatch.setattr(
+            PauliOperator, "identity_key", lambda op: calls.append(op) or original(op)
+        )
+        build_global_problem(contexts, pins)
+        assert len(calls) == sum(len(c.members) for c in contexts) + len(pins)
 
 
 class TestSolveGlobal:
