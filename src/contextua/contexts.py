@@ -6,28 +6,31 @@ representative); all sign information is carried by product relations,
 held as :class:`~contextua.gf2.Gf2System` holds its rows: an int row over
 the members (bit i names ``members[i]``) and a sign bit, so in {XXX, XYY,
 YXY, YYX} the row 0b1111 with sign bit 1 says that the four multiply to
-minus the identity. Everything here works on packed symplectic ints. The
-context's :class:`~contextua.pauli.PauliBasis` takes the sorted members in
-one pass; each member it does not keep yields one relation, its
-fundamental circuit: the generators whose product it is, and itself,
-signed by the basis's one signed-circuit routine. These relations are a
-basis of all product constraints of the context, so any valuation that
-respects them respects every one, and the relation set stays small.
-Maximal contexts come from a pivoted Bron-Kerbosch search over int-bitset
+minus the identity. Everything here works on packed symplectic ints.
+Closing streams the sorted members once through one
+:class:`~contextua.gf2.Basis`; each member it does not keep yields one
+relation, its fundamental circuit: the kept members whose product it is,
+and itself, signed by :func:`~contextua.pauli.signed_circuit`. These
+relations are a basis of all product constraints of the context, so any
+valuation that respects them respects every one, and the relation set
+stays small. A context keeps only its members and these rows; the kept
+members, its generators, are the members that top no row. Maximal
+contexts come from a pivoted Bron-Kerbosch search over int-bitset
 neighbourhoods, on an explicit stack, refusing more than MAX_CONTEXTS.
 
-Membership and inclusion are projective and answered by the same basis;
-a decomposition names the generators and signs them by the same routine.
-:func:`~contextua.stabilizer.make_stabilizer` closes a stabilizer group with
-the same insertion pass and generator-pair check.
+Membership and inclusion are projective and answered by the
+:class:`~contextua.pauli.PauliBasis` of the generators, built on the first
+query; a decomposition names the generators and signs them by the same
+routine. :func:`~contextua.stabilizer.make_stabilizer` closes a stabilizer
+group with the same insertion pass and generator-pair check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .gf2 import set_bits
-from .pauli import PauliBasis, PauliOperator, commutes
+from .gf2 import Basis, set_bits
+from .pauli import PauliBasis, PauliOperator, commutes, signed_circuit
 
 # The clique search refuses inputs with more maximal contexts than this; all
 # 255 four-qubit Paulis have 2295.
@@ -55,45 +58,57 @@ def _sort_key(op: PauliOperator) -> int:
     return key
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ContextGroup:
     """The abelian group generated by commuting Hermitian observables.
 
     Attributes:
         members: the named observables (canonical positive, deduplicated,
             sorted by body string).
-        basis: the greedy independent subset of members, as a PauliBasis;
-            its ``generators`` generate a group of exactly 2 ** rank
-            elements that never contains minus the identity.
-        relations: one int row per member outside the basis, in member
-            order: its fundamental circuit, bit i naming ``members[i]``.
+        width: the number of qubits.
+        relations: one int row per member that is a product of earlier
+            ones, in member order: its fundamental circuit over the greedy
+            independent subset of members, bit i naming ``members[i]``, so
+            the row's top bit is that member itself.
         signs: bit r is the sign bit of row r: the product of the row's
             members is (-1)^bit times the identity.
+
+    The members that top no row are the ``generators``: they generate a
+    group of exactly 2 ** rank elements that never contains minus the
+    identity. Their :class:`~contextua.pauli.PauliBasis`, which answers
+    membership, is built on the first query and kept.
 
     Construct through :func:`close_context` or :func:`maximal_contexts`;
     the constructor assumes its arguments are validated and canonical.
     """
 
     members: tuple[PauliOperator, ...]
-    basis: PauliBasis
+    width: int
     relations: tuple[int, ...]
     signs: int
-
-    @property
-    def width(self) -> int:
-        return self.basis.width
+    _basis: PauliBasis | None = field(default=None, init=False)
 
     @property
     def generators(self) -> tuple[PauliOperator, ...]:
-        return self.basis.generators
+        dependent = 0
+        for row in self.relations:
+            dependent |= 1 << row.bit_length() - 1
+        return tuple(op for i, op in enumerate(self.members) if not dependent >> i & 1)
 
     @property
     def rank(self) -> int:
-        return self.basis.rank
+        return len(self.members) - len(self.relations)
 
     @property
     def group_order(self) -> int:
         return 1 << self.rank
+
+    @property
+    def basis(self) -> PauliBasis:
+        """The PauliBasis of the generators, built once, on first use."""
+        if self._basis is None:
+            self._basis = PauliBasis(self.width, self.generators)
+        return self._basis
 
     def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
         """Express op over the generators, with the realized sign.
@@ -150,7 +165,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         seen_signs[key] = op.sign
         given.append(op.canonical())
     context = _close(sorted(given, key=_sort_key), w)
-    _check_commuting(context.basis, given)
+    _check_commuting(context.generators, w, given)
     return context
 
 
@@ -161,43 +176,49 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     """
     if members and members[0].is_identity_class:
         members = members[1:]
-    basis = PauliBasis(width)
-    return ContextGroup(tuple(members), basis, *_insert(basis, members))
+    _, rows, signs = _insert(members)
+    return ContextGroup(tuple(members), width, rows, signs)
 
 
-def _insert(basis: PauliBasis, ops: Iterable[PauliOperator]) -> tuple[tuple[int, ...], int]:
-    """Add ops to the basis in order, with one relation row per op it does not keep.
+def _insert(ops: Iterable[PauliOperator]) -> tuple[list[PauliOperator], tuple[int, ...], int]:
+    """Stream ops through one GF(2) basis, with one relation row per op it does not keep.
 
-    Returns (rows, signs) over the positions of ops: each row is an op's
-    fundamental circuit, the kept ops it names and itself (its top bit); bit
-    r of signs is row r's sign, meaningful once the ops are known to commute.
+    Returns (generators, rows, signs): the kept ops, in order; per other op,
+    a row over the positions of ops: its fundamental circuit, the kept ops
+    it names and itself (its top bit); and the signs, bit r that of row r,
+    meaningful once the ops are known to commute.
     """
+    basis = Basis()
+    generators: list[PauliOperator] = []
     kept: list[int] = []
     rows: list[int] = []
     signs = 0
     for i, op in enumerate(ops):
-        circuit = basis.add(op)
-        if circuit is None:
+        remainder, circuit = basis.add(op.packed())
+        if remainder:
+            generators.append(op)
             kept.append(1 << i)
             continue
-        signs |= basis.signed_circuit(circuit, op)[1] << len(rows)
+        signs |= signed_circuit(generators, circuit, op)[1] << len(rows)
         row = 1 << i
         while circuit:
             low = circuit & -circuit
             row |= kept[low.bit_length() - 1]
             circuit ^= low
         rows.append(row)
-    return tuple(rows), signs
+    return generators, tuple(rows), signs
 
 
-def _check_commuting(basis: PauliBasis, given: Sequence[PauliOperator]) -> None:
-    """Raise NonCommutingGeneratorsError unless given, which spans the basis, commutes.
+def _check_commuting(
+    generators: Sequence[PauliOperator], width: int, given: Sequence[PauliOperator]
+) -> None:
+    """Raise NonCommutingGeneratorsError unless given, which the generators span, commutes.
 
     The symplectic form is bilinear, so checking the generator pairs suffices;
     on failure the given pairs are scanned in order to name the first.
     """
-    vectors = [g.packed() for g in basis.generators]
-    swapped = [g.z_bits | g.x_bits << basis.width for g in basis.generators]
+    vectors = [g.packed() for g in generators]
+    swapped = [g.z_bits | g.x_bits << width for g in generators]
     pairs = ((v, s) for i, v in enumerate(vectors) for s in swapped[:i])
     if any((v & s).bit_count() & 1 for v, s in pairs):
         for i, p in enumerate(given):

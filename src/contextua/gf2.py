@@ -12,8 +12,10 @@ the insertion order. Every reduced vector carries its combination over
 the kept ones, at most rank bits wide, so a dependent vector yields its
 fundamental circuit (the unique kept vectors that sum to it) directly.
 One back substitution turns the table into reduced row-echelon form.
-``pauli.PauliBasis`` (and through it ``contexts.close_context`` and
-``stabilizer``), :func:`solve` and :func:`rref` all run on it.
+The insertion pass that closes contexts and stabilizer groups
+(``contexts.close_context``, ``stabilizer.make_stabilizer``), the
+membership queries of ``pauli.PauliBasis``, :func:`solve` and :func:`rref`
+all run on it.
 
 :func:`solve` streams its rows mirrored, so each pivots on its last
 variable rather than its first. Variables of a global-section system are

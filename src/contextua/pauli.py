@@ -12,13 +12,15 @@ phase_exp - popcount(x & z) is 0 mod 4 and -1 when it is 2 mod 4.
 
 :class:`PauliBasis` keeps a greedy independent set of operators on the one
 streaming GF(2) basis of :mod:`contextua.gf2`, fed their packed symplectic
-vectors. Every sign it reports comes from :meth:`PauliBasis.signed_circuit`,
-one walk over a generator bit set that folds their product's sign on ints.
+vectors. Every sign it reports, and every relation sign of a context, comes
+from :func:`signed_circuit`, one walk over a generator bit set that folds
+their product's sign on ints.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from . import gf2
 
@@ -223,21 +225,45 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return form % 2 == 0
 
 
+def signed_circuit(
+    generators: Sequence[PauliOperator], bits: int, op: PauliOperator
+) -> tuple[tuple[PauliOperator, ...], int]:
+    """The generators bits selects, lowest bit first, and a sign bit.
+
+    The bit is that of their left-to-right product times op, as
+    :func:`multiply_all` gives it: for a circuit, whether it is -I.
+    """
+    chosen = []
+    phase = z = 0
+    while bits:
+        low = bits & -bits
+        g = generators[low.bit_length() - 1]
+        chosen.append(g)
+        phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+        z ^= g.z_bits
+        bits ^= low
+    phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
+    return tuple(chosen), phase % 4 // 2
+
+
 class PauliBasis:
     """Independent Pauli operators, kept for sign-resolved membership.
 
     Operators are inserted in order into one :class:`~contextua.gf2.Basis`
     of packed symplectic vectors; one that is a product of the operators
     already kept, up to phase, is not kept, so ``generators`` is the greedy
-    independent subset of the insertion order. Expressing an operator over
-    the generators takes one XOR per pivot met, and one fold over the
-    chosen generators, in generator order, gives the sign.
+    independent subset of the insertion order; the constructor inserts the
+    generators it is given. Expressing an operator over the generators
+    takes one XOR per pivot met, and one fold over the chosen generators,
+    in generator order, gives the sign.
     """
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, width: int, generators: Iterable[PauliOperator] = ()) -> None:
         self.width = width
         self.generators: tuple[PauliOperator, ...] = ()
         self._basis = gf2.Basis()
+        for op in generators:
+            self.add(op)
 
     @property
     def rank(self) -> int:
@@ -261,27 +287,6 @@ class PauliBasis:
             return None
         return combination
 
-    def signed_circuit(
-        self, bits: int, op: PauliOperator
-    ) -> tuple[tuple[PauliOperator, ...], int]:
-        """The generators bits selects, lowest bit first, and a sign bit.
-
-        The bit is that of their left-to-right product times op, as
-        :func:`multiply_all` gives it: for a circuit, whether it is -I.
-        """
-        generators = self.generators
-        chosen = []
-        phase = z = 0
-        while bits:
-            low = bits & -bits
-            g = generators[low.bit_length() - 1]
-            chosen.append(g)
-            phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
-            z ^= g.z_bits
-            bits ^= low
-        phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
-        return tuple(chosen), phase % 4 // 2
-
     def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
         """Express a Hermitian op over the generators, with the realized sign.
 
@@ -295,7 +300,7 @@ class PauliBasis:
         remainder, combination = self._basis.reduce(self._vector(op))
         if remainder:
             return None
-        return self.signed_circuit(combination, op)
+        return signed_circuit(self.generators, combination, op)
 
     def __repr__(self) -> str:
         return f"PauliBasis(width={self.width}, generators={self.generators!r})"

@@ -37,9 +37,8 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
             raise ValueError(f"width mismatch: {op.width} vs {width}")
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-    basis = PauliBasis(width)
-    rows, signs = _insert(basis, ops)
-    _check_commuting(basis, ops)
+    generators, rows, signs = _insert(ops)
+    _check_commuting(generators, width, ops)
     if rows:
         op = ops[rows[0].bit_length() - 1]
         if signs & 1:
@@ -47,7 +46,7 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
                 f"{op} conflicts in sign with the product of earlier generators"
             )
         raise DependentGeneratorsError(f"{op} is the product of earlier generators")
-    return basis
+    return PauliBasis(width, generators)
 
 
 def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:

@@ -493,15 +493,18 @@ class TestStartup:
         assert result.stdout.strip() == "False"
 
     def test_package_and_demo_run_without_numpy(self):
-        """With numpy blocked, every module imports and the Mermin demo runs."""
-        demo = ROOT / "demos" / "mermin_presheaf.py"
+        """With numpy blocked, every module imports and both demos run."""
+        demos = [
+            str(ROOT / "demos" / name) for name in ("mermin_presheaf.py", "anders_browne_or_gate.py")
+        ]
         script = (
             "import pkgutil, runpy, sys\n"
             "sys.modules['numpy'] = None\n"
             "import contextua\n"
             "for module in pkgutil.iter_modules(contextua.__path__):\n"
             "    __import__('contextua.' + module.name)\n"
-            f"runpy.run_path({str(demo)!r}, run_name='__main__')\n"
+            f"for demo in {demos!r}:\n"
+            "    runpy.run_path(demo, run_name='__main__')\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
@@ -512,3 +515,4 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert "still no global section" in result.stdout
+        assert "theorem consistent: True" in result.stdout

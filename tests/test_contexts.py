@@ -27,7 +27,7 @@ from contextua.contexts import (
     commutation_graph,
     maximal_contexts,
 )
-from contextua.fixtures import ghz_group, mermin_observables
+from contextua.fixtures import anders_browne_instance, ghz_group, mermin_observables
 from contextua.gf2 import set_bits
 from contextua.pauli import (
     NonHermitianError,
@@ -38,6 +38,7 @@ from contextua.pauli import (
     multiply_all,
     parse_pauli,
 )
+from contextua.mbqc import joint_observable
 from contextua.presheaf import spectrum
 from contextua.stabilizer import member_sign
 
@@ -373,29 +374,51 @@ class TestElimination:
                 assert op.canonical() == op.negate()
 
 
+def retained_by(call):
+    """call() and the bytes tracemalloc still traces after it, with its result alive."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, retained
+
+
 class TestMemory:
-    def test_three_qubit_census_retains_under_160_kib(self):
+    """Closed contexts keep their members and relation rows, and little else.
+
+    The bounds hold with headroom on Python 3.10-3.12, where these contexts
+    retain about 33 KiB and 1.28-1.35 MiB.
+    """
+
+    def test_three_qubit_census_retains_under_64_kib(self):
         """The 135 maximal contexts of all 63 three-qubit Paulis stay small.
 
-        Retained is what tracemalloc still traces after the call, with its
-        result alive; one call beforehand warms every cache.
+        One call beforehand warms every cache.
         """
         paulis = all_paulis(3)
         maximal_contexts(paulis)
-        gc.collect()
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            contexts = maximal_contexts(paulis)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        contexts, retained = retained_by(lambda: maximal_contexts(paulis))
         assert len(contexts) == 135
-        assert retained < 160 * 1024
+        assert retained < 64 * 1024
+
+    def test_four_qubit_census_retains_under_2_mib(self):
+        """Closing the 2,295 maximal cliques of all 255 four-qubit Paulis.
+
+        The cliques come from an untraced search; only closing them is traced.
+        """
+        cliques = [ctx.members for ctx in maximal_contexts(all_paulis(4))]
+        close_context(cliques[0])
+        contexts, retained = retained_by(lambda: [close_context(c) for c in cliques])
+        assert len(contexts) == 2295
+        assert retained < 2 * 1024 * 1024
 
 
 class TestCliqueSearch:
@@ -637,7 +660,8 @@ class TestInsertSigns:
             chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
             expected.append(sum(1 << kept[j] for j in set_bits(circuit)) | 1 << i)
             relations.append((chosen, multiply_all(chosen).phase_exp // 2))
-        rows, signs = _insert(PauliBasis(width), obs)
+        generators, rows, signs = _insert(obs)
+        assert generators == [obs[i] for i in kept]
         assert rows == tuple(expected)
         expanded = [
             (tuple(op for i, op in enumerate(obs) if row >> i & 1), signs >> r & 1)
@@ -675,3 +699,66 @@ class TestDecompose:
             for mask in range(1 << len(gens))
         }
         assert (basis.decompose(outsider) is None) == (outsider.identity_key() not in span)
+
+
+def eager_basis(ctx):
+    """The PauliBasis fed every member in order, as contexts once kept it."""
+    basis = PauliBasis(ctx.width)
+    for op in ctx.members:
+        basis.add(op)
+    return basis
+
+
+class TestDerivedView:
+    """Generators, rank and basis derive from the members and relation rows."""
+
+    @staticmethod
+    def assert_matches_eager(ctx, queries):
+        eager = eager_basis(ctx)
+        assert ctx.generators == eager.generators
+        assert ctx.rank == eager.rank
+        assert ctx.basis._basis._rows == eager._basis._rows
+        for op in (*ctx.members, *queries):
+            assert ctx.basis.decompose(op) == eager.decompose(op)
+            assert ctx.decompose(op) == eager.decompose(op.canonical())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(drawn=commuting_lists(), other=st.text("IXYZ", min_size=4, max_size=4))
+    def test_drawn_contexts_match_the_eager_basis(self, drawn, other):
+        width, obs = drawn
+        # One sign per observable, so no drawn list puts -I in the group.
+        canonical = {op.identity_key(): op.canonical() for op in obs}
+        ctx = close_context(canonical.values(), width=width)
+        outsider = parse_pauli(other[:width])
+        self.assert_matches_eager(ctx, (outsider, outsider.negate(), identity(width)))
+
+    def test_three_qubit_census_matches_the_eager_basis(self):
+        paulis = all_paulis(3)
+        queries = (*paulis, *(op.negate() for op in paulis))
+        for ctx in maximal_contexts(paulis):
+            self.assert_matches_eager(ctx, queries)
+
+    def test_no_basis_is_built_before_a_membership_query(self, monkeypatch):
+        built = []
+        original = PauliBasis.__init__
+
+        def counting(basis, *args, **kwargs):
+            built.append(basis)
+            original(basis, *args, **kwargs)
+
+        inst = anders_browne_instance()
+        monkeypatch.setattr(PauliBasis, "__init__", counting)
+        contexts = maximal_contexts(mermin_observables())
+        contexts.append(close_context(ops("XII", "IXI", "IIX", "XXX")))
+        contexts.extend(
+            joint_observable(inst, bits)[1] for bits in product((0, 1), repeat=inst.input_bits)
+        )
+        assert [ctx.rank for ctx in contexts[-5:]] == [3] * 5
+        assert all(len(ctx.generators) == ctx.rank for ctx in contexts)
+        assert built == []
+        ctx = contexts[-5]
+        assert ctx.decompose(parse_pauli("XXX")) == (ctx.generators, 0)
+        assert len(built) == 1
+        assert len(spectrum(ctx)) == 8
+        assert member_sign(ctx.basis, parse_pauli("-XXX")) == 1
+        assert len(built) == 1

@@ -7,7 +7,7 @@ import pytest
 from contextua import gf2
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
 from contextua.fixtures import ghz_pins, mermin_contexts
-from contextua.pauli import PauliBasis, PauliOperator, identity, parse_pauli
+from contextua.pauli import PauliOperator, identity, parse_pauli
 from contextua.presheaf import (
     EmptySpectrumError,
     GlobalSection,
@@ -135,12 +135,7 @@ class TestSpectrum:
         assert points[0].bits == ()
 
     def test_minus_identity_spectrum_is_refused(self):
-        broken = ContextGroup(
-            members=(),
-            basis=PauliBasis(1),
-            relations=(0,),
-            signs=1,
-        )
+        broken = ContextGroup(members=(), width=1, relations=(0,), signs=1)
         with pytest.raises(EmptySpectrumError):
             spectrum(broken)
 
