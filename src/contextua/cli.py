@@ -17,6 +17,7 @@ from . import report as report_mod
 from .contexts import close_context, maximal_contexts
 from .mbqc import IndeterminateInputsError, contextuality_report, truth_table
 from .mbqc import run as run_instance
+from .pauli import PauliOperator
 from .presheaf import build_global_problem, solve_global
 from .report import TOOL_VERSION, Report
 
@@ -79,22 +80,25 @@ def cmd_analyze(
     obs_path: Path, contexts_path: Path | None, pin_path: Path | None, fmt: str
 ) -> None:
     """Decide whether an observable set admits a global section."""
-    # Each file is read once: the digest names exactly the bytes parsed.
+    # Each file is read once: the digest names exactly the bytes parsed. One
+    # parse table serves all three, so each distinct Pauli text is parsed once.
     obs_data = obs_path.read_bytes()
     contexts_data = contexts_path.read_bytes() if contexts_path is not None else None
     pin_data = pin_path.read_bytes() if pin_path is not None else None
     digest = io.sha256_digest(
         *[data for data in (obs_data, contexts_data, pin_data) if data is not None]
     )
+    parsed: dict[str, PauliOperator] = {}
     try:
-        loose, blocks = io.parse_observable_file(obs_data.decode("utf-8"))
+        loose, blocks = io.parse_observable_file(obs_data.decode("utf-8"), parsed)
         if contexts_path is not None:
             if blocks:
                 raise io.FileFormatError(
                     "observable file has context blocks; with --contexts, "
                     "give them in the context file only"
                 )
-            extra_loose, blocks = io.parse_observable_file(contexts_data.decode("utf-8"))
+            text = contexts_data.decode("utf-8")
+            extra_loose, blocks = io.parse_observable_file(text, parsed)
             if extra_loose:
                 raise io.FileFormatError(
                     "context file must contain only context blocks"
@@ -113,7 +117,7 @@ def cmd_analyze(
             if not loose:
                 raise io.FileFormatError("no observables given")
             contexts = maximal_contexts(loose)
-        pins = io.parse_pin_file(pin_data.decode("utf-8")) if pin_data is not None else ()
+        pins = io.parse_pin_file(pin_data.decode("utf-8"), parsed) if pin_data else ()
         problem = build_global_problem(contexts, pins)
     except ValueError as exc:
         _input_error(str(exc))

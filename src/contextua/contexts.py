@@ -6,14 +6,16 @@ representative); all sign information is carried by product relations,
 held as :class:`~contextua.gf2.Gf2System` holds its rows: an int row over
 the members (bit i names ``members[i]``) and a sign bit, so in {XXX, XYY,
 YXY, YYX} the row 0b1111 with sign bit 1 says that the four multiply to
-minus the identity. Everything here works on packed symplectic ints.
-Closing streams the sorted members once through one
-:class:`~contextua.gf2.Basis`; each member it does not keep yields one
-relation, its fundamental circuit: the kept members whose product it is,
-and itself, signed by :func:`~contextua.pauli.signed_circuit`. These
-relations are a basis of all product constraints of the context, so any
-valuation that respects them respects every one, and the relation set
-stays small. A context keeps only its members and these rows; the kept
+minus the identity. Everything here works on packed symplectic ints,
+except the member order: members sort by
+:meth:`~contextua.pauli.PauliOperator.body`, the letter string each
+operator builds once and keeps. Closing streams the sorted members once
+through one :class:`~contextua.gf2.Basis`; each member it does not keep
+yields one relation, its fundamental circuit: the kept members whose
+product it is, and itself, signed by
+:func:`~contextua.pauli.signed_circuit`. These relations are a basis of
+all product constraints of the context, so any valuation that respects
+them respects every one, and the relation set stays small. A context keeps only its members and these rows; the kept
 members, its generators, are the members that top no row. Maximal
 contexts come from a pivoted Bron-Kerbosch search over int-bitset
 neighbourhoods, on an explicit stack, refusing more than MAX_CONTEXTS.
@@ -47,15 +49,6 @@ class MinusIdentityError(ValueError):
 
 class ContextBudgetError(ValueError):
     """An observable set has more maximal contexts than MAX_CONTEXTS."""
-
-
-def _sort_key(op: PauliOperator) -> int:
-    """An int that orders like op.body(): qubit 0 first, I < X < Y < Z."""
-    key = 0
-    for k in range(op.width):
-        z = op.z_bits >> k & 1
-        key = key << 2 | z << 1 | z ^ (op.x_bits >> k & 1)
-    return key
 
 
 @dataclass(eq=False, slots=True)
@@ -164,13 +157,13 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
             continue
         seen_signs[key] = op.sign
         given.append(op.canonical())
-    context = _close(sorted(given, key=_sort_key), w)
+    context = _close(sorted(given, key=PauliOperator.body), w)
     _check_commuting(context.generators, w, given)
     return context
 
 
 def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
-    """The context of unchecked distinct canonical members, sorted by _sort_key.
+    """The context of unchecked distinct canonical members, sorted by body.
 
     An identity member, which can only come first, is dropped.
     """
@@ -290,8 +283,9 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     """One closed context per maximal clique of the commutation graph.
 
     Each input observable is validated, canonicalized and deduplicated once,
-    and every clique is closed on those shared operators. Contexts come in
-    lexicographic order of their member body strings, so runs agree.
+    sorted by its kept body, and every clique is closed on those shared
+    operators. Contexts come in lexicographic order of their member body
+    strings, so runs agree.
     """
     unique: list[PauliOperator] = []
     seen: set[tuple[int, int, int]] = set()
@@ -309,6 +303,6 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
         raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
     # Indexed in body order, sorted cliques order like their contexts' members;
     # the identity lies in every clique, so dropping it changes no comparison.
-    unique.sort(key=_sort_key)
+    unique.sort(key=PauliOperator.body)
     cliques = sorted(sorted(clique) for clique in _maximal_cliques(commutation_graph(unique)))
     return [_close([unique[i] for i in clique], unique[0].width) for clique in cliques]

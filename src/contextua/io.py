@@ -7,6 +7,10 @@ must appear before the first block.
 
 Pin files: lines of `pin <signed-pauli> <+1|-1>` fixing eigenvalues.
 
+Both parsers take an optional parse table, a dict from Pauli text to its
+operator. A command passes one table to every file it parses, so each
+distinct text is parsed once and equal texts share one operator.
+
 Instance files: JSON with fields `parties`, `input_bits`, `Q`,
 `observables` (two lists, settings 0 and 1), `resource`.
 """
@@ -42,10 +46,26 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
+def _parse(text: str, number: int, parsed: dict[str, PauliOperator]) -> PauliOperator:
+    """The operator of one Pauli text on line number, from the table or parsed into it."""
+    op = parsed.get(text)
+    if op is None:
+        try:
+            op = parsed[text] = parse_pauli(text)
+        except ValueError as exc:
+            raise FileFormatError(f"line {number}: {exc}") from exc
+    return op
+
+
 def parse_observable_file(
-    text: str,
+    text: str, parsed: dict[str, PauliOperator] | None = None
 ) -> tuple[tuple[PauliOperator, ...], tuple[tuple[PauliOperator, ...], ...]]:
-    """Split a file into loose observables and explicit context blocks."""
+    """Split a file into loose observables and explicit context blocks.
+
+    parsed, the parse table, is read and extended; without one the file
+    gets its own.
+    """
+    parsed = {} if parsed is None else parsed
     loose: list[PauliOperator] = []
     blocks: list[list[PauliOperator]] = []
     in_blocks = False
@@ -54,10 +74,7 @@ def parse_observable_file(
             in_blocks = True
             blocks.append([])
             continue
-        try:
-            op = parse_pauli(line)
-        except ValueError as exc:
-            raise FileFormatError(f"line {number}: {exc}") from exc
+        op = _parse(line, number, parsed)
         if in_blocks:
             blocks[-1].append(op)
         else:
@@ -71,8 +88,14 @@ def parse_observable_file(
     return tuple(loose), tuple(tuple(b) for b in blocks)
 
 
-def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
-    """The pins in file order; none may give an observable both eigenvalues."""
+def parse_pin_file(
+    text: str, parsed: dict[str, PauliOperator] | None = None
+) -> tuple[StateConstraint, ...]:
+    """The pins in file order; none may give an observable both eigenvalues.
+
+    parsed is the parse table, as for :func:`parse_observable_file`.
+    """
+    parsed = {} if parsed is None else parsed
     pins: list[StateConstraint] = []
     values: dict[tuple[int, int, int], int] = {}
     for number, line in _content_lines(text):
@@ -83,10 +106,7 @@ def parse_pin_file(text: str) -> tuple[StateConstraint, ...]:
             )
         if parts[2] not in ("+1", "-1"):
             raise FileFormatError(f"line {number}: eigenvalue must be +1 or -1")
-        try:
-            op = parse_pauli(parts[1])
-        except ValueError as exc:
-            raise FileFormatError(f"line {number}: {exc}") from exc
+        op = _parse(parts[1], number, parsed)
         pin = StateConstraint.from_eigenvalue(op, 1 if parts[2] == "+1" else -1)
         if values.setdefault(pin.observable.identity_key(), pin.value_bit) != pin.value_bit:
             raise FileFormatError(

@@ -58,6 +58,9 @@ class PauliOperator:
     x_bits: int
     z_bits: int
     phase_exp: int = 0
+    # The letters, once built: a class default, not a field, so equality,
+    # hash and repr ignore it; set as the frozen constructor sets fields.
+    _body = None
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -107,11 +110,19 @@ class PauliOperator:
         return _unchecked(self.width, self.x_bits, self.z_bits, (self.phase_exp + 2) % 4)
 
     def body(self) -> str:
-        """The unsigned letter string, e.g. 'XYZ'."""
-        return "".join(
-            _BITS_LETTER[(self.x_bits >> k) & 1, (self.z_bits >> k) & 1]
-            for k in range(self.width)
-        )
+        """The unsigned letter string, e.g. 'XYZ', built on the first call and kept.
+
+        Strings compare in the order I < X < Y < Z, qubit 0 first, which is
+        the order contexts sort their members in.
+        """
+        body = self._body
+        if body is None:
+            body = "".join(
+                _BITS_LETTER[(self.x_bits >> k) & 1, (self.z_bits >> k) & 1]
+                for k in range(self.width)
+            )
+            _set(self, "_body", body)
+        return body
 
     def support(self) -> tuple[int, ...]:
         """Qubits on which the operator acts nontrivially."""
@@ -166,6 +177,7 @@ def parse_pauli(text: str) -> PauliOperator:
 
     The sign prefix is optional and defaults to '+'. Each 'Y' contributes a
     factor i so that the single-qubit tensor factor equals the standard Y.
+    The operator keeps the letters as its :meth:`~PauliOperator.body`.
     """
     match = _PAULI_RE.match(text.strip())
     if match is None:
@@ -178,7 +190,9 @@ def parse_pauli(text: str) -> PauliOperator:
         x |= xb << k
         z |= zb << k
         phase += t
-    return _unchecked(len(letters), x, z, phase % 4)
+    op = _unchecked(len(letters), x, z, phase % 4)
+    _set(op, "_body", letters)
+    return op
 
 
 def format_pauli(op: PauliOperator) -> str:

@@ -16,6 +16,7 @@ from contextua import fixtures
 from contextua.cli import main
 from contextua.gf2 import AffineForm
 from contextua.io import sha256_digest
+from contextua.pauli import PauliOperator
 from contextua.report import parse_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +56,34 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "verdict: contextual" in result.output
         assert result.output.count(") ") == 5  # five numbered context lines
+
+    def test_analyze_hashes_no_operator(self, runner, tmp_path, monkeypatch):
+        """Observables are named and keyed by their bits and body strings only."""
+        paulis = ["".join(b) for b in product("IXYZ", repeat=3)][1:]
+        assert len(paulis) == 63
+        all_three = write(tmp_path, "all.txt", "\n".join(paulis) + "\n")
+        mermin = [
+            "--obs", str(FIXTURES / "mermin.txt"),
+            "--contexts", str(FIXTURES / "mermin_contexts.txt"),
+            "--pin", str(FIXTURES / "ghz_pins.txt"),
+        ]
+        commands = [
+            ["analyze", *files, "--format", fmt]
+            for files in (["--obs", all_three], mermin)
+            for fmt in ("text", "json")
+        ]
+        expected = [runner.invoke(main, args).stdout_bytes for args in commands]
+
+        def refuse(op):
+            raise AssertionError(f"hashed {op!r}")
+
+        monkeypatch.setattr(PauliOperator, "__hash__", refuse)
+        with pytest.raises(AssertionError):
+            hash(PauliOperator(1, 1, 0))
+        for args, before in zip(commands, expected):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert result.stdout_bytes == before
 
     def test_noncontextual_singleton(self, runner, tmp_path):
         obs = write(tmp_path, "one.txt", "X\n")

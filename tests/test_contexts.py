@@ -22,7 +22,6 @@ from contextua.contexts import (
     NonCommutingGeneratorsError,
     _insert,
     _maximal_cliques,
-    _sort_key,
     close_context,
     commutation_graph,
     maximal_contexts,
@@ -231,12 +230,14 @@ class TestIntPath:
         assert len(full) == 135
         assert {(len(c.members), c.rank, len(c.relations)) for c in full} == {(7, 3, 4)}
 
-    def test_sort_key_orders_like_body_strings(self):
+    def test_body_sort_orders_like_body_strings(self):
+        """Bodies built from the bits sort in body-string order, one key per Pauli."""
         paulis = all_paulis(4)
         rng = np.random.default_rng(105)
         shuffled = [paulis[int(i)] for i in rng.permutation(len(paulis))]
-        assert sorted(shuffled, key=_sort_key) == paulis
-        assert len({_sort_key(op) for op in paulis}) == 255
+        fresh = [PauliOperator(op.width, op.x_bits, op.z_bits, op.phase_exp) for op in shuffled]
+        assert sorted(fresh, key=PauliOperator.body) == paulis
+        assert len({op.body() for op in fresh}) == 255
 
     def test_noncommuting_error_names_the_first_pair(self):
         rng = np.random.default_rng(106)
@@ -356,17 +357,19 @@ class TestElimination:
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
     def test_maximal_contexts_prepare_each_observable_once(self, monkeypatch):
-        """One key per input observable, and no copy of a canonical one."""
-        keyed = []
+        """At most one body build per input observable, and no copy of a canonical one."""
+        built = []
+        body = PauliOperator.body
 
         def counting(op):
-            keyed.append(op)
-            return _sort_key(op)
+            if op._body is None:
+                built.append(op)
+            return body(op)
 
-        monkeypatch.setattr(contexts_module, "_sort_key", counting)
+        monkeypatch.setattr(PauliOperator, "body", counting)
         pool = mermin_observables() + [parse_pauli("-XXX"), identity(3)]
         assert len(maximal_contexts(pool)) == 15
-        assert 0 < len(keyed) <= len(pool)
+        assert 0 < len(built) <= len(pool)
         for op in ops("X", "XYZ", "-XYZ", "-Y", "IIII"):
             if op.sign == 1:
                 assert op.canonical() is op

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from click.testing import CliRunner
 
 import contextua
 from contextua import fixtures
+from contextua.cli import main
 from contextua.io import (
     FileFormatError,
     load_instance,
@@ -76,6 +78,61 @@ class TestObservableFiles:
 
     def test_empty_file(self):
         assert parse_observable_file("# nothing\n") == ((), ())
+
+
+class TestParseTable:
+    """One table per command: each distinct Pauli text is parsed once."""
+
+    NAMES = ("mermin.txt", "mermin_contexts.txt", "ghz_pins.txt")
+
+    def test_analyze_parses_each_distinct_text_once(self, monkeypatch):
+        texts = set()
+        for name in self.NAMES:
+            for line in (FIXTURES / name).read_text(encoding="utf-8").splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line and line != "context:":
+                    texts.add(line.split()[1] if line.startswith("pin ") else line)
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_pauli(text)
+
+        monkeypatch.setattr(contextua.io, "parse_pauli", counting)
+        obs, ctx, pin = (str(FIXTURES / name) for name in self.NAMES)
+        result = CliRunner().invoke(
+            main, ["analyze", "--obs", obs, "--contexts", ctx, "--pin", pin]
+        )
+        assert result.exit_code == 0 and "verdict: contextual" in result.output
+        assert len(calls) == len(texts) == 10
+        assert sorted(calls) == sorted(texts)
+
+    def test_equal_lines_share_one_operator(self):
+        obs, ctx, pin = ((FIXTURES / name).read_text(encoding="utf-8") for name in self.NAMES)
+        table = {}
+        loose, _ = parse_observable_file(obs, table)
+        _, blocks = parse_observable_file(ctx, table)
+        pins = parse_pin_file(pin, table)
+        by_text = {op.body(): op for op in loose}
+        for op in [op for block in blocks for op in block] + [p.observable for p in pins]:
+            assert op is by_text[op.body()] is table[op.body()]
+        # A text spelt differently is a different key, with an equal operator.
+        (plus,), _ = parse_observable_file("+XII\n", table)
+        assert plus == by_text["XII"] and plus is not by_text["XII"]
+
+    def test_repeated_malformed_line_names_its_first_line(self):
+        table = {}
+        for text, first in (
+            ("XX\nbogus\nZZ\nbogus\n", "line 2"),
+            ("context:\nXX\nX?\ncontext:\nX?\n", "line 3"),
+        ):
+            with pytest.raises(FileFormatError) as excinfo:
+                parse_observable_file(text, table)
+            assert str(excinfo.value).startswith(first + ":")
+        with pytest.raises(FileFormatError) as excinfo:
+            parse_pin_file("pin XX +1\npin XQ +1\npin XQ -1\n", table)
+        assert str(excinfo.value).startswith("line 2:")
+        assert set(table) == {"XX"}
 
 
 class TestPinFiles:

@@ -1,4 +1,8 @@
 """Symplectic Pauli arithmetic against a dense-matrix oracle."""
+import dataclasses
+import pickle
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +114,48 @@ class TestUncheckedConstruction:
     def test_direct_construction_keeps_its_checks(self, width, x_bits, z_bits):
         with pytest.raises(ValueError):
             PauliOperator(width, x_bits, z_bits)
+
+
+class TestKeptBody:
+    """body() is built once and kept, and the kept string changes no identity."""
+
+    @staticmethod
+    def letters(op):
+        return "".join("IXZY"[(op.x_bits >> k & 1) | (op.z_bits >> k & 1) << 1]
+                       for k in range(op.width))
+
+    @staticmethod
+    def variants(op, other):
+        yield op
+        yield op.canonical()
+        yield op.negate()
+        yield multiply(op, other)
+        yield op * op.negate()
+        yield PauliOperator(op.width, op.x_bits, op.z_bits, op.phase_exp)
+        yield dataclasses.replace(op, phase_exp=op.phase_exp + 2)
+        yield pickle.loads(pickle.dumps(op))
+        yield pickle.loads(pickle.dumps(PauliOperator(op.width, op.x_bits, op.z_bits)))
+
+    def test_body_is_not_a_field(self):
+        assert "_body" not in {f.name for f in dataclasses.fields(PauliOperator)}
+
+    def test_every_four_qubit_variant(self):
+        paulis = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=4)][1:]
+        assert len(paulis) == 255
+        for op, other in zip(paulis, paulis[7:] + paulis[:7]):
+            for variant in self.variants(op, other):
+                fresh = PauliOperator(variant.width, variant.x_bits, variant.z_bits,
+                                      variant.phase_exp)
+                assert variant.body() == self.letters(variant)
+                assert variant.body() is variant.body()
+                assert fresh._body is None
+                assert variant == fresh and hash(variant) == hash(fresh)
+                assert repr(variant) == repr(fresh)
+
+    def test_parse_keeps_its_letters(self):
+        op = parse_pauli("-XYZI")
+        assert op._body == "XYZI" == self.letters(op)
+        assert op.canonical().body() == "XYZI"
 
 
 class TestProducts:
