@@ -107,8 +107,10 @@ def cmd_analyze(
                 raise io.FileFormatError("context file has no context blocks")
         if blocks:
             contexts = [close_context(block) for block in blocks]
-            covered = {op.identity_key() for c in contexts for op in c.members}
-            uncovered = [op.body() for op in loose if op.identity_key() not in covered]
+            # The identity lies in every context, though no context names it.
+            covered = {"I" * contexts[0].width}
+            covered.update(op.body() for c in contexts for op in c.members)
+            uncovered = [op.body() for op in loose if op.body() not in covered]
             if uncovered:
                 raise io.FileFormatError(
                     f"observables outside every context: {' '.join(uncovered)}"

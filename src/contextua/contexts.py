@@ -127,9 +127,9 @@ class ContextGroup:
 def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) -> ContextGroup:
     """Close a commuting Hermitian generating set into a ContextGroup.
 
-    Generators are deduplicated by observable identity and canonicalized to
+    Generators are deduplicated by body string and canonicalized to
     the positive representative; the relation set then carries all signs. A
-    pair of generators with equal identity but opposite signs, or an explicit
+    pair of generators with equal body but opposite signs, or an explicit
     negative identity operator, puts -I in the group and is rejected because
     such a context has an empty spectrum.
     """
@@ -137,7 +137,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     if not ops and width is None:
         raise ValueError("empty generator list needs an explicit width")
     w = width if width is not None else ops[0].width
-    seen_signs: dict[tuple[int, int, int], int] = {}
+    seen_signs: dict[str, int] = {}
     given: list[PauliOperator] = []
     for op in ops:
         if op.width != w:
@@ -148,14 +148,12 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
             if op.sign == -1:
                 raise MinusIdentityError("generator is minus the identity")
             continue
-        key = op.identity_key()
-        if key in seen_signs:
-            if seen_signs[key] != op.sign:
-                raise MinusIdentityError(
-                    f"generators include both +{op.body()} and -{op.body()}"
-                )
+        body = op.body()
+        if body in seen_signs:
+            if seen_signs[body] != op.sign:
+                raise MinusIdentityError(f"generators include both +{body} and -{body}")
             continue
-        seen_signs[key] = op.sign
+        seen_signs[body] = op.sign
         given.append(op.canonical())
     context = _close(sorted(given, key=PauliOperator.body), w)
     _check_commuting(context.generators, w, given)
@@ -288,13 +286,13 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     strings, so runs agree.
     """
     unique: list[PauliOperator] = []
-    seen: set[tuple[int, int, int]] = set()
+    seen: set[str] = set()
     for op in obs:
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian observable: {op!r}")
-        key = op.identity_key()
-        if key not in seen:
-            seen.add(key)
+        body = op.body()
+        if body not in seen:
+            seen.add(body)
             unique.append(op.canonical())
     if not unique:
         return []

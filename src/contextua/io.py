@@ -97,7 +97,7 @@ def parse_pin_file(
     """
     parsed = {} if parsed is None else parsed
     pins: list[StateConstraint] = []
-    values: dict[tuple[int, int, int], int] = {}
+    values: dict[str, int] = {}
     for number, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "pin":
@@ -108,7 +108,7 @@ def parse_pin_file(
             raise FileFormatError(f"line {number}: eigenvalue must be +1 or -1")
         op = _parse(parts[1], number, parsed)
         pin = StateConstraint.from_eigenvalue(op, 1 if parts[2] == "+1" else -1)
-        if values.setdefault(pin.observable.identity_key(), pin.value_bit) != pin.value_bit:
+        if values.setdefault(pin.observable.body(), pin.value_bit) != pin.value_bit:
             raise FileFormatError(
                 f"line {number}: {pin.observable.body()} is pinned to both +1 and -1"
             )

@@ -379,8 +379,7 @@ def linear_output_map(report: ContextualityReport, inst: MBQCInstance) -> Linear
             if op.is_identity_class:
                 pair.append(op.sign_bit)
                 continue
-            label = op.canonical().body()
-            if label in section.values:
+            if op.body() in section.values:
                 pair.append(section.value_of(op))
             else:
                 pair.append(None)

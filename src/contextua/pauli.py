@@ -50,8 +50,10 @@ class PauliOperator:
         phase_exp: exponent of i in Z_4.
 
     Instances are immutable and hashable. Two operators are equal only if
-    width, both bit vectors and the phase agree; the sign-free observable
-    identity is exposed as :meth:`identity_key`.
+    width, both bit vectors and the phase agree. The one sign-free name of
+    an observable is its :meth:`body`: its length is the width and its
+    letters fix both bit vectors, so equal bodies mean equal observables up
+    to phase.
     """
 
     width: int
@@ -94,10 +96,6 @@ class PauliOperator:
     def is_identity_class(self) -> bool:
         """True when the operator is a phase times the identity."""
         return self.x_bits == 0 and self.z_bits == 0
-
-    def identity_key(self) -> tuple[int, int, int]:
-        """Sign-free observable identity: (width, x_bits, z_bits)."""
-        return (self.width, self.x_bits, self.z_bits)
 
     def canonical(self) -> "PauliOperator":
         """The positive-sign representative of {+P, -P}; self if already so."""

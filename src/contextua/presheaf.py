@@ -42,18 +42,17 @@ class UnknownConstrainedObservableError(ValueError):
 class Valuation:
     """A point of one context's spectrum.
 
-    values maps each canonical member observable to its bit a, meaning the
-    observable takes eigenvalue (-1)^a. Construction validates that every
-    relation of the context is respected, so a Valuation is multiplicative
-    by construction.
+    values maps each member's body string to its bit a, meaning the member
+    takes eigenvalue (-1)^a, as :attr:`GlobalSection.values` maps every
+    observable. Construction validates that every relation of the context
+    is respected, so a Valuation is multiplicative by construction.
     """
 
     context: ContextGroup
-    values: dict[PauliOperator, int]
+    values: dict[str, int]
 
     def __post_init__(self) -> None:
-        members = set(self.context.members)
-        if set(self.values) != members:
+        if self.values.keys() != {op.body() for op in self.context.members}:
             raise ValueError("valuation must cover exactly the context members")
         for bit in self.values.values():
             if bit not in (0, 1):
@@ -66,7 +65,7 @@ class Valuation:
     @property
     def bits(self) -> tuple[int, ...]:
         """Values in member order (the context's sorted member tuple)."""
-        return tuple(self.values[op] for op in self.context.members)
+        return tuple(self.values[op.body()] for op in self.context.members)
 
     def value_of(self, op: PauliOperator) -> int:
         """Bit assigned to any group element, signed operators included.
@@ -78,7 +77,7 @@ class Valuation:
         if decomposed is None:
             raise KeyError(f"{op} is not in this context")
         chosen, sign_bit = decomposed
-        return (sign_bit + op.sign_bit + sum(self.values[g] for g in chosen)) % 2
+        return (sign_bit + op.sign_bit + sum(self.values[g.body()] for g in chosen)) % 2
 
 
 def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
@@ -94,9 +93,11 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     forms = [(op, context.decompose(op)) for op in context.members]
     points = []
     for idx in range(1 << g):
-        gen_bits = {gen: (idx >> (g - 1 - j)) & 1 for j, gen in enumerate(context.generators)}
+        gen_bits = {
+            gen.body(): (idx >> (g - 1 - j)) & 1 for j, gen in enumerate(context.generators)
+        }
         values = {
-            op: (sign_bit + sum(gen_bits[gen] for gen in chosen)) % 2
+            op.body(): (sign_bit + sum(gen_bits[gen.body()] for gen in chosen)) % 2
             for op, (chosen, sign_bit) in forms
         }
         points.append(Valuation(context=context, values=values))
@@ -107,7 +108,7 @@ def restrict(valuation: Valuation, sub: ContextGroup) -> Valuation:
     """Restriction map of the presheaf: push a valuation down to a subcontext."""
     if not sub.is_subgroup_of(valuation.context):
         raise NotASubcontextError("target context is not contained in the source")
-    values = {op: valuation.value_of(op) for op in sub.members}
+    values = {op.body(): valuation.value_of(op) for op in sub.members}
     return Valuation(context=sub, values=values)
 
 
@@ -127,7 +128,7 @@ class StateConstraint:
             raise ValueError("value_bit must be 0 or 1")
         if not self.observable.is_hermitian:
             raise ValueError("only Hermitian observables can be pinned")
-        if self.observable.sign_bit or self.observable != self.observable.canonical():
+        if self.observable.sign_bit:
             folded = (self.value_bit + self.observable.sign_bit) % 2
             object.__setattr__(self, "observable", self.observable.canonical())
             object.__setattr__(self, "value_bit", folded)
@@ -151,7 +152,7 @@ class GlobalSection:
     dimension: int = 0
 
     def value_of(self, op: PauliOperator) -> int:
-        return (self.values[op.canonical().body()] + op.sign_bit) % 2
+        return (self.values[op.body()] + op.sign_bit) % 2
 
 
 def build_global_problem(
@@ -160,7 +161,7 @@ def build_global_problem(
 ) -> gf2.Gf2System:
     """Assemble the global-section decision problem as a GF(2) system.
 
-    One variable per observable identity (first appearance across the given
+    One variable per observable body (first appearance across the given
     contexts, member order within each); one row per context relation, then
     one pinned row per state constraint, in the given order.
     """
@@ -169,18 +170,18 @@ def build_global_problem(
     widths = {c.width for c in contexts}
     if len(widths) > 1:
         raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
-    columns: dict[tuple[int, int, int], int] = {}  # observable -> its column's bit
+    columns: dict[str, int] = {}  # observable body -> its column's bit
     labels: list[str] = []
     rows: list[int] = []
     rhs = 0
     for ctx in contexts:
         table = []
         for op in ctx.members:
-            key = op.identity_key()
-            bit = columns.get(key)
+            body = op.body()
+            bit = columns.get(body)
             if bit is None:
-                bit = columns[key] = 1 << len(labels)
-                labels.append(op.body())
+                bit = columns[body] = 1 << len(labels)
+                labels.append(body)
             table.append(bit)
         rhs |= ctx.signs << len(rows)
         for relation in ctx.relations:
@@ -191,14 +192,13 @@ def build_global_problem(
                 relation ^= low
             rows.append(row)
     for constraint in constraints:
-        key = constraint.observable.identity_key()
-        if key not in columns:
+        body = constraint.observable.body()
+        if body not in columns:
             raise UnknownConstrainedObservableError(
-                f"pinned observable {constraint.observable.body()} "
-                "does not occur in any context"
+                f"pinned observable {body} does not occur in any context"
             )
         rhs |= constraint.value_bit << len(rows)
-        rows.append(columns[key])
+        rows.append(columns[body])
     return gf2.Gf2System(
         matrix=gf2.BitMatrix(tuple(rows), len(labels)),
         rhs=rhs,
@@ -241,5 +241,5 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
 
 def section_valuation(section: GlobalSection, context: ContextGroup) -> Valuation:
     """Restrict a global section to one context (raises if it fails to be one)."""
-    values = {op: section.value_of(op) for op in context.members}
+    values = {op.body(): section.value_of(op) for op in context.members}
     return Valuation(context=context, values=values)

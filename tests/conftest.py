@@ -96,7 +96,7 @@ def random_commuting_set(
         candidate = random_pauli(rng, width, signed=False)
         if candidate.is_identity_class:
             continue
-        if any(candidate.identity_key() == c.identity_key() for c in chosen):
+        if any(candidate.body() == c.body() for c in chosen):
             continue
         if all(commutes(candidate, c) for c in chosen):
             chosen.append(candidate)
@@ -461,7 +461,7 @@ def reference_mbqc(
         seen.add(q)
         gens = [op.canonical() for op in (*locals_, joint) if not op.is_identity_class]
         contexts.append((index, close_context(gens, width=n)))
-        joints.setdefault(joint.canonical().identity_key(), joint.canonical())
+        joints.setdefault((joint.width, joint.x_bits, joint.z_bits), joint.canonical())
     if None in outputs:
         return tuple(outputs), contexts, None
     return tuple(outputs), contexts, close_context(list(joints.values()), width=n)

@@ -176,11 +176,21 @@ class TestAnalyze:
         assert "context blocks" in result.stderr
 
     def test_observable_outside_every_context(self, runner, tmp_path):
-        obs = write(tmp_path, "obs.txt", "XX\nZZ\nXI\n")
+        """XI is refused; the identity, of either sign, and -XX are covered.
+
+        An identity of another width is no member of these contexts.
+        """
         ctx = write(tmp_path, "ctx.txt", "context:\nXX\ncontext:\nZZ\n")
-        result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
-        assert result.exit_code == 2
-        assert "XI" in result.stderr
+        for loose, named in [("XX\nZZ\nXI\n", "XI"), ("XI\nII\n-XX\n", "XI"), ("-I\n", "I")]:
+            obs = write(tmp_path, "obs.txt", loose)
+            result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
+            assert result.exit_code == 2
+            assert f"outside every context: {named}\n" in result.stderr
+        for loose in ("II\n", "-II\n", "-XX\n", "XX\nII\n-II\n-XX\nZZ\n"):
+            obs = write(tmp_path, "obs.txt", loose)
+            result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
+            assert result.exit_code == 0, result.stderr
+            assert "verdict: noncontextual" in result.output
 
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--obs", str(tmp_path / "no.txt")])

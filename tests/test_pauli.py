@@ -64,7 +64,8 @@ class TestStructure:
         op = parse_pauli("-XYY")
         canon = op.canonical()
         assert canon.sign == 1
-        assert canon.identity_key() == op.identity_key()
+        assert (canon.width, canon.x_bits, canon.z_bits) == (op.width, op.x_bits, op.z_bits)
+        assert canon.body() == op.body()
         assert op.negate() == canon
 
     def test_validation(self):
@@ -151,6 +152,31 @@ class TestKeptBody:
                 assert fresh._body is None
                 assert variant == fresh and hash(variant) == hash(fresh)
                 assert repr(variant) == repr(fresh)
+
+    @staticmethod
+    def every_phase(max_width=3):
+        """Every operator of width 1 to max_width, each x, z and phase."""
+        for width in range(1, max_width + 1):
+            for x, z, phase in product(range(1 << width), range(1 << width), range(4)):
+                yield PauliOperator(width, x, z, phase)
+
+    def test_body_names_exactly_the_sign_free_observable(self):
+        """Equal bodies iff equal (width, x_bits, z_bits), whatever the phases."""
+        triples = {}
+        for op in self.every_phase():
+            triples.setdefault(op.body(), set()).add((op.width, op.x_bits, op.z_bits))
+        assert all(len(found) == 1 for found in triples.values())
+        assert len(triples) == len(set().union(*triples.values())) == 4 + 16 + 64
+
+    def test_sign_bit_is_zero_iff_canonical(self):
+        hermitian = 0
+        for op in self.every_phase():
+            if not op.is_hermitian:
+                assert op != op.canonical()
+                continue
+            hermitian += 1
+            assert (op.sign_bit == 0) == (op == op.canonical())
+        assert hermitian == 2 * (4 + 16 + 64)
 
     def test_parse_keeps_its_letters(self):
         op = parse_pauli("-XYZI")

@@ -33,23 +33,26 @@ def ops(*texts):
 def reference_global_problem(contexts, pins):
     """The global system built straight from operators, as (rows, rhs, labels).
 
-    Columns number each identity_key by its first appearance over the
-    contexts' members; each relation row sets the columns of its expanded
-    members, and each pin is a unit row.
+    Columns number each observable, keyed by (width, x_bits, z_bits), by its
+    first appearance over the contexts' members; each relation row sets the
+    columns of its expanded members, and each pin is a unit row.
     """
+    def key(op):
+        return op.width, op.x_bits, op.z_bits
+
     columns = {}
     for ctx in contexts:
         for op in ctx.members:
-            columns.setdefault(op.identity_key(), (len(columns), op.body()))
+            columns.setdefault(key(op), (len(columns), op.body()))
     rows, rhs = [], 0
     for ctx in contexts:
         for r in range(len(ctx.relations)):
             members, sign_bit = expand_relation(ctx, r)
             rhs |= sign_bit << len(rows)
-            rows.append(sum(1 << columns[op.identity_key()][0] for op in members))
+            rows.append(sum(1 << columns[key(op)][0] for op in members))
     for pin in pins:
         rhs |= pin.value_bit << len(rows)
-        rows.append(1 << columns[pin.observable.identity_key()][0])
+        rows.append(1 << columns[key(pin.observable)][0])
     return tuple(rows), rhs, tuple(body for _, body in sorted(columns.values()))
 
 
@@ -57,24 +60,24 @@ class TestValuation:
     def test_must_cover_members_exactly(self):
         ctx = close_context(ops("XX", "ZZ"))
         with pytest.raises(ValueError):
-            Valuation(context=ctx, values={parse_pauli("XX"): 0})
+            Valuation(context=ctx, values={"XX": 0})
 
     def test_rejects_non_bits(self):
         ctx = close_context(ops("X"))
         with pytest.raises(ValueError):
-            Valuation(context=ctx, values={parse_pauli("X"): 2})
+            Valuation(context=ctx, values={"X": 2})
 
     def test_rejects_relation_violation(self):
         ctx = close_context(ops("XII", "IXI", "IIX", "XXX"))
-        values = {op: 0 for op in ctx.members}
-        values[parse_pauli("XXX")] = 1
+        values = {op.body(): 0 for op in ctx.members}
+        values["XXX"] = 1
         message = r"relation 0 of ContextGroup\(\[IIX, IXI, XII, XXX\]\)$"
         with pytest.raises(ValueError, match=message):
             Valuation(context=ctx, values=values)
 
     def test_value_of_signed_and_identity(self):
         ctx = close_context(ops("X"))
-        point = Valuation(context=ctx, values={parse_pauli("X"): 1})
+        point = Valuation(context=ctx, values={"X": 1})
         assert point.value_of(parse_pauli("X")) == 1
         assert point.value_of(parse_pauli("-X")) == 0
         assert point.value_of(parse_pauli("I")) == 0
@@ -82,7 +85,7 @@ class TestValuation:
 
     def test_value_of_extends_multiplicatively(self):
         ctx = close_context(ops("XI", "IX"))
-        values = {parse_pauli("XI"): 1, parse_pauli("IX"): 1}
+        values = {"XI": 1, "IX": 1}
         point = Valuation(context=ctx, values=values)
         assert point.value_of(parse_pauli("XX")) == 0
         assert point.value_of(parse_pauli("-XX")) == 1
@@ -103,18 +106,13 @@ class TestSpectrum:
         assert len({p.bits for p in points}) == 8
         members, sign_bit = expand_relation(ctx, 0)
         for p in points:
-            total = sum(p.values[op] for op in members) % 2
+            total = sum(p.values[op.body()] for op in members) % 2
             assert total == sign_bit
 
     def test_ghz_point_is_in_the_product_spectrum(self):
         """The GHZ eigenvalue pattern XXX=+1, others=-1 is one of the points."""
         ctx = close_context(ops("XXX", "XYY", "YXY", "YYX"))
-        wanted = {
-            parse_pauli("XXX"): 0,
-            parse_pauli("XYY"): 1,
-            parse_pauli("YXY"): 1,
-            parse_pauli("YYX"): 1,
-        }
+        wanted = {"XXX": 0, "XYY": 1, "YXY": 1, "YYX": 1}
         assert Valuation(context=ctx, values=wanted) in spectrum(ctx)
 
     def test_sizes_match_group_rank(self):
@@ -146,7 +144,7 @@ class TestRestriction:
         sub = close_context(ops("XXX"))
         for point in spectrum(big):
             image = restrict(point, sub)
-            assert image.values[parse_pauli("XXX")] == point.values[parse_pauli("XXX")]
+            assert image.values == {"XXX": point.values["XXX"]}
 
     def test_restrict_to_self_is_identity(self):
         ctx = close_context(ops("XX", "ZZ"))
@@ -275,13 +273,11 @@ class TestGlobalProblem:
         assert rows > 700
 
     def test_keys_each_context_member_once(self, monkeypatch):
-        """identity_key runs once per context member and pin, not per relation member."""
+        """body runs once per context member and pin, not per relation member."""
         contexts, pins = mermin_contexts(), ghz_pins()
         calls = []
-        original = PauliOperator.identity_key
-        monkeypatch.setattr(
-            PauliOperator, "identity_key", lambda op: calls.append(op) or original(op)
-        )
+        original = PauliOperator.body
+        monkeypatch.setattr(PauliOperator, "body", lambda op: calls.append(op) or original(op))
         build_global_problem(contexts, pins)
         assert len(calls) == sum(len(c.members) for c in contexts) + len(pins)
 
@@ -341,7 +337,7 @@ class TestSolveGlobal:
             target = contexts[0]
             point = spectrum(target)[int(rng.integers(0, target.group_order))]
             pins = [
-                StateConstraint(observable=op, value_bit=point.values[op])
+                StateConstraint(observable=op, value_bit=point.values[op.body()])
                 for op in target.members
                 if rng.integers(0, 2)
             ]
@@ -383,7 +379,7 @@ class TestBruteForce:
             point = spectrum(target)[int(rng.integers(0, target.group_order))]
             for op in target.members:
                 if rng.integers(0, 2):
-                    pins.append(StateConstraint(observable=op, value_bit=point.values[op]))
+                    pins.append(StateConstraint(observable=op, value_bit=point.values[op.body()]))
             problem = build_global_problem(contexts, pins)
             fast = solve_global(problem)
             slow = brute_force_global(problem)
