@@ -167,37 +167,27 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     """
     if members and members[0].is_identity_class:
         members = members[1:]
-    _, rows, signs = _insert(members)
+    rows, signs = _insert(members)
     return ContextGroup(tuple(members), width, rows, signs)
 
 
-def _insert(ops: Iterable[PauliOperator]) -> tuple[list[PauliOperator], tuple[int, ...], int]:
+def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int]:
     """Stream ops through one GF(2) basis, with one relation row per op it does not keep.
 
-    Returns (generators, rows, signs): the kept ops, in order; per other op,
-    a row over the positions of ops: its fundamental circuit, the kept ops
-    it names and itself (its top bit); and the signs, bit r that of row r,
-    meaningful once the ops are known to commute.
+    Op i is named by bit i in the basis, so each circuit is already a row
+    over the positions of ops. Returns (rows, signs): per op not kept, its
+    fundamental circuit, the kept ops it names and itself (its top bit);
+    and bit r of signs, the sign of row r, meaningful once the ops commute.
     """
     basis = Basis()
-    generators: list[PauliOperator] = []
-    kept: list[int] = []
     rows: list[int] = []
     signs = 0
     for i, op in enumerate(ops):
-        remainder, circuit = basis.add(op.packed())
-        if remainder:
-            generators.append(op)
-            kept.append(1 << i)
-            continue
-        signs |= signed_circuit(generators, circuit, op)[1] << len(rows)
-        row = 1 << i
-        while circuit:
-            low = circuit & -circuit
-            row |= kept[low.bit_length() - 1]
-            circuit ^= low
-        rows.append(row)
-    return generators, tuple(rows), signs
+        remainder, circuit = basis.add(op.packed(), 1 << i)
+        if not remainder:
+            signs |= signed_circuit(ops, circuit, op)[1] << len(rows)
+            rows.append(circuit | 1 << i)
+    return tuple(rows), signs
 
 
 def _check_commuting(

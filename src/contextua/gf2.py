@@ -8,14 +8,16 @@ by index.
 :class:`Basis` is the one elimination routine. Vectors are inserted one at
 a time; each is reduced against a pivot table keyed by lowest set bit and
 kept when something is left, so the kept vectors are the greedy basis of
-the insertion order. Every reduced vector carries its combination over
-the kept ones, at most rank bits wide, so a dependent vector yields its
-fundamental circuit (the unique kept vectors that sum to it) directly.
-One back substitution turns the table into reduced row-echelon form.
-The insertion pass that closes contexts and stabilizer groups
-(``contexts.close_context``, ``stabilizer.make_stabilizer``), the
-membership queries of ``pauli.PauliBasis``, :func:`solve` and :func:`rref`
-all run on it.
+the insertion order. The caller names each vector by one bit of its own
+numbering, and every reduced vector carries its combination, the OR of
+the names of the kept vectors that sum to it; so a dependent vector yields
+its fundamental circuit directly, in the caller's numbering. One back
+substitution turns the table into reduced row-echelon form. Closing
+contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
+(generator k is bit k), :func:`rref` (row r is bit cols + r) and
+:func:`solve` all run on it. Only :func:`solve` names kept row j by bit j:
+a bit per row index would make every combination as wide as the rows
+streamed so far.
 
 :func:`solve` streams its rows mirrored, so each pivots on its last
 variable rather than its first. Variables of a global-section system are
@@ -56,11 +58,12 @@ class BitMatrix:
 class Basis:
     """The greedy basis of a stream of GF(2) vectors.
 
-    Kept vector j is stored reduced against the ones kept before it, under
-    its lowest set bit (its pivot), together with its combination: the bit
-    set over kept vectors whose sum it is, holding bit j itself. Reducing a
-    vector clears its lowest bit with the row stored there until no row is,
-    at one XOR per pivot met.
+    Each kept vector is stored reduced against the ones kept before it,
+    under its lowest set bit (its pivot), with its combination: the OR of
+    the names of the kept vectors whose sum it is, its own included. A name
+    is the single bit the caller passes to :meth:`add`, a new one per vector.
+    Reducing a vector clears its lowest bit with the row stored there until
+    no row is, at one XOR per pivot met.
     """
 
     def __init__(self) -> None:
@@ -82,8 +85,8 @@ class Basis:
             combination ^= entry[1]
         return vector, combination
 
-    def add(self, vector: int) -> tuple[int, int]:
-        """Reduce vector, keeping it when a remainder is left.
+    def add(self, vector: int, name: int) -> tuple[int, int]:
+        """Reduce vector, keeping it under name when a remainder is left.
 
         Returns :meth:`reduce`'s (remainder, combination). For a vector that
         is not kept, the combination plus the vector itself is its
@@ -91,7 +94,7 @@ class Basis:
         """
         remainder, combination = self.reduce(vector)
         if remainder:
-            self._rows[remainder & -remainder] = (remainder, combination | 1 << len(self._rows))
+            self._rows[remainder & -remainder] = (remainder, combination | name)
         return remainder, combination
 
     def reduced_rows(self) -> list[tuple[int, int, int]]:
@@ -99,8 +102,8 @@ class Basis:
 
         Back substitution, from the highest pivot down, clears every other
         pivot from each row, so the rows are the reduced row-echelon form of
-        the span and each combination still selects the kept vectors that
-        sum to its row.
+        the span and each combination still names the kept vectors that sum
+        to its row.
         """
         done: dict[int, tuple[int, int]] = {}
         later = 0
@@ -143,20 +146,18 @@ def rref(matrix: BitMatrix) -> RrefResult:
     Reduced row r is the sum of the input rows that the transform bits of
     rows[r] select, and the transform is invertible. Rows at index >= rank
     of the reduced matrix are zero, and their transform bits form a basis
-    of the left nullspace of the input.
+    of the left nullspace of the input. Input row r is named by bit
+    cols + r, so each combination the basis returns is a transform row.
     """
     cols = matrix.cols
     basis = Basis()
-    kept: list[int] = []
     dependent: list[int] = []
     for r, row in enumerate(matrix.rows):
-        remainder, combination = basis.add(row)
-        if remainder:
-            kept.append(1 << cols + r)
-        else:
-            dependent.append(sum(kept[j] for j in set_bits(combination)) | 1 << cols + r)
+        remainder, combination = basis.add(row, 1 << cols + r)
+        if not remainder:
+            dependent.append(combination | 1 << cols + r)
     reduced = basis.reduced_rows()
-    rows = [row | sum(kept[j] for j in set_bits(c)) for _, row, c in reduced] + dependent
+    rows = [row | combination for _, row, combination in reduced] + dependent
     mask = (1 << cols) - 1
     return RrefResult(
         reduced=BitMatrix(tuple(row & mask for row in rows), cols),
@@ -251,7 +252,8 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     A row whose left-hand side reduces to zero leaves 1 at bit num_vars
     exactly when the rows up to it are inconsistent. The first such row
     stops the pass, and its fundamental circuit is the :class:`Certificate`,
-    which no pivot rule changes.
+    which no pivot rule changes. Kept row j is named by bit j, so a
+    combination has at most rank bits; ``kept`` maps it to row indices.
 
     Otherwise one back substitution gives the solution. Each kept row
     pivots on its last variable, so every pivot variable depends only on
@@ -264,7 +266,8 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     basis = Basis()
     kept: list[int] = []
     for r, row in enumerate(system.matrix.rows):
-        remainder, combination = basis.add(_mirror(row, cols) | (system.rhs >> r & 1) << cols)
+        row = _mirror(row, cols) | (system.rhs >> r & 1) << cols
+        remainder, combination = basis.add(row, 1 << len(kept))
         if remainder == 1 << cols:
             return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
         if remainder:

@@ -60,7 +60,7 @@ class IndeterminateInputsError(ValueError):
 
     def __init__(self, inputs: tuple[tuple[int, ...], ...]) -> None:
         self.inputs = inputs
-        listing = ", ".join("".join(str(b) for b in i) for i in inputs)
+        listing = ", ".join("".join(str(b) for b in i) or "()" for i in inputs)
         super().__init__(f"output is indeterminate for inputs: {listing}")
 
 

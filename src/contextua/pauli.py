@@ -242,8 +242,9 @@ def signed_circuit(
 ) -> tuple[tuple[PauliOperator, ...], int]:
     """The generators bits selects, lowest bit first, and a sign bit.
 
-    The bit is that of their left-to-right product times op, as
-    :func:`multiply_all` gives it: for a circuit, whether it is -I.
+    Bits are positions in the list it is given. The sign bit is that of
+    their left-to-right product times op, as :func:`multiply_all` gives it:
+    for a circuit, whether it is -I.
     """
     chosen = []
     phase = z = 0
@@ -289,11 +290,11 @@ class PauliBasis:
     def add(self, op: PauliOperator) -> int | None:
         """Keep op if it is independent of the generators.
 
-        Returns None when op is kept. Otherwise returns the bit set of the
-        generators whose product is op up to phase: with op, its fundamental
-        circuit.
+        Returns None when op is kept, as generator k, named by bit k in the
+        basis. Otherwise returns the bit set of the generators whose product
+        is op up to phase: with op, its fundamental circuit.
         """
-        remainder, combination = self._basis.add(self._vector(op))
+        remainder, combination = self._basis.add(self._vector(op), 1 << self.rank)
         if remainder:
             self.generators = (*self.generators, op)
             return None

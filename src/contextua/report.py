@@ -34,14 +34,6 @@ class CertificateBlock:
 
 
 @dataclass(frozen=True)
-class SectionBlock:
-    """A global section as observable -> bit, plus solution dimension."""
-
-    values: dict[str, int]
-    dimension: int
-
-
-@dataclass(frozen=True)
 class MbqcBlock:
     input_bits: int
     truth_table: tuple[int, ...] | None
@@ -64,7 +56,7 @@ class Analysis:
     spectrum_sizes: tuple[int, ...]
     pins: tuple[Pin, ...]
     certificate: CertificateBlock | None
-    section: SectionBlock | None
+    section: GlobalSection | None
     mbqc: MbqcBlock | None
 
 
@@ -99,19 +91,16 @@ def build_analysis(
     their operators, so each string is built at most once. No operator is
     hashed.
     """
+    certificate = section = None
     if isinstance(outcome, gf2.Certificate):
-        verdict = "contextual"
         certificate = CertificateBlock(
             rows=outcome.selected,
             equations=equation_lines(problem, outcome.selected),
         )
-        section = None
     else:
-        verdict = "noncontextual"
-        certificate = None
-        section = SectionBlock(values=dict(outcome.values), dimension=outcome.dimension)
+        section = outcome
     return Analysis(
-        verdict=verdict,
+        verdict="noncontextual" if certificate is None else "contextual",
         observables=problem.labels,
         contexts=tuple(tuple(op.body() for op in c.members) for c in contexts),
         spectrum_sizes=tuple(c.group_order for c in contexts),

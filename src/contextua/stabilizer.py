@@ -1,14 +1,15 @@
 """Stabilizer groups with sign-resolved membership.
 
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
-signed generators, closed by the insertion pass and generator-pair check of
-:func:`contextua.contexts.close_context`; the top bit of the first relation
-row names a refused generator: dependent or, when the row's sign is -1,
-putting minus the identity in the group. Membership queries reduce the
-packed symplectic vector against the basis and fold the sign of the
-chosen generators' product on ints, with no cap on the width. The sign a
-group fixes for a member is its exact eigenvalue on the stabilized state,
-so no state vector is needed.
+signed generators, closed by the insertion pass of
+:func:`contextua.contexts.close_context` and its pair check on the given
+generators; the top bit of the first relation row names a refused
+generator: dependent or, when the row's sign is -1, putting minus the
+identity in the group. Membership queries reduce the packed symplectic
+vector against the basis and fold the sign of the chosen generators'
+product on ints, with no cap on the width. The sign a group fixes for a
+member is its exact eigenvalue on the stabilized state, so no state vector
+is needed.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
             raise ValueError(f"width mismatch: {op.width} vs {width}")
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-    generators, rows, signs = _insert(ops)
-    _check_commuting(generators, width, ops)
+    rows, signs = _insert(ops)
+    _check_commuting(ops, width, ops)
     if rows:
         op = ops[rows[0].bit_length() - 1]
         if signs & 1:
@@ -46,7 +47,7 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
                 f"{op} conflicts in sign with the product of earlier generators"
             )
         raise DependentGeneratorsError(f"{op} is the product of earlier generators")
-    return PauliBasis(width, generators)
+    return PauliBasis(width, ops)
 
 
 def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:

@@ -353,6 +353,21 @@ class TestMbqcReport:
         assert result.exit_code == 3
         assert "indeterminate" in result.stderr
 
+    @pytest.mark.parametrize("command", ["table", "report"])
+    def test_indeterminate_empty_input_is_named(self, runner, tmp_path, command):
+        """With no input bits the one undetermined input is named (), as in the text table."""
+        raw = {
+            "parties": 1,
+            "input_bits": 0,
+            "Q": [[]],
+            "observables": [["X"], ["Z"]],
+            "resource": ["+Z"],
+        }
+        inst = write_instance(tmp_path, raw)
+        result = runner.invoke(main, ["mbqc", "--instance", inst, command])
+        assert result.exit_code == 3
+        assert result.stderr == "error: output is indeterminate for inputs: ()\n"
+
     def test_byte_identical_runs(self, runner, tmp_path):
         inst = write_instance(tmp_path, fixtures.anders_browne_raw())
         args = ["mbqc", "--instance", inst, "report", "--format", "json"]

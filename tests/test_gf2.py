@@ -147,6 +147,34 @@ def assert_circuit(mat, selected):
     assert rank(mat[list(selected)].reshape(len(selected), mat.shape[1])) == len(selected) - 1
 
 
+class TestBasis:
+    def test_combinations_name_the_callers_vectors(self):
+        """Combinations are ORs of the caller's names, here spread out to 1 << 7i + 3."""
+        rng = np.random.default_rng(2101)
+        for _ in range(300):
+            width = int(rng.integers(1, 9))
+            basis = gf2.Basis()
+            given = {}
+            span = {0: 0}  # every sum of kept vectors -> the OR of their names
+            for i in range(int(rng.integers(1, 13))):
+                vector = int(rng.integers(0, 1 << width))
+                name = 1 << 7 * i + 3
+                remainder, combination = basis.add(vector, name)
+                if remainder:
+                    assert vector not in span
+                    given[name] = vector
+                    span.update({v ^ vector: names | name for v, names in list(span.items())})
+                else:
+                    assert combination == span[vector]
+            for pivot, row, combination in basis.reduced_rows():
+                assert row & -row == 1 << pivot
+                assert combination and combination & ~sum(given) == 0
+                total = 0
+                for bit in set_bits(combination):
+                    total ^= given[1 << bit]
+                assert total == row
+
+
 class TestRref:
     def test_matches_reference_elimination(self):
         """Same reduced form and pivots as the uint8 oracle.

@@ -13,13 +13,13 @@ import pytest
 
 import contextua
 from contextua.gf2 import AffineForm
+from contextua.presheaf import GlobalSection
 from contextua.report import (
     Analysis,
     CertificateBlock,
     MbqcBlock,
     Pin,
     Report,
-    SectionBlock,
     parse_json,
     render_json,
     render_text,
@@ -51,7 +51,7 @@ certificates = st.builds(
     equations=tuples(st.text(max_size=12), min_size=1),
 )
 sections = st.builds(
-    SectionBlock,
+    GlobalSection,
     values=st.dictionaries(bodies, bits, max_size=4),
     dimension=st.integers(0, 5),
 )
