@@ -23,8 +23,8 @@ neighbourhoods, on an explicit stack, refusing more than MAX_CONTEXTS.
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
 query; a decomposition names the generators and signs them by the same
-routine. :func:`~contextua.stabilizer.make_stabilizer` closes a stabilizer
-group with the same insertion pass and generator-pair check.
+routine. :func:`~contextua.stabilizer.make_stabilizer` checks a stabilizer
+group's generators with the same generator-pair check.
 """
 from __future__ import annotations
 

@@ -5,13 +5,15 @@ A bit vector is a Python int whose bit c is entry c, and a matrix is a
 row r, a solution bit c for variable c, and a certificate names its rows
 by index.
 
-:class:`Basis` is the one elimination routine. Vectors are inserted one at
-a time; each is reduced against a pivot table keyed by lowest set bit and
-kept when something is left, so the kept vectors are the greedy basis of
-the insertion order. The caller names each vector by one bit of its own
+:class:`Basis` is the one elimination routine, with one pivot rule: a
+vector pivots on its highest set bit. Vectors are inserted one at a time;
+each is reduced against a pivot table keyed by highest set bit and kept
+when something is left, so the kept vectors are the greedy basis of the
+insertion order. The caller names each vector by one bit of its own
 numbering, and every reduced vector carries its combination, the OR of
 the names of the kept vectors that sum to it; so a dependent vector yields
-its fundamental circuit directly, in the caller's numbering. One back
+its fundamental circuit directly, in the caller's numbering. Greedy bases
+and fundamental circuits do not depend on the pivot rule. One back
 substitution turns the table into reduced row-echelon form. Closing
 contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
 (generator k is bit k), :func:`rref` (row r is bit cols + r) and
@@ -19,11 +21,10 @@ contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
 a bit per row index would make every combination as wide as the rows
 streamed so far.
 
-:func:`solve` streams its rows mirrored, so each pivots on its last
-variable rather than its first. Variables of a global-section system are
-numbered by first appearance, so the last variable of a row is seldom held
-by an earlier row, and the pass makes little fill-in. With those pivots the
-solution whose free variables are zero is the binary-lowest one.
+:func:`solve` streams each row shifted up one bit, with its right-hand
+side at bit 0, so a row pivots on its last variable and a remainder of
+exactly 1 is 0 = 1. With those pivots the solution whose free variables
+are zero is the binary-lowest one.
 """
 from __future__ import annotations
 
@@ -59,10 +60,10 @@ class Basis:
     """The greedy basis of a stream of GF(2) vectors.
 
     Each kept vector is stored reduced against the ones kept before it,
-    under its lowest set bit (its pivot), with its combination: the OR of
+    under its highest set bit (its pivot), with its combination: the OR of
     the names of the kept vectors whose sum it is, its own included. A name
     is the single bit the caller passes to :meth:`add`, a new one per vector.
-    Reducing a vector clears its lowest bit with the row stored there until
+    Reducing a vector clears its highest bit with the row stored there until
     no row is, at one XOR per pivot met.
     """
 
@@ -72,13 +73,15 @@ class Basis:
     def reduce(self, vector: int) -> tuple[int, int]:
         """(remainder, combination) of vector against the kept vectors.
 
-        The remainder is 0 exactly when vector lies in their span; vector is
-        then the sum of the kept vectors that the combination selects.
+        Each step clears the highest set bit left with the kept vector that
+        pivots there. The remainder is 0 exactly when vector lies in their
+        span; vector is then the sum of the kept vectors that the
+        combination selects.
         """
         combination = 0
         rows = self._rows
         while vector:
-            entry = rows.get(vector & -vector)
+            entry = rows.get(vector.bit_length())
             if entry is None:
                 break
             vector ^= entry[0]
@@ -88,37 +91,38 @@ class Basis:
     def add(self, vector: int, name: int) -> tuple[int, int]:
         """Reduce vector, keeping it under name when a remainder is left.
 
-        Returns :meth:`reduce`'s (remainder, combination). For a vector that
-        is not kept, the combination plus the vector itself is its
-        fundamental circuit in the binary matroid of the stream.
+        The remainder is kept, pivoting on its highest set bit. Returns
+        :meth:`reduce`'s (remainder, combination). For a vector that is not
+        kept, the combination plus the vector itself is its fundamental
+        circuit in the binary matroid of the stream, whatever the pivot rule.
         """
         remainder, combination = self.reduce(vector)
         if remainder:
-            self._rows[remainder & -remainder] = (remainder, combination | name)
+            self._rows[remainder.bit_length()] = (remainder, combination | name)
         return remainder, combination
 
     def reduced_rows(self) -> list[tuple[int, int, int]]:
-        """(pivot, row, combination) per kept vector, in pivot order.
+        """(pivot, row, combination) per kept vector, in ascending pivot order.
 
-        Back substitution, from the highest pivot down, clears every other
-        pivot from each row, so the rows are the reduced row-echelon form of
-        the span and each combination still names the kept vectors that sum
-        to its row.
+        Each row's pivot is its highest set bit. Back substitution, from the
+        lowest pivot up, clears every lower pivot from each row, so the rows
+        are the reduced row-echelon form of the span and each combination
+        still names the kept vectors that sum to its row.
         """
         done: dict[int, tuple[int, int]] = {}
-        later = 0
-        for low in sorted(self._rows, reverse=True):
-            row, combination = self._rows[low]
-            hits = row & later
+        earlier = 0
+        for length in sorted(self._rows):
+            row, combination = self._rows[length]
+            hits = row & earlier
             while hits:
                 bit = hits & -hits
-                finished, selected = done[bit]
+                finished, selected = done[bit.bit_length()]
                 row ^= finished
                 combination ^= selected
                 hits ^= bit
-            done[low] = (row, combination)
-            later |= low
-        return [(low.bit_length() - 1, *done[low]) for low in sorted(done)]
+            done[length] = (row, combination)
+            earlier |= 1 << length - 1
+        return [(length - 1, row, combination) for length, (row, combination) in done.items()]
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,9 @@ class RrefResult:
 
     Row r of rows holds reduced row r below bit cols and, from bit cols up,
     the transform row that selects the input rows summing to it. The pivot
-    rows come first; then each dependent input row, in input order, with
-    its fundamental circuit as transform and no reduced bits.
+    rows come first, in ascending pivot order; then each dependent input
+    row, in input order, with its fundamental circuit as transform and no
+    reduced bits.
     """
 
     reduced: BitMatrix
@@ -143,11 +148,13 @@ class RrefResult:
 def rref(matrix: BitMatrix) -> RrefResult:
     """Gauss-Jordan elimination over GF(2), by one pass of a :class:`Basis`.
 
-    Reduced row r is the sum of the input rows that the transform bits of
-    rows[r] select, and the transform is invertible. Rows at index >= rank
-    of the reduced matrix are zero, and their transform bits form a basis
-    of the left nullspace of the input. Input row r is named by bit
-    cols + r, so each combination the basis returns is a transform row.
+    Each pivot row pivots on its highest column, the one rule of
+    :class:`Basis`, and no other pivot row holds that column. Reduced row r
+    is the sum of the input rows that the transform bits of rows[r] select,
+    and the transform is invertible. Rows at index >= rank of the reduced
+    matrix are zero, and their transform bits form a basis of the left
+    nullspace of the input. Input row r is named by bit cols + r, so each
+    combination the basis returns is a transform row.
     """
     cols = matrix.cols
     basis = Basis()
@@ -228,63 +235,45 @@ class Gf2Solution:
         return len(self.nullspace)
 
 
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _mirror(vector: int, width: int) -> int:
-    """vector with bit c moved to bit width - 1 - c, for vector below 2^width.
-
-    Reversing the bits of every byte (one table lookup each) and reading the
-    little-endian bytes as big-endian reverses all 8k bits; the shift drops
-    the padding above width.
-    """
-    size = (width + 7) // 8
-    flipped = vector.to_bytes(size, "little").translate(_REVERSED_BYTES)
-    return int.from_bytes(flipped, "big") >> 8 * size - width
-
-
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
-    Rows stream into one :class:`Basis` mirrored, variable c at bit
-    num_vars - 1 - c, with their right-hand side at bit num_vars; each row is
-    mirrored as it is streamed, so a pass that stops early mirrors no more.
-    A row whose left-hand side reduces to zero leaves 1 at bit num_vars
-    exactly when the rows up to it are inconsistent. The first such row
-    stops the pass, and its fundamental circuit is the :class:`Certificate`,
-    which no pivot rule changes. Kept row j is named by bit j, so a
-    combination has at most rank bits; ``kept`` maps it to row indices.
+    Row r streams into one :class:`Basis` as ``row << 1`` with its
+    right-hand side at bit 0, so variable c sits at bit c + 1 and each row
+    pivots on its last variable. A row whose left-hand side reduces to zero
+    leaves exactly 1 when the rows up to it are inconsistent. The first such
+    row stops the pass, and its fundamental circuit is the
+    :class:`Certificate`, which no pivot rule changes. Kept row j is named
+    by bit j, so a combination has at most rank bits; ``kept`` maps it to
+    row indices.
 
-    Otherwise one back substitution gives the solution. Each kept row
-    pivots on its last variable, so every pivot variable depends only on
-    free variables of lower index, and the assignment, with free variables
-    fixed to zero, is the binary-lowest solution (variable 0 most
-    significant). Nullspace row i sets the i-th free variable, in variable
-    order, and the pivot variables that match it.
+    Otherwise one back substitution gives the solution. Variables of a
+    global-section system are numbered by first appearance, so the last
+    variable of a row is seldom held by an earlier row, and the pass makes
+    little fill-in. Every pivot variable depends only on free variables of
+    lower index, so the assignment, with free variables fixed to zero, is
+    the binary-lowest solution (variable 0 most significant). Nullspace row
+    i sets the i-th free variable, in variable order, and the pivot
+    variables that match it; its lowest set bit is that free variable.
     """
     cols = system.num_vars
     basis = Basis()
     kept: list[int] = []
     for r, row in enumerate(system.matrix.rows):
-        row = _mirror(row, cols) | (system.rhs >> r & 1) << cols
-        remainder, combination = basis.add(row, 1 << len(kept))
-        if remainder == 1 << cols:
+        remainder, combination = basis.add(row << 1 | system.rhs >> r & 1, 1 << len(kept))
+        if remainder == 1:
             return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
         if remainder:
             kept.append(r)
     reduced = basis.reduced_rows()
-    pivots = {pivot for pivot, _, _ in reduced}
+    pivots = {pivot - 1 for pivot, _, _ in reduced}
     nullspace = {c: 1 << c for c in range(cols) if c not in pivots}
-    mask = (1 << cols) - 1
     assignment = 0
     for pivot, row, _ in reduced:
-        assignment |= (row >> cols & 1) << pivot
-        for c in set_bits((row & mask) ^ 1 << pivot):
-            nullspace[c] |= 1 << pivot
-    return Gf2Solution(
-        assignment=_mirror(assignment, cols),
-        nullspace=tuple(_mirror(row, cols) for row in reversed(nullspace.values())),
-    )
+        assignment |= (row & 1) << pivot
+        for c in set_bits(row >> 1 ^ 1 << pivot - 1):
+            nullspace[c] |= 1 << pivot - 1
+    return Gf2Solution(assignment=assignment >> 1, nullspace=tuple(nullspace.values()))
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

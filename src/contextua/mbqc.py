@@ -235,20 +235,12 @@ def _setting_of(inst: MBQCInstance, bits: Sequence[int]) -> int:
     return reduce(xor, (c for b, c in zip(bits, inst.columns) if b & 1), 0)
 
 
-def _distinct_settings(inst: MBQCInstance) -> tuple[list[int], dict[int, int]]:
-    """Every input's packed setting, and each distinct setting's first input.
-
-    Settings come in binary input order, i_m being the least significant
-    index bit; the dict maps each setting to its first input's index, in
-    first-reached order.
-    """
+def _distinct_settings(inst: MBQCInstance) -> list[int]:
+    """Every input's packed setting, in binary input order (i_m least significant)."""
     settings = [0]
     for column in reversed(inst.columns):
         settings += [q ^ column for q in settings]
-    first: dict[int, int] = {}
-    for index, q in enumerate(settings):
-        first.setdefault(q, index)
-    return settings, first
+    return settings
 
 
 def _locals(inst: MBQCInstance, q: int) -> list[PauliOperator]:
@@ -297,22 +289,18 @@ def _table(
     settings: list[int], outputs: dict[int, int | None], input_bits: int
 ) -> TruthTable:
     """The table from each setting's output; raises naming undetermined inputs."""
-    missing = tuple(
-        gf2.input_vector(index, input_bits)
-        for index, q in enumerate(settings)
-        if outputs[q] is None
-    )
-    if missing:
-        raise IndeterminateInputsError(missing)
+    if None in outputs.values():
+        missing = (index for index, q in enumerate(settings) if outputs[q] is None)
+        raise IndeterminateInputsError(tuple(gf2.input_vector(i, input_bits) for i in missing))
     return TruthTable(input_bits, tuple(outputs[q] for q in settings))
 
 
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
-    settings, first = _distinct_settings(inst)
+    settings = _distinct_settings(inst)
     outputs = {
         q: member_sign(inst.resource, multiply_all(_locals(inst, q), width=inst.parties))
-        for q in first
+        for q in dict.fromkeys(settings)
     }
     return _table(settings, outputs, inst.input_bits)
 
@@ -327,11 +315,13 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     instance has indeterminate outputs, no state-pinned analysis is
     meaningful, and IndeterminateInputsError names the inputs.
     """
-    settings, first = _distinct_settings(inst)
+    settings = _distinct_settings(inst)
     contexts: list[ContextGroup] = []
     joints: dict[int, PauliOperator] = {}
     outputs: dict[int, int | None] = {}
-    for q, index in first.items():
+    for index, q in enumerate(settings):
+        if q in joints:
+            continue
         joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
         outputs[q] = member_sign(inst.resource, joint)
         joints[q] = joint

@@ -209,12 +209,15 @@ def build_global_problem(
 def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
     """Binary-lowest assignment in the solution's affine space (MSB = var 0).
 
-    Reduced nullspace rows lead at distinct lowest variables that no other
-    row holds; clearing each lead the assignment holds minimises it.
-    ``gf2.solve`` already returns the binary-lowest assignment, so this
-    flips no bit. It stays so that the section :func:`solve_global` reports
-    is defined here and not by a pivot rule inside ``gf2.solve``, and it is
-    the one caller of ``gf2.rref``, whose span the benchmark traces.
+    Each reduced nullspace row is XORed in when the assignment holds its
+    lowest set bit. This flips no bit, under any pivot rule of ``gf2.rref``:
+    ``gf2.solve`` returns nullspace rows whose lowest set bits are distinct
+    free variables that no other row holds, so every nonzero vector of their
+    span has a free variable as its lowest set bit, and the assignment is 0
+    at every free variable. So ``gf2.solve`` already returns the
+    binary-lowest assignment. This function stays only as the caller of
+    ``gf2.rref`` that the benchmark's tracer binds, until that span is
+    renamed and both go.
     """
     assignment = solution.assignment
     if not solution.nullspace:

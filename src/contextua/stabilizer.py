@@ -1,20 +1,20 @@
 """Stabilizer groups with sign-resolved membership.
 
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
-signed generators, closed by the insertion pass of
-:func:`contextua.contexts.close_context` and its pair check on the given
-generators; the top bit of the first relation row names a refused
-generator: dependent or, when the row's sign is -1, putting minus the
-identity in the group. Membership queries reduce the packed symplectic
-vector against the basis and fold the sign of the chosen generators'
-product on ints, with no cap on the width. The sign a group fixes for a
-member is its exact eigenvalue on the stabilized state, so no state vector
-is needed.
+signed generators. After the pair check of
+:func:`contextua.contexts.close_context` on the given generators, they
+stream once into that basis; the first one it does not keep is refused:
+dependent or, when :func:`~contextua.pauli.signed_circuit` signs its
+fundamental circuit -1, putting minus the identity in the group.
+Membership queries reduce the packed symplectic vector against the basis
+and fold the sign of the chosen generators' product on ints, with no cap
+on the width. The sign a group fixes for a member is its exact eigenvalue
+on the stabilized state, so no state vector is needed.
 """
 from __future__ import annotations
 
-from .contexts import MinusIdentityError, _check_commuting, _insert
-from .pauli import PauliBasis, PauliOperator
+from .contexts import MinusIdentityError, _check_commuting
+from .pauli import PauliBasis, PauliOperator, signed_circuit
 
 
 class DependentGeneratorsError(ValueError):
@@ -38,16 +38,17 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
             raise ValueError(f"width mismatch: {op.width} vs {width}")
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-    rows, signs = _insert(ops)
     _check_commuting(ops, width, ops)
-    if rows:
-        op = ops[rows[0].bit_length() - 1]
-        if signs & 1:
-            raise MinusIdentityError(
-                f"{op} conflicts in sign with the product of earlier generators"
-            )
-        raise DependentGeneratorsError(f"{op} is the product of earlier generators")
-    return PauliBasis(width, ops)
+    basis = PauliBasis(width)
+    for op in ops:
+        circuit = basis.add(op)
+        if circuit is not None:
+            if signed_circuit(basis.generators, circuit, op)[1]:
+                raise MinusIdentityError(
+                    f"{op} conflicts in sign with the product of earlier generators"
+                )
+            raise DependentGeneratorsError(f"{op} is the product of earlier generators")
+    return basis
 
 
 def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:

@@ -167,7 +167,7 @@ class TestBasis:
                 else:
                     assert combination == span[vector]
             for pivot, row, combination in basis.reduced_rows():
-                assert row & -row == 1 << pivot
+                assert row.bit_length() - 1 == pivot
                 assert combination and combination & ~sum(given) == 0
                 total = 0
                 for bit in set_bits(combination):
@@ -177,17 +177,23 @@ class TestBasis:
 
 class TestRref:
     def test_matches_reference_elimination(self):
-        """Same reduced form and pivots as the uint8 oracle.
+        """Same reduced form and pivots as the uint8 oracle on reversed columns.
 
-        The rows past the rank are the fundamental circuits of the dependent
-        rows, in input order, each over the greedy rows before it.
+        The oracle pivots on the lowest remaining column, so run on the
+        columns reversed it pivots each row on its highest original column;
+        mapped back, its pivot rows come in descending pivot order. The rows
+        past the rank are the fundamental circuits of the dependent rows, in
+        input order, each over the greedy rows before it.
         """
         for mat in RREF_INPUTS:
+            cols = mat.shape[1]
             result = rref(bit_matrix(mat))
-            reduced, pivots, _ = reference_rref(mat)
-            assert result.pivots == pivots
-            assert result.reduced == BitMatrix(pack_rows(reduced), mat.shape[1])
-            found = [tuple(set_bits(row >> mat.shape[1])) for row in result.rows[result.rank :]]
+            reduced, pivots, _ = reference_rref(mat[:, ::-1])
+            rank_ = len(pivots)
+            assert result.pivots == tuple(cols - 1 - p for p in reversed(pivots))
+            expected = np.concatenate([reduced[:rank_][::-1], reduced[rank_:]])[:, ::-1]
+            assert result.reduced == BitMatrix(pack_rows(expected), cols)
+            found = [tuple(set_bits(row >> cols)) for row in result.rows[result.rank :]]
             assert found == list(fundamental_circuits(mat).values())
 
     def test_reduced_equals_transform_times_input(self):
@@ -441,12 +447,31 @@ class TestSystemSolve:
             assert isinstance(outcome, Gf2Solution)
             assert np.array_equal(bits_of(outcome.assignment, n), brute_solutions(mat, rhs)[0])
 
-    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 2080])
-    def test_mirror_reverses_bits(self, width):
-        rng = np.random.default_rng(width)
-        for _ in range(20):
-            text = "".join(str(b) for b in rng.integers(0, 2, size=width))
-            assert gf2._mirror(int(text or "0", 2), width) == int(text[::-1] or "0", 2)
+    def test_nullspace_rows_lead_at_distinct_free_variables(self):
+        """Nullspace row i's lowest set bit is its own free variable, ascending.
+
+        No other nullspace row and no assignment bit holds it, so every
+        nonzero sum of nullspace rows has its lowest set bit at a variable
+        the assignment leaves 0: no pivot rule of a later elimination of the
+        nullspace can lower the assignment.
+        """
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            n = int(rng.integers(1, 11))
+            mat = sparse_matrix(rng, int(rng.integers(1, 12)), n, 0.3)
+            rhs = (mat @ rng.integers(0, 2, size=n).astype(np.uint8)) % 2
+            outcome = solve(bit_system(mat, rhs))
+            assert isinstance(outcome, Gf2Solution)
+            leads = [row & -row for row in outcome.nullspace]
+            assert leads == sorted(set(leads))
+            for lead, row in zip(leads, outcome.nullspace):
+                assert not outcome.assignment & lead
+                assert [other for other in outcome.nullspace if other & lead] == [row]
+            for mask in range(1, 1 << len(leads)):
+                total = 0
+                for i in set_bits(mask):
+                    total ^= outcome.nullspace[i]
+                assert total & -total in leads
 
     def test_solution_nullspace_satisfies_system(self):
         rng = np.random.default_rng(43)

@@ -4,6 +4,9 @@ Each golden file under tests/golden/ holds the exact stdout of one command.
 A report that changes by a single byte (an equation order, a section value,
 a context list) fails here.
 """
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -77,6 +80,28 @@ def test_report_matches_golden(name, fmt, tmp_path):
     result = CliRunner().invoke(main, command_args(name, fmt, tmp_path))
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == golden_path(name, fmt).read_bytes()
+
+
+HASH_SEED_CASES = [("analyze_all_three_qubit", "json"), ("mbqc_report_ghz_shared_settings", "text")]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name,fmt", HASH_SEED_CASES, ids=[n for n, _ in HASH_SEED_CASES])
+def test_report_bytes_do_not_depend_on_the_hash_seed(name, fmt, seed, tmp_path):
+    """A fresh process under each PYTHONHASHSEED prints the golden bytes.
+
+    Every test in one pytest process shares one string-hash seed, so only a
+    subprocess can vary it; set iteration order is the fault this would show.
+    """
+    result = subprocess.run(
+        [sys.executable, "-c", "from contextua.cli import main; main()"]
+        + command_args(name, fmt, tmp_path),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == golden_path(name, fmt).read_bytes()
 
 
 def test_all_three_qubit_golden_is_the_large_case():
