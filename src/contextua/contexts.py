@@ -9,21 +9,21 @@ YXY, YYX} the row 0b1111 with sign bit 1 says that the four multiply to
 minus the identity. Everything here works on packed symplectic ints,
 except the member order: members sort by
 :meth:`~contextua.pauli.PauliOperator.body`, the letter string each
-operator builds once and keeps. Closing streams the sorted members once
-through one :class:`~contextua.gf2.Basis`; each member it does not keep
-yields one relation, its fundamental circuit: the kept members whose
-product it is, and itself, signed by
-:func:`~contextua.pauli.signed_circuit`. These relations are a basis of
-all product constraints of the context, so any valuation that respects
-them respects every one, and the relation set stays small. A context keeps only its members and these rows; the kept
-members, its generators, are the members that top no row. Maximal
-contexts come from a pivoted Bron-Kerbosch search over int-bitset
-neighbourhoods, on an explicit stack, refusing more than MAX_CONTEXTS.
+operator builds once and keeps. Closing is one pass. Each generator's phase
+excess, computed once, validates, signs and canonicalises it; the sorted
+members then stream once through one :class:`~contextua.gf2.Basis`. Each
+member it does not keep yields one relation, its fundamental circuit,
+signed by :func:`~contextua.pauli.circuit_sign`, which folds only the
+sign. These relations are a basis of all product constraints of the
+context, so any valuation that respects them respects every one. The kept
+members, its generators, top no row, and commutation is checked on their
+pairs alone. Maximal contexts come from a pivoted Bron-Kerbosch search
+over int-bitset neighbourhoods, on an explicit stack, returning int
+cliques and refusing more than MAX_CONTEXTS.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
-query; a decomposition names the generators and signs them by the same
-routine. :func:`~contextua.stabilizer.make_stabilizer` checks a stabilizer
+query. :func:`~contextua.stabilizer.make_stabilizer` checks a stabilizer
 group's generators with the same generator-pair check.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .gf2 import Basis, set_bits
-from .pauli import PauliBasis, PauliOperator, commutes, signed_circuit
+from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
 
 # The clique search refuses inputs with more maximal contexts than this; all
 # 255 four-qubit Paulis have 2295.
@@ -131,63 +131,59 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     the positive representative; the relation set then carries all signs. A
     pair of generators with equal body but opposite signs, or an explicit
     negative identity operator, puts -I in the group and is rejected because
-    such a context has an empty spectrum.
+    such a context has an empty spectrum. One phase excess per generator
+    decides these, naming the first offender; commutation is checked last.
     """
     ops = list(gens)
     if not ops and width is None:
         raise ValueError("empty generator list needs an explicit width")
     w = width if width is not None else ops[0].width
-    seen_signs: dict[str, int] = {}
+    excesses: dict[str, int] = {}
     given: list[PauliOperator] = []
     for op in ops:
         if op.width != w:
             raise ValueError(f"width mismatch: {op.width} vs {w}")
-        if not op.is_hermitian:
+        excess = op.phase_excess
+        if excess & 1:
             raise ValueError(f"non-Hermitian generator: {op!r}")
         if op.is_identity_class:
-            if op.sign == -1:
+            if excess:
                 raise MinusIdentityError("generator is minus the identity")
             continue
         body = op.body()
-        if body in seen_signs:
-            if seen_signs[body] != op.sign:
-                raise MinusIdentityError(f"generators include both +{body} and -{body}")
-            continue
-        seen_signs[body] = op.sign
-        given.append(op.canonical())
-    context = _close(sorted(given, key=PauliOperator.body), w)
-    _check_commuting(context.generators, w, given)
-    return context
+        known = excesses.get(body)
+        if known is None:
+            excesses[body] = excess
+            given.append(op.negate() if excess else op)
+        elif known != excess:
+            raise MinusIdentityError(f"generators include both +{body} and -{body}")
+    members = sorted(given, key=PauliOperator.body)
+    rows, signs, kept = _insert(members)
+    _check_commuting([members[i] for i in kept], w, given)
+    return ContextGroup(tuple(members), w, rows, signs)
 
 
-def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
-    """The context of unchecked distinct canonical members, sorted by body.
-
-    An identity member, which can only come first, is dropped.
-    """
-    if members and members[0].is_identity_class:
-        members = members[1:]
-    rows, signs = _insert(members)
-    return ContextGroup(tuple(members), width, rows, signs)
-
-
-def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int]:
+def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[int]]:
     """Stream ops through one GF(2) basis, with one relation row per op it does not keep.
 
     Op i is named by bit i in the basis, so each circuit is already a row
-    over the positions of ops. Returns (rows, signs): per op not kept, its
-    fundamental circuit, the kept ops it names and itself (its top bit);
-    and bit r of signs, the sign of row r, meaningful once the ops commute.
+    over the positions of ops. Returns (rows, signs, kept): per op not kept,
+    its fundamental circuit, the kept ops it names and itself (its top bit);
+    bit r of signs, the sign of row r, meaningful once the ops commute, from
+    the sign-only fold; and the positions of the kept ops, the generators.
     """
     basis = Basis()
     rows: list[int] = []
     signs = 0
+    kept: list[int] = []
     for i, op in enumerate(ops):
         remainder, circuit = basis.add(op.packed(), 1 << i)
-        if not remainder:
-            signs |= signed_circuit(ops, circuit, op)[1] << len(rows)
+        if remainder:
+            kept.append(i)
+        else:
+            signs |= circuit_sign(ops, circuit, op) << len(rows)
             rows.append(circuit | 1 << i)
-    return tuple(rows), signs
+    return tuple(rows), signs, kept
 
 
 def _check_commuting(
@@ -221,32 +217,33 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
     return neighbours
 
 
-def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
-    """All maximal cliques, by Bron-Kerbosch with Tomita pivoting.
+def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
+    """All maximal cliques as int bitsets, by Bron-Kerbosch with Tomita pivoting.
 
     Neighbourhoods and vertex sets are int bitsets (bit v is vertex v). Each
     step branches only on the candidates outside the neighbourhood of a
     pivot that has the most neighbours among the candidates, the lowest
     such vertex (Tomita, Tanaka and Takahashi, TCS 363, 2006), so the search
     takes O(3^(n/3)) steps at worst. It runs on an explicit stack, so it has
-    no recursion-depth limit. More than MAX_CONTEXTS cliques raise
+    no recursion-depth limit, and it never pushes a dead end, a child with
+    no candidates left that an excluded vertex extends. Cliques come in the
+    order the recursion finds them. More than MAX_CONTEXTS cliques raise
     ContextBudgetError.
     """
-    cliques: list[frozenset[int]] = []
+    cliques: list[int] = []
     stack = [(0, (1 << len(neighbours)) - 1, 0)] if neighbours else []
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
-            if not excluded:
-                cliques.append(frozenset(set_bits(clique)))
-                if len(cliques) > MAX_CONTEXTS:
-                    raise ContextBudgetError(
-                        f"more than {MAX_CONTEXTS} maximal contexts; "
-                        "the clique search stops at that budget"
-                    )
+            cliques.append(clique)
+            if len(cliques) > MAX_CONTEXTS:
+                raise ContextBudgetError(
+                    f"more than {MAX_CONTEXTS} maximal contexts; "
+                    "the clique search stops at that budget"
+                )
             continue
         pool = candidates | excluded
-        pivot, most = 0, -1
+        pivot, most, size = 0, -1, candidates.bit_count()
         while pool:
             low = pool & -pool
             pool ^= low
@@ -254,6 +251,8 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
             count = covered.bit_count()
             if count > most:
                 pivot, most = covered, count
+                if count == size:  # none covers more: the lowest such is the pivot
+                    break
         # Children are pushed highest vertex first, each without the branch
         # vertices below it, so they pop lowest first, as the recursion runs.
         branch = candidates & ~pivot
@@ -261,36 +260,48 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[frozenset[int]]:
             v = branch.bit_length() - 1
             branch ^= 1 << v
             near = neighbours[v]
-            stack.append(
-                (clique | 1 << v, candidates & ~branch & near, (excluded | branch) & near)
-            )
+            below, beside = candidates & ~branch & near, (excluded | branch) & near
+            if below or not beside:
+                stack.append((clique | 1 << v, below, beside))
     return cliques
 
 
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     """One closed context per maximal clique of the commutation graph.
 
-    Each input observable is validated, canonicalized and deduplicated once,
-    sorted by its kept body, and every clique is closed on those shared
-    operators. Contexts come in lexicographic order of their member body
-    strings, so runs agree.
+    Each input observable is validated and canonicalized by one phase excess,
+    deduplicated and sorted by its kept body; each int clique is closed on
+    those shared operators, read off its bits in body order. Contexts come in
+    lexicographic order of their member body strings, so runs agree.
     """
     unique: list[PauliOperator] = []
     seen: set[str] = set()
     for op in obs:
-        if not op.is_hermitian:
+        excess = op.phase_excess
+        if excess & 1:
             raise ValueError(f"non-Hermitian observable: {op!r}")
         body = op.body()
         if body not in seen:
             seen.add(body)
-            unique.append(op.canonical())
+            unique.append(op.negate() if excess else op)
     if not unique:
         return []
     widths = {op.width for op in unique}
     if len(widths) > 1:
         raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
-    # Indexed in body order, sorted cliques order like their contexts' members;
-    # the identity lies in every clique, so dropping it changes no comparison.
+    # Indexed in body order, bit lists order like their contexts' members; the
+    # identity lies in every clique, so dropping it changes no comparison.
     unique.sort(key=PauliOperator.body)
-    cliques = sorted(sorted(clique) for clique in _maximal_cliques(commutation_graph(unique)))
+    cliques = sorted(list(set_bits(c)) for c in _maximal_cliques(commutation_graph(unique)))
     return [_close([unique[i] for i in clique], unique[0].width) for clique in cliques]
+
+
+def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
+    """The context of unchecked distinct canonical members, sorted by body.
+
+    An identity member, which can only come first, is dropped.
+    """
+    if members and members[0].is_identity_class:
+        members = members[1:]
+    rows, signs, _ = _insert(members)
+    return ContextGroup(tuple(members), width, rows, signs)

@@ -7,14 +7,16 @@ Operators are stored in symplectic form with a global phase: an operator is
 where the x and z exponent vectors are packed into Python integers (bit k is
 qubit k, qubit 0 being the leftmost letter of a string like "XYZ") and
 phase_exp lives in Z_4. A single-qubit Y is i*X*Z, so a Hermitian operator
-always satisfies phase_exp = popcount(x & z) mod 2; its sign is +1 when
-phase_exp - popcount(x & z) is 0 mod 4 and -1 when it is 2 mod 4.
+always satisfies phase_exp = popcount(x & z) mod 2. Its phase excess,
+phase_exp - popcount(x & z) mod 4, is 0 for sign +1, 2 for sign -1 and odd
+otherwise, so one Y count validates, signs and canonicalises an operator.
 
 :class:`PauliBasis` keeps a greedy independent set of operators on the one
 streaming GF(2) basis of :mod:`contextua.gf2`, fed their packed symplectic
 vectors. Every sign it reports, and every relation sign of a context, comes
-from :func:`signed_circuit`, one walk over a generator bit set that folds
-their product's sign on ints.
+from :func:`circuit_sign`, one walk over a generator bit set that folds
+only their product's sign, on ints; :meth:`PauliBasis.decompose` alone
+also lists the generators.
 """
 from __future__ import annotations
 
@@ -73,19 +75,21 @@ class PauliOperator:
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @property
-    def y_count(self) -> int:
-        return (self.x_bits & self.z_bits).bit_count()
+    def phase_excess(self) -> int:
+        """(phase_exp - popcount(x & z)) mod 4: 0 for +P, 2 for -P, odd if not Hermitian."""
+        return (self.phase_exp - (self.x_bits & self.z_bits).bit_count()) % 4
 
     @property
     def is_hermitian(self) -> bool:
-        return (self.phase_exp - self.y_count) % 2 == 0
+        return not self.phase_excess & 1
 
     @property
     def sign(self) -> int:
         """+1 or -1 for a Hermitian operator."""
-        if not self.is_hermitian:
+        excess = self.phase_excess
+        if excess & 1:
             raise NonHermitianError(f"phase exponent {self.phase_exp} is not a real sign")
-        return 1 if (self.phase_exp - self.y_count) % 4 == 0 else -1
+        return 1 - excess
 
     @property
     def sign_bit(self) -> int:
@@ -99,13 +103,17 @@ class PauliOperator:
 
     def canonical(self) -> "PauliOperator":
         """The positive-sign representative of {+P, -P}; self if already so."""
-        phase = self.y_count % 4
-        if phase == self.phase_exp:
-            return self
-        return _unchecked(self.width, self.x_bits, self.z_bits, phase)
+        excess = self.phase_excess
+        return self._rephased(self.phase_exp - excess) if excess else self
 
     def negate(self) -> "PauliOperator":
-        return _unchecked(self.width, self.x_bits, self.z_bits, (self.phase_exp + 2) % 4)
+        return self._rephased(self.phase_exp + 2)
+
+    def _rephased(self, phase_exp: int) -> "PauliOperator":
+        """The same letters at another phase, keeping the body if it is built."""
+        op = _unchecked(self.width, self.x_bits, self.z_bits, phase_exp % 4)
+        _set(op, "_body", self._body)
+        return op
 
     def body(self) -> str:
         """The unsigned letter string, e.g. 'XYZ', built on the first call and kept.
@@ -237,26 +245,22 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return form % 2 == 0
 
 
-def signed_circuit(
-    generators: Sequence[PauliOperator], bits: int, op: PauliOperator
-) -> tuple[tuple[PauliOperator, ...], int]:
-    """The generators bits selects, lowest bit first, and a sign bit.
+def circuit_sign(generators: Sequence[PauliOperator], bits: int, op: PauliOperator) -> int:
+    """The sign bit of the product of the generators bits selects, times op.
 
-    Bits are positions in the list it is given. The sign bit is that of
-    their left-to-right product times op, as :func:`multiply_all` gives it:
-    for a circuit, whether it is -I.
+    Bits are positions in the list it is given, multiplied lowest first, as
+    :func:`multiply_all` would; only the sign is folded, on ints, so for a
+    fundamental circuit it says whether the product is -I.
     """
-    chosen = []
     phase = z = 0
     while bits:
         low = bits & -bits
         g = generators[low.bit_length() - 1]
-        chosen.append(g)
         phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
         z ^= g.z_bits
         bits ^= low
     phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
-    return tuple(chosen), phase % 4 // 2
+    return phase % 4 // 2
 
 
 class PauliBasis:
@@ -267,8 +271,8 @@ class PauliBasis:
     already kept, up to phase, is not kept, so ``generators`` is the greedy
     independent subset of the insertion order; the constructor inserts the
     generators it is given. Expressing an operator over the generators
-    takes one XOR per pivot met, and one fold over the chosen generators,
-    in generator order, gives the sign.
+    takes one XOR per pivot met, and one sign fold over the chosen
+    generators, in generator order, gives the sign.
     """
 
     def __init__(self, width: int, generators: Iterable[PauliOperator] = ()) -> None:
@@ -300,20 +304,26 @@ class PauliBasis:
             return None
         return combination
 
+    def combination(self, op: PauliOperator) -> int | None:
+        """The bit set of the generators whose product is op up to phase, or None."""
+        if not op.is_hermitian:
+            raise NonHermitianError(f"non-Hermitian query: {op!r}")
+        remainder, combination = self._basis.reduce(self._vector(op))
+        return None if remainder else combination
+
     def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
         """Express a Hermitian op over the generators, with the realized sign.
 
         Returns (chosen, sign_bit), the generators whose product in generator
         order is (-1)^sign_bit times op, or None when op is not a product of
         generators up to phase. A non-Hermitian op, which no sign relates to
-        such a product, raises NonHermitianError.
+        such a product, raises NonHermitianError, here and in :meth:`combination`.
         """
-        if not op.is_hermitian:
-            raise NonHermitianError(f"non-Hermitian query: {op!r}")
-        remainder, combination = self._basis.reduce(self._vector(op))
-        if remainder:
+        combination = self.combination(op)
+        if combination is None:
             return None
-        return signed_circuit(self.generators, combination, op)
+        chosen = tuple(g for i, g in enumerate(self.generators) if combination >> i & 1)
+        return chosen, circuit_sign(self.generators, combination, op)
 
     def __repr__(self) -> str:
         return f"PauliBasis(width={self.width}, generators={self.generators!r})"

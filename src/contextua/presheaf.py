@@ -89,19 +89,17 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     if any(not row and context.signs >> r & 1 for r, row in enumerate(context.relations)):
         raise EmptySpectrumError("context contains minus the identity")
     g = context.rank
-    # Members always decompose; each is expressed over the generators once.
-    forms = [(op, context.decompose(op)) for op in context.members]
-    points = []
-    for idx in range(1 << g):
-        gen_bits = {
-            gen.body(): (idx >> (g - 1 - j)) & 1 for j, gen in enumerate(context.generators)
-        }
-        values = {
-            op.body(): (sign_bit + sum(gen_bits[gen.body()] for gen in chosen)) % 2
-            for op, (chosen, sign_bit) in forms
-        }
-        points.append(Valuation(context=context, values=values))
-    return tuple(points)
+    # Generators and their bodies are read once: generator j is bit g - 1 - j.
+    bit = {gen.body(): 1 << g - 1 - j for j, gen in enumerate(context.generators)}
+    # Members always decompose; each is expressed once, as its index mask.
+    forms = [(op.body(), sign, sum(bit[gen.body()] for gen in chosen))
+             for op in context.members for chosen, sign in [context.decompose(op)]]
+    return tuple(
+        Valuation(context=context, values={
+            body: (sign + (idx & mask).bit_count()) % 2 for body, sign, mask in forms
+        })
+        for idx in range(1 << g)
+    )
 
 
 def restrict(valuation: Valuation, sub: ContextGroup) -> Valuation:

@@ -4,17 +4,17 @@ A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
 signed generators. After the pair check of
 :func:`contextua.contexts.close_context` on the given generators, they
 stream once into that basis; the first one it does not keep is refused:
-dependent or, when :func:`~contextua.pauli.signed_circuit` signs its
+dependent or, when :func:`~contextua.pauli.circuit_sign` signs its
 fundamental circuit -1, putting minus the identity in the group.
 Membership queries reduce the packed symplectic vector against the basis
-and fold the sign of the chosen generators' product on ints, with no cap
-on the width. The sign a group fixes for a member is its exact eigenvalue
+and fold only the sign of the chosen generators' product, on ints, with no
+cap on the width. The sign a group fixes for a member is its exact eigenvalue
 on the stabilized state, so no state vector is needed.
 """
 from __future__ import annotations
 
 from .contexts import MinusIdentityError, _check_commuting
-from .pauli import PauliBasis, PauliOperator, signed_circuit
+from .pauli import PauliBasis, PauliOperator, circuit_sign
 
 
 class DependentGeneratorsError(ValueError):
@@ -43,7 +43,7 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
     for op in ops:
         circuit = basis.add(op)
         if circuit is not None:
-            if signed_circuit(basis.generators, circuit, op)[1]:
+            if circuit_sign(basis.generators, circuit, op):
                 raise MinusIdentityError(
                     f"{op} conflicts in sign with the product of earlier generators"
                 )
@@ -55,7 +55,7 @@ def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:
     """Outcome bit the group of the basis fixes for op, or None.
 
     0 means +op lies in the group, 1 means -op does, None means neither.
-    A non-Hermitian op raises NonHermitianError, as in PauliBasis.decompose.
+    A non-Hermitian op raises NonHermitianError; only the sign is folded.
     """
-    decomposed = basis.decompose(op)
-    return None if decomposed is None else decomposed[1]
+    combination = basis.combination(op)
+    return None if combination is None else circuit_sign(basis.generators, combination, op)

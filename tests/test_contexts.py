@@ -118,6 +118,45 @@ class TestCloseContext:
         with pytest.raises(ValueError):
             close_context(ops("XX", "X"))
 
+    def test_first_offending_generator_decides(self):
+        """Mixed invalid lists: the first offence in the given order names the error.
+
+        Width, Hermiticity, -I and +P/-P are checked generator by generator,
+        so the first offending generator decides (for a +P/-P pair, the
+        second of the two); commutation is checked only when all else holds.
+        """
+        non_hermitian = PauliOperator(2, 0b01, 0, 1)  # i XI
+        pieces = {
+            "width": (ops("X"), ValueError, "width mismatch: 1 vs 2"),
+            "hermitian": ([non_hermitian], ValueError,
+                          f"non-Hermitian generator: {non_hermitian!r}"),
+            "minus_identity": (ops("-II"), MinusIdentityError, "generator is minus the identity"),
+            "sign_conflict": (ops("+YY", "-YY"), MinusIdentityError,
+                              "generators include both +YY and -YY"),
+            "commutation": (ops("XI", "ZI"), NonCommutingGeneratorsError, None),
+        }
+        rng = np.random.default_rng(113)
+        names = list(pieces)
+        for _ in range(400):
+            chosen = [n for n in names if rng.integers(2)] or [names[int(rng.integers(5))]]
+            tagged = [(n, op) for n in chosen for op in pieces[n][0]] + [("", parse_pauli("II"))]
+            tagged = [tagged[int(i)] for i in rng.permutation(len(tagged))]
+            conflicting = 0
+            for name, _ in tagged:
+                conflicting += name == "sign_conflict"
+                if name in ("width", "hermitian", "minus_identity") or conflicting == 2:
+                    break
+            else:
+                name = "commutation"
+            _, kind, message = pieces[name]
+            if message is None:
+                first, second = (op.body() for n, op in tagged if n == "commutation")
+                message = f"{first} and {second} do not commute"
+            with pytest.raises(kind) as caught:
+                close_context([op for _, op in tagged], width=2)
+            assert type(caught.value) is kind
+            assert str(caught.value) == message
+
     def test_relations_verified_by_multiplication(self):
         """Every emitted relation reproduces (-1)^sign_bit I when multiplied."""
         rng = np.random.default_rng(101)
@@ -499,7 +538,7 @@ class TestCliqueSearch:
             graph.add_nodes_from(range(adj.shape[0]))
             graph.add_edges_from(zip(*np.nonzero(np.triu(adj, 1))))
             expected = {frozenset(c) for c in nx.find_cliques(graph)}
-            found = _maximal_cliques(pack_rows(adj))
+            found = [frozenset(set_bits(c)) for c in _maximal_cliques(pack_rows(adj))]
             assert len(found) == len(set(found))
             assert set(found) == expected
 
@@ -529,13 +568,15 @@ class TestCliqueSearch:
             n = int(rng.integers(0, 41))
             upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
             neighbours = pack_rows(upper | upper.T)
-            assert _maximal_cliques(neighbours) == recursive_cliques(neighbours)
+            found = [frozenset(set_bits(c)) for c in _maximal_cliques(neighbours)]
+            assert found == recursive_cliques(neighbours)
 
     def test_complete_graph_deeper_than_the_recursion_limit(self):
         """One clique of 1,100 vertices: the search keeps its own stack."""
         n = 1100
         full = (1 << n) - 1
-        assert _maximal_cliques([full ^ 1 << v for v in range(n)]) == [frozenset(range(n))]
+        cliques = _maximal_cliques([full ^ 1 << v for v in range(n)])
+        assert [list(set_bits(c)) for c in cliques] == [list(range(n))]
 
     @pytest.mark.parametrize("width,count", [(2, 15), (3, 135), (4, 2295)])
     def test_all_paulis_census(self, width, count):
@@ -548,7 +589,7 @@ class TestCliqueSearch:
         cliques = _maximal_cliques(commutation_graph(all_paulis(width)))
         assert time.perf_counter() - start < 20
         assert len(cliques) == count
-        assert {len(c) for c in cliques} == {(1 << width) - 1}
+        assert {len(list(set_bits(c))) for c in cliques} == {(1 << width) - 1}
 
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):
@@ -605,7 +646,7 @@ class TestCliqueSearchOnPaulis:
                 (i, j) for i in range(size) for j in set_bits(neighbours[i]) if i < j
             )
             expected = {frozenset(c) for c in nx.find_cliques(graph)}
-            found = _maximal_cliques(neighbours)
+            found = [frozenset(set_bits(c)) for c in _maximal_cliques(neighbours)]
             assert len(found) == len(set(found))
             assert set(found) == expected
 
@@ -664,9 +705,9 @@ class TestInsertSigns:
             chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
             expected.append(sum(1 << kept[j] for j in set_bits(circuit)) | 1 << i)
             relations.append((chosen, multiply_all(chosen).phase_exp // 2))
-        rows, signs = _insert(obs)
+        rows, signs, positions = _insert(obs)
         dependent = {row.bit_length() - 1 for row in rows}
-        assert [i for i in range(len(obs)) if i not in dependent] == kept
+        assert [i for i in range(len(obs)) if i not in dependent] == kept == positions
         assert rows == tuple(expected)
         expanded = [
             (tuple(op for i, op in enumerate(obs) if row >> i & 1), signs >> r & 1)
