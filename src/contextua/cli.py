@@ -18,7 +18,7 @@ from .contexts import close_context, maximal_contexts
 from .mbqc import IndeterminateInputsError, contextuality_report, truth_table
 from .mbqc import run as run_instance
 from .pauli import PauliOperator
-from .presheaf import build_global_problem, solve_global
+from .presheaf import decide_global
 from .report import TOOL_VERSION, Report
 
 _EXIT_INPUT_ERROR = 2
@@ -120,11 +120,11 @@ def cmd_analyze(
                 raise io.FileFormatError("no observables given")
             contexts = maximal_contexts(loose)
         pins = io.parse_pin_file(pin_data.decode("utf-8"), parsed) if pin_data else ()
-        problem = build_global_problem(contexts, pins)
+        # Unknown pins are refused before the solver reads any row.
+        problem, outcome = decide_global(contexts, pins)
     except ValueError as exc:
         _input_error(str(exc))
         return
-    outcome = solve_global(problem)
     analysis = report_mod.build_analysis(contexts, problem, outcome, pins)
     _emit(
         Report(version=TOOL_VERSION, input_sha256=digest, analyses={"analysis": analysis}),
@@ -143,8 +143,7 @@ def cmd_mermin(fmt: str) -> None:
     contexts = fixtures.mermin_contexts()
     analyses = {}
     for name, pins in (("state_independent", ()), ("ghz_pinned", fixtures.ghz_pins())):
-        problem = build_global_problem(contexts, pins)
-        outcome = solve_global(problem)
+        problem, outcome = decide_global(contexts, pins)
         analyses[name] = report_mod.build_analysis(contexts, problem, outcome, pins)
     _emit(Report(version=TOOL_VERSION, input_sha256=digest, analyses=analyses), fmt)
 

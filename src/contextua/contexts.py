@@ -19,7 +19,10 @@ context, so any valuation that respects them respects every one. The kept
 members, its generators, top no row, and commutation is checked on their
 pairs alone. Maximal contexts come from a pivoted Bron-Kerbosch search
 over int-bitset neighbourhoods, on an explicit stack, returning int
-cliques and refusing more than MAX_CONTEXTS.
+cliques and refusing more than MAX_CONTEXTS. They share one vertex table,
+each distinct observable with its packed vector read once; a clique takes
+its members and its rank from it at once, and is closed only when its
+relations are first read, so a solver that stops early closes few.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -28,10 +31,9 @@ group's generators with the same generator-pair check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .gf2 import Basis, set_bits
+from .gf2 import Basis, rank, set_bits
 from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
 
 # The clique search refuses inputs with more maximal contexts than this; all
@@ -51,7 +53,6 @@ class ContextBudgetError(ValueError):
     """An observable set has more maximal contexts than MAX_CONTEXTS."""
 
 
-@dataclass(eq=False, slots=True)
 class ContextGroup:
     """The abelian group generated by commuting Hermitian observables.
 
@@ -59,6 +60,7 @@ class ContextGroup:
         members: the named observables (canonical positive, deduplicated,
             sorted by body string).
         width: the number of qubits.
+        rank: the number of independent members.
         relations: one int row per member that is a product of earlier
             ones, in member order: its fundamental circuit over the greedy
             independent subset of members, bit i naming ``members[i]``, so
@@ -73,13 +75,53 @@ class ContextGroup:
 
     Construct through :func:`close_context` or :func:`maximal_contexts`;
     the constructor assumes its arguments are validated and canonical.
+    Given relations and signs, a context is closed and its rank is read off
+    them. Given only a rank, as :func:`maximal_contexts` gives it, the
+    members are closed by :func:`_insert` on the first read of
+    ``relations`` or ``signs``, once; independent members, as many as the
+    rank, need no closing and have no relations.
     """
 
-    members: tuple[PauliOperator, ...]
-    width: int
-    relations: tuple[int, ...]
-    signs: int
-    _basis: PauliBasis | None = field(default=None, init=False)
+    __slots__ = ("members", "width", "rank", "_relations", "_signs", "_basis")
+
+    def __init__(
+        self,
+        members: tuple[PauliOperator, ...],
+        width: int,
+        relations: tuple[int, ...] | None = None,
+        signs: int = 0,
+        rank: int | None = None,
+    ) -> None:
+        self.members = members
+        self.width = width
+        self._relations = relations
+        self._signs = signs
+        self._basis: PauliBasis | None = None
+        if relations is not None:
+            self.rank = len(members) - len(relations)
+        elif rank is None:
+            raise ValueError("a context needs its relations or its rank")
+        else:
+            self.rank = rank
+
+    def _find_relations(self) -> None:
+        """Find the relations and signs of a context given its rank alone."""
+        if self.rank == len(self.members):  # independent members: no relation
+            self._relations, self._signs = (), 0
+        else:
+            self._relations, self._signs, _ = _insert(self.members)
+
+    @property
+    def relations(self) -> tuple[int, ...]:
+        if self._relations is None:
+            self._find_relations()
+        return self._relations
+
+    @property
+    def signs(self) -> int:
+        if self._relations is None:
+            self._find_relations()
+        return self._signs
 
     @property
     def generators(self) -> tuple[PauliOperator, ...]:
@@ -87,10 +129,6 @@ class ContextGroup:
         for row in self.relations:
             dependent |= 1 << row.bit_length() - 1
         return tuple(op for i, op in enumerate(self.members) if not dependent >> i & 1)
-
-    @property
-    def rank(self) -> int:
-        return len(self.members) - len(self.relations)
 
     @property
     def group_order(self) -> int:
@@ -267,12 +305,16 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
 
 
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
-    """One closed context per maximal clique of the commutation graph.
+    """One context per maximal clique of the commutation graph, closed when first read.
 
     Each input observable is validated and canonicalized by one phase excess,
-    deduplicated and sorted by its kept body; each int clique is closed on
-    those shared operators, read off its bits in body order. Contexts come in
-    lexicographic order of their member body strings, so runs agree.
+    deduplicated and sorted by its kept body; that sorted list is the vertex
+    table, and each vertex's packed vector is read once, beside it. Each int
+    clique reads its members off its bits in body order, and its rank from
+    one :func:`~contextua.gf2.rank` pass over its vectors; its relations
+    and signs wait until something reads them, as the global-section stream
+    does context by context. Contexts come in lexicographic order of their
+    member body strings, so runs agree.
     """
     unique: list[PauliOperator] = []
     seen: set[str] = set()
@@ -292,12 +334,21 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     # Indexed in body order, bit lists order like their contexts' members; the
     # identity lies in every clique, so dropping it changes no comparison.
     unique.sort(key=PauliOperator.body)
-    cliques = sorted(list(set_bits(c)) for c in _maximal_cliques(commutation_graph(unique)))
-    return [_close([unique[i] for i in clique], unique[0].width) for clique in cliques]
+    vectors = [op.packed() for op in unique]
+    member, vector = unique.__getitem__, vectors.__getitem__
+    width = unique[0].width
+    contexts = []
+    for clique in sorted(set_bits(c) for c in _maximal_cliques(commutation_graph(unique))):
+        if not vectors[clique[0]]:  # the identity, which can only come first
+            del clique[0]
+        # No relations yet: they are found when first read.
+        members = tuple(map(member, clique))
+        contexts.append(ContextGroup(members, width, None, 0, rank(map(vector, clique))))
+    return contexts
 
 
 def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
-    """The context of unchecked distinct canonical members, sorted by body.
+    """The context of unchecked distinct canonical members, sorted by body, closed at once.
 
     An identity member, which can only come first, is dropped.
     """

@@ -17,27 +17,33 @@ and fundamental circuits do not depend on the pivot rule. One back
 substitution turns the table into reduced row-echelon form. Closing
 contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
 (generator k is bit k), :func:`rref` (row r is bit cols + r) and
-:func:`solve` all run on it. Only :func:`solve` names kept row j by bit j:
-a bit per row index would make every combination as wide as the rows
-streamed so far.
+:func:`solve_rows` all run on it. Only :func:`solve_rows` names kept row j
+by bit j: a bit per row index would make every combination as wide as the
+rows streamed so far. :func:`rank` counts the pivots the same rule gives,
+without names or a table of rows.
 
-:func:`solve` streams each row shifted up one bit, with its right-hand
-side at bit 0, so a row pivots on its last variable and a remainder of
-exactly 1 is 0 = 1. With those pivots the solution whose free variables
-are zero is the binary-lowest one.
+:func:`solve_rows` is the one solver loop. It reads (row, right-hand side)
+pairs from any iterable, so a caller can build each row only when the loop
+asks for it, and :func:`solve` feeds it a system's rows. Each row streams
+shifted up one bit, with its right-hand side at bit 0, so a row pivots on
+its last variable and a remainder of exactly 1 is 0 = 1; the loop stops
+there and reads no further row. With those pivots the solution whose free
+variables are zero is the binary-lowest one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
-def set_bits(bits: int) -> Iterator[int]:
+def set_bits(bits: int) -> list[int]:
     """The indices of the set bits of an int, lowest first."""
+    indices = []
     while bits:
         low = bits & -bits
-        yield low.bit_length() - 1
+        indices.append(low.bit_length() - 1)
         bits ^= low
+    return indices
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,23 @@ class Basis:
         return [(length - 1, row, combination) for length, (row, combination) in done.items()]
 
 
+def rank(vectors: Iterable[int]) -> int:
+    """The dimension of the span of vectors, by the highest-bit rule of :class:`Basis`.
+
+    Each vector is reduced against the pivots kept so far and kept under its
+    highest set bit when something is left; no combination is tracked.
+    """
+    pivots: dict[int, int] = {}
+    for vector in vectors:
+        while vector:
+            pivot = pivots.get(vector.bit_length())
+            if pivot is None:
+                pivots[vector.bit_length()] = vector
+                break
+            vector ^= pivot
+    return len(pivots)
+
+
 @dataclass(frozen=True)
 class RrefResult:
     """Reduced row-echelon form together with the row transform producing it.
@@ -210,8 +233,8 @@ class Certificate:
 
     The selected rows (ascending row indices) of the coefficient matrix sum
     to the zero vector while their right-hand-side bits sum to 1, exhibiting
-    0 = 1. :func:`solve` selects the fundamental circuit of the first row k
-    whose prefix, rows 0..k, is inconsistent: row k and the unique rows of
+    0 = 1. :func:`solve_rows` selects the fundamental circuit of the first
+    row k whose prefix, rows 0..k, is inconsistent: row k and the unique rows of
     the greedy basis of rows 0..k-1 that sum to its left-hand side. So the
     certificate depends on the system and its row order alone, and no
     proper subset of it sums to zero.
@@ -238,14 +261,25 @@ class Gf2Solution:
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
+    The system's rows, each with its right-hand-side bit, feed
+    :func:`solve_rows`.
+    """
+    rhs = system.rhs
+    pairs = ((row, rhs >> r & 1) for r, row in enumerate(system.matrix.rows))
+    return solve_rows(pairs, system.num_vars)
+
+
+def solve_rows(rows: Iterable[tuple[int, int]], cols: int) -> Gf2Solution | Certificate:
+    """Solve the system whose rows, over cols variables, stream in as (row, rhs bit).
+
     Row r streams into one :class:`Basis` as ``row << 1`` with its
     right-hand side at bit 0, so variable c sits at bit c + 1 and each row
     pivots on its last variable. A row whose left-hand side reduces to zero
     leaves exactly 1 when the rows up to it are inconsistent. The first such
-    row stops the pass, and its fundamental circuit is the
-    :class:`Certificate`, which no pivot rule changes. Kept row j is named
-    by bit j, so a combination has at most rank bits; ``kept`` maps it to
-    row indices.
+    row stops the pass, before the next row is read, and its fundamental
+    circuit is the :class:`Certificate`, which no pivot rule changes. Kept
+    row j is named by bit j, so a combination has at most rank bits;
+    ``kept`` maps it to row indices.
 
     Otherwise one back substitution gives the solution. Variables of a
     global-section system are numbered by first appearance, so the last
@@ -256,11 +290,10 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     i sets the i-th free variable, in variable order, and the pivot
     variables that match it; its lowest set bit is that free variable.
     """
-    cols = system.num_vars
     basis = Basis()
     kept: list[int] = []
-    for r, row in enumerate(system.matrix.rows):
-        remainder, combination = basis.add(row << 1 | system.rhs >> r & 1, 1 << len(kept))
+    for r, (row, bit) in enumerate(rows):
+        remainder, combination = basis.add(row << 1 | bit, 1 << len(kept))
         if remainder == 1:
             return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
         if remainder:

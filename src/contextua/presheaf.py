@@ -15,11 +15,19 @@ so they only change columns. A solution of the system is a global section,
 and an inconsistency certificate for it, a set of rows that sums to 0 = 1,
 is a Kochen-Specker style proof of contextuality, which
 :func:`contextua.gf2.verify_certificate` checks exactly.
+
+The system is built by one row stream. Its columns are numbered, and its
+pins checked, before any row is built; then each context yields its rows
+when the reader reaches it, and is closed only then. :func:`decide_global`
+lets :func:`contextua.gf2.solve_rows` read the stream and stop at the
+first inconsistent row, so a contradiction found among the first contexts
+closes no later one. :func:`build_global_problem` collects the whole
+stream into the matrix view.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import gf2
 from .contexts import ContextGroup
@@ -153,55 +161,126 @@ class GlobalSection:
         return (self.values[op.body()] + op.sign_bit) % 2
 
 
+class _GlobalRows:
+    """The global-section system of contexts and pins, built as it is read.
+
+    Construction makes one pass over all members, numbering a column per
+    observable body by first appearance (member order within each context)
+    and noting each member's column bit, then checks every pin against
+    those columns, so an unknown pin is refused before any row is built.
+    The identity lies in every context but names no column: its pin is a
+    row with no columns. Iterating yields (row, rhs bit), one row per
+    context relation, context by context, then one per pin in the given
+    order. A context is closed only when its first row is needed, and each
+    row is recorded as it is yielded, so :meth:`system` is the system of
+    every label and the rows read so far.
+    """
+
+    def __init__(
+        self, contexts: Sequence[ContextGroup], constraints: Iterable[StateConstraint]
+    ) -> None:
+        if not contexts:
+            raise ValueError("at least one context is required")
+        widths = {c.width for c in contexts}
+        if len(widths) > 1:
+            raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
+        columns: dict[str, int] = {}  # observable body -> its column's bit
+        bits: list[int] = []  # the column bit of each member, context by context
+        for ctx in contexts:
+            for op in ctx.members:
+                body = op.body()
+                bit = columns.get(body)
+                if bit is None:
+                    bit = columns[body] = 1 << len(columns)
+                bits.append(bit)
+        identity = "I" * contexts[0].width
+        pins: list[tuple[int, int]] = []
+        for constraint in constraints:
+            body = constraint.observable.body()
+            bit = columns.get(body)
+            if bit is None:
+                if body != identity:
+                    raise UnknownConstrainedObservableError(
+                        f"pinned observable {body} does not occur in any context"
+                    )
+                bit = 0
+            pins.append((bit, constraint.value_bit))
+        self.labels = tuple(columns)
+        self.rows: list[int] = []
+        self._rhs = 0
+        self._contexts = contexts
+        self._bits = bits
+        self._pins = pins
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        rows = self.rows
+        bits = self._bits
+        start = 0
+        for ctx in self._contexts:
+            end = start + len(ctx.members)
+            relations = ctx.relations
+            if relations:
+                signs = ctx.signs
+                self._rhs |= signs << len(rows)  # system() drops bits of unread rows
+                table = bits[start:end]
+                for relation in relations:
+                    row = 0
+                    while relation:
+                        low = relation & -relation
+                        row |= table[low.bit_length() - 1]
+                        relation ^= low
+                    rows.append(row)
+                    yield row, signs & 1
+                    signs >>= 1
+            start = end
+        for row, bit in self._pins:
+            self._rhs |= bit << len(rows)
+            rows.append(row)
+            yield row, bit
+
+    def system(self) -> gf2.Gf2System:
+        return gf2.Gf2System(
+            matrix=gf2.BitMatrix(tuple(self.rows), len(self.labels)),
+            rhs=self._rhs & (1 << len(self.rows)) - 1,
+            labels=self.labels,
+        )
+
+
 def build_global_problem(
     contexts: Sequence[ContextGroup],
     constraints: Iterable[StateConstraint] = (),
 ) -> gf2.Gf2System:
-    """Assemble the global-section decision problem as a GF(2) system.
+    """The whole global-section decision problem as a GF(2) system.
 
     One variable per observable body (first appearance across the given
     contexts, member order within each); one row per context relation, then
-    one pinned row per state constraint, in the given order.
+    one pinned row per state constraint, in the given order. It collects
+    every row of the stream :func:`decide_global` reads, closing every
+    context.
     """
-    if not contexts:
-        raise ValueError("at least one context is required")
-    widths = {c.width for c in contexts}
-    if len(widths) > 1:
-        raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
-    columns: dict[str, int] = {}  # observable body -> its column's bit
-    labels: list[str] = []
-    rows: list[int] = []
-    rhs = 0
-    for ctx in contexts:
-        table = []
-        for op in ctx.members:
-            body = op.body()
-            bit = columns.get(body)
-            if bit is None:
-                bit = columns[body] = 1 << len(labels)
-                labels.append(body)
-            table.append(bit)
-        rhs |= ctx.signs << len(rows)
-        for relation in ctx.relations:
-            row = 0
-            while relation:
-                low = relation & -relation
-                row |= table[low.bit_length() - 1]
-                relation ^= low
-            rows.append(row)
-    for constraint in constraints:
-        body = constraint.observable.body()
-        if body not in columns:
-            raise UnknownConstrainedObservableError(
-                f"pinned observable {body} does not occur in any context"
-            )
-        rhs |= constraint.value_bit << len(rows)
-        rows.append(columns[body])
-    return gf2.Gf2System(
-        matrix=gf2.BitMatrix(tuple(rows), len(labels)),
-        rhs=rhs,
-        labels=tuple(labels),
-    )
+    stream = _GlobalRows(contexts, constraints)
+    for _ in stream:
+        pass
+    return stream.system()
+
+
+def decide_global(
+    contexts: Sequence[ContextGroup],
+    constraints: Iterable[StateConstraint] = (),
+) -> tuple[gf2.Gf2System, GlobalSection | gf2.Certificate]:
+    """Decide the global-section problem, building rows only as the solver reads them.
+
+    :func:`contextua.gf2.solve_rows` reads the row stream that
+    :func:`build_global_problem` collects and stops at the first
+    inconsistent row, so no later row is built and no later context closed.
+    Returns the system of every label and the rows read (all of them when a
+    section exists) with the outcome :func:`solve_global` gives on the
+    whole system.
+    """
+    stream = _GlobalRows(contexts, constraints)
+    outcome = gf2.solve_rows(stream, len(stream.labels))
+    problem = stream.system()
+    return problem, _section(problem, outcome)
 
 
 def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
@@ -232,7 +311,13 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
     Returns the binary-lowest satisfying assignment as a GlobalSection, or
     the inconsistency Certificate naming the contradicting rows.
     """
-    outcome = gf2.solve(problem)
+    return _section(problem, gf2.solve(problem))
+
+
+def _section(
+    problem: gf2.Gf2System, outcome: gf2.Gf2Solution | gf2.Certificate
+) -> GlobalSection | gf2.Certificate:
+    """The solver's outcome on problem, its solution read as a GlobalSection."""
     if isinstance(outcome, gf2.Certificate):
         return outcome
     assignment = _lowest_solution(outcome, problem.num_vars)

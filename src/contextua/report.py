@@ -102,8 +102,8 @@ def build_analysis(
     return Analysis(
         verdict="noncontextual" if certificate is None else "contextual",
         observables=problem.labels,
-        contexts=tuple(tuple(op.body() for op in c.members) for c in contexts),
-        spectrum_sizes=tuple(c.group_order for c in contexts),
+        contexts=tuple([tuple([op.body() for op in c.members]) for c in contexts]),
+        spectrum_sizes=tuple([c.group_order for c in contexts]),
         pins=tuple(Pin(p.observable.body(), p.value_bit) for p in pins),
         certificate=certificate,
         section=section,

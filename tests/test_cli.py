@@ -161,6 +161,42 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", pin])
         assert result.exit_code == 2
 
+    def test_unknown_pin_on_contradictory_contexts(self, runner, tmp_path):
+        """The pin is refused though the contexts alone already contradict."""
+        pin = write(tmp_path, "pin.txt", "pin XXX +1\npin ZZZ +1\n")
+        result = runner.invoke(
+            main, ["analyze", "--obs", str(FIXTURES / "mermin.txt"), "--pin", pin]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: pinned observable ZZZ does not occur in any context\n"
+
+    @pytest.mark.parametrize("text", ["pin II +1\n", "pin -II -1\n"])
+    def test_identity_pin_that_holds(self, runner, tmp_path, text):
+        obs = write(tmp_path, "o.txt", "XX\nZZ\n")
+        pin = write(tmp_path, "p.txt", text)
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", pin])
+        assert result.exit_code == 0, result.output
+        assert "verdict: noncontextual" in result.output
+        assert "pinned eigenvalues:\n  II = +1\n" in result.output
+
+    @pytest.mark.parametrize("text", ["pin II -1\n", "pin -II +1\n"])
+    def test_identity_pin_that_fails(self, runner, tmp_path, text):
+        """Pinning the identity to -1 is the one-row certificate I = -1."""
+        obs = write(tmp_path, "o.txt", "XX\nZZ\n")
+        pin = write(tmp_path, "p.txt", text)
+        args = ["analyze", "--obs", obs, "--pin", pin, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        analysis = parse_json(result.output).analyses["analysis"]
+        assert analysis.verdict == "contextual"
+        assert analysis.certificate.rows == (0,)
+        assert analysis.certificate.equations == ("I = -1",)
+        wrong_width = write(tmp_path, "w.txt", "pin III -1\n")
+        result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", wrong_width])
+        assert result.exit_code == 2
+        assert "III does not occur in any context" in result.stderr
+
     def test_loose_lines_in_context_file(self, runner, tmp_path):
         obs = write(tmp_path, "one.txt", "XX\n")
         ctx = write(tmp_path, "ctx.txt", "XX\ncontext:\nXX\n")

@@ -396,6 +396,33 @@ class TestElimination:
             assert inserted == [op.packed() for op in ctx.members]
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
+    def test_maximal_contexts_close_on_first_read(self, monkeypatch):
+        """Members and rank come at once; relations and signs wait for a reader.
+
+        Each context is closed once, by the first read of either; one whose
+        members are independent is never passed to _insert. A context needs
+        its relations or its rank.
+        """
+        closed = []
+        original = contexts_module._insert
+        monkeypatch.setattr(
+            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
+        )
+        contexts = maximal_contexts(mermin_observables() + [identity(3)])
+        assert closed == []
+        assert [ctx.group_order for ctx in contexts] == [8] * 15
+        assert all(ctx.members[0].body() != "III" for ctx in contexts)
+        assert closed == []
+        for ctx in contexts[:2]:
+            ctx.signs
+            ctx.relations
+            ctx.generators
+        assert [len(ctx.members) for ctx in contexts[:2]] == [4, 3]
+        assert closed == [contexts[0].members]
+        assert (contexts[1].relations, contexts[1].signs) == ((), 0)
+        with pytest.raises(ValueError, match="relations or its rank"):
+            ContextGroup(members=(), width=1)
+
     def test_maximal_contexts_prepare_each_observable_once(self, monkeypatch):
         """At most one body build per input observable, and no copy of a canonical one."""
         built = []

@@ -175,6 +175,17 @@ class TestBasis:
                 assert total == row
 
 
+class TestRank:
+    def test_matches_the_reference_rank(self):
+        """gf2.rank counts the pivots of the highest-bit rule, as the dense reference."""
+        rng = np.random.default_rng(2401)
+        for _ in range(200):
+            mat = sparse_matrix(rng, int(rng.integers(0, 12)), int(rng.integers(1, 10)), 0.4)
+            assert gf2.rank(pack_rows(mat)) == rank(mat)
+        assert gf2.rank(()) == 0
+        assert gf2.rank((0, 0b101, 0b101, 0)) == 1
+
+
 class TestRref:
     def test_matches_reference_elimination(self):
         """Same reduced form and pivots as the uint8 oracle on reversed columns.
@@ -435,6 +446,30 @@ class TestSystemSolve:
             assert np.array_equal(bits_of(outcome.assignment, cols), expected)
         else:
             assert outcome == Certificate(selected=reference_certificate(mat, rhs))
+
+    def test_solve_rows_reads_no_row_past_the_certificate(self):
+        """The streamed loop gives solve's outcome and stops reading at 0 = 1."""
+        rng = np.random.default_rng(2402)
+        refuted = 0
+        for _ in range(200):
+            n, cols = int(rng.integers(0, 14)), int(rng.integers(1, 8))
+            mat = sparse_matrix(rng, n, cols, 0.35)
+            system = bit_system(mat, rng.integers(0, 2, size=n).astype(np.uint8))
+            read = []
+
+            def stream():
+                for r, row in enumerate(system.matrix.rows):
+                    read.append(r)
+                    yield row, system.rhs >> r & 1
+
+            outcome = gf2.solve_rows(stream(), cols)
+            assert outcome == solve(system)
+            if isinstance(outcome, Certificate):
+                refuted += 1
+                assert read == list(range(outcome.selected[-1] + 1))
+            else:
+                assert read == list(range(n))
+        assert refuted > 40
 
     def test_assignment_is_binary_lowest(self):
         """The assignment is the first solution in binary order, variable 0 first."""

@@ -4,6 +4,7 @@ Each golden file under tests/golden/ holds the exact stdout of one command.
 A report that changes by a single byte (an equation order, a section value,
 a context list) fails here.
 """
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,10 +23,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ALL_THREE_QUBIT = "ALL_THREE_QUBIT"
 
 
+def census_text(width: int) -> str:
+    """The 4 ** width - 1 nontrivial Pauli bodies of a width, one per line."""
+    bodies = ("".join(letters) for letters in product("IXYZ", repeat=width))
+    return "".join(f"{body}\n" for body in bodies if body != "I" * width)
+
+
 def all_three_qubit_text() -> str:
     """The 63 nontrivial three-qubit Pauli bodies, one per line."""
-    bodies = ("".join(letters) for letters in product("IXYZ", repeat=3))
-    return "".join(f"{body}\n" for body in bodies if body != "III")
+    return census_text(3)
 
 
 def _mermin_obs(*extra):
@@ -48,6 +54,7 @@ COMMANDS = {
     "analyze_mermin": _mermin_obs(),
     "analyze_mermin_contexts": _mermin_obs(*_CONTEXTS),
     "analyze_mermin_contexts_pin": _mermin_obs(*_CONTEXTS, *_PIN),
+    "analyze_mermin_pin": _mermin_obs(*_PIN),
     "mbqc_report_anders_browne": _mbqc("anders_browne.json", "report"),
     "mbqc_table_anders_browne": _mbqc("anders_browne.json", "table"),
     "mbqc_report_z_product": _mbqc("z_product.json", "report"),
@@ -111,3 +118,19 @@ def test_all_three_qubit_golden_is_the_large_case():
     assert "  135) " in text and "  136) " not in text
     certificate = text.split("certificate (no global section exists):\n")[1]
     assert len(certificate.split("  sum of the selected rows")[0].splitlines()) == 6
+
+
+def test_four_qubit_census_report_digest(tmp_path):
+    """All 255 four-qubit Paulis: the text report keeps its length and sha256.
+
+    The report is too large to keep as a golden file; its certificate ends at
+    row 117 of the 25,245 rows of the whole system.
+    """
+    obs = tmp_path / "census.txt"
+    obs.write_text(census_text(4), encoding="utf-8")
+    result = CliRunner().invoke(main, ["analyze", "--obs", str(obs)])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout_bytes) == 239_251
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "dd2374fdb7c7ca84f231a2c6213c3372aa1b12024f5243f5054c5fc838a7b3a2"
+    )

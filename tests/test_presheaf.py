@@ -1,12 +1,13 @@
 """Spectra, restriction maps and the global-section decision problem."""
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import pytest
 
+from contextua import contexts as contexts_module
 from contextua import gf2
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
-from contextua.fixtures import ghz_pins, mermin_contexts
+from contextua.fixtures import ghz_pins, mermin_contexts, mermin_observables
 from contextua.pauli import PauliOperator, identity, parse_pauli
 from contextua.presheaf import (
     EmptySpectrumError,
@@ -17,6 +18,7 @@ from contextua.presheaf import (
     Valuation,
     _lowest_solution,
     build_global_problem,
+    decide_global,
     restrict,
     section_valuation,
     solve_global,
@@ -280,6 +282,156 @@ class TestGlobalProblem:
         monkeypatch.setattr(PauliOperator, "body", lambda op: calls.append(op) or original(op))
         build_global_problem(contexts, pins)
         assert len(calls) == sum(len(c.members) for c in contexts) + len(pins)
+
+
+def stream_cases(rng, count):
+    """(fresh contexts, pins) pairs on 2-4 qubits, half maximal contexts, half blocks.
+
+    Maximal contexts of random pools come unclosed; blocks are closed random
+    commuting sets. Pins name random members, sometimes the identity, with
+    random values, so both outcomes occur.
+    """
+    for t in range(count):
+        width = 2 + t % 3
+        if t % 2:
+            pool = [random_pauli(rng, width) for _ in range(int(rng.integers(4, 20)))]
+            contexts = maximal_contexts(pool)
+        else:
+            chosen = (random_commuting_set(rng, width, int(rng.integers(1, 6))) for _ in range(4))
+            contexts = [close_context(block, width=width) for block in chosen]
+        named = [op for ctx in contexts for op in ctx.members]
+        pins = [
+            StateConstraint(
+                observable=named[int(rng.integers(0, len(named)))] if named and rng.integers(0, 6)
+                else identity(width),
+                value_bit=int(rng.integers(0, 2)),
+            )
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        yield contexts, pins
+
+
+class TestGlobalStream:
+    """decide_global reads the row stream only as far as the solver needs."""
+
+    def test_matches_the_collected_system(self):
+        """Same outcome and labels as solve_global on the whole system; rows a prefix."""
+        rng = np.random.default_rng(2403)
+        outcomes = {GlobalSection: 0, gf2.Certificate: 0}
+        for contexts, pins in stream_cases(rng, 160):
+            problem, outcome = decide_global(contexts, pins)
+            full = build_global_problem(contexts, pins)
+            assert outcome == solve_global(full)
+            assert problem.labels == full.labels
+            read = problem.num_rows
+            assert problem.matrix.rows == full.matrix.rows[:read]
+            assert problem.rhs == full.rhs & (1 << read) - 1
+            if isinstance(outcome, gf2.Certificate):
+                assert outcome.selected[-1] == read - 1
+                assert gf2.verify_certificate(problem, outcome)
+            else:
+                assert read == full.num_rows
+            outcomes[type(outcome)] += 1
+        assert min(outcomes.values()) > 30
+
+    def test_closes_contexts_only_up_to_the_certificate(self, monkeypatch):
+        """_insert runs for the contexts up to the one holding the last row read.
+
+        That is every context on a noncontextual input, and none before the
+        solver reads a row; a context read twice is closed once. A context
+        whose rank is its member count has no relation to find, so it is
+        never passed to _insert.
+        """
+        closed = []
+        original = contexts_module._insert
+        monkeypatch.setattr(
+            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
+        )
+        rng = np.random.default_rng(2404)
+        census = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=3)]
+        pools = [mermin_observables(), census]
+        pools += [[random_pauli(rng, 2 + t % 3) for _ in range(int(rng.integers(2, 14)))]
+                  for t in range(60)]
+        partial = 0
+        for t, pool in enumerate(pools):
+            contexts = maximal_contexts(pool)
+            named = [op for op in pool if not op.is_identity_class]
+            pins = [StateConstraint(observable=op, value_bit=int(rng.integers(0, 2)))
+                    for op in named[: t % 3]]
+            closed.clear()
+            problem, outcome = decide_global(contexts, pins)
+            consumed = list(closed)
+            reached = len(contexts)  # also when the last row read is a pin
+            if isinstance(outcome, gf2.Certificate):
+                ends = accumulate(
+                    len(close_context(ctx.members, width=ctx.width).relations) for ctx in contexts
+                )
+                last = outcome.selected[-1]
+                reached = next((k + 1 for k, end in enumerate(ends) if end > last), reached)
+                partial += reached < len(contexts)
+            dependent = [ctx.members for ctx in contexts if ctx.rank < len(ctx.members)]
+            assert consumed == [
+                ctx.members for ctx in contexts[:reached] if ctx.rank < len(ctx.members)
+            ]
+            closed.clear()
+            build_global_problem(contexts, pins)
+            assert consumed + closed == dependent
+        assert partial >= 2
+
+    def test_deferred_contexts_close_like_close_context(self):
+        """The rank given before closing, relations and signs agree with close_context."""
+        rng = np.random.default_rng(2405)
+        pools = [[random_pauli(rng, 2 + t % 3) for _ in range(int(rng.integers(1, 14)))]
+                 for t in range(60)]
+        for pool in pools + [mermin_observables()]:
+            for ctx in maximal_contexts(pool):
+                given = ctx.rank
+                eager = close_context(ctx.members, width=ctx.width)
+                assert (ctx.relations, ctx.signs) == (eager.relations, eager.signs)
+                assert given == ctx.rank == eager.rank
+
+    def test_unknown_pin_is_refused_before_any_row(self, monkeypatch):
+        """The contexts alone contradict each other, yet the unknown pin decides."""
+        closed = []
+        original = contexts_module._insert
+        monkeypatch.setattr(
+            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
+        )
+        contexts = maximal_contexts(mermin_observables())
+        closed.clear()
+        for body in ("ZZZ", "IIII", "II"):
+            pin = StateConstraint(observable=parse_pauli(body), value_bit=0)
+            with pytest.raises(UnknownConstrainedObservableError, match=body):
+                decide_global(contexts, [*ghz_pins(), pin])
+            with pytest.raises(UnknownConstrainedObservableError, match=body):
+                build_global_problem(contexts, [pin])
+        assert closed == []
+
+    @pytest.mark.parametrize("value_bit", [0, 1])
+    def test_identity_pin_is_a_row_without_columns(self, value_bit):
+        """+1 on the identity always holds; -1 is the one-row certificate I = -1."""
+        contexts = [close_context(ops("XX", "ZZ"))]
+        # -II at eigenvalue (-1)^(1 - value_bit) folds onto II at (-1)^value_bit.
+        pins = [StateConstraint(observable=parse_pauli("-II"), value_bit=1 - value_bit)]
+        full = build_global_problem(contexts, pins)
+        assert (full.matrix.rows, full.rhs, full.labels) == ((0,), value_bit, ("XX", "ZZ"))
+        problem, outcome = decide_global(contexts, pins)
+        assert problem == full
+        assert outcome == solve_global(full)
+        if value_bit:
+            assert outcome == gf2.Certificate(selected=(0,))
+            assert gf2.verify_certificate(full, outcome)
+        else:
+            assert outcome == GlobalSection(values={"XX": 0, "ZZ": 0}, dimension=2)
+
+    def test_four_qubit_census_stops_at_row_117(self):
+        """All 255 four-qubit Paulis: 118 of the 25,245 rows are read."""
+        census = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=4)][1:]
+        contexts = maximal_contexts(census)
+        problem, outcome = decide_global(contexts)
+        assert isinstance(outcome, gf2.Certificate)
+        assert (problem.num_rows, outcome.selected[-1]) == (118, 117)
+        assert build_global_problem(contexts).num_rows == 25_245
 
 
 class TestSolveGlobal:
