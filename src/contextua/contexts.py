@@ -18,11 +18,13 @@ sign. These relations are a basis of all product constraints of the
 context, so any valuation that respects them respects every one. The kept
 members, its generators, top no row, and commutation is checked on their
 pairs alone. Maximal contexts come from a pivoted Bron-Kerbosch search
-over int-bitset neighbourhoods, on an explicit stack, returning int
-cliques and refusing more than MAX_CONTEXTS. They share one vertex table,
-each distinct observable with its packed vector read once; a clique takes
-its members and its rank from it at once, and is closed only when its
-relations are first read, so a solver that stops early closes few.
+over int-bitset neighbourhoods, built from coordinate masks, on an
+explicit stack, returning int cliques and refusing more than
+MAX_CONTEXTS. They share one vertex table, each distinct observable with
+its packed vector read once, numbered in descending body order so the
+cliques sort as plain ints; one walk per clique takes its members and its
+rank at once, and a context is closed only when its relations are first
+read, so a solver that stops early closes few.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .gf2 import Basis, rank, set_bits
+from .gf2 import Basis
 from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
 
 # The clique search refuses inputs with more maximal contexts than this; all
@@ -245,13 +247,37 @@ def _check_commuting(
 
 
 def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
-    """Int-bitset neighbourhoods: bit j of entry i iff i != j and obs[i], obs[j] commute."""
-    neighbours = [0] * len(obs)
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            if commutes(obs[i], obs[j]):
-                neighbours[i] |= 1 << j
-                neighbours[j] |= 1 << i
+    """Int-bitset neighbourhoods: bit j of entry i iff i != j and obs[i], obs[j] commute.
+
+    Built from 2n coordinate masks: bit i of has[k] is bit k of obs[i]'s
+    packed vector. The symplectic form of two operators is the parity of
+    one's packed vector AND the other's swapped one (z | x << n), so the
+    vertices that anticommute with obs[i] are the XOR of has[k] over the set
+    bits k of its swapped vector, and its neighbours are all vertices but
+    those and itself. Mixed widths raise ValueError.
+    """
+    if not obs:
+        return []
+    width = obs[0].width
+    widths = {op.width for op in obs}
+    if len(widths) > 1:
+        raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
+    has = [0] * (2 * width)
+    for i, op in enumerate(obs):
+        vector, vertex = op.packed(), 1 << i
+        while vector:
+            low = vector & -vector
+            has[low.bit_length() - 1] |= vertex
+            vector ^= low
+    everyone = (1 << len(obs)) - 1
+    neighbours = []
+    for i, op in enumerate(obs):
+        swapped, others = op.z_bits | op.x_bits << width, everyone ^ 1 << i
+        while swapped:
+            low = swapped & -swapped
+            others ^= has[low.bit_length() - 1]
+            swapped ^= low
+        neighbours.append(others)
     return neighbours
 
 
@@ -260,13 +286,14 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
 
     Neighbourhoods and vertex sets are int bitsets (bit v is vertex v). Each
     step branches only on the candidates outside the neighbourhood of a
-    pivot that has the most neighbours among the candidates, the lowest
+    pivot that has the most neighbours among the candidates, the highest
     such vertex (Tomita, Tanaka and Takahashi, TCS 363, 2006), so the search
     takes O(3^(n/3)) steps at worst. It runs on an explicit stack, so it has
     no recursion-depth limit, and it never pushes a dead end, a child with
     no candidates left that an excluded vertex extends. Cliques come in the
-    order the recursion finds them. More than MAX_CONTEXTS cliques raise
-    ContextBudgetError.
+    order the recursion that branches highest vertex first finds them: the
+    order of the lowest-first recursion on the mirrored numbering. More than
+    MAX_CONTEXTS cliques raise ContextBudgetError.
     """
     cliques: list[int] = []
     stack = [(0, (1 << len(neighbours)) - 1, 0)] if neighbours else []
@@ -283,24 +310,24 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
         pool = candidates | excluded
         pivot, most, size = 0, -1, candidates.bit_count()
         while pool:
-            low = pool & -pool
-            pool ^= low
-            covered = neighbours[low.bit_length() - 1] & candidates
+            u = pool.bit_length() - 1
+            pool ^= 1 << u
+            covered = neighbours[u] & candidates
             count = covered.bit_count()
             if count > most:
                 pivot, most = covered, count
-                if count == size:  # none covers more: the lowest such is the pivot
+                if count == size:  # none covers more: the highest such is the pivot
                     break
-        # Children are pushed highest vertex first, each without the branch
-        # vertices below it, so they pop lowest first, as the recursion runs.
+        # Children are pushed lowest vertex first, each without the branch
+        # vertices above it, so they pop highest first, as the recursion runs.
         branch = candidates & ~pivot
         while branch:
-            v = branch.bit_length() - 1
-            branch ^= 1 << v
-            near = neighbours[v]
-            below, beside = candidates & ~branch & near, (excluded | branch) & near
-            if below or not beside:
-                stack.append((clique | 1 << v, below, beside))
+            low = branch & -branch
+            branch ^= low
+            near = neighbours[low.bit_length() - 1]
+            rest, beside = candidates & ~branch & near, (excluded | branch) & near
+            if rest or not beside:
+                stack.append((clique | low, rest, beside))
     return cliques
 
 
@@ -308,13 +335,18 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     """One context per maximal clique of the commutation graph, closed when first read.
 
     Each input observable is validated and canonicalized by one phase excess,
-    deduplicated and sorted by its kept body; that sorted list is the vertex
-    table, and each vertex's packed vector is read once, beside it. Each int
-    clique reads its members off its bits in body order, and its rank from
-    one :func:`~contextua.gf2.rank` pass over its vectors; its relations
-    and signs wait until something reads them, as the global-section stream
-    does context by context. Contexts come in lexicographic order of their
-    member body strings, so runs agree.
+    deduplicated and sorted by its kept body, descending; that sorted list
+    is the vertex table, and each vertex's packed vector is read once,
+    beside it. The search on this numbering visits cliques in the order the
+    ascending one did. Maximal cliques form an antichain, so the
+    lexicographic order of their member body strings is the descending
+    order of the clique ints. One walk per clique, from its highest bit
+    down, takes its members in body order and its rank: each vector is
+    reduced under the highest-bit rule of :class:`~contextua.gf2.Basis`
+    until the rank reaches the width, since commuting members span an
+    isotropic space of at most that dimension. Relations and signs wait
+    until something reads them, as the global-section stream does context
+    by context. Contexts come in lexicographic order, so runs agree.
     """
     unique: list[PauliOperator] = []
     seen: set[str] = set()
@@ -328,22 +360,33 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
             unique.append(op.negate() if excess else op)
     if not unique:
         return []
-    widths = {op.width for op in unique}
-    if len(widths) > 1:
-        raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
-    # Indexed in body order, bit lists order like their contexts' members; the
-    # identity lies in every clique, so dropping it changes no comparison.
-    unique.sort(key=PauliOperator.body)
+    unique.sort(key=PauliOperator.body, reverse=True)
     vectors = [op.packed() for op in unique]
-    member, vector = unique.__getitem__, vectors.__getitem__
     width = unique[0].width
+    # The identity, when given, has the lowest body, so the top vertex; it
+    # lies in every clique and is no member.
+    identity = 0 if vectors[-1] else 1 << len(unique) - 1
+    cliques = _maximal_cliques(commutation_graph(unique))
+    cliques.sort(reverse=True)
     contexts = []
-    for clique in sorted(set_bits(c) for c in _maximal_cliques(commutation_graph(unique))):
-        if not vectors[clique[0]]:  # the identity, which can only come first
-            del clique[0]
+    for clique in cliques:
+        clique ^= identity
+        members = []
+        pivots: dict[int, int] = {}
+        while clique:
+            v = clique.bit_length() - 1
+            clique ^= 1 << v
+            members.append(unique[v])
+            vector = vectors[v]
+            if len(pivots) < width:
+                while vector:
+                    pivot = pivots.get(vector.bit_length())
+                    if pivot is None:
+                        pivots[vector.bit_length()] = vector
+                        break
+                    vector ^= pivot
         # No relations yet: they are found when first read.
-        members = tuple(map(member, clique))
-        contexts.append(ContextGroup(members, width, None, 0, rank(map(vector, clique))))
+        contexts.append(ContextGroup(tuple(members), width, None, 0, len(pivots)))
     return contexts
 
 

@@ -19,8 +19,7 @@ contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
 (generator k is bit k), :func:`rref` (row r is bit cols + r) and
 :func:`solve_rows` all run on it. Only :func:`solve_rows` names kept row j
 by bit j: a bit per row index would make every combination as wide as the
-rows streamed so far. :func:`rank` counts the pivots the same rule gives,
-without names or a table of rows.
+rows streamed so far.
 
 :func:`solve_rows` is the one solver loop. It reads (row, right-hand side)
 pairs from any iterable, so a caller can build each row only when the loop
@@ -129,23 +128,6 @@ class Basis:
             done[length] = (row, combination)
             earlier |= 1 << length - 1
         return [(length - 1, row, combination) for length, (row, combination) in done.items()]
-
-
-def rank(vectors: Iterable[int]) -> int:
-    """The dimension of the span of vectors, by the highest-bit rule of :class:`Basis`.
-
-    Each vector is reduced against the pivots kept so far and kept under its
-    highest set bit when something is left; no combination is tracked.
-    """
-    pivots: dict[int, int] = {}
-    for vector in vectors:
-        while vector:
-            pivot = pivots.get(vector.bit_length())
-            if pivot is None:
-                pivots[vector.bit_length()] = vector
-                break
-            vector ^= pivot
-    return len(pivots)
 
 
 @dataclass(frozen=True)

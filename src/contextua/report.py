@@ -4,10 +4,12 @@ The dataclasses below are the one definition of the JSON document. Each
 field is a key, in key order: a field name is the key, a tuple an array, a
 dict an object, a nested dataclass an object and None null; every value
 bottoms out in strings, integers and booleans. :func:`render_json` adds
-the constant ``"tool": "contextua"`` in front, so rendering is
-byte-identical across runs and parse_json(render_json(r)) == r holds
-exactly. Builders translate solver outputs into report blocks; the text
-renderer mirrors the JSON content for terminal reading.
+the constant ``"tool": "contextua"`` in front and writes the document
+itself, byte for byte as ``json.dumps(document, indent=2)`` does but
+without its pure-Python encoder, so rendering is byte-identical across
+runs and parse_json(render_json(r)) == r holds exactly. Builders
+translate solver outputs into report blocks; the text renderer mirrors
+the JSON content for terminal reading.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import gf2
@@ -162,9 +165,43 @@ def _codec(tp: Any) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
     return _same, _same
 
 
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write(value: Any, pad: str) -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, nested under pad.
+
+    Every array of the document holds one type, so an array whose first
+    element is a scalar is written by one map.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = pad + "  "
+    joint = ",\n" + inner
+    if type(value) is dict:
+        items = [encode_basestring_ascii(k) + ": " + _write(v, inner) for k, v in value.items()]
+        body = joint.join(items)
+        return "{\n" + inner + body + "\n" + pad + "}"
+    scalar = _SCALARS.get(type(value[0]))
+    if scalar is not None:
+        body = joint.join(map(scalar, value))
+    else:
+        body = joint.join([_write(v, inner) for v in value])
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def render_json(report: Report) -> str:
+    """The report's document, byte for byte as ``json.dumps(document, indent=2)`` writes it."""
     document = {"tool": "contextua", **_codec(Report)[0](report)}
-    return json.dumps(document, indent=2) + "\n"
+    return _write(document, "") + "\n"
 
 
 def parse_json(text: str) -> Report:

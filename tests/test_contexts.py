@@ -48,6 +48,7 @@ from conftest import (
     random_commuting_set,
     random_pauli,
     random_stabilizer_group,
+    rank,
     reference_close_context,
 )
 
@@ -491,6 +492,31 @@ class TestMemory:
         assert retained < 2 * 1024 * 1024
 
 
+def recursive_cliques(neighbours, highest_first):
+    """Bron-Kerbosch with Tomita pivoting, as a recursion, in discovery order.
+
+    Pivot ties go to the highest vertex and branches run highest vertex
+    first when highest_first is set, else both go lowest first.
+    """
+    found = []
+
+    def extend(clique, candidates, excluded):
+        if not candidates | excluded:
+            found.append(frozenset(clique))
+            return
+        pool = set_bits(candidates | excluded)
+        order = reversed if highest_first else list
+        pivot = max(order(pool), key=lambda u: (neighbours[u] & candidates).bit_count())
+        for v in order(set_bits(candidates & ~neighbours[pivot])):
+            extend(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    if neighbours:
+        extend(set(), (1 << len(neighbours)) - 1, 0)
+    return found
+
+
 class TestCliqueSearch:
     def test_anticommuting_pair_has_no_edge(self):
         assert commutation_graph(ops("X", "Z")) == [0, 0]
@@ -570,33 +596,45 @@ class TestCliqueSearch:
             assert set(found) == expected
 
     def test_discovery_order_is_the_recursive_order(self):
-        """The explicit stack finds cliques in the order the recursion does."""
+        """The explicit stack finds cliques in the order the recursion does.
 
-        def recursive_cliques(neighbours):
-            found = []
-
-            def extend(clique, candidates, excluded):
-                if not candidates | excluded:
-                    found.append(frozenset(clique))
-                    return
-                pool = set_bits(candidates | excluded)
-                pivot = max(pool, key=lambda u: (neighbours[u] & candidates).bit_count())
-                for v in set_bits(candidates & ~neighbours[pivot]):
-                    extend(clique | {v}, candidates & neighbours[v], excluded & neighbours[v])
-                    candidates ^= 1 << v
-                    excluded |= 1 << v
-
-            if neighbours:
-                extend(set(), (1 << len(neighbours)) - 1, 0)
-            return found
-
+        The reference recursion breaks pivot ties towards the highest vertex
+        and branches highest vertex first, as the search does.
+        """
         rng = np.random.default_rng(109)
         for _ in range(200):
             n = int(rng.integers(0, 41))
             upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
             neighbours = pack_rows(upper | upper.T)
             found = [frozenset(set_bits(c)) for c in _maximal_cliques(neighbours)]
-            assert found == recursive_cliques(neighbours)
+            assert found == recursive_cliques(neighbours, highest_first=True)
+
+    def test_visiting_order_over_body_order_is_the_ascending_one(self):
+        """Numbered in descending body order, the search finds the cliques the
+        lowest-first recursion finds on the ascending numbering, in sequence.
+
+        So the budget stops an over-large input at the same clique.
+        """
+        rng = np.random.default_rng(152)
+        four = all_paulis(4)
+        pools = [mermin_observables()]
+        for size in (20, 29, 32, 41, 50, 64, 80, 84):
+            subset = [four[int(i)] for i in rng.choice(len(four), size, replace=False)]
+            pools.append(clifford_relabel(rng, subset))
+        for pool in pools:
+            ascending = sorted(pool, key=PauliOperator.body)
+            descending = ascending[::-1]
+            expected = [
+                {ascending[v].body() for v in clique}
+                for clique in recursive_cliques(
+                    commutation_graph(ascending), highest_first=False
+                )
+            ]
+            found = [
+                {descending[v].body() for v in set_bits(clique)}
+                for clique in _maximal_cliques(commutation_graph(descending))
+            ]
+            assert found == expected
 
     def test_complete_graph_deeper_than_the_recursion_limit(self):
         """One clique of 1,100 vertices: the search keeps its own stack."""
@@ -617,6 +655,50 @@ class TestCliqueSearch:
         assert time.perf_counter() - start < 20
         assert len(cliques) == count
         assert {len(list(set_bits(c))) for c in cliques} == {(1 << width) - 1}
+
+    def test_graph_matches_the_pairwise_oracle(self):
+        """The coordinate masks give the graph pairwise commutes gives, signs and repeats aside."""
+        rng = np.random.default_rng(153)
+        for width in range(1, 6):
+            paulis = [identity(width), *all_paulis(width)]
+            for _ in range(8):
+                size = int(rng.integers(1, min(len(paulis), 96) + 1))
+                pool = [paulis[int(i)] for i in rng.choice(len(paulis), size, replace=False)]
+                pool = [op.negate() if rng.integers(0, 2) else op for op in pool] + pool[:1]
+                expected = [
+                    sum(1 << j for j, q in enumerate(pool) if j != i and commutes(p, q))
+                    for i, p in enumerate(pool)
+                ]
+                assert commutation_graph(pool) == expected
+        assert commutation_graph([]) == []
+        with pytest.raises(ValueError, match="mixed widths"):
+            commutation_graph(ops("X", "XX", "Z"))
+
+    def test_ranks_match_the_dense_rank(self):
+        """Each context's rank is the uint8 rank of its members' (x | z) rows.
+
+        Pools hold the identity, repeats and both signs; the identity alone
+        gives one empty context of rank 0.
+        """
+        rng = np.random.default_rng(154)
+        pools = [all_paulis(3), [identity(2), identity(2).negate()]]
+        for t in range(45):
+            width = 2 + t % 3
+            paulis = [identity(width), *all_paulis(width)]
+            size = int(rng.integers(1, min(len(paulis), 64) + 1))
+            pool = [paulis[int(i)] for i in rng.choice(len(paulis), size, replace=False)]
+            pools.append(pool + [op.negate() for op in pool[:2]])
+        ranks = set()
+        for pool in pools:
+            for ctx in maximal_contexts(pool):
+                bodies = [m.body() for m in ctx.members]
+                rows = np.array(
+                    [[c in "XY" for c in b] + [c in "YZ" for c in b] for b in bodies],
+                    dtype=np.uint8,
+                ).reshape(len(bodies), 2 * ctx.width)
+                assert ctx.rank == (rank(rows) if len(rows) else 0)
+                ranks.add((ctx.width, ctx.rank))
+        assert {(4, 4), (3, 3), (2, 0), (2, 1)} <= ranks
 
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):

@@ -175,17 +175,6 @@ class TestBasis:
                 assert total == row
 
 
-class TestRank:
-    def test_matches_the_reference_rank(self):
-        """gf2.rank counts the pivots of the highest-bit rule, as the dense reference."""
-        rng = np.random.default_rng(2401)
-        for _ in range(200):
-            mat = sparse_matrix(rng, int(rng.integers(0, 12)), int(rng.integers(1, 10)), 0.4)
-            assert gf2.rank(pack_rows(mat)) == rank(mat)
-        assert gf2.rank(()) == 0
-        assert gf2.rank((0, 0b101, 0b101, 0)) == 1
-
-
 class TestRref:
     def test_matches_reference_elimination(self):
         """Same reduced form and pivots as the uint8 oracle on reversed columns.

@@ -3,7 +3,9 @@
 Reports with one to three analyses, each optional block absent or present,
 must survive parse_json(render_json(r)) == r exactly, render to a document
 that the published schema accepts, and render as text without raising.
-The examples are a fixed, derandomized set.
+The examples are a fixed, derandomized set. render_json writes the
+document itself; it must write exactly what json.dumps does, on these
+reports and on every report golden.
 """
 import json
 from pathlib import Path
@@ -20,6 +22,7 @@ from contextua.report import (
     MbqcBlock,
     Pin,
     Report,
+    _codec,
     parse_json,
     render_json,
     render_text,
@@ -28,6 +31,8 @@ from contextua.report import (
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 VALIDATOR = jsonschema.Draft7Validator(
     json.loads(
@@ -89,3 +94,19 @@ def test_round_trip_schema_and_text(report):
     assert parse_json(rendered) == report
     VALIDATOR.validate(json.loads(rendered))
     render_text(report)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(report=reports)
+def test_render_json_writes_what_json_dumps_writes(report):
+    document = {"tool": "contextua", **_codec(Report)[0](report)}
+    assert render_json(report) == json.dumps(document, indent=2) + "\n"
+
+
+def test_report_goldens_render_as_json_dumps_writes_them():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.json"))]
+    reports = [text for text in texts if "analyses" in json.loads(text)]
+    assert len(reports) == 10
+    for text in reports:
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        assert render_json(parse_json(text)) == text
