@@ -48,6 +48,13 @@ _SHARED = "instance_ghz_shared_settings.json"
 
 _CONTEXTS = ("--contexts", str(FIXTURES / "mermin_contexts.txt"))
 _PIN = ("--pin", str(FIXTURES / "ghz_pins.txt"))
+# Four shared-member stabilizer groups on 4 qubits, pinned: a section of dimension 8.
+_BLOCKS = [
+    "analyze",
+    "--obs", str(FIXTURES / "stabilizer_blocks_obs.txt"),
+    "--contexts", str(FIXTURES / "stabilizer_blocks.txt"),
+    "--pin", str(FIXTURES / "stabilizer_blocks_pins.txt"),
+]
 
 COMMANDS = {
     "mermin": ["mermin"],
@@ -64,6 +71,7 @@ COMMANDS = {
     "analyze_all_three_qubit": ["analyze", "--obs", ALL_THREE_QUBIT],
     # The identity alone: one maximal clique that closes to the empty context.
     "analyze_identity_only": ["analyze", "--obs", str(GOLDEN / "obs_identity_only.txt")],
+    "analyze_stabilizer_blocks": _BLOCKS,
 }
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]
