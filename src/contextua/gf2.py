@@ -14,7 +14,8 @@ numbering, and every reduced vector carries its combination, the OR of
 the names of the kept vectors that sum to it; so a dependent vector yields
 its fundamental circuit directly, in the caller's numbering. Greedy bases
 and fundamental circuits do not depend on the pivot rule. One back
-substitution turns the table into reduced row-echelon form. Closing
+substitution turns the table into reduced row-echelon form; only
+:func:`rref` and a nullspace read it. Closing
 contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
 (generator k is bit k), :func:`rref` (row r is bit cols + r) and
 :func:`solve_rows` all run on it. Only :func:`solve_rows` names kept row j
@@ -26,12 +27,15 @@ pairs from any iterable, so a caller can build each row only when the loop
 asks for it, and :func:`solve` feeds it a system's rows. Each row streams
 shifted up one bit, with its right-hand side at bit 0, so a row pivots on
 its last variable and a remainder of exactly 1 is 0 = 1; the loop stops
-there and reads no further row. With those pivots the solution whose free
-variables are zero is the binary-lowest one.
+there and reads no further row. With those pivots each kept row holds its
+pivot and lower variables only, so one forward substitution, in ascending
+pivot order, gives the solution whose free variables are zero, which is
+the binary-lowest one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 
@@ -227,17 +231,35 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Gf2Solution:
-    """A particular solution plus a basis of the homogeneous solution space.
+    """The binary-lowest solution of a consistent system and its solution space.
 
-    Bit c of the assignment and of each nullspace row is variable c.
+    Bit c of the assignment and of each nullspace row is variable c. The
+    dimension of the solution space is the number of variables minus the
+    rank. The nullspace, a basis of the homogeneous solutions, is built from
+    the solver's kept rows when first read and kept; neither the kept rows
+    nor the nullspace take part in equality or repr.
     """
 
     assignment: int
-    nullspace: tuple[int, ...]
+    dimension: int
+    _basis: Basis = field(compare=False, repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.nullspace)
+    @cached_property
+    def nullspace(self) -> tuple[int, ...]:
+        """A basis of the homogeneous solutions, by one back substitution.
+
+        Row i sets the i-th free variable, in variable order, and the pivot
+        variables that match it; its lowest set bit is that free variable.
+        """
+        # The kept rows hold variable c at bit c + 1, as solve_rows streams them.
+        reduced = self._basis.reduced_rows()
+        pivots = {pivot - 1 for pivot, _, _ in reduced}
+        cols = self.dimension + len(pivots)
+        nullspace = {c: 1 << c for c in range(cols) if c not in pivots}
+        for pivot, row, _ in reduced:
+            for c in set_bits(row >> 1 ^ 1 << pivot - 1):
+                nullspace[c] |= 1 << pivot - 1
+        return tuple(nullspace.values())
 
 
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
@@ -263,14 +285,16 @@ def solve_rows(rows: Iterable[tuple[int, int]], cols: int) -> Gf2Solution | Cert
     row j is named by bit j, so a combination has at most rank bits;
     ``kept`` maps it to row indices.
 
-    Otherwise one back substitution gives the solution. Variables of a
+    Otherwise one forward substitution gives the solution. Each kept row
+    holds its pivot and lower variables only, so taking the rows in
+    ascending pivot order, with every free variable zero, sets each pivot
+    variable to its right-hand side plus the parity of the lower variables
+    already set: one AND and one popcount per row. Every pivot variable
+    depends only on free variables of lower index, so the assignment is the
+    binary-lowest solution (variable 0 most significant). Variables of a
     global-section system are numbered by first appearance, so the last
     variable of a row is seldom held by an earlier row, and the pass makes
-    little fill-in. Every pivot variable depends only on free variables of
-    lower index, so the assignment, with free variables fixed to zero, is
-    the binary-lowest solution (variable 0 most significant). Nullspace row
-    i sets the i-th free variable, in variable order, and the pivot
-    variables that match it; its lowest set bit is that free variable.
+    little fill-in. The dimension is cols minus the rank.
     """
     basis = Basis()
     kept: list[int] = []
@@ -280,15 +304,12 @@ def solve_rows(rows: Iterable[tuple[int, int]], cols: int) -> Gf2Solution | Cert
             return Certificate(selected=(*(kept[j] for j in set_bits(combination)), r))
         if remainder:
             kept.append(r)
-    reduced = basis.reduced_rows()
-    pivots = {pivot - 1 for pivot, _, _ in reduced}
-    nullspace = {c: 1 << c for c in range(cols) if c not in pivots}
     assignment = 0
-    for pivot, row, _ in reduced:
-        assignment |= (row & 1) << pivot
-        for c in set_bits(row >> 1 ^ 1 << pivot - 1):
-            nullspace[c] |= 1 << pivot - 1
-    return Gf2Solution(assignment=assignment >> 1, nullspace=tuple(nullspace.values()))
+    table = basis._rows
+    for length in sorted(table):
+        row = table[length][0]
+        assignment |= ((row ^ (row & assignment).bit_count()) & 1) << length - 1
+    return Gf2Solution(assignment=assignment >> 1, dimension=cols - len(kept), _basis=basis)
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

@@ -275,12 +275,16 @@ def decide_global(
     inconsistent row, so no later row is built and no later context closed.
     Returns the system of every label and the rows read (all of them when a
     section exists) with the outcome :func:`solve_global` gives on the
-    whole system.
+    whole system. The section is the solver's assignment as it stands: its
+    forward substitution already gives the binary-lowest one, so no
+    nullspace is built.
     """
     stream = _GlobalRows(contexts, constraints)
     outcome = gf2.solve_rows(stream, len(stream.labels))
     problem = stream.system()
-    return problem, _section(problem, outcome)
+    if isinstance(outcome, gf2.Certificate):
+        return problem, outcome
+    return problem, _section(problem, outcome.assignment, outcome.dimension)
 
 
 def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
@@ -292,8 +296,9 @@ def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
     free variables that no other row holds, so every nonzero vector of their
     span has a free variable as its lowest set bit, and the assignment is 0
     at every free variable. So ``gf2.solve`` already returns the
-    binary-lowest assignment. This function stays only as the caller of
-    ``gf2.rref`` that the benchmark's tracer binds, until that span is
+    binary-lowest assignment, and :func:`decide_global` reads it directly.
+    This function now runs only under :func:`solve_global`, as the caller
+    of ``gf2.rref`` that the benchmark's tracer binds, until that span is
     renamed and both go.
     """
     assignment = solution.assignment
@@ -311,18 +316,16 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
     Returns the binary-lowest satisfying assignment as a GlobalSection, or
     the inconsistency Certificate naming the contradicting rows.
     """
-    return _section(problem, gf2.solve(problem))
-
-
-def _section(
-    problem: gf2.Gf2System, outcome: gf2.Gf2Solution | gf2.Certificate
-) -> GlobalSection | gf2.Certificate:
-    """The solver's outcome on problem, its solution read as a GlobalSection."""
+    outcome = gf2.solve(problem)
     if isinstance(outcome, gf2.Certificate):
         return outcome
-    assignment = _lowest_solution(outcome, problem.num_vars)
+    return _section(problem, _lowest_solution(outcome, problem.num_vars), outcome.dimension)
+
+
+def _section(problem: gf2.Gf2System, assignment: int, dimension: int) -> GlobalSection:
+    """The GlobalSection of an assignment to problem's variables."""
     values = {label: assignment >> c & 1 for c, label in enumerate(problem.labels)}
-    return GlobalSection(values=values, dimension=outcome.dimension)
+    return GlobalSection(values=values, dimension=dimension)
 
 
 def section_valuation(section: GlobalSection, context: ContextGroup) -> Valuation:

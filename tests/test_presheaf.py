@@ -1,11 +1,14 @@
 """Spectra, restriction maps and the global-section decision problem."""
 from itertools import accumulate, combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from contextua import contexts as contexts_module
-from contextua import gf2
+from contextua import gf2, io
+from contextua.cli import main
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
 from contextua.fixtures import ghz_pins, mermin_contexts, mermin_observables
 from contextua.pauli import PauliOperator, identity, parse_pauli
@@ -25,7 +28,17 @@ from contextua.presheaf import (
     spectrum,
 )
 
-from conftest import brute_force_global, expand_relation, random_commuting_set, random_pauli
+from conftest import (
+    brute_force_global,
+    expand_relation,
+    random_commuting_set,
+    random_pauli,
+    rank,
+    unpack_rows,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def ops(*texts):
@@ -432,6 +445,70 @@ class TestGlobalStream:
         assert isinstance(outcome, gf2.Certificate)
         assert (problem.num_rows, outcome.selected[-1]) == (118, 117)
         assert build_global_problem(contexts).num_rows == 25_245
+
+
+def stabilizer_blocks():
+    """The fixture's four stabilizer groups, closed, and its pins."""
+    parsed = {}
+    text = (FIXTURES / "stabilizer_blocks.txt").read_text(encoding="utf-8")
+    _, blocks = io.parse_observable_file(text, parsed)
+    pins = io.parse_pin_file(
+        (FIXTURES / "stabilizer_blocks_pins.txt").read_text(encoding="utf-8"), parsed
+    )
+    return [close_context(block) for block in blocks], pins
+
+
+class TestForwardSubstitution:
+    """decide_global reads its section with no back substitution and no rref."""
+
+    def test_stabilizer_blocks_meet_earlier_pivots(self):
+        """The fixture's section has dimension >= 8, and rows reduce on the way in."""
+        contexts, pins = stabilizer_blocks()
+        problem = build_global_problem(contexts, pins)
+        basis = gf2.Basis()
+        met = 0
+        for r, row in enumerate(problem.matrix.rows):
+            vector = row << 1 | problem.rhs >> r & 1
+            met += basis.add(vector, 1 << r)[0] != vector
+        outcome = solve_global(problem)
+        assert isinstance(outcome, GlobalSection)
+        assert outcome.dimension >= 8
+        assert met >= 1
+
+    def test_decide_global_never_back_substitutes(self, monkeypatch):
+        """Same outcome as solve_global with reduced_rows and rref made to raise.
+
+        The dimension is the number of variables minus the dense rank.
+        """
+        rng = np.random.default_rng(2601)
+        cases = [stabilizer_blocks()]
+        cases += [
+            (contexts, pins) for contexts, pins in stream_cases(rng, 120)
+            if getattr(solve_global(build_global_problem(contexts, pins)), "dimension", 0)
+        ]
+        expected = [solve_global(build_global_problem(contexts, pins)) for contexts, pins in cases]
+        golden = GOLDEN / "analyze_stabilizer_blocks.txt"
+        args = [
+            "analyze",
+            "--obs", str(FIXTURES / "stabilizer_blocks_obs.txt"),
+            "--contexts", str(FIXTURES / "stabilizer_blocks.txt"),
+            "--pin", str(FIXTURES / "stabilizer_blocks_pins.txt"),
+        ]
+
+        def refuse(*_args):
+            raise AssertionError("the section is read by forward substitution alone")
+
+        monkeypatch.setattr(gf2.Basis, "reduced_rows", refuse)
+        monkeypatch.setattr(gf2, "rref", refuse)
+        assert len(cases) > 30
+        for (contexts, pins), want in zip(cases, expected):
+            problem, outcome = decide_global(contexts, pins)
+            assert outcome == want
+            matrix = unpack_rows(problem.matrix.rows, problem.num_vars)
+            assert outcome.dimension == problem.num_vars - rank(matrix)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout_bytes == golden.read_bytes()
 
 
 class TestSolveGlobal:

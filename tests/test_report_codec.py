@@ -106,7 +106,7 @@ def test_render_json_writes_what_json_dumps_writes(report):
 def test_report_goldens_render_as_json_dumps_writes_them():
     texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.json"))]
     reports = [text for text in texts if "analyses" in json.loads(text)]
-    assert len(reports) == 10
+    assert len(reports) == 11
     for text in reports:
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
         assert render_json(parse_json(text)) == text
