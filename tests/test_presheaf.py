@@ -481,12 +481,11 @@ class TestForwardSubstitution:
         The dimension is the number of variables minus the dense rank.
         """
         rng = np.random.default_rng(2601)
-        cases = [stabilizer_blocks()]
-        cases += [
-            (contexts, pins) for contexts, pins in stream_cases(rng, 120)
-            if getattr(solve_global(build_global_problem(contexts, pins)), "dimension", 0)
-        ]
-        expected = [solve_global(build_global_problem(contexts, pins)) for contexts, pins in cases]
+        cases = []
+        for contexts, pins in [stabilizer_blocks(), *stream_cases(rng, 120)]:
+            want = solve_global(build_global_problem(contexts, pins))
+            if getattr(want, "dimension", 0):
+                cases.append((contexts, pins, want))
         golden = GOLDEN / "analyze_stabilizer_blocks.txt"
         args = [
             "analyze",
@@ -501,7 +500,7 @@ class TestForwardSubstitution:
         monkeypatch.setattr(gf2.Basis, "reduced_rows", refuse)
         monkeypatch.setattr(gf2, "rref", refuse)
         assert len(cases) > 30
-        for (contexts, pins), want in zip(cases, expected):
+        for contexts, pins, want in cases:
             problem, outcome = decide_global(contexts, pins)
             assert outcome == want
             matrix = unpack_rows(problem.matrix.rows, problem.num_vars)
