@@ -12,20 +12,20 @@ measurement contexts, decides contextuality of the state-pinned presheaf,
 tabulates the computed function, and checks the statement that a
 noncontextual instance computes an affine function of its input.
 
-Each party's local acts on its own qubit, so a setting's local context is
-built already in member order (see :func:`joint_observable`); the sorting
-:func:`~contextua.contexts.close_context` stays its oracle in the tests.
+Party k's local acts on qubit k alone, so a setting's joint and local
+context are a few int operations on a mask table (:func:`joint_observable`);
+the sorting :func:`~contextua.contexts.close_context` stays their oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import xor
 from typing import Sequence
 
 from . import gf2
 from .contexts import ContextGroup, _close, close_context
-from .pauli import PauliBasis, PauliOperator, PauliParseError, multiply_all, parse_pauli
+from .pauli import PauliBasis, PauliOperator, PauliParseError, _unchecked, parse_pauli
 from .presheaf import (
     GlobalSection,
     StateConstraint,
@@ -74,7 +74,8 @@ class MBQCInstance:
 
     observables[setting][party] is the full-width embedded operator the
     party measures for that setting bit. columns packs Q's columns once:
-    bit k of columns[j] is Q[k, j].
+    bit k of columns[j] is Q[k, j]. The mask table is built once: per setting
+    bit, masks ORs its locals' x, z, low and high phase_exp bits at bit k.
     """
 
     parties: int
@@ -82,6 +83,18 @@ class MBQCInstance:
     columns: tuple[int, ...]
     observables: tuple[tuple[PauliOperator, ...], ...]
     resource: PauliBasis
+    masks: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
+    canonical: tuple[tuple[PauliOperator, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Party k's local sits at bit k, so summing over parties ORs disjoint bits.
+        self.masks = tuple(
+            (sum(op.x_bits for op in ops), sum(op.z_bits for op in ops),
+             sum((op.phase_exp & 1) << k for k, op in enumerate(ops)),
+             sum((op.phase_exp >> 1) << k for k, op in enumerate(ops)))
+            for ops in self.observables
+        )
+        self.canonical = tuple(tuple(op.canonical() for op in ops) for ops in self.observables)
 
 
 @dataclass(frozen=True)
@@ -243,8 +256,11 @@ def _distinct_settings(inst: MBQCInstance) -> list[int]:
     return settings
 
 
-def _locals(inst: MBQCInstance, q: int) -> list[PauliOperator]:
-    return [inst.observables[(q >> k) & 1][k] for k in range(inst.parties)]
+def _joint(inst: MBQCInstance, q: int) -> PauliOperator:
+    """multiply_all of setting q's locals: on disjoint qubits, their phases just add."""
+    (x0, z0, lo0, hi0), (x1, z1, lo1, hi1) = inst.masks
+    phase = (lo0 & ~q | lo1 & q).bit_count() + 2 * (hi0 & ~q | hi1 & q).bit_count()
+    return _unchecked(inst.parties, x0 & ~q | x1 & q, z0 & ~q | z1 & q, phase & 3)
 
 
 def joint_observable(
@@ -254,24 +270,26 @@ def joint_observable(
 
     The context is generated by the selected per-party observables together
     with their product, so the product appears as a named member. It is
-    built in member order without the sort of :func:`close_context`, which
-    stays its oracle: party k's local has its body letter at position k and
-    I elsewhere, and of two such bodies the one with its letter further left
-    sorts later, so the canonical non-identity locals in descending party
-    order are sorted. A joint of two or more of them agrees with the
-    leftmost up to its letter and has more letters after it, so it sorts
-    last; with one, the joint is that local up to sign and is not repeated.
-
-    No commutation check runs: a validated instance refuses any party
-    observable outside its own qubit (NonLocalObservableError), so the
-    locals commute and their joint, their product, commutes with each.
+    written down without :func:`close_context`, which stays its oracle:
+    party k's local has its body letter at position k and I elsewhere, so
+    the canonical non-identity locals in descending party order are sorted.
+    A joint of two or more of them sorts last (it agrees with the leftmost
+    up to its letter and has more after it) and is the one dependent member.
+    Its relation, the all-members row, has sign +1: canonical locals on
+    disjoint qubits multiply to exactly the canonical joint. With one such
+    local, the joint is that local up to sign and is not repeated. Nothing
+    is checked: validation refuses an observable off its party's qubit, so
+    the locals and their product commute.
     """
-    locals_ = _locals(inst, _setting_of(inst, bits))
-    joint = multiply_all(locals_, width=inst.parties)
-    members = [op.canonical() for op in reversed(locals_) if not op.is_identity_class]
-    if len(members) > 1:
-        members.append(joint.canonical())
-    return joint, _close(members, inst.parties)
+    q = _setting_of(inst, bits)
+    joint = _joint(inst, q)
+    non_identity = joint.x_bits | joint.z_bits
+    descending = range(inst.parties - 1, -1, -1)
+    members = [inst.canonical[q >> k & 1][k] for k in descending if non_identity >> k & 1]
+    if len(members) < 2:
+        return joint, ContextGroup(tuple(members), inst.parties, ())
+    members.append(joint.canonical())
+    return joint, ContextGroup(tuple(members), inst.parties, ((1 << len(members)) - 1,))
 
 
 def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
@@ -281,8 +299,7 @@ def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
     the joint observable is a signed member of the stabilizer group: sign +1
     gives output 0, sign -1 gives output 1.
     """
-    locals_ = _locals(inst, _setting_of(inst, bits))
-    return member_sign(inst.resource, multiply_all(locals_, width=inst.parties))
+    return member_sign(inst.resource, _joint(inst, _setting_of(inst, bits)))
 
 
 def _table(
@@ -298,10 +315,7 @@ def _table(
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
     settings = _distinct_settings(inst)
-    outputs = {
-        q: member_sign(inst.resource, multiply_all(_locals(inst, q), width=inst.parties))
-        for q in dict.fromkeys(settings)
-    }
+    outputs = {q: member_sign(inst.resource, _joint(inst, q)) for q in dict.fromkeys(settings)}
     return _table(settings, outputs, inst.input_bits)
 
 
@@ -329,7 +343,8 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     table = _table(settings, outputs, inst.input_bits)
     # The canonical joint is (-1)^sign_bit times the joint.
     pin_bits = {joint.canonical(): outputs[q] ^ joint.sign_bit for q, joint in joints.items()}
-    special = close_context(list(pin_bits), width=inst.parties)
+    # Every joint passed member_sign, so they commute and no canonical one is -I.
+    special = _close(sorted(pin_bits, key=PauliOperator.body), inst.parties)
     contexts.append(special)
     pins = tuple(
         StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members

@@ -432,22 +432,25 @@ def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:
 
 def reference_mbqc(
     inst: MBQCInstance,
-) -> tuple[tuple[int | None, ...], list[tuple[int, ContextGroup]], ContextGroup | None]:
+) -> tuple[
+    tuple[int | None, ...], list[tuple[int, PauliOperator, ContextGroup]], ContextGroup | None
+]:
     """The MBQC layer evaluated input by input, as an oracle for the one pass.
 
     For every input in binary order: settings q = Q i by numpy, with Q
     unpacked from the instance's columns, the product
     of the selected locals, and its sign in the resource group. Returns the
-    output of each input (None where undetermined); one local context per
-    setting in first-reached order, with the index of the input that first
-    reaches it, each the close_context closure of its locals and their
-    product; and the special context, the closure of the distinct products,
-    which is None when some output is undetermined.
+    output of each input (None where undetermined); per setting in
+    first-reached order, the index of the input that first reaches it, the
+    multiply_all product of its locals and its local context, the
+    close_context closure of the locals and their product; and the special
+    context, the closure of the distinct products, which is None when some
+    output is undetermined.
     """
     n, m = inst.parties, inst.input_bits
     setting_matrix = unpack_rows(inst.columns, n).T
     outputs: list[int | None] = []
-    contexts: list[tuple[int, ContextGroup]] = []
+    contexts: list[tuple[int, PauliOperator, ContextGroup]] = []
     seen: set[tuple[int, ...]] = set()
     joints: dict[tuple[int, int, int], PauliOperator] = {}
     for index in range(1 << m):
@@ -460,7 +463,7 @@ def reference_mbqc(
             continue
         seen.add(q)
         gens = [op.canonical() for op in (*locals_, joint) if not op.is_identity_class]
-        contexts.append((index, close_context(gens, width=n)))
+        contexts.append((index, joint, close_context(gens, width=n)))
         joints.setdefault((joint.width, joint.x_bits, joint.z_bits), joint.canonical())
     if None in outputs:
         return tuple(outputs), contexts, None

@@ -27,6 +27,7 @@ from conftest import (
     LETTERS,
     brute_force_global,
     context_fields,
+    ghz_raw,
     random_stabilizer_group,
     random_valid_instance,
     random_valid_raw,
@@ -93,6 +94,23 @@ def random_raw_instance(rng, max_parties=3, max_input_bits=6):
             "resource": [format_pauli(g) for g in group.generators],
         }
     )
+
+
+def algebraic_degree(outputs):
+    """The degree of a truth table's GF(2) polynomial, read off its Moebius transform.
+
+    Each butterfly pass folds one input bit; coefficient s is then the XOR
+    of the table over the inputs inside s, and the degree is the largest
+    weight of a set coefficient (0 for a constant table).
+    """
+    coefficients = list(outputs)
+    step = 1
+    while step < len(coefficients):
+        for index in range(len(coefficients)):
+            if index & step:
+                coefficients[index] ^= coefficients[index ^ step]
+        step <<= 1
+    return max((i.bit_count() for i, c in enumerate(coefficients) if c), default=0)
 
 
 def ghz_rank_one_instance():
@@ -444,18 +462,25 @@ class TestTheoremProperty:
 class TestOnePass:
     @staticmethod
     def assert_matches_reference(inst):
-        """Outputs, undetermined inputs and every context agree with the oracle.
+        """Outputs, undetermined inputs, joints and every context agree with the oracle.
 
-        Contexts are compared in full: members, generators and signed
-        relations, each local one through joint_observable, and all of
-        them through the report when every output is determined.
+        Each setting's joint equals the multiply_all product of its locals,
+        phase included. Contexts are compared in full: members, generators
+        and signed relations, each local one through joint_observable, and
+        all of them through the report when every output is determined. A
+        local context of two or more members has one relation, all of them
+        with sign +1. Every truth table has algebraic degree at most 2.
         """
         outputs, local_contexts, special = reference_mbqc(inst)
         for index, expected in enumerate(outputs):
             assert run(inst, gf2.input_vector(index, inst.input_bits)) == expected
-        for index, expected in local_contexts:
-            _, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
+        for index, expected_joint, expected in local_contexts:
+            joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
+            assert joint == expected_joint
             assert context_fields(context) == context_fields(expected)
+            if len(context.members) > 1:
+                everyone = (1 << len(context.members)) - 1
+                assert (context.relations, context.signs) == ((everyone,), 0)
         if special is None:
             missing = tuple(
                 gf2.input_vector(index, inst.input_bits)
@@ -470,7 +495,8 @@ class TestOnePass:
             assert excinfo.value.inputs == missing
             return False
         assert truth_table(inst).outputs == outputs
-        expected = [context for _, context in local_contexts] + [special]
+        assert algebraic_degree(outputs) <= 2
+        expected = [context for _, _, context in local_contexts] + [special]
         assert [context_fields(c) for c in contextuality_report(inst).contexts] == [
             context_fields(c) for c in expected
         ]
@@ -509,6 +535,23 @@ class TestOnePass:
         }
         self.assert_matches_reference(validate_instance(raw))
 
+    def test_ghz_tables_have_degree_at_most_two(self):
+        """Pauli measurements on a stabilizer state compute at most quadratic functions.
+
+        This is the known limit of l2-MBQC with Pauli measurements (Hoban,
+        Campbell, Loukopoulos and Browne, NJP 13, 023014, 2011), which the
+        GHZ instances of up to 7 input bits reach but never pass.
+        """
+        assert algebraic_degree((0,) * 7 + (1,)) == 3  # the AND of three bits
+        rng = np.random.default_rng(409)
+        degrees = set()
+        for parties in range(3, 8):
+            for inputs in range(8):
+                inner_rank = int(rng.integers(0, min(parties - 1, inputs) + 1))
+                inst = validate_instance(ghz_raw(rng, parties, inputs, inner_rank))
+                degrees.add(algebraic_degree(truth_table(inst).outputs))
+        assert max(degrees) == 2
+
     @staticmethod
     def count_calls(monkeypatch, *names):
         """Count calls to mbqc's named functions wherever contextua binds them."""
@@ -534,8 +577,9 @@ class TestOnePass:
         )
         report = contextuality_report(inst)
         assert len(report.truth_table.outputs) == 64
-        # Local contexts are built in member order; only the special context is closed.
-        assert calls == {"joint_observable": 2, "close_context": 1, "member_sign": 2}
+        # Local contexts are written down with their relation; the special
+        # context is closed by _close, close_context staying its oracle.
+        assert calls == {"joint_observable": 2, "close_context": 0, "member_sign": 2}
 
     def test_table_and_run_build_no_context(self, monkeypatch):
         inst = ghz_rank_one_instance()
