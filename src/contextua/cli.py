@@ -109,7 +109,8 @@ def cmd_analyze(
             contexts = [close_context(block) for block in blocks]
             # The identity lies in every context, though no context names it.
             covered = {"I" * contexts[0].width}
-            covered.update(op.body() for c in contexts for op in c.members)
+            for c in contexts:
+                covered.update(c.names)
             uncovered = [op.body() for op in loose if op.body() not in covered]
             if uncovered:
                 raise io.FileFormatError(

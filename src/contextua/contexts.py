@@ -22,9 +22,15 @@ over int-bitset neighbourhoods, built from coordinate masks, on an
 explicit stack, returning int cliques and refusing more than
 MAX_CONTEXTS. They share one vertex table, each distinct observable with
 its packed vector read once, numbered in descending body order so the
-cliques sort as plain ints; one walk per clique takes its members and its
-rank at once, and a context is closed only when its relations are first
-read, so a solver that stops early closes few.
+cliques sort as plain ints, and a bodies list beside it. One walk per
+clique takes its rank and its ``names``, the bodies of its members in
+member order, which is all the global-section columns and the report
+read of a context. The context keeps its clique int and builds its
+member operators from the vertex table only when they are first read, as
+it is closed only when its relations are first read, so a solver that
+stops early builds and closes few. Every context carries ``names``:
+:func:`close_context` passes the bodies it sorts by, and a context built
+without them makes them from its members on first read.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -61,6 +67,8 @@ class ContextGroup:
     Attributes:
         members: the named observables (canonical positive, deduplicated,
             sorted by body string).
+        names: their bodies, in member order: the context's names for its
+            members, as the global-section columns and the report read them.
         width: the number of qubits.
         rank: the number of independent members.
         relations: one int row per member that is a product of earlier
@@ -81,20 +89,34 @@ class ContextGroup:
     them. Given only a rank, as :func:`maximal_contexts` gives it, the
     members are closed by :func:`_insert` on the first read of
     ``relations`` or ``signs``, once; independent members, as many as the
-    rank, need no closing and have no relations.
+    rank, need no closing and have no relations. Names not given are built
+    from the members on their first read. Members may be deferred the same
+    way: given None, a clique int and a vertex table, the members are the
+    table's entries at the clique's set bits, highest first, taken on the
+    first read of ``members``, so a context whose relations nobody reads
+    never builds its member tuple.
     """
 
-    __slots__ = ("members", "width", "rank", "_relations", "_signs", "_basis")
+    __slots__ = (
+        "_members", "_names", "_clique", "_table",
+        "width", "rank", "_relations", "_signs", "_basis",
+    )
 
     def __init__(
         self,
-        members: tuple[PauliOperator, ...],
+        members: tuple[PauliOperator, ...] | None,
         width: int,
         relations: tuple[int, ...] | None = None,
         signs: int = 0,
         rank: int | None = None,
+        names: tuple[str, ...] | None = None,
+        clique: int = 0,
+        table: Sequence[PauliOperator] = (),
     ) -> None:
-        self.members = members
+        self._members = members
+        self._names = names
+        self._clique = clique
+        self._table = table
         self.width = width
         self._relations = relations
         self._signs = signs
@@ -106,9 +128,26 @@ class ContextGroup:
         else:
             self.rank = rank
 
+    @property
+    def members(self) -> tuple[PauliOperator, ...]:
+        if self._members is None:
+            clique, table, members = self._clique, self._table, []
+            while clique:
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                members.append(table[v])
+            self._members = tuple(members)
+        return self._members
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        if self._names is None:
+            self._names = tuple([op.body() for op in self.members])
+        return self._names
+
     def _find_relations(self) -> None:
         """Find the relations and signs of a context given its rank alone."""
-        if self.rank == len(self.members):  # independent members: no relation
+        if self.rank == len(self.names):  # independent members: no relation
             self._relations, self._signs = (), 0
         else:
             self._relations, self._signs, _ = _insert(self.members)
@@ -160,8 +199,7 @@ class ContextGroup:
         return all(other.decompose(g) is not None for g in self.generators)
 
     def __repr__(self) -> str:
-        names = ", ".join(op.body() for op in self.members)
-        return f"ContextGroup([{names}])"
+        return f"ContextGroup([{', '.join(self.names)}])"
 
 
 def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) -> ContextGroup:
@@ -179,7 +217,7 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         raise ValueError("empty generator list needs an explicit width")
     w = width if width is not None else ops[0].width
     excesses: dict[str, int] = {}
-    given: list[PauliOperator] = []
+    given: dict[str, PauliOperator] = {}  # canonical generators by body, as given
     for op in ops:
         if op.width != w:
             raise ValueError(f"width mismatch: {op.width} vs {w}")
@@ -194,13 +232,14 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         known = excesses.get(body)
         if known is None:
             excesses[body] = excess
-            given.append(op.negate() if excess else op)
+            given[body] = op.negate() if excess else op
         elif known != excess:
             raise MinusIdentityError(f"generators include both +{body} and -{body}")
-    members = sorted(given, key=PauliOperator.body)
+    names = sorted(given)
+    members = [given[body] for body in names]
     rows, signs, kept = _insert(members)
-    _check_commuting([members[i] for i in kept], w, given)
-    return ContextGroup(tuple(members), w, rows, signs)
+    _check_commuting([members[i] for i in kept], w, list(given.values()))
+    return ContextGroup(tuple(members), w, rows, signs, None, tuple(names))
 
 
 def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[int]]:
@@ -341,26 +380,26 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     ascending one did. Maximal cliques form an antichain, so the
     lexicographic order of their member body strings is the descending
     order of the clique ints. One walk per clique, from its highest bit
-    down, takes its members in body order and its rank: each vector is
-    reduced under the highest-bit rule of :class:`~contextua.gf2.Basis`
-    until the rank reaches the width, since commuting members span an
-    isotropic space of at most that dimension. Relations and signs wait
-    until something reads them, as the global-section stream does context
-    by context. Contexts come in lexicographic order, so runs agree.
+    down, takes its names (member bodies, from a bodies list beside the
+    vertex table) in body order and its rank: each vector is reduced under
+    the highest-bit rule of :class:`~contextua.gf2.Basis` until the rank
+    reaches the width, since commuting members span an isotropic space of
+    at most that dimension. Member operators, relations and signs wait
+    until something reads them, as the global-section stream does for the
+    contexts it closes. Contexts come in lexicographic order, so runs agree.
     """
-    unique: list[PauliOperator] = []
-    seen: set[str] = set()
+    seen: dict[str, PauliOperator] = {}
     for op in obs:
         excess = op.phase_excess
         if excess & 1:
             raise ValueError(f"non-Hermitian observable: {op!r}")
         body = op.body()
         if body not in seen:
-            seen.add(body)
-            unique.append(op.negate() if excess else op)
-    if not unique:
+            seen[body] = op.negate() if excess else op
+    if not seen:
         return []
-    unique.sort(key=PauliOperator.body, reverse=True)
+    bodies = sorted(seen, reverse=True)
+    unique = [seen[body] for body in bodies]
     vectors = [op.packed() for op in unique]
     width = unique[0].width
     # The identity, when given, has the lowest body, so the top vertex; it
@@ -371,12 +410,13 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     contexts = []
     for clique in cliques:
         clique ^= identity
-        members = []
+        names = []
         pivots: dict[int, int] = {}
-        while clique:
-            v = clique.bit_length() - 1
-            clique ^= 1 << v
-            members.append(unique[v])
+        rest = clique
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            names.append(bodies[v])
             vector = vectors[v]
             if len(pivots) < width:
                 while vector:
@@ -385,8 +425,10 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
                         pivots[vector.bit_length()] = vector
                         break
                     vector ^= pivot
-        # No relations yet: they are found when first read.
-        contexts.append(ContextGroup(tuple(members), width, None, 0, len(pivots)))
+        # No members or relations yet: each is found when first read.
+        contexts.append(
+            ContextGroup(None, width, None, 0, len(pivots), tuple(names), clique, unique)
+        )
     return contexts
 
 
@@ -398,4 +440,5 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     if members and members[0].is_identity_class:
         members = members[1:]
     rows, signs, _ = _insert(members)
-    return ContextGroup(tuple(members), width, rows, signs)
+    names = tuple([op.body() for op in members])
+    return ContextGroup(tuple(members), width, rows, signs, None, names)

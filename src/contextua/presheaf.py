@@ -27,6 +27,7 @@ stream into the matrix view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import gf2
@@ -60,7 +61,7 @@ class Valuation:
     values: dict[str, int]
 
     def __post_init__(self) -> None:
-        if self.values.keys() != {op.body() for op in self.context.members}:
+        if self.values.keys() != set(self.context.names):
             raise ValueError("valuation must cover exactly the context members")
         for bit in self.values.values():
             if bit not in (0, 1):
@@ -73,7 +74,7 @@ class Valuation:
     @property
     def bits(self) -> tuple[int, ...]:
         """Values in member order (the context's sorted member tuple)."""
-        return tuple(self.values[op.body()] for op in self.context.members)
+        return tuple(self.values[body] for body in self.context.names)
 
     def value_of(self, op: PauliOperator) -> int:
         """Bit assigned to any group element, signed operators included.
@@ -164,16 +165,16 @@ class GlobalSection:
 class _GlobalRows:
     """The global-section system of contexts and pins, built as it is read.
 
-    Construction makes one pass over all members, numbering a column per
-    observable body by first appearance (member order within each context)
-    and noting each member's column bit, then checks every pin against
-    those columns, so an unknown pin is refused before any row is built.
-    The identity lies in every context but names no column: its pin is a
-    row with no columns. Iterating yields (row, rhs bit), one row per
-    context relation, context by context, then one per pin in the given
-    order. A context is closed only when its first row is needed, and each
-    row is recorded as it is yielded, so :meth:`system` is the system of
-    every label and the rows read so far.
+    Construction makes one pass over every context's ``names``, numbering
+    a column per observable body by first appearance (member order within
+    each context), then checks every pin against those columns, so an
+    unknown pin is refused before any row is built. The identity lies in
+    every context but names no column: its pin is a row with no columns.
+    Iterating yields (row, rhs bit), one row per context relation, context
+    by context, then one per pin in the given order. A context is closed,
+    and its names looked up as column bits, only when its first row is
+    needed, and each row is recorded as it is yielded, so :meth:`system` is
+    the system of every label and the rows read so far.
     """
 
     def __init__(
@@ -184,15 +185,9 @@ class _GlobalRows:
         widths = {c.width for c in contexts}
         if len(widths) > 1:
             raise ValueError(f"contexts of mixed widths: {sorted(widths)}")
-        columns: dict[str, int] = {}  # observable body -> its column's bit
-        bits: list[int] = []  # the column bit of each member, context by context
-        for ctx in contexts:
-            for op in ctx.members:
-                body = op.body()
-                bit = columns.get(body)
-                if bit is None:
-                    bit = columns[body] = 1 << len(columns)
-                bits.append(bit)
+        # Observable body -> its column's bit, numbered by first appearance.
+        first_seen = dict.fromkeys(chain.from_iterable([ctx.names for ctx in contexts]))
+        columns = {body: 1 << c for c, body in enumerate(first_seen)}
         identity = "I" * contexts[0].width
         pins: list[tuple[int, int]] = []
         for constraint in constraints:
@@ -209,20 +204,18 @@ class _GlobalRows:
         self.rows: list[int] = []
         self._rhs = 0
         self._contexts = contexts
-        self._bits = bits
+        self._columns = columns
         self._pins = pins
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         rows = self.rows
-        bits = self._bits
-        start = 0
+        column = self._columns.__getitem__
         for ctx in self._contexts:
-            end = start + len(ctx.members)
             relations = ctx.relations
             if relations:
                 signs = ctx.signs
                 self._rhs |= signs << len(rows)  # system() drops bits of unread rows
-                table = bits[start:end]
+                table = list(map(column, ctx.names))
                 for relation in relations:
                     row = 0
                     while relation:
@@ -232,7 +225,6 @@ class _GlobalRows:
                     rows.append(row)
                     yield row, signs & 1
                     signs >>= 1
-            start = end
         for row, bit in self._pins:
             self._rhs |= bit << len(rows)
             rows.append(row)

@@ -89,10 +89,10 @@ def build_analysis(
 ) -> Analysis:
     """The report block of one decided problem.
 
-    Observables are named by the problem's labels, and context members by
-    their kept :meth:`~contextua.pauli.PauliOperator.body`; contexts share
-    their operators, so each string is built at most once. No operator is
-    hashed.
+    Observables are named by the problem's labels, and each context by its
+    ``names`` tuple, taken as it is: no member operator is read, so a
+    maximal context whose relations the solver never read builds none. No
+    operator is hashed.
     """
     certificate = section = None
     if isinstance(outcome, gf2.Certificate):
@@ -105,8 +105,8 @@ def build_analysis(
     return Analysis(
         verdict="noncontextual" if certificate is None else "contextual",
         observables=problem.labels,
-        contexts=tuple([tuple([op.body() for op in c.members]) for c in contexts]),
-        spectrum_sizes=tuple([c.group_order for c in contexts]),
+        contexts=tuple([c.names for c in contexts]),
+        spectrum_sizes=tuple([1 << c.rank for c in contexts]),
         pins=tuple(Pin(p.observable.body(), p.value_bit) for p in pins),
         certificate=certificate,
         section=section,

@@ -38,7 +38,7 @@ from contextua.pauli import (
     parse_pauli,
 )
 from contextua.mbqc import joint_observable
-from contextua.presheaf import spectrum
+from contextua.presheaf import decide_global, spectrum
 from contextua.stabilizer import member_sign
 
 from conftest import (
@@ -232,6 +232,7 @@ class TestIntPath:
         for gens in self.commuting_inputs(rng, 240):
             ctx = close_context(gens)
             members, generators, expected = reference_close_context(gens)
+            assert ctx.names == tuple(op.body() for op in members)
             assert ctx.members == members
             assert ctx.generators == generators
             assert [expand_relation(ctx, r) for r in range(len(ctx.relations))] == expected
@@ -243,7 +244,8 @@ class TestIntPath:
         """Each clique is closed as the oracle closes the pool's observables in it.
 
         Pools hold the identity, both signs of some observables and repeats;
-        each context must also be maximal among the pool's observables.
+        each context must also be maximal among the pool's observables. Its
+        names are read before its deferred members are built.
         """
         rng = np.random.default_rng(108)
         pools = [all_paulis(3)]
@@ -255,9 +257,10 @@ class TestIntPath:
         relations = 0
         for pool in pools:
             for ctx in maximal_contexts(pool):
-                bodies = {op.body() for op in ctx.members}
+                bodies = set(ctx.names)
                 clique = [op for op in pool if op.is_identity_class or op.body() in bodies]
                 members, generators, expected = reference_close_context(clique)
+                assert ctx.names == tuple(op.body() for op in members)
                 assert ctx.members == members
                 assert ctx.generators == generators
                 assert [expand_relation(ctx, r) for r in range(len(ctx.relations))] == expected
@@ -398,11 +401,14 @@ class TestElimination:
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
     def test_maximal_contexts_close_on_first_read(self, monkeypatch):
-        """Members and rank come at once; relations and signs wait for a reader.
+        """Names and rank come at once; members, relations and signs wait for a reader.
 
-        Each context is closed once, by the first read of either; one whose
-        members are independent is never passed to _insert. A context needs
-        its relations or its rank.
+        No member tuple is built by the search. Each context is closed once,
+        by the first read of its relations or signs; one whose members are
+        independent is never passed to _insert. The solver builds members
+        for exactly the contexts it closes: on the 255 four-qubit Paulis,
+        the 11 it reads before the certificate. A context needs its
+        relations or its rank.
         """
         closed = []
         original = contexts_module._insert
@@ -411,6 +417,7 @@ class TestElimination:
         )
         contexts = maximal_contexts(mermin_observables() + [identity(3)])
         assert closed == []
+        assert all(ctx._members is None for ctx in contexts)
         assert [ctx.group_order for ctx in contexts] == [8] * 15
         assert all(ctx.members[0].body() != "III" for ctx in contexts)
         assert closed == []
@@ -421,6 +428,19 @@ class TestElimination:
         assert [len(ctx.members) for ctx in contexts[:2]] == [4, 3]
         assert closed == [contexts[0].members]
         assert (contexts[1].relations, contexts[1].signs) == ((), 0)
+        census = maximal_contexts(all_paulis(4))
+        assert all(ctx._members is None for ctx in census)
+        read = []
+        members = ContextGroup.members
+        monkeypatch.setattr(
+            ContextGroup, "members", property(lambda ctx: read.append(ctx) or members.fget(ctx))
+        )
+        closed.clear()
+        _, outcome = decide_global(census)
+        assert isinstance(outcome, gf2.Certificate)
+        assert len(read) == 11
+        assert [ctx for ctx in census if ctx._members is not None] == read
+        assert closed == [ctx._members for ctx in read]
         with pytest.raises(ValueError, match="relations or its rank"):
             ContextGroup(members=(), width=1)
 
@@ -463,10 +483,12 @@ def retained_by(call):
 
 
 class TestMemory:
-    """Closed contexts keep their members and relation rows, and little else.
+    """Contexts keep their names, and their members and relation rows once built, and little else.
 
-    The bounds hold with headroom on Python 3.10-3.12, where these contexts
-    retain about 33 KiB and 1.28-1.35 MiB.
+    The 64 KiB and 2 MiB bounds hold with headroom on Python 3.10-3.12,
+    where these contexts retain about 33 KiB and 1.28-1.35 MiB. The 2,295
+    maximal contexts of the four-qubit census retain about 0.73 MiB on
+    Python 3.11: names, clique ints and rank, with no member tuple.
     """
 
     def test_three_qubit_census_retains_under_64_kib(self):
@@ -490,6 +512,17 @@ class TestMemory:
         contexts, retained = retained_by(lambda: [close_context(c) for c in cliques])
         assert len(contexts) == 2295
         assert retained < 2 * 1024 * 1024
+
+    def test_four_qubit_census_search_retains_under_1_mib(self):
+        """The 2,295 maximal contexts of all 255 four-qubit Paulis, members deferred.
+
+        One call beforehand warms every cache.
+        """
+        paulis = all_paulis(4)
+        maximal_contexts(paulis)
+        contexts, retained = retained_by(lambda: maximal_contexts(paulis))
+        assert len(contexts) == 2295
+        assert retained < 1024 * 1024
 
 
 def recursive_cliques(neighbours, highest_first):

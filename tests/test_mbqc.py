@@ -467,9 +467,10 @@ class TestOnePass:
         Each setting's joint equals the multiply_all product of its locals,
         phase included. Contexts are compared in full: members, generators
         and signed relations, each local one through joint_observable, and
-        all of them through the report when every output is determined. A
-        local context of two or more members has one relation, all of them
-        with sign +1. Every truth table has algebraic degree at most 2.
+        all of them through the report when every output is determined; each
+        names its members by their bodies. A local context of two or more
+        members has one relation, all of them with sign +1. Every truth
+        table has algebraic degree at most 2.
         """
         outputs, local_contexts, special = reference_mbqc(inst)
         for index, expected in enumerate(outputs):
@@ -478,6 +479,7 @@ class TestOnePass:
             joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
             assert joint == expected_joint
             assert context_fields(context) == context_fields(expected)
+            assert context.names == tuple(op.body() for op in expected.members)
             if len(context.members) > 1:
                 everyone = (1 << len(context.members)) - 1
                 assert (context.relations, context.signs) == ((everyone,), 0)
@@ -497,9 +499,9 @@ class TestOnePass:
         assert truth_table(inst).outputs == outputs
         assert algebraic_degree(outputs) <= 2
         expected = [context for _, _, context in local_contexts] + [special]
-        assert [context_fields(c) for c in contextuality_report(inst).contexts] == [
-            context_fields(c) for c in expected
-        ]
+        contexts = contextuality_report(inst).contexts
+        assert [context_fields(c) for c in contexts] == [context_fields(c) for c in expected]
+        assert all(c.names == tuple(op.body() for op in c.members) for c in contexts)
         return True
 
     def test_matches_the_per_input_reference(self):
