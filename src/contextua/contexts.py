@@ -17,10 +17,14 @@ signed by :func:`~contextua.pauli.circuit_sign`, which folds only the
 sign. These relations are a basis of all product constraints of the
 context, so any valuation that respects them respects every one. The kept
 members, its generators, top no row, and commutation is checked on their
-pairs alone. Maximal contexts come from a pivoted Bron-Kerbosch search
-over int-bitset neighbourhoods, built from coordinate masks, on an
-explicit stack, returning int cliques and refusing more than
-MAX_CONTEXTS. They share one vertex table, each distinct observable with
+pairs alone. Maximal contexts are the maximal cliques of int-bitset
+neighbourhoods, built from coordinate masks, found by one of two exact
+searches that return int cliques and refuse more than MAX_CONTEXTS. Up
+to four qubits, when the Lagrangian subspaces number at most 40 per
+distinct observable, the cliques are read off a constant table of those
+subspaces: every maximal clique is the set of vertices in one of them.
+Otherwise a pivoted Bron-Kerbosch search runs on an explicit stack. The
+contexts share one vertex table, each distinct observable with
 its packed vector read once, numbered in descending body order so the
 cliques sort as plain ints, and a bodies list beside it. One walk per
 clique takes its rank and its ``names``, the bodies of its members in
@@ -39,9 +43,11 @@ group's generators with the same generator-pair check.
 """
 from __future__ import annotations
 
+from itertools import product
+from math import prod
 from typing import Iterable, Sequence
 
-from .gf2 import Basis
+from .gf2 import Basis, set_bits
 from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
 
 # The clique search refuses inputs with more maximal contexts than this; all
@@ -301,13 +307,7 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
     widths = {op.width for op in obs}
     if len(widths) > 1:
         raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
-    has = [0] * (2 * width)
-    for i, op in enumerate(obs):
-        vector, vertex = op.packed(), 1 << i
-        while vector:
-            low = vector & -vector
-            has[low.bit_length() - 1] |= vertex
-            vector ^= low
+    has = _coordinate_masks([op.packed() for op in obs], width)
     everyone = (1 << len(obs)) - 1
     neighbours = []
     for i, op in enumerate(obs):
@@ -318,6 +318,18 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
             swapped ^= low
         neighbours.append(others)
     return neighbours
+
+
+def _coordinate_masks(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit i of entry k is bit k of vectors[i], for the 2 * width coordinates k."""
+    has = [0] * (2 * width)
+    for i, vector in enumerate(vectors):
+        vertex = 1 << i
+        while vector:
+            low = vector & -vector
+            has[low.bit_length() - 1] |= vertex
+            vector ^= low
+    return has
 
 
 def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
@@ -370,14 +382,122 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
     return cliques
 
 
+# Widths whose Lagrangian subspaces are listed: every packed vector fits a byte.
+_LAGRANGIAN_WIDTHS = 4
+
+_LAGRANGIANS: dict[int, bytes] = {}
+
+
+def _lagrangians(width: int) -> bytes:
+    """The Lagrangian subspaces of GF(2)^(2 * width), width packed generators each.
+
+    Each subspace L is listed once, by its X-projection W and the lifts of
+    W's rows (Aaronson and Gottesman, quant-ph/0406196). W is taken in
+    reduced echelon form: a row per pivot, its lowest set bit, clear at the
+    other pivots and below its own, free at the other columns above. L holds
+    the Z-type vectors of W's annihilator, one per free column, and a lift
+    (w, z) of each row w; z is fixed modulo the annihilator by the values
+    z . w' over the rows w', and L is isotropic exactly when those values
+    form a symmetric matrix. So there are prod_k (2^k + 1) subspaces: 3, 15,
+    135 and 2,295 at widths 1 to 4. Vectors are packed as x | z << width;
+    at widths up to _LAGRANGIAN_WIDTHS each is a byte. The table depends on
+    the width alone; it is built on first use and kept.
+    """
+    table = _LAGRANGIANS.get(width)
+    if table is not None:
+        return table
+    full = (1 << width) - 1
+    entries = bytearray()
+    for pivot_mask in range(full + 1):
+        pivots = set_bits(pivot_mask)
+        free = set_bits(full ^ pivot_mask)
+        above = [(full ^ pivot_mask) & ~((2 << p) - 1) for p in pivots]
+        fills = [[f for f in range(mask + 1) if not f & ~mask] for mask in above]
+        pairs = [(i, j) for i in range(len(pivots)) for j in range(i, len(pivots))]
+        for fill in product(*fills):
+            rows = [1 << p | f for p, f in zip(pivots, fill)]
+            annihilator = [
+                (1 << c | sum(1 << p for p, row in zip(pivots, rows) if row >> c & 1)) << width
+                for c in free
+            ]
+            for matrix in range(1 << len(pairs)):
+                lifts = list(rows)
+                for t, (i, j) in enumerate(pairs):
+                    if matrix >> t & 1:
+                        lifts[i] ^= 1 << pivots[j] + width
+                        if i != j:
+                            lifts[j] ^= 1 << pivots[i] + width
+                entries += bytes(annihilator + lifts)
+    table = _LAGRANGIANS[width] = bytes(entries)
+    return table
+
+
+def _lagrangian_count(width: int) -> int:
+    """The number of Lagrangian subspaces of GF(2)^(2 * width): prod_k (2^k + 1)."""
+    return prod((1 << k) + 1 for k in range(1, width + 1))
+
+
+def _lagrangian_cliques(
+    vectors: Sequence[int], neighbours: Sequence[int], width: int
+) -> list[int]:
+    """All maximal cliques of the commutation graph, as int bitsets, from the Lagrangians.
+
+    Commuting vectors span an isotropic subspace, and every isotropic
+    subspace lies in a Lagrangian L, so each maximal clique is the set of
+    vertices in some L, and each such set is a clique. Bit i of anti[g] is
+    set when vertex i anticommutes with the packed vector g; anti is linear
+    in g, so it is filled by a lowest-set-bit recurrence from the coordinate
+    masks, and the vertices in L are those that commute with each of its
+    generators. A distinct nonempty set is kept when no vertex outside it is
+    adjacent to all of its members. More than MAX_CONTEXTS cliques raise
+    ContextBudgetError, as the search does.
+    """
+    has = _coordinate_masks(vectors, width)
+    swapped = has[width:] + has[:width]  # bit k of a vector meets bit k +- width
+    anti = [0] * (1 << 2 * width)
+    for g in range(1, len(anti)):
+        low = g & -g
+        anti[g] = anti[g ^ low] ^ swapped[low.bit_length() - 1]
+    everyone = (1 << len(vectors)) - 1
+    sets = set()
+    generators = iter(_lagrangians(width))
+    for span in zip(*[generators] * width):
+        outside = 0
+        for g in span:
+            outside |= anti[g]
+        sets.add(everyone ^ outside)
+    cliques = []
+    for clique in sets:
+        outside, rest = everyone ^ clique, clique
+        while outside and rest:
+            low = rest & -rest
+            rest ^= low
+            outside &= neighbours[low.bit_length() - 1]
+        if not outside:
+            cliques.append(clique)
+    if len(cliques) > MAX_CONTEXTS:
+        raise ContextBudgetError(
+            f"more than {MAX_CONTEXTS} maximal contexts; "
+            "the clique search stops at that budget"
+        )
+    return cliques
+
+
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     """One context per maximal clique of the commutation graph, closed when first read.
 
     Each input observable is validated and canonicalized by one phase excess,
     deduplicated and sorted by its kept body, descending; that sorted list
     is the vertex table, and each vertex's packed vector is read once,
-    beside it. The search on this numbering visits cliques in the order the
-    ascending one did. Maximal cliques form an antichain, so the
+    beside it. The cliques come from :func:`_lagrangian_cliques` when the
+    width is at most four and there are at most 40 Lagrangian subspaces
+    per distinct observable (every input of one or two qubits, three-qubit
+    inputs of 4 or more observables, four-qubit inputs of 58 or more), and
+    from the Tomita search otherwise, which on this numbering visits
+    cliques in the order the ascending one did, so an over-large input
+    meets the budget at the same clique. Both give the same cliques, and
+    the graph is built first either way, so mixed widths are refused
+    alike. Maximal cliques form an antichain, so the
     lexicographic order of their member body strings is the descending
     order of the clique ints. One walk per clique, from its highest bit
     down, takes its names (member bodies, from a bodies list beside the
@@ -405,7 +525,13 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     # The identity, when given, has the lowest body, so the top vertex; it
     # lies in every clique and is no member.
     identity = 0 if vectors[-1] else 1 << len(unique) - 1
-    cliques = _maximal_cliques(commutation_graph(unique))
+    neighbours = commutation_graph(unique)
+    # The table costs about what the search does near 40 Lagrangians per
+    # vertex: 50 to 58 members of four qubits.
+    if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 40 * len(unique):
+        cliques = _lagrangian_cliques(vectors, neighbours, width)
+    else:
+        cliques = _maximal_cliques(neighbours)
     cliques.sort(reverse=True)
     contexts = []
     for clique in cliques:

@@ -21,6 +21,8 @@ from contextua.contexts import (
     MinusIdentityError,
     NonCommutingGeneratorsError,
     _insert,
+    _lagrangian_cliques,
+    _lagrangians,
     _maximal_cliques,
     close_context,
     commutation_graph,
@@ -810,6 +812,165 @@ class TestContextBudget:
         assert result.stdout == ""
         assert result.stderr.startswith("error: more than 14 maximal contexts")
         assert "Traceback" not in result.stderr
+
+    def test_each_search_stops_past_the_budget(self, monkeypatch):
+        """Both searches refuse the Mermin set's 15 cliques under a budget of 14."""
+        observables = mermin_observables()
+        neighbours = commutation_graph(observables)
+        vectors = [op.packed() for op in observables]
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 15)
+        assert len(_maximal_cliques(neighbours)) == 15
+        assert len(_lagrangian_cliques(vectors, neighbours, 3)) == 15
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 14)
+        with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
+            _maximal_cliques(neighbours)
+        with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
+            _lagrangian_cliques(vectors, neighbours, 3)
+
+
+def symplectic_form(width, u, v):
+    """The symplectic form of two packed vectors x | z << width."""
+    low = (1 << width) - 1
+    return ((u & low & v >> width).bit_count() + (v & low & u >> width).bit_count()) & 1
+
+
+def lagrangian_pools():
+    """Four-qubit pools of the benchmark's shapes, relabelled, and the Mermin set."""
+    rng = np.random.default_rng(151)
+    four = all_paulis(4)
+    pools = [mermin_observables()]
+    for size in (20, 29, 32, 41, 50, 64, 80, 84):
+        subset = [four[int(i)] for i in rng.choice(len(four), size, replace=False)]
+        pools.append(clifford_relabel(rng, subset))
+    return pools
+
+
+def signed_pools():
+    """Signed operators of one width from 1 to 4, with repeats and the identity."""
+
+    def pool(width):
+        letters = st.text("IXYZ", min_size=width, max_size=width)
+        signed = st.tuples(st.sampled_from("+-"), letters).map("".join)
+        texts = st.lists(signed, min_size=1, max_size=48)
+        return st.tuples(texts, st.booleans()).map(
+            lambda drawn: [parse_pauli(t) for t in drawn[0]] + [identity(width)] * drawn[1]
+        )
+
+    return st.integers(1, 4).flatmap(pool)
+
+
+def lagrangian_search(obs):
+    """The cliques the Lagrangian path finds on obs, sorted."""
+    neighbours = commutation_graph(obs)
+    return sorted(_lagrangian_cliques([op.packed() for op in obs], neighbours, obs[0].width))
+
+
+def forced(monkeypatch, path, obs):
+    """maximal_contexts(obs) with the given search forced, as (names, rank, members, relations, signs)."""
+    with monkeypatch.context() as patch:
+        if path == "lagrangian":
+            patch.setattr(contexts_module, "_lagrangian_count", lambda width: 0)
+        else:
+            patch.setattr(contexts_module, "_LAGRANGIAN_WIDTHS", 0)
+        return [
+            (ctx.names, ctx.rank, ctx.members, ctx.relations, ctx.signs)
+            for ctx in maximal_contexts(obs)
+        ]
+
+
+class TestLagrangianSearch:
+    @pytest.mark.parametrize("width,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
+    def test_table_lists_each_lagrangian_once(self, width, count):
+        """prod_k (2^k + 1) entries of width independent, pairwise commuting vectors."""
+        table = _lagrangians(width)
+        assert isinstance(table, bytes)
+        assert len(table) == width * count
+        spans = set()
+        for start in range(0, len(table), width):
+            generators = table[start : start + width]
+            span = {0}
+            for g in generators:
+                span |= {v ^ g for v in span}
+            assert len(span) == 1 << width
+            assert all(symplectic_form(width, u, v) == 0 for u in generators for v in generators)
+            spans.add(frozenset(span))
+        assert len(spans) == count
+        assert _lagrangians(width) is table
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_all_paulis_match_the_tomita_search(self, width):
+        paulis = all_paulis(width)
+        expected = sorted(_maximal_cliques(commutation_graph(paulis)))
+        assert lagrangian_search(paulis) == expected
+        assert len(expected) == len(_lagrangians(width)) // width
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pool=signed_pools())
+    def test_signed_pools_match_the_tomita_search(self, pool):
+        """Signs, repeats and the identity: repeated vectors are twin vertices to both searches."""
+        assert lagrangian_search(pool) == sorted(_maximal_cliques(commutation_graph(pool)))
+
+    def test_relabelled_four_qubit_subsets_match_the_tomita_search(self):
+        for pool in lagrangian_pools():
+            assert lagrangian_search(pool) == sorted(_maximal_cliques(commutation_graph(pool)))
+
+    def test_cliques_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for pool in [all_paulis(3), *lagrangian_pools()[::2]]:
+            neighbours = commutation_graph(pool)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(len(pool)))
+            graph.add_edges_from(
+                (i, j) for i in range(len(pool)) for j in set_bits(neighbours[i]) if i < j
+            )
+            expected = {frozenset(c) for c in nx.find_cliques(graph)}
+            found = [frozenset(set_bits(c)) for c in lagrangian_search(pool)]
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+
+    def test_both_paths_give_equal_contexts(self, monkeypatch):
+        """Names, ranks, members, relations and signs agree whichever search is forced."""
+        pools = [*(all_paulis(width) for width in (1, 2, 3, 4)), *lagrangian_pools()]
+        pools.append([identity(2), *ops("XX", "-ZZ", "YY", "XX", "ZI")])
+        pools.append([identity(3), identity(3).negate()])
+        for pool in pools:
+            assert forced(monkeypatch, "lagrangian", pool) == forced(monkeypatch, "tomita", pool)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pool=signed_pools())
+    def test_both_paths_give_equal_contexts_on_signed_pools(self, pool):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert forced(monkeypatch, "lagrangian", pool) == forced(monkeypatch, "tomita", pool)
+
+    def test_path_choice(self, monkeypatch):
+        """Censuses of three and four qubits read the table; sparse and wide inputs search."""
+        calls = []
+        for name in ("_lagrangian_cliques", "_maximal_cliques"):
+            original = getattr(contexts_module, name)
+
+            def counting(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(contexts_module, name, counting)
+        rng = np.random.default_rng(155)
+        four = all_paulis(4)
+        sparse = [four[int(i)] for i in rng.choice(len(four), 20, replace=False)]
+        cases = [
+            (all_paulis(3), "_lagrangian_cliques"),
+            (all_paulis(4), "_lagrangian_cliques"),
+            (sparse, "_maximal_cliques"),
+            (ops("XXXXX", "ZZZZZ", "YYYYY", "ZZIII"), "_maximal_cliques"),
+            (ops("XI", "IZ"), "_lagrangian_cliques"),
+            (four[:57], "_maximal_cliques"),
+            (four[:58], "_lagrangian_cliques"),
+            (ops("XII", "IXI", "IIX"), "_maximal_cliques"),
+            (ops("XII", "IXI", "IIX", "ZZZ"), "_lagrangian_cliques"),
+        ]
+        for pool, expected in cases:
+            calls.clear()
+            maximal_contexts(pool)
+            assert calls == [expected]
 
 
 def commuting_lists(max_size=12):
