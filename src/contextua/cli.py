@@ -105,6 +105,12 @@ def cmd_analyze(
                 )
             if not blocks:
                 raise io.FileFormatError("context file has no context blocks")
+        pins = io.parse_pin_file(pin_data.decode("utf-8"), parsed) if pin_data else ()
+        # The parse table holds every operator of the three files. An identity
+        # of another width is refused below as no context's member.
+        widths = {op.width for op in parsed.values() if not op.is_identity_class}
+        if len(widths) > 1:
+            raise io.FileFormatError(f"mixed operator widths: {sorted(widths)}")
         if blocks:
             contexts = [close_context(block) for block in blocks]
             # The identity lies in every context, though no context names it.
@@ -120,7 +126,6 @@ def cmd_analyze(
             if not loose:
                 raise io.FileFormatError("no observables given")
             contexts = maximal_contexts(loose)
-        pins = io.parse_pin_file(pin_data.decode("utf-8"), parsed) if pin_data else ()
         # Unknown pins are refused before the solver reads any row.
         problem, outcome = decide_global(contexts, pins)
     except ValueError as exc:

@@ -23,18 +23,16 @@ searches that return int cliques and refuse more than MAX_CONTEXTS. Up
 to four qubits, when the Lagrangian subspaces number at most 40 per
 distinct observable, the cliques are read off a constant table of those
 subspaces: every maximal clique is the set of vertices in one of them.
-Otherwise a pivoted Bron-Kerbosch search runs on an explicit stack. The
-contexts share one vertex table, each distinct observable with
-its packed vector read once, numbered in descending body order so the
-cliques sort as plain ints, and a bodies list beside it. One walk per
-clique takes its rank and its ``names``, the bodies of its members in
-member order, which is all the global-section columns and the report
-read of a context. The context keeps its clique int and builds its
-member operators from the vertex table only when they are first read, as
-it is closed only when its relations are first read, so a solver that
-stops early builds and closes few. Every context carries ``names``:
-:func:`close_context` passes the bodies it sorts by, and a context built
-without them makes them from its members on first read.
+Otherwise a pivoted Bron-Kerbosch search runs on an explicit stack.
+
+Every context carries ``names``, the bodies of its members in member
+order, which is all the global-section columns and the report read of
+it. A context has two shapes. A closed one holds its members, relations
+and signs. A deferred one, as :func:`maximal_contexts` makes it, holds
+its names, its rank and the map from each input body to its canonical
+operator; it looks its members up when they are first read and is closed
+when its relations are first read, so a solver that stops early builds
+and closes few.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .gf2 import Basis, set_bits
 from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
@@ -90,23 +88,19 @@ class ContextGroup:
     membership, is built on the first query and kept.
 
     Construct through :func:`close_context` or :func:`maximal_contexts`;
-    the constructor assumes its arguments are validated and canonical.
-    Given relations and signs, a context is closed and its rank is read off
-    them. Given only a rank, as :func:`maximal_contexts` gives it, the
-    members are closed by :func:`_insert` on the first read of
-    ``relations`` or ``signs``, once; independent members, as many as the
-    rank, need no closing and have no relations. Names not given are built
-    from the members on their first read. Members may be deferred the same
-    way: given None, a clique int and a vertex table, the members are the
-    table's entries at the clique's set bits, highest first, taken on the
-    first read of ``members``, so a context whose relations nobody reads
-    never builds its member tuple.
+    the constructor assumes its arguments are validated and canonical. A
+    context has one of two shapes. A closed context is given its members
+    and its relations and signs, and its rank is read off them; names not
+    given are made from the members at construction. A deferred context,
+    as :func:`maximal_contexts` gives it, is given its names, its rank and
+    a lookup from each name to its member operator: its members are looked
+    up on their first read, and closed by :func:`_insert` on the first read
+    of ``relations`` or ``signs``, once, so a context whose relations
+    nobody reads never builds its member tuple. Independent members, as
+    many as the rank, need no closing and have no relations.
     """
 
-    __slots__ = (
-        "_members", "_names", "_clique", "_table",
-        "width", "rank", "_relations", "_signs", "_basis",
-    )
+    __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs", "_basis")
 
     def __init__(
         self,
@@ -116,19 +110,21 @@ class ContextGroup:
         signs: int = 0,
         rank: int | None = None,
         names: tuple[str, ...] | None = None,
-        clique: int = 0,
-        table: Sequence[PauliOperator] = (),
+        lookup: Mapping[str, PauliOperator] | None = None,
     ) -> None:
+        if names is None:
+            if members is None:
+                raise ValueError("a context needs its members or its names")
+            names = tuple([op.body() for op in members])
         self._members = members
-        self._names = names
-        self._clique = clique
-        self._table = table
+        self.names = names
+        self._lookup = lookup
         self.width = width
         self._relations = relations
         self._signs = signs
         self._basis: PauliBasis | None = None
         if relations is not None:
-            self.rank = len(members) - len(relations)
+            self.rank = len(names) - len(relations)
         elif rank is None:
             raise ValueError("a context needs its relations or its rank")
         else:
@@ -137,19 +133,8 @@ class ContextGroup:
     @property
     def members(self) -> tuple[PauliOperator, ...]:
         if self._members is None:
-            clique, table, members = self._clique, self._table, []
-            while clique:
-                v = clique.bit_length() - 1
-                clique ^= 1 << v
-                members.append(table[v])
-            self._members = tuple(members)
+            self._members = tuple(map(self._lookup.__getitem__, self.names))
         return self._members
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        if self._names is None:
-            self._names = tuple([op.body() for op in self.members])
-        return self._names
 
     def _find_relations(self) -> None:
         """Find the relations and signs of a context given its rank alone."""
@@ -504,9 +489,11 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     vertex table) in body order and its rank: each vector is reduced under
     the highest-bit rule of :class:`~contextua.gf2.Basis` until the rank
     reaches the width, since commuting members span an isotropic space of
-    at most that dimension. Member operators, relations and signs wait
-    until something reads them, as the global-section stream does for the
-    contexts it closes. Contexts come in lexicographic order, so runs agree.
+    at most that dimension. Each context is deferred: it keeps the map from
+    body to canonical operator built here, shared by all, and its member
+    operators, relations and signs wait until something reads them, as the
+    global-section stream does for the contexts it closes. Contexts come in
+    lexicographic order, so runs agree.
     """
     seen: dict[str, PauliOperator] = {}
     for op in obs:
@@ -538,10 +525,9 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
         clique ^= identity
         names = []
         pivots: dict[int, int] = {}
-        rest = clique
-        while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
+        while clique:
+            v = clique.bit_length() - 1
+            clique ^= 1 << v
             names.append(bodies[v])
             vector = vectors[v]
             if len(pivots) < width:
@@ -552,9 +538,7 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
                         break
                     vector ^= pivot
         # No members or relations yet: each is found when first read.
-        contexts.append(
-            ContextGroup(None, width, None, 0, len(pivots), tuple(names), clique, unique)
-        )
+        contexts.append(ContextGroup(None, width, None, 0, len(pivots), tuple(names), seen))
     return contexts
 
 
@@ -566,5 +550,4 @@ def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
     if members and members[0].is_identity_class:
         members = members[1:]
     rows, signs, _ = _insert(members)
-    names = tuple([op.body() for op in members])
-    return ContextGroup(tuple(members), width, rows, signs, None, names)
+    return ContextGroup(tuple(members), width, rows, signs)

@@ -101,8 +101,9 @@ def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     # Generators and their bodies are read once: generator j is bit g - 1 - j.
     bit = {gen.body(): 1 << g - 1 - j for j, gen in enumerate(context.generators)}
     # Members always decompose; each is expressed once, as its index mask.
-    forms = [(op.body(), sign, sum(bit[gen.body()] for gen in chosen))
-             for op in context.members for chosen, sign in [context.decompose(op)]]
+    forms = [(body, sign, sum(bit[gen.body()] for gen in chosen))
+             for body, op in zip(context.names, context.members)
+             for chosen, sign in [context.decompose(op)]]
     return tuple(
         Valuation(context=context, values={
             body: (sign + (idx & mask).bit_count()) % 2 for body, sign, mask in forms
@@ -115,7 +116,7 @@ def restrict(valuation: Valuation, sub: ContextGroup) -> Valuation:
     """Restriction map of the presheaf: push a valuation down to a subcontext."""
     if not sub.is_subgroup_of(valuation.context):
         raise NotASubcontextError("target context is not contained in the source")
-    values = {op.body(): valuation.value_of(op) for op in sub.members}
+    values = {body: valuation.value_of(op) for body, op in zip(sub.names, sub.members)}
     return Valuation(context=sub, values=values)
 
 
@@ -321,6 +322,9 @@ def _section(problem: gf2.Gf2System, assignment: int, dimension: int) -> GlobalS
 
 
 def section_valuation(section: GlobalSection, context: ContextGroup) -> Valuation:
-    """Restrict a global section to one context (raises if it fails to be one)."""
-    values = {op.body(): section.value_of(op) for op in context.members}
+    """Restrict a global section to one context (raises if it fails to be one).
+
+    Members are canonical, so each takes its name's value in the section.
+    """
+    values = {body: section.values[body] for body in context.names}
     return Valuation(context=context, values=values)

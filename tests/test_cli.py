@@ -228,6 +228,17 @@ class TestAnalyze:
             assert result.exit_code == 0, result.stderr
             assert "verdict: noncontextual" in result.output
 
+    def test_mixed_widths_across_files(self, runner, tmp_path):
+        """Contexts or pins of another width than the observables are refused as such."""
+        obs = write(tmp_path, "obs.txt", "XX\n")
+        wide_contexts = write(tmp_path, "ctx.txt", "context:\nXXX\n")
+        wide_pin = write(tmp_path, "pin.txt", "pin XXX +1\n")
+        for extra in (["--contexts", wide_contexts], ["--pin", wide_pin]):
+            result = runner.invoke(main, ["analyze", "--obs", obs, *extra])
+            assert result.exit_code == 2
+            assert result.stderr == "error: mixed operator widths: [2, 3]\n"
+            assert result.stdout == ""
+
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["analyze", "--obs", str(tmp_path / "no.txt")])
         assert result.exit_code == 2

@@ -12,6 +12,7 @@ from contextua.cli import main
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
 from contextua.fixtures import ghz_pins, mermin_contexts, mermin_observables
 from contextua.pauli import PauliOperator, identity, parse_pauli
+from contextua.stabilizer import make_stabilizer, member_sign
 from contextua.presheaf import (
     EmptySpectrumError,
     GlobalSection,
@@ -631,3 +632,28 @@ class TestSectionValuation:
         for ctx in contexts:
             valuation = section_valuation(outcome, ctx)
             assert valuation in spectrum(ctx)
+
+    def test_sections_restrict_to_deferred_contexts(self):
+        """A stabilizer state's pins over maximal contexts, members looked up by name.
+
+        The local X and Z of three qubits and four members of a stabilizer
+        group, each pinned to its sign in the group, admit a section. It
+        restricts to a point of every deferred context's spectrum, with
+        each member taking its name's value.
+        """
+        group = make_stabilizer(ops("XXX", "-ZZI", "IZZ"))
+        stabilizers = ops("XXX", "ZZI", "IZZ", "ZIZ")
+        contexts = maximal_contexts(ops("XII", "IXI", "IIX", "ZII", "IZI", "IIZ") + stabilizers)
+        assert len(contexts) > 1
+        assert all(ctx._members is None for ctx in contexts)
+        pins = [StateConstraint(op, member_sign(group, op)) for op in stabilizers]
+        _, section = decide_global(contexts, pins)
+        assert isinstance(section, GlobalSection)
+        assert [section.values[op.body()] for op in stabilizers] == [0, 1, 0, 1]
+        for ctx in contexts:
+            valuation = section_valuation(section, ctx)
+            assert valuation.values == {name: section.values[name] for name in ctx.names}
+            points = spectrum(ctx)
+            assert len(points) == ctx.group_order
+            assert valuation in points
+            assert [op.body() for op in ctx.members] == list(ctx.names)
