@@ -11,10 +11,11 @@ except the member order: members sort by
 :meth:`~contextua.pauli.PauliOperator.body`, the letter string each
 operator builds once and keeps. Closing is one pass. Each generator's phase
 excess, computed once, validates, signs and canonicalises it; the sorted
-members then stream once through one :class:`~contextua.gf2.Basis`. Each
-member it does not keep yields one relation, its fundamental circuit,
-signed by :func:`~contextua.pauli.circuit_sign`, which folds only the
-sign. These relations are a basis of all product constraints of the
+members then stream once through one signed pivot table,
+:func:`~contextua.pauli.reduce_signed`, which folds the phase of each
+member's product while it reduces the member. Each member it does not
+keep yields one relation, its fundamental circuit, signed by that fold.
+These relations are a basis of all product constraints of the
 context, so any valuation that respects them respects every one. The kept
 members, its generators, top no row, and commutation is checked on their
 pairs alone. Maximal contexts are the maximal cliques of int-bitset
@@ -22,17 +23,15 @@ neighbourhoods, built from coordinate masks, found by one of two exact
 searches that return int cliques and refuse more than MAX_CONTEXTS. Up
 to four qubits, when the Lagrangian subspaces number at most 40 per
 distinct observable, the cliques are read off a constant table of those
-subspaces: every maximal clique is the set of vertices in one of them.
-Otherwise a pivoted Bron-Kerbosch search runs on an explicit stack.
+subspaces: every maximal clique is the set of vertices in one of them,
+and the number of them that give it fixes its rank. Otherwise a pivoted
+Bron-Kerbosch search runs on an explicit stack.
 
 Every context carries ``names``, the bodies of its members in member
 order, which is all the global-section columns and the report read of
-it. A context has two shapes. A closed one holds its members, relations
-and signs. A deferred one, as :func:`maximal_contexts` makes it, holds
-its names, its rank and the map from each input body to its canonical
-operator; it looks its members up when they are first read and is closed
-when its relations are first read, so a solver that stops early builds
-and closes few.
+it. A context is closed, or deferred as :func:`maximal_contexts` makes
+it, closed when its relations are first read, so a solver that stops
+early builds and closes few.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -45,8 +44,8 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .gf2 import Basis, set_bits
-from .pauli import PauliBasis, PauliOperator, circuit_sign, commutes
+from .gf2 import set_bits
+from .pauli import PauliBasis, PauliOperator, commutes, reduce_signed
 
 # The clique search refuses inputs with more maximal contexts than this; all
 # 255 four-qubit Paulis have 2295.
@@ -97,7 +96,8 @@ class ContextGroup:
     up on their first read, and closed by :func:`_insert` on the first read
     of ``relations`` or ``signs``, once, so a context whose relations
     nobody reads never builds its member tuple. Independent members, as
-    many as the rank, need no closing and have no relations.
+    many as the rank, need no closing and have no relations. Names given
+    with neither members nor a lookup raise ValueError.
     """
 
     __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs", "_basis")
@@ -116,6 +116,8 @@ class ContextGroup:
             if members is None:
                 raise ValueError("a context needs its members or its names")
             names = tuple([op.body() for op in members])
+        elif members is None and lookup is None:
+            raise ValueError("a deferred context needs the lookup of its members")
         self._members = members
         self.names = names
         self._lookup = lookup
@@ -123,12 +125,9 @@ class ContextGroup:
         self._relations = relations
         self._signs = signs
         self._basis: PauliBasis | None = None
-        if relations is not None:
-            self.rank = len(names) - len(relations)
-        elif rank is None:
+        if relations is None and rank is None:
             raise ValueError("a context needs its relations or its rank")
-        else:
-            self.rank = rank
+        self.rank = rank if relations is None else len(names) - len(relations)
 
     @property
     def members(self) -> tuple[PauliOperator, ...]:
@@ -234,26 +233,12 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
 
 
 def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[int]]:
-    """Stream ops through one GF(2) basis, with one relation row per op it does not keep.
+    """One signed pass of ops through a fresh table, op i named by bit i.
 
-    Op i is named by bit i in the basis, so each circuit is already a row
-    over the positions of ops. Returns (rows, signs, kept): per op not kept,
-    its fundamental circuit, the kept ops it names and itself (its top bit);
-    bit r of signs, the sign of row r, meaningful once the ops commute, from
-    the sign-only fold; and the positions of the kept ops, the generators.
+    Returns (rows, signs, kept): relation rows over the positions of ops,
+    their signs, and the positions of the generators.
     """
-    basis = Basis()
-    rows: list[int] = []
-    signs = 0
-    kept: list[int] = []
-    for i, op in enumerate(ops):
-        remainder, circuit = basis.add(op.packed(), 1 << i)
-        if remainder:
-            kept.append(i)
-        else:
-            signs |= circuit_sign(ops, circuit, op) << len(rows)
-            rows.append(circuit | 1 << i)
-    return tuple(rows), signs, kept
+    return reduce_signed({}, ops)
 
 
 def _check_commuting(
@@ -424,8 +409,8 @@ def _lagrangian_count(width: int) -> int:
 
 def _lagrangian_cliques(
     vectors: Sequence[int], neighbours: Sequence[int], width: int
-) -> list[int]:
-    """All maximal cliques of the commutation graph, as int bitsets, from the Lagrangians.
+) -> dict[int, int]:
+    """Each maximal clique of the commutation graph, as an int bitset, with its rank.
 
     Commuting vectors span an isotropic subspace, and every isotropic
     subspace lies in a Lagrangian L, so each maximal clique is the set of
@@ -433,9 +418,15 @@ def _lagrangian_cliques(
     set when vertex i anticommutes with the packed vector g; anti is linear
     in g, so it is filled by a lowest-set-bit recurrence from the coordinate
     masks, and the vertices in L are those that commute with each of its
-    generators. A distinct nonempty set is kept when no vertex outside it is
-    adjacent to all of its members. More than MAX_CONTEXTS cliques raise
-    ContextBudgetError, as the search does.
+    generators. Each distinct set is counted, and kept when no vertex
+    outside it is adjacent to all of its members.
+
+    The count gives the rank. Let C be a maximal clique with span W of
+    dimension k. The Lagrangians giving C are those containing W (one that
+    contains W holds C, and its vertices form a clique, so they are C): as
+    many as the Lagrangians of W^perp / W, prod_{j=1}^{width-k} (2^j + 1).
+    So a count of 1, 3, 15, 135 or 2,295 means rank width, ..., width - 4.
+    More than MAX_CONTEXTS cliques raise ContextBudgetError, as the search does.
     """
     has = _coordinate_masks(vectors, width)
     swapped = has[width:] + has[:width]  # bit k of a vector meets bit k +- width
@@ -443,23 +434,25 @@ def _lagrangian_cliques(
     for g in range(1, len(anti)):
         low = g & -g
         anti[g] = anti[g ^ low] ^ swapped[low.bit_length() - 1]
+    rank_of = {prod((2 << j) + 1 for j in range(width - k)): k for k in range(width + 1)}
     everyone = (1 << len(vectors)) - 1
-    sets = set()
+    counts: dict[int, int] = {}
     generators = iter(_lagrangians(width))
     for span in zip(*[generators] * width):
         outside = 0
         for g in span:
             outside |= anti[g]
-        sets.add(everyone ^ outside)
-    cliques = []
-    for clique in sets:
+        clique = everyone ^ outside
+        counts[clique] = counts.get(clique, 0) + 1
+    cliques = {}
+    for clique, count in counts.items():
         outside, rest = everyone ^ clique, clique
         while outside and rest:
             low = rest & -rest
             rest ^= low
             outside &= neighbours[low.bit_length() - 1]
         if not outside:
-            cliques.append(clique)
+            cliques[clique] = rank_of[count]
     if len(cliques) > MAX_CONTEXTS:
         raise ContextBudgetError(
             f"more than {MAX_CONTEXTS} maximal contexts; "
@@ -482,18 +475,18 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     cliques in the order the ascending one did, so an over-large input
     meets the budget at the same clique. Both give the same cliques, and
     the graph is built first either way, so mixed widths are refused
-    alike. Maximal cliques form an antichain, so the
-    lexicographic order of their member body strings is the descending
-    order of the clique ints. One walk per clique, from its highest bit
-    down, takes its names (member bodies, from a bodies list beside the
-    vertex table) in body order and its rank: each vector is reduced under
-    the highest-bit rule of :class:`~contextua.gf2.Basis` until the rank
-    reaches the width, since commuting members span an isotropic space of
-    at most that dimension. Each context is deferred: it keeps the map from
-    body to canonical operator built here, shared by all, and its member
-    operators, relations and signs wait until something reads them, as the
-    global-section stream does for the contexts it closes. Contexts come in
-    lexicographic order, so runs agree.
+    alike. Maximal cliques form an antichain, so the lexicographic order of
+    their member body strings is the descending order of the clique ints.
+    One walk per clique, from its highest bit down, takes its names (member
+    bodies, from a bodies list beside the vertex table) in body order. The
+    table path counts each clique's rank; after the search the walk also
+    reduces each vector under the highest-bit rule of
+    :class:`~contextua.gf2.Basis` until the rank reaches the width, the
+    most that commuting members can span. Each context is deferred: it
+    keeps the map from body to canonical operator built here, shared by
+    all, and its member operators, relations and signs wait until something
+    reads them, as the global-section stream does for the contexts it
+    closes. Contexts come in lexicographic order, so runs agree.
     """
     seen: dict[str, PauliOperator] = {}
     for op in obs:
@@ -516,12 +509,14 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     # The table costs about what the search does near 40 Lagrangians per
     # vertex: 50 to 58 members of four qubits.
     if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 40 * len(unique):
-        cliques = _lagrangian_cliques(vectors, neighbours, width)
+        ranks = _lagrangian_cliques(vectors, neighbours, width)
+        cliques = list(ranks)
     else:
-        cliques = _maximal_cliques(neighbours)
+        ranks, cliques = {}, _maximal_cliques(neighbours)
     cliques.sort(reverse=True)
     contexts = []
     for clique in cliques:
+        rank = ranks.get(clique)
         clique ^= identity
         names = []
         pivots: dict[int, int] = {}
@@ -529,16 +524,18 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
             v = clique.bit_length() - 1
             clique ^= 1 << v
             names.append(bodies[v])
-            vector = vectors[v]
-            if len(pivots) < width:
+            if rank is None and len(pivots) < width:
+                vector = vectors[v]
                 while vector:
                     pivot = pivots.get(vector.bit_length())
                     if pivot is None:
                         pivots[vector.bit_length()] = vector
                         break
                     vector ^= pivot
+        if rank is None:
+            rank = len(pivots)
         # No members or relations yet: each is found when first read.
-        contexts.append(ContextGroup(None, width, None, 0, len(pivots), tuple(names), seen))
+        contexts.append(ContextGroup(None, width, None, 0, rank, tuple(names), seen))
     return contexts
 
 

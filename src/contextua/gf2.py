@@ -5,22 +5,21 @@ A bit vector is a Python int whose bit c is entry c, and a matrix is a
 row r, a solution bit c for variable c, and a certificate names its rows
 by index.
 
-:class:`Basis` is the one elimination routine, with one pivot rule: a
-vector pivots on its highest set bit. Vectors are inserted one at a time;
-each is reduced against a pivot table keyed by highest set bit and kept
-when something is left, so the kept vectors are the greedy basis of the
+:class:`Basis` eliminates GF(2) systems, with one pivot rule: a vector
+pivots on its highest set bit. Vectors are inserted one at a time; each
+is reduced against a pivot table keyed by highest set bit and kept when
+something is left, so the kept vectors are the greedy basis of the
 insertion order. The caller names each vector by one bit of its own
 numbering, and every reduced vector carries its combination, the OR of
 the names of the kept vectors that sum to it; so a dependent vector yields
 its fundamental circuit directly, in the caller's numbering. Greedy bases
 and fundamental circuits do not depend on the pivot rule. One back
 substitution turns the table into reduced row-echelon form; only
-:func:`rref` and a nullspace read it. Closing
-contexts and stabilizer groups (member i is bit i), ``pauli.PauliBasis``
-(generator k is bit k), :func:`rref` (row r is bit cols + r) and
-:func:`solve_rows` all run on it. Only :func:`solve_rows` names kept row j
-by bit j: a bit per row index would make every combination as wide as the
-rows streamed so far.
+:func:`rref` and a nullspace read it. :func:`rref` (row r is bit cols + r)
+and :func:`solve_rows` run on it; closing contexts and stabilizer groups
+runs on the signed pivot table of ``pauli.reduce_signed``, under the same
+rule. Only :func:`solve_rows` names kept row j by bit j: a bit per row
+index would make every combination as wide as the rows streamed so far.
 
 :func:`solve_rows` is the one solver loop. It reads (row, right-hand side)
 pairs from any iterable, so a caller can build each row only when the loop
@@ -79,36 +78,25 @@ class Basis:
     def __init__(self) -> None:
         self._rows: dict[int, tuple[int, int]] = {}
 
-    def reduce(self, vector: int) -> tuple[int, int]:
-        """(remainder, combination) of vector against the kept vectors.
+    def add(self, vector: int, name: int) -> tuple[int, int]:
+        """Reduce vector, keeping the remainder under name when one is left.
 
         Each step clears the highest set bit left with the kept vector that
-        pivots there. The remainder is 0 exactly when vector lies in their
-        span; vector is then the sum of the kept vectors that the
-        combination selects.
+        pivots there. Returns (remainder, combination); the remainder is 0
+        exactly when vector is the sum of the kept vectors the combination
+        selects, and with the vector itself they are its fundamental circuit
+        in the binary matroid of the stream, whatever the pivot rule.
         """
         combination = 0
         rows = self._rows
         while vector:
             entry = rows.get(vector.bit_length())
             if entry is None:
+                rows[vector.bit_length()] = (vector, combination | name)
                 break
             vector ^= entry[0]
             combination ^= entry[1]
         return vector, combination
-
-    def add(self, vector: int, name: int) -> tuple[int, int]:
-        """Reduce vector, keeping it under name when a remainder is left.
-
-        The remainder is kept, pivoting on its highest set bit. Returns
-        :meth:`reduce`'s (remainder, combination). For a vector that is not
-        kept, the combination plus the vector itself is its fundamental
-        circuit in the binary matroid of the stream, whatever the pivot rule.
-        """
-        remainder, combination = self.reduce(vector)
-        if remainder:
-            self._rows[remainder.bit_length()] = (remainder, combination | name)
-        return remainder, combination
 
     def reduced_rows(self) -> list[tuple[int, int, int]]:
         """(pivot, row, combination) per kept vector, in ascending pivot order.

@@ -2,19 +2,18 @@
 
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
 signed generators. After the pair check of
-:func:`contextua.contexts.close_context` on the given generators, they
-stream once into that basis; the first one it does not keep is refused:
-dependent or, when :func:`~contextua.pauli.circuit_sign` signs its
-fundamental circuit -1, putting minus the identity in the group.
-Membership queries reduce the packed symplectic vector against the basis
-and fold only the sign of the chosen generators' product, on ints, with no
-cap on the width. The sign a group fixes for a member is its exact eigenvalue
-on the stabilized state, so no state vector is needed.
+:func:`contextua.contexts.close_context`, they stream once into that
+basis; the first one it does not keep is refused: dependent or, when the
+phase folded while reducing it signs its circuit -1, putting minus the
+identity in the group. A membership query folds the sign in the loop
+that reduces the packed symplectic vector, on ints, with no cap on the
+width. The sign a group fixes for a member is its exact eigenvalue on
+the stabilized state, so no state vector is needed.
 """
 from __future__ import annotations
 
 from .contexts import MinusIdentityError, _check_commuting
-from .pauli import PauliBasis, PauliOperator, circuit_sign
+from .pauli import PauliBasis, PauliOperator
 
 
 class DependentGeneratorsError(ValueError):
@@ -41,9 +40,9 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
     _check_commuting(ops, width, ops)
     basis = PauliBasis(width)
     for op in ops:
-        circuit = basis.add(op)
-        if circuit is not None:
-            if circuit_sign(basis.generators, circuit, op):
+        found = basis.add(op)
+        if found is not None:
+            if found[1]:
                 raise MinusIdentityError(
                     f"{op} conflicts in sign with the product of earlier generators"
                 )
@@ -55,7 +54,7 @@ def member_sign(basis: PauliBasis, op: PauliOperator) -> int | None:
     """Outcome bit the group of the basis fixes for op, or None.
 
     0 means +op lies in the group, 1 means -op does, None means neither.
-    A non-Hermitian op raises NonHermitianError; only the sign is folded.
+    A non-Hermitian op raises NonHermitianError.
     """
-    combination = basis.combination(op)
-    return None if combination is None else circuit_sign(basis.generators, combination, op)
+    found = basis.signed_combination(op)
+    return None if found is None else found[1]

@@ -298,6 +298,50 @@ def reference_close_context(
     return members, tuple(members[j] for j in greedy_rows(matrix)), relations
 
 
+def reference_sign(generators, bits: int, op: PauliOperator) -> int:
+    """The sign bit of the product of the generators bits selects, times op.
+
+    The second walk of the two-walk fold, kept as the oracle of the signed
+    pass: bits are positions in the list given, multiplied lowest first,
+    as multiply_all would, and only the sign is folded.
+    """
+    phase = z = 0
+    while bits:
+        low = bits & -bits
+        g = generators[low.bit_length() - 1]
+        phase += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+        z ^= g.z_bits
+        bits ^= low
+    phase += op.phase_exp + 2 * (z & op.x_bits).bit_count()
+    return phase % 4 // 2
+
+
+def reference_insert(ops) -> tuple[tuple[int, ...], int, list[int]]:
+    """(rows, signs, kept) by the two-walk fold: gf2.Basis reduces, reference_sign signs.
+
+    Op i is named by bit i; each op not kept gives its fundamental circuit
+    plus itself as a row, signed by a second walk over that circuit.
+    """
+    basis = gf2.Basis()
+    rows: list[int] = []
+    signs = 0
+    kept: list[int] = []
+    for i, op in enumerate(ops):
+        remainder, circuit = basis.add(op.packed(), 1 << i)
+        if remainder:
+            kept.append(i)
+        else:
+            signs |= reference_sign(ops, circuit, op) << len(rows)
+            rows.append(circuit | 1 << i)
+    return tuple(rows), signs, kept
+
+
+def reference_signed_combination(generators, op: PauliOperator) -> tuple[int, int] | None:
+    """(bits, sign_bit) of op over independent generators by the two-walk fold, or None."""
+    rows, signs, _ = reference_insert([*generators, op])
+    return (rows[0] ^ 1 << len(generators), signs) if rows else None
+
+
 def _embedded_vector(letter_index: int, party: int, width: int) -> np.ndarray:
     vec = np.zeros(2 * width, dtype=np.uint8)
     x = letter_index in (1, 2)

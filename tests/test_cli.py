@@ -57,6 +57,17 @@ class TestAnalyze:
         assert "verdict: contextual" in result.output
         assert result.output.count(") ") == 5  # five numbered context lines
 
+    def test_every_block_is_validated_before_the_solver(self, runner, tmp_path):
+        """Mermin's five blocks contradict, yet a sixth that does not commute is refused."""
+        mermin = (FIXTURES / "mermin_contexts.txt").read_text(encoding="utf-8")
+        ctx = write(tmp_path, "ctx.txt", mermin + "context:\nXII\nZII\n")
+        result = runner.invoke(
+            main, ["analyze", "--obs", str(FIXTURES / "mermin.txt"), "--contexts", ctx]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: XII and ZII do not commute\n"
+
     def test_analyze_hashes_no_operator(self, runner, tmp_path, monkeypatch):
         """Observables are named and keyed by their bits and body strings only."""
         paulis = ["".join(b) for b in product("IXYZ", repeat=3)][1:]

@@ -41,7 +41,7 @@ from contextua.pauli import (
 )
 from contextua.mbqc import joint_observable
 from contextua.presheaf import decide_global, spectrum
-from contextua.stabilizer import member_sign
+from contextua.stabilizer import DependentGeneratorsError, make_stabilizer, member_sign
 
 from conftest import (
     dense_operator,
@@ -52,6 +52,9 @@ from conftest import (
     random_stabilizer_group,
     rank,
     reference_close_context,
+    reference_insert,
+    reference_sign,
+    reference_signed_combination,
 )
 
 
@@ -382,24 +385,25 @@ class TestElimination:
         assert points[0].value_of(parse_pauli("-XXX")) == 0
 
     def test_close_context_eliminates_at_most_once(self, monkeypatch):
-        """One pass: each member enters the basis once, and rref never runs."""
-        inserted = []
-        original = gf2.Basis.add
+        """One signed pass: one call reduces each member once; no gf2 elimination runs."""
+        passes = []
+        original = contexts_module.reduce_signed
 
-        def counting(basis, vector, name):
-            inserted.append(vector)
-            return original(basis, vector, name)
+        def counting(table, block, *args):
+            passes.append(list(block))
+            return original(table, block, *args)
 
-        def refuse(matrix):
+        def refuse(*args):
             raise AssertionError("close_context ran a second elimination")
 
-        monkeypatch.setattr(gf2.Basis, "add", counting)
+        monkeypatch.setattr(contexts_module, "reduce_signed", counting)
         monkeypatch.setattr(gf2, "rref", refuse)
+        monkeypatch.setattr(gf2.Basis, "add", refuse)
         all_z = ["".join(z) for z in product("IZ", repeat=3)][1:]
         for block in (ops("X"), ops("XII", "IXI", "IIX", "XXX"), ops(*all_z)):
-            inserted.clear()
+            passes.clear()
             ctx = close_context(block)
-            assert inserted == [op.packed() for op in ctx.members]
+            assert passes == [list(ctx.members)]
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
 
     def test_maximal_contexts_close_on_first_read(self, monkeypatch):
@@ -450,11 +454,14 @@ class TestElimination:
     def test_deferred_members_are_the_input_operators(self):
         """A context needs its members or its names; a deferred one looks its members up.
 
-        Canonical input operators are the very member objects, read off by
-        name, and the member tuple is built once.
+        Names without members need the lookup, refused at construction
+        without it. Canonical input operators are the very member objects,
+        read off by name, and the member tuple is built once.
         """
         with pytest.raises(ValueError, match="members or its names"):
             ContextGroup(None, 1, rank=0)
+        with pytest.raises(ValueError, match="lookup of its members"):
+            ContextGroup(None, 1, rank=0, names=("X",))
         pool = all_paulis(3)
         given = {op.body(): op for op in pool}
         for ctx in maximal_contexts(pool):
@@ -991,7 +998,7 @@ class TestLagrangianSearch:
             assert calls == [expected]
 
 
-def commuting_lists(max_size=12):
+def commuting_lists(max_size=12, max_width=4):
     """A width and signed operators of that width, each kept if it commutes with those before."""
 
     def keep_commuting(width, texts):
@@ -1007,35 +1014,77 @@ def commuting_lists(max_size=12):
             lambda drawn: keep_commuting(width, drawn)
         )
 
-    return st.integers(1, 4).flatmap(texts)
+    return st.integers(1, max_width).flatmap(texts)
 
 
 class TestInsertSigns:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(drawn=commuting_lists())
+    @given(drawn=commuting_lists(max_width=6))
     def test_folded_sign_is_the_product_sign(self, drawn):
-        """Each relation row is its circuit over the ops' positions, signed by multiply_all."""
+        """Rows, signs and kept positions are the two-walk fold's; each sign is multiply_all's.
+
+        So are close_context's relations and signs, over its sorted members.
+        """
         width, obs = drawn
-        replay = PauliBasis(width)
-        kept, expected, relations = [], [], []
-        for i, op in enumerate(obs):
-            circuit = replay.add(op)
-            if circuit is None:
-                kept.append(i)
-                continue
-            chosen = (*(replay.generators[j] for j in set_bits(circuit)), op)
-            expected.append(sum(1 << kept[j] for j in set_bits(circuit)) | 1 << i)
-            relations.append((chosen, multiply_all(chosen).phase_exp // 2))
-        rows, signs, positions = _insert(obs)
+        ctx = close_context({op.body(): op.canonical() for op in obs}.values(), width=width)
+        assert (ctx.relations, ctx.signs) == reference_insert(ctx.members)[:2]
+        rows, signs, kept = _insert(obs)
+        assert (rows, signs, kept) == reference_insert(obs)
         dependent = {row.bit_length() - 1 for row in rows}
-        assert [i for i in range(len(obs)) if i not in dependent] == kept == positions
-        assert rows == tuple(expected)
-        expanded = [
-            (tuple(op for i, op in enumerate(obs) if row >> i & 1), signs >> r & 1)
-            for r, row in enumerate(rows)
-        ]
-        assert expanded == relations
+        assert kept == [i for i in range(len(obs)) if i not in dependent]
+        for r, row in enumerate(rows):
+            product = multiply_all([op for i, op in enumerate(obs) if row >> i & 1])
+            assert product.is_identity_class
+            assert product.phase_exp == 2 * (signs >> r & 1)
         assert signs >> len(rows) == 0
+
+
+class TestSignedPass:
+    """Membership signs are the two-walk fold's and multiply_all's, widths 1-6."""
+
+    @staticmethod
+    def assert_signs_match(basis, queries):
+        for op in queries:
+            expected = reference_signed_combination(basis.generators, op)
+            assert basis.signed_combination(op) == expected
+            assert member_sign(basis, op) == (None if expected is None else expected[1])
+            if expected is not None:
+                bits, sign = expected
+                chosen = [g for j, g in enumerate(basis.generators) if bits >> j & 1]
+                assert basis.decompose(op) == (tuple(chosen), sign)
+                assert multiply_all([*chosen, op]).phase_exp == 2 * sign
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(drawn=commuting_lists(max_width=6), subset=st.integers(0, 63), flip=st.booleans(),
+           other=st.text("IXYZ", min_size=6, max_size=6))
+    def test_decompose_and_member_sign(self, drawn, subset, flip, other):
+        width, obs = drawn
+        basis = PauliBasis(width, obs)
+        chosen = [g for j, g in enumerate(basis.generators) if subset >> j & 1]
+        product = multiply_all(chosen, width=width)
+        outsider = parse_pauli(other[:width])
+        queries = (product.negate() if flip else product, outsider, outsider.negate())
+        self.assert_signs_match(basis, queries)
+        assert member_sign(basis, queries[0]) == flip
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_stabilizer_groups(self, width):
+        """Membership signs and make_stabilizer's refusals of a dependent generator."""
+        rng = np.random.default_rng(310 + width)
+        for _ in range(12):
+            gens = random_stabilizer_group(rng, width).generators
+            group = make_stabilizer(gens[: int(rng.integers(1, width + 1))])
+            for _ in range(6):
+                bits = int(rng.integers(1, 1 << group.rank))
+                element = multiply_all([g for j, g in enumerate(group.generators) if bits >> j & 1])
+                queries = (element, element.negate(), random_pauli(rng, width))
+                self.assert_signs_match(group, queries)
+                for extra in queries[:2]:
+                    sign = reference_sign(group.generators, bits, extra)
+                    assert sign == (extra is not element)
+                    error = MinusIdentityError if sign else DependentGeneratorsError
+                    with pytest.raises(error):
+                        make_stabilizer([*group.generators, extra])
 
 
 class TestDecompose:
@@ -1085,7 +1134,7 @@ class TestDerivedView:
         eager = eager_basis(ctx)
         assert ctx.generators == eager.generators
         assert ctx.rank == eager.rank
-        assert ctx.basis._basis._rows == eager._basis._rows
+        assert ctx.basis._table == eager._table
         for op in (*ctx.members, *queries):
             assert ctx.basis.decompose(op) == eager.decompose(op)
             assert ctx.decompose(op) == eager.decompose(op.canonical())
