@@ -106,9 +106,9 @@ def cmd_analyze(
             if not blocks:
                 raise io.FileFormatError("context file has no context blocks")
         pins = io.parse_pin_file(pin_data.decode("utf-8"), parsed) if pin_data else ()
-        # The parse table holds every operator of the three files. An identity
-        # of another width is refused below as no context's member.
-        widths = {op.width for op in parsed.values() if not op.is_identity_class}
+        # The parse table holds every operator of the three files; identities
+        # count, as io.parse_observable_file counts them within one file.
+        widths = {op.width for op in parsed.values()}
         if len(widths) > 1:
             raise io.FileFormatError(f"mixed operator widths: {sorted(widths)}")
         if blocks:

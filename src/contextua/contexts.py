@@ -18,14 +18,16 @@ keep yields one relation, its fundamental circuit, signed by that fold.
 These relations are a basis of all product constraints of the
 context, so any valuation that respects them respects every one. The kept
 members, its generators, top no row, and commutation is checked on their
-pairs alone. Maximal contexts are the maximal cliques of int-bitset
-neighbourhoods, built from coordinate masks, found by one of two exact
-searches that return int cliques and refuse more than MAX_CONTEXTS. Up
-to four qubits, when the Lagrangian subspaces number at most 40 per
-distinct observable, the cliques are read off a constant table of those
-subspaces: every maximal clique is the set of vertices in one of them,
-and the number of them that give it fixes its rank. Otherwise a pivoted
-Bron-Kerbosch search runs on an explicit stack.
+pairs alone. Maximal contexts are the maximal cliques of the commutation
+graph, found by one of two exact searches that return int cliques and
+refuse more than MAX_CONTEXTS. Up to four qubits, when the Lagrangian
+subspaces number at most 40 per distinct observable, the cliques are read
+off constant tables of those subspaces, with no graph built: every
+maximal clique is the set of vertices in one of them, and a set is
+maximal exactly when the number of them that give it is the number that
+hold its span, whose rank a table of subset ranks gives. Otherwise a
+pivoted Bron-Kerbosch search runs on an explicit stack over int-bitset
+neighbourhoods, built from coordinate masks.
 
 Every context carries ``names``, the bodies of its members in member
 order, which is all the global-section columns and the report read of
@@ -35,25 +37,29 @@ early builds and closes few.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
-query. :func:`~contextua.stabilizer.make_stabilizer` checks a stabilizer
-group's generators with the same generator-pair check.
+query; the basis refuses a generator that anticommutes with one it keeps,
+which is how :func:`~contextua.stabilizer.make_stabilizer` checks a
+stabilizer group's generators.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf2 import set_bits
-from .pauli import PauliBasis, PauliOperator, commutes, reduce_signed
+from .pauli import (
+    NonCommutingGeneratorsError,
+    PauliBasis,
+    PauliOperator,
+    commutes,
+    reduce_signed,
+)
 
 # The clique search refuses inputs with more maximal contexts than this; all
 # 255 four-qubit Paulis have 2295.
 MAX_CONTEXTS = 10_000
-
-
-class NonCommutingGeneratorsError(ValueError):
-    """A context was requested for observables that do not pairwise commute."""
 
 
 class MinusIdentityError(ValueError):
@@ -273,10 +279,7 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
     """
     if not obs:
         return []
-    width = obs[0].width
-    widths = {op.width for op in obs}
-    if len(widths) > 1:
-        raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
+    width = _common_width(obs)
     has = _coordinate_masks([op.packed() for op in obs], width)
     everyone = (1 << len(obs)) - 1
     neighbours = []
@@ -288,6 +291,14 @@ def commutation_graph(obs: Sequence[PauliOperator]) -> list[int]:
             swapped ^= low
         neighbours.append(others)
     return neighbours
+
+
+def _common_width(obs: Sequence[PauliOperator]) -> int:
+    """The width of a nonempty observable set; mixed widths raise ValueError."""
+    widths = {op.width for op in obs}
+    if len(widths) > 1:
+        raise ValueError(f"mixed widths in observable set: {sorted(widths)}")
+    return obs[0].width
 
 
 def _coordinate_masks(vectors: Sequence[int], width: int) -> list[int]:
@@ -356,6 +367,23 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
 _LAGRANGIAN_WIDTHS = 4
 
 _LAGRANGIANS: dict[int, bytes] = {}
+_LAGRANGIAN_ELEMENTS: dict[int, bytes] = {}
+_SUBSET_RANKS: dict[int, bytes] = {}
+
+
+def _echelon_bases(width: int) -> Iterator[tuple[int, list[int]]]:
+    """Each subspace of GF(2)^width once, as (pivot mask, rows) in reduced echelon form.
+
+    A row per pivot, its lowest set bit, clear at the other pivots and below
+    its own, free at the other columns above; pivot masks ascend.
+    """
+    full = (1 << width) - 1
+    for pivot_mask in range(full + 1):
+        pivots = set_bits(pivot_mask)
+        above = [(full ^ pivot_mask) & ~((2 << p) - 1) for p in pivots]
+        fills = [[f for f in range(mask + 1) if not f & ~mask] for mask in above]
+        for fill in product(*fills):
+            yield pivot_mask, [1 << p | f for p, f in zip(pivots, fill)]
 
 
 def _lagrangians(width: int) -> bytes:
@@ -363,8 +391,7 @@ def _lagrangians(width: int) -> bytes:
 
     Each subspace L is listed once, by its X-projection W and the lifts of
     W's rows (Aaronson and Gottesman, quant-ph/0406196). W is taken in
-    reduced echelon form: a row per pivot, its lowest set bit, clear at the
-    other pivots and below its own, free at the other columns above. L holds
+    reduced echelon form, as :func:`_echelon_bases` lists it. L holds
     the Z-type vectors of W's annihilator, one per free column, and a lift
     (w, z) of each row w; z is fixed modulo the annihilator by the values
     z . w' over the rows w', and L is isotropic exactly when those values
@@ -378,27 +405,74 @@ def _lagrangians(width: int) -> bytes:
         return table
     full = (1 << width) - 1
     entries = bytearray()
-    for pivot_mask in range(full + 1):
+    for pivot_mask, rows in _echelon_bases(width):
         pivots = set_bits(pivot_mask)
-        free = set_bits(full ^ pivot_mask)
-        above = [(full ^ pivot_mask) & ~((2 << p) - 1) for p in pivots]
-        fills = [[f for f in range(mask + 1) if not f & ~mask] for mask in above]
         pairs = [(i, j) for i in range(len(pivots)) for j in range(i, len(pivots))]
-        for fill in product(*fills):
-            rows = [1 << p | f for p, f in zip(pivots, fill)]
-            annihilator = [
-                (1 << c | sum(1 << p for p, row in zip(pivots, rows) if row >> c & 1)) << width
-                for c in free
-            ]
-            for matrix in range(1 << len(pairs)):
-                lifts = list(rows)
-                for t, (i, j) in enumerate(pairs):
-                    if matrix >> t & 1:
-                        lifts[i] ^= 1 << pivots[j] + width
-                        if i != j:
-                            lifts[j] ^= 1 << pivots[i] + width
-                entries += bytes(annihilator + lifts)
+        annihilator = [
+            (1 << c | sum(1 << p for p, row in zip(pivots, rows) if row >> c & 1)) << width
+            for c in set_bits(full ^ pivot_mask)
+        ]
+        for matrix in range(1 << len(pairs)):
+            lifts = list(rows)
+            for t, (i, j) in enumerate(pairs):
+                if matrix >> t & 1:
+                    lifts[i] ^= 1 << pivots[j] + width
+                    if i != j:
+                        lifts[j] ^= 1 << pivots[i] + width
+            entries += bytes(annihilator + lifts)
     table = _LAGRANGIANS[width] = bytes(entries)
+    return table
+
+
+def _lagrangian_elements(width: int) -> bytes:
+    """The nonzero elements of every Lagrangian subspace, one column per coordinate.
+
+    Column m - 1, for m from 1 to 2^width - 1, holds element m of each
+    subspace of :func:`_lagrangians`, in its order: the XOR of its
+    generators g_k over the set bits k of m. Each column is one big-int XOR
+    of two earlier ones, by a lowest-set-bit recurrence. 34,425 bytes at
+    width 4, built on first use and kept.
+    """
+    table = _LAGRANGIAN_ELEMENTS.get(width)
+    if table is None:
+        generators = _lagrangians(width)
+        count = len(generators) // width
+        columns = [0]
+        for m in range(1, 1 << width):
+            low = m & -m
+            g = int.from_bytes(generators[low.bit_length() - 1 :: width], "little")
+            columns.append(columns[m ^ low] ^ g)
+        table = b"".join(column.to_bytes(count, "little") for column in columns[1:])
+        _LAGRANGIAN_ELEMENTS[width] = table
+    return table
+
+
+def _subset_ranks(width: int) -> bytes:
+    """Byte s is the rank of the vectors m of GF(2)^width at the set bits m - 1 of s.
+
+    A subset's rank is the least dimension of a subspace that holds it.
+    Every subset starts at the width, and each proper subspace, the
+    largest first, writes its dimension over every nonempty subset of its
+    nonzero elements: 2,165 writes at width 4, where the table has 32,768
+    bytes. Built on first use and kept.
+    """
+    table = _SUBSET_RANKS.get(width)
+    if table is None:
+        ranks = bytearray([width]) * (1 << (1 << width) - 1)
+        ranks[0] = 0
+        bases = sorted(_echelon_bases(width), key=lambda basis: -len(basis[1]))
+        for _, rows in bases:
+            if len(rows) == width:
+                continue
+            span = [0]
+            for row in rows:
+                span += [v ^ row for v in span]
+            elements = sum(1 << v - 1 for v in span[1:])
+            subset = elements
+            while subset:
+                ranks[subset] = len(rows)
+                subset = subset - 1 & elements
+        table = _SUBSET_RANKS[width] = bytes(ranks)
     return table
 
 
@@ -407,26 +481,39 @@ def _lagrangian_count(width: int) -> int:
     return prod((1 << k) + 1 for k in range(1, width + 1))
 
 
-def _lagrangian_cliques(
-    vectors: Sequence[int], neighbours: Sequence[int], width: int
-) -> dict[int, int]:
+def _lagrangian_cliques(vectors: Sequence[int], width: int) -> dict[int, int]:
     """Each maximal clique of the commutation graph, as an int bitset, with its rank.
 
     Commuting vectors span an isotropic subspace, and every isotropic
     subspace lies in a Lagrangian L, so each maximal clique is the set of
-    vertices in some L, and each such set is a clique. Bit i of anti[g] is
-    set when vertex i anticommutes with the packed vector g; anti is linear
-    in g, so it is filled by a lowest-set-bit recurrence from the coordinate
-    masks, and the vertices in L are those that commute with each of its
-    generators. Each distinct set is counted, and kept when no vertex
-    outside it is adjacent to all of its members.
+    vertices in some L, and each such set T is a clique. Bit i of anti[g]
+    is set when vertex i anticommutes with the packed vector g; anti is
+    linear in g, so it is filled by a lowest-set-bit recurrence from the
+    coordinate masks, and the vertices in L are those that commute with
+    each of its generators. Each distinct T is counted over the Lagrangians
+    that give it.
 
-    The count gives the rank. Let C be a maximal clique with span W of
-    dimension k. The Lagrangians giving C are those containing W (one that
-    contains W holds C, and its vertices form a clique, so they are C): as
-    many as the Lagrangians of W^perp / W, prod_{j=1}^{width-k} (2^j + 1).
-    So a count of 1, 3, 15, 135 or 2,295 means rank width, ..., width - 4.
-    More than MAX_CONTEXTS cliques raise ContextBudgetError, as the search does.
+    The count and the rank decide maximality. Let W be the span of T, of
+    dimension k, and N(k) = prod_{j=1}^{width-k} (2^j + 1) the number of
+    Lagrangians that contain W (those of W^perp / W).
+    - Every Lagrangian that gives T holds W, so the count is at most N(k).
+    - If T is maximal, every Lagrangian that holds W meets the vertices in
+      a clique that holds T, so it gives T: the count is N(k).
+    - If T is not maximal, some vertex v outside T commutes with W, and v
+      is not in W (W lies in L, which holds no vertex outside T). So
+      W + <v> is isotropic and lies in a Lagrangian that holds W and gives
+      a larger set: the count is less than N(k).
+    So T is maximal exactly when its count is N(k), and its rank is k. At
+    k = width, N(k) = 1: a set that spans its L is maximal.
+
+    The rank needs no elimination. A 256-byte presence table, and one
+    ``bytes.translate`` and one shift per column of the element table
+    (:func:`_lagrangian_elements`), give, for each L, the set of its nonzero
+    elements that are vertices, as a mask over its coordinates; the rank
+    table (:func:`_subset_ranks`) reads off its rank, which is T's. The
+    element table's columns 2^k - 1 are the generators, so the search
+    reads no other table. More than MAX_CONTEXTS cliques raise
+    ContextBudgetError, as the search does.
     """
     has = _coordinate_masks(vectors, width)
     swapped = has[width:] + has[:width]  # bit k of a vector meets bit k +- width
@@ -434,25 +521,37 @@ def _lagrangian_cliques(
     for g in range(1, len(anti)):
         low = g & -g
         anti[g] = anti[g ^ low] ^ swapped[low.bit_length() - 1]
-    rank_of = {prod((2 << j) + 1 for j in range(width - k)): k for k in range(width + 1)}
+    elements = _lagrangian_elements(width)
+    count = len(elements) // ((1 << width) - 1)
+    presence = bytearray(256)
+    for v in vectors:
+        presence[v] = 1
+    presence[0] = 0  # the identity, a vertex in every set, spans nothing
+    # Element m of each L at bit m - 1 of its mask: bits 0-7 and 8-14.
+    lanes = [0, 0]
+    for m in range(1, 1 << width):
+        flags = elements[(m - 1) * count : m * count].translate(presence)
+        lanes[m - 1 >> 3] |= int.from_bytes(flags, "little") << (m - 1 & 7)
+    lows, highs = (lane.to_bytes(count, "little") for lane in lanes)
+    ranks = _subset_ranks(width)
+    # Element 2^k of each L is its generator k; below width 4 the missing
+    # generators read as zero, which anticommutes with no vertex.
+    spans = [
+        elements[((1 << k) - 1) * count : (1 << k) * count] if k < width else bytes(count)
+        for k in range(4)
+    ]
+    # Keyed by the vertices outside the set and its rank, which the set fixes.
+    counts = Counter(
+        (anti[a] | anti[b] | anti[c] | anti[d]) << 3 | ranks[high << 8 | low]
+        for a, b, c, d, low, high in zip(*spans, lows, highs)
+    )
+    holding = [prod((2 << j) + 1 for j in range(width - k)) for k in range(width + 1)]
     everyone = (1 << len(vectors)) - 1
-    counts: dict[int, int] = {}
-    generators = iter(_lagrangians(width))
-    for span in zip(*[generators] * width):
-        outside = 0
-        for g in span:
-            outside |= anti[g]
-        clique = everyone ^ outside
-        counts[clique] = counts.get(clique, 0) + 1
-    cliques = {}
-    for clique, count in counts.items():
-        outside, rest = everyone ^ clique, clique
-        while outside and rest:
-            low = rest & -rest
-            rest ^= low
-            outside &= neighbours[low.bit_length() - 1]
-        if not outside:
-            cliques[clique] = rank_of[count]
+    cliques = {
+        everyone ^ key >> 3: key & 7
+        for key, found in counts.items()
+        if found == holding[key & 7]
+    }
     if len(cliques) > MAX_CONTEXTS:
         raise ContextBudgetError(
             f"more than {MAX_CONTEXTS} maximal contexts; "
@@ -471,18 +570,18 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     width is at most four and there are at most 40 Lagrangian subspaces
     per distinct observable (every input of one or two qubits, three-qubit
     inputs of 4 or more observables, four-qubit inputs of 58 or more), and
-    from the Tomita search otherwise, which on this numbering visits
-    cliques in the order the ascending one did, so an over-large input
-    meets the budget at the same clique. Both give the same cliques, and
-    the graph is built first either way, so mixed widths are refused
-    alike. Maximal cliques form an antichain, so the lexicographic order of
-    their member body strings is the descending order of the clique ints.
-    One walk per clique, from its highest bit down, takes its names (member
-    bodies, from a bodies list beside the vertex table) in body order. The
-    table path counts each clique's rank; after the search the walk also
-    reduces each vector under the highest-bit rule of
-    :class:`~contextua.gf2.Basis` until the rank reaches the width, the
-    most that commuting members can span. Each context is deferred: it
+    from the Tomita search over the commutation graph otherwise, which on
+    this numbering visits cliques in the order the ascending one did, so an
+    over-large input meets the budget at the same clique. Both give the
+    same cliques; only the search builds the graph, and mixed widths are
+    refused before either runs. Maximal cliques form an antichain, so the
+    lexicographic order of their member body strings is the descending
+    order of the clique ints. One walk per clique, from its highest bit
+    down, takes its names (member bodies, from a bodies list beside the
+    vertex table) in body order. The table path reads each clique's rank
+    off its rank table; after the search the walk also reduces each vector
+    under the highest-bit rule of :class:`~contextua.gf2.Basis` until the
+    rank reaches the width, the most that commuting members can span. Each context is deferred: it
     keeps the map from body to canonical operator built here, shared by
     all, and its member operators, relations and signs wait until something
     reads them, as the global-section stream does for the contexts it
@@ -501,18 +600,17 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     bodies = sorted(seen, reverse=True)
     unique = [seen[body] for body in bodies]
     vectors = [op.packed() for op in unique]
-    width = unique[0].width
+    width = _common_width(unique)
     # The identity, when given, has the lowest body, so the top vertex; it
     # lies in every clique and is no member.
     identity = 0 if vectors[-1] else 1 << len(unique) - 1
-    neighbours = commutation_graph(unique)
     # The table costs about what the search does near 40 Lagrangians per
     # vertex: 50 to 58 members of four qubits.
     if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 40 * len(unique):
-        ranks = _lagrangian_cliques(vectors, neighbours, width)
+        ranks = _lagrangian_cliques(vectors, width)
         cliques = list(ranks)
     else:
-        ranks, cliques = {}, _maximal_cliques(neighbours)
+        ranks, cliques = {}, _maximal_cliques(commutation_graph(unique))
     cliques.sort(reverse=True)
     contexts = []
     for clique in cliques:

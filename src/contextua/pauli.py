@@ -39,6 +39,10 @@ class NonHermitianError(ValueError):
     """Raised when an operation requires a Hermitian operator (phase in {+1,-1})."""
 
 
+class NonCommutingGeneratorsError(ValueError):
+    """Observables that must pairwise commute, as a context's or a basis's, do not."""
+
+
 @dataclass(frozen=True)
 class PauliOperator:
     """A phase-tracked n-qubit Pauli operator in symplectic form.
@@ -141,7 +145,7 @@ class PauliOperator:
         return multiply(self, other)
 
     def __str__(self) -> str:
-        return format_pauli(self)
+        return format_pauli(self) if self.is_hermitian else repr(self)
 
     def __repr__(self) -> str:
         if self.is_hermitian:
@@ -291,13 +295,16 @@ class PauliBasis:
     signed pivot table, generator k named by bit k; one that is a product of
     those already kept, up to phase, is not kept, so ``generators`` is the
     greedy independent subset of the insertion order, which the constructor
-    starts with the generators it is given.
+    starts with the generators it is given. An operator that anticommutes
+    with a kept generator is refused, so the generators always commute and
+    every sign the basis reports is that of a signed copy of the query.
     """
 
     def __init__(self, width: int, generators: Iterable[PauliOperator] = ()) -> None:
         self.width = width
         self.generators: tuple[PauliOperator, ...] = ()
         self._table: dict[int, tuple[int, int, int, int, int]] = {}
+        self._swapped: list[int] = []  # z | x << width of each generator
         for op in generators:
             self.add(op)
 
@@ -308,6 +315,12 @@ class PauliBasis:
     def _reduce(self, op: PauliOperator, keep: bool) -> tuple[int, int] | None:
         if op.width != self.width:
             raise ValueError(f"width mismatch: {op.width} vs {self.width}")
+        if keep:
+            vector = op.packed()
+            for g, swapped in zip(self.generators, self._swapped):
+                if (vector & swapped).bit_count() & 1:
+                    message = f"{g.body()} and {op.body()} do not commute"
+                    raise NonCommutingGeneratorsError(message)
         rows, sign, _ = reduce_signed(self._table, (op,), self.rank, keep)
         return (rows[0] ^ 1 << self.rank, sign) if rows else None
 
@@ -316,11 +329,15 @@ class PauliBasis:
 
         Returns None when op is kept, as generator k, named by bit k.
         Otherwise returns (circuit, sign_bit): the bit set of the generators
-        whose product is (-1)^sign_bit times op.
+        whose product is (-1)^sign_bit times op. An op that anticommutes
+        with a generator raises NonCommutingGeneratorsError naming the
+        first such generator and op; a product of generators commutes with
+        them all, so the kept ones are the only ones checked.
         """
         found = self._reduce(op, True)
         if found is None:
             self.generators = (*self.generators, op)
+            self._swapped.append(op.z_bits | op.x_bits << op.width)
         return found
 
     def signed_combination(self, op: PauliOperator) -> tuple[int, int] | None:

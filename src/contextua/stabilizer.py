@@ -1,18 +1,18 @@
 """Stabilizer groups with sign-resolved membership.
 
 A stabilizer group is the :class:`~contextua.pauli.PauliBasis` of its
-signed generators. After the pair check of
-:func:`contextua.contexts.close_context`, they stream once into that
-basis; the first one it does not keep is refused: dependent or, when the
-phase folded while reducing it signs its circuit -1, putting minus the
-identity in the group. A membership query folds the sign in the loop
+signed generators. They stream once into that basis, which refuses one
+that anticommutes with a generator it keeps; after the stream, the first
+one it did not keep is refused: dependent or, when the phase folded while
+reducing it signs its circuit -1, putting minus the identity in the
+group. A membership query folds the sign in the loop
 that reduces the packed symplectic vector, on ints, with no cap on the
 width. The sign a group fixes for a member is its exact eigenvalue on
 the stabilized state, so no state vector is needed.
 """
 from __future__ import annotations
 
-from .contexts import MinusIdentityError, _check_commuting
+from .contexts import MinusIdentityError
 from .pauli import PauliBasis, PauliOperator
 
 
@@ -24,9 +24,13 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
     """Validate signed generators into the PauliBasis of their group.
 
     Requires Hermitian, equal-width, pairwise commuting, symplectically
-    independent generators; a dependent generator whose sign disagrees with
-    the product of the ones it depends on would put minus the identity in
-    the group and is rejected as such.
+    independent generators, checked in that order; a dependent generator
+    whose sign disagrees with the product of the ones it depends on would
+    put minus the identity in the group and is rejected as such. The
+    basis checks commutation as it takes each generator and names the
+    first that anticommutes with a kept one, with that kept one. The first
+    dependent generator is refused only once every generator has been
+    taken, so a pair that does not commute is named first.
     """
     ops = list(gens)
     if not ops:
@@ -37,16 +41,19 @@ def make_stabilizer(gens: list[PauliOperator] | tuple[PauliOperator, ...]) -> Pa
             raise ValueError(f"width mismatch: {op.width} vs {width}")
         if not op.is_hermitian:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-    _check_commuting(ops, width, ops)
     basis = PauliBasis(width)
+    dependent = None
     for op in ops:
         found = basis.add(op)
-        if found is not None:
-            if found[1]:
-                raise MinusIdentityError(
-                    f"{op} conflicts in sign with the product of earlier generators"
-                )
-            raise DependentGeneratorsError(f"{op} is the product of earlier generators")
+        if found is not None and dependent is None:
+            dependent = op, found[1]
+    if dependent is not None:
+        op, sign = dependent
+        if sign:
+            raise MinusIdentityError(
+                f"{op} conflicts in sign with the product of earlier generators"
+            )
+        raise DependentGeneratorsError(f"{op} is the product of earlier generators")
     return basis
 
 

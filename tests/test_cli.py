@@ -206,7 +206,7 @@ class TestAnalyze:
         wrong_width = write(tmp_path, "w.txt", "pin III -1\n")
         result = runner.invoke(main, ["analyze", "--obs", obs, "--pin", wrong_width])
         assert result.exit_code == 2
-        assert "III does not occur in any context" in result.stderr
+        assert result.stderr == "error: mixed operator widths: [2, 3]\n"
 
     def test_loose_lines_in_context_file(self, runner, tmp_path):
         obs = write(tmp_path, "one.txt", "XX\n")
@@ -225,14 +225,19 @@ class TestAnalyze:
     def test_observable_outside_every_context(self, runner, tmp_path):
         """XI is refused; the identity, of either sign, and -XX are covered.
 
-        An identity of another width is no member of these contexts.
+        An identity of another width is refused as a mixed width, as any
+        other operator of that width is.
         """
         ctx = write(tmp_path, "ctx.txt", "context:\nXX\ncontext:\nZZ\n")
-        for loose, named in [("XX\nZZ\nXI\n", "XI"), ("XI\nII\n-XX\n", "XI"), ("-I\n", "I")]:
+        for loose, error in [
+            ("XX\nZZ\nXI\n", "observables outside every context: XI"),
+            ("XI\nII\n-XX\n", "observables outside every context: XI"),
+            ("-I\n", "mixed operator widths: [1, 2]"),
+        ]:
             obs = write(tmp_path, "obs.txt", loose)
             result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])
             assert result.exit_code == 2
-            assert f"outside every context: {named}\n" in result.stderr
+            assert result.stderr == f"error: {error}\n"
         for loose in ("II\n", "-II\n", "-XX\n", "XX\nII\n-II\n-XX\nZZ\n"):
             obs = write(tmp_path, "obs.txt", loose)
             result = runner.invoke(main, ["analyze", "--obs", obs, "--contexts", ctx])

@@ -1,9 +1,13 @@
 """Context closure, membership and clique search."""
 import gc
 import inspect
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +26,10 @@ from contextua.contexts import (
     NonCommutingGeneratorsError,
     _insert,
     _lagrangian_cliques,
+    _lagrangian_elements,
     _lagrangians,
     _maximal_cliques,
+    _subset_ranks,
     close_context,
     commutation_graph,
     maximal_contexts,
@@ -845,12 +851,12 @@ class TestContextBudget:
         vectors = [op.packed() for op in observables]
         monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 15)
         assert len(_maximal_cliques(neighbours)) == 15
-        assert len(_lagrangian_cliques(vectors, neighbours, 3)) == 15
+        assert len(_lagrangian_cliques(vectors, 3)) == 15
         monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 14)
         with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
             _maximal_cliques(neighbours)
         with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
-            _lagrangian_cliques(vectors, neighbours, 3)
+            _lagrangian_cliques(vectors, 3)
 
 
 def symplectic_form(width, u, v):
@@ -884,10 +890,43 @@ def signed_pools():
     return st.integers(1, 4).flatmap(pool)
 
 
+def elimination_rank(vectors):
+    """The GF(2) rank of packed vectors, by highest-bit elimination."""
+    pivots = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def lagrangians_holding(width, rank):
+    """N(k): the Lagrangians that hold an isotropic subspace of rank k."""
+    return prod(2**j + 1 for j in range(1, width - rank + 1))
+
+
+def sets_by_lagrangian(obs):
+    """Each distinct S ∩ L over the Lagrangians L, as vertex sets, with its count and rank."""
+    width = obs[0].width
+    vectors = [op.packed() for op in obs]
+    table = _lagrangians(width)
+    counts = {}
+    for start in range(0, len(table), width):
+        span = {0}
+        for g in table[start : start + width]:
+            span |= {v ^ g for v in span}
+        members = frozenset(i for i, v in enumerate(vectors) if v in span)
+        counts[members] = counts.get(members, 0) + 1
+    return {
+        members: (found, elimination_rank([vectors[i] for i in members]))
+        for members, found in counts.items()
+    }
+
+
 def lagrangian_search(obs):
     """The cliques the Lagrangian path finds on obs, sorted."""
-    neighbours = commutation_graph(obs)
-    return sorted(_lagrangian_cliques([op.packed() for op in obs], neighbours, obs[0].width))
+    return sorted(_lagrangian_cliques([op.packed() for op in obs], obs[0].width))
 
 
 def forced(monkeypatch, path, obs):
@@ -921,6 +960,60 @@ class TestLagrangianSearch:
             spans.add(frozenset(span))
         assert len(spans) == count
         assert _lagrangians(width) is table
+
+    @pytest.mark.parametrize("width,size", [(1, 2), (2, 8), (3, 128), (4, 32_768)])
+    def test_rank_table_is_the_elimination_rank(self, width, size):
+        """Byte s is the rank of the vectors m at the set bits m - 1 of s, for every s."""
+        table = _subset_ranks(width)
+        assert isinstance(table, bytes) and len(table) == size
+        for subset, found in enumerate(table):
+            assert found == elimination_rank([m + 1 for m in set_bits(subset)])
+        assert _subset_ranks(width) is table
+
+    @pytest.mark.parametrize("width,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
+    def test_element_table_lists_each_lagrangian(self, width, count):
+        """Column m - 1 holds element m of every Lagrangian: its generators g_k at bits k of m."""
+        generators, elements = _lagrangians(width), _lagrangian_elements(width)
+        assert len(elements) == ((1 << width) - 1) * count
+        for i in range(count):
+            span = generators[i * width : (i + 1) * width]
+            for m in range(1, 1 << width):
+                expected = 0
+                for k in set_bits(m):
+                    expected ^= span[k]
+                assert elements[(m - 1) * count + i] == expected
+        assert _lagrangian_elements(width) is elements
+
+    def test_tables_are_built_on_first_use(self):
+        """Importing the module builds no table."""
+        code = (
+            "from contextua import contexts as c; "
+            "assert not (c._LAGRANGIANS or c._LAGRANGIAN_ELEMENTS or c._SUBSET_RANKS)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+    @staticmethod
+    def assert_count_decides_maximality(pool):
+        """count <= N(k) for every S ∩ L, with equality exactly on the maximal cliques."""
+        width = pool[0].width
+        tomita = {frozenset(set_bits(c)) for c in _maximal_cliques(commutation_graph(pool))}
+        equal = set()
+        for members, (found, rank) in sets_by_lagrangian(pool).items():
+            holding = lagrangians_holding(width, rank)
+            assert found <= holding
+            if found == holding:
+                equal.add(members)
+        assert equal == tomita
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pool=signed_pools())
+    def test_count_decides_maximality_on_signed_pools(self, pool):
+        self.assert_count_decides_maximality(pool)
+
+    def test_count_decides_maximality_on_relabelled_subsets(self):
+        for pool in lagrangian_pools():
+            self.assert_count_decides_maximality(pool)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_all_paulis_match_the_tomita_search(self, width):
@@ -966,6 +1059,28 @@ class TestLagrangianSearch:
     def test_both_paths_give_equal_contexts_on_signed_pools(self, pool):
         with pytest.MonkeyPatch.context() as monkeypatch:
             assert forced(monkeypatch, "lagrangian", pool) == forced(monkeypatch, "tomita", pool)
+
+    def test_table_path_builds_no_graph(self, monkeypatch):
+        """Only the Tomita search reads the commutation graph."""
+        calls = []
+        original = contexts_module.commutation_graph
+
+        def counting(obs):
+            calls.append(len(obs))
+            return original(obs)
+
+        monkeypatch.setattr(contexts_module, "commutation_graph", counting)
+        maximal_contexts(all_paulis(3))
+        assert calls == []
+        maximal_contexts(ops("XII", "IXI", "IIX"))
+        assert calls == [3]
+
+    @pytest.mark.parametrize("pool", [[*all_paulis(2), *ops("X")], ops("XII", "IXI", "ZZ")])
+    def test_mixed_widths_are_refused_before_either_path(self, pool, monkeypatch):
+        for name in ("_lagrangian_cliques", "_maximal_cliques", "commutation_graph"):
+            monkeypatch.setattr(contexts_module, name, None)
+        with pytest.raises(ValueError, match=r"^mixed widths in observable set: \[\d, \d\]$"):
+            maximal_contexts(pool)
 
     def test_path_choice(self, monkeypatch):
         """Censuses of three and four qubits read the table; sparse and wide inputs search."""
@@ -1116,6 +1231,47 @@ class TestDecompose:
         span = {(op.width, op.x_bits, op.z_bits) for op in products}
         key = (outsider.width, outsider.x_bits, outsider.z_bits)
         assert (basis.decompose(outsider) is None) == (key not in span)
+
+
+class TestBasisRefusesAnticommuting:
+    def test_x_then_z_is_refused(self):
+        """X and Z would decompose Y as their product, which is -iY, not a sign of Y."""
+        basis = PauliBasis(1, ops("X"))
+        with pytest.raises(NonCommutingGeneratorsError, match="^X and Z do not commute$"):
+            basis.add(parse_pauli("Z"))
+        assert basis.generators == tuple(ops("X"))
+        assert basis.decompose(parse_pauli("Y")) is None
+        with pytest.raises(NonCommutingGeneratorsError, match="^X and Z do not commute$"):
+            PauliBasis(1, ops("X", "Z"))
+
+    def test_names_the_first_kept_generator_that_anticommutes(self):
+        """XX is dependent and not kept; ZI anticommutes with XI first."""
+        basis = PauliBasis(2, ops("XI", "IX", "XX"))
+        with pytest.raises(NonCommutingGeneratorsError, match="^XI and ZI do not commute$"):
+            basis.add(parse_pauli("ZI"))
+        with pytest.raises(NonCommutingGeneratorsError, match="^IX and IZ do not commute$"):
+            basis.add(parse_pauli("-IZ"))
+        assert basis.add(parse_pauli("-XX")) == (0b11, 1)
+
+    def test_one_class_for_contexts_and_bases(self):
+        from contextua import pauli
+
+        assert NonCommutingGeneratorsError is pauli.NonCommutingGeneratorsError
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(drawn=commuting_lists(max_width=5), other=st.text("IXYZ", min_size=5, max_size=5))
+    def test_refused_exactly_when_a_generator_anticommutes(self, drawn, other):
+        width, obs = drawn
+        basis = PauliBasis(width, obs)
+        op = parse_pauli(other[:width])
+        clash = [g for g in basis.generators if not commutes(g, op)]
+        if clash:
+            with pytest.raises(NonCommutingGeneratorsError) as excinfo:
+                basis.add(op)
+            assert str(excinfo.value) == f"{clash[0].body()} and {op.body()} do not commute"
+        else:
+            basis.add(op)
+            assert all(commutes(g, op) for g in basis.generators)
 
 
 def eager_basis(ctx):

@@ -6,6 +6,7 @@ a context list) fails here.
 """
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -142,3 +143,22 @@ def test_four_qubit_census_report_digest(tmp_path):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
         "dd2374fdb7c7ca84f231a2c6213c3372aa1b12024f5243f5054c5fc838a7b3a2"
     )
+
+
+def test_four_qubit_sixty_report_matches_golden():
+    """Sixty of the 255 four-qubit Paulis take the Lagrangian table path.
+
+    Unlike the census, this input has maximal contexts of rank 3 (spectrum
+    size 8) and Lagrangians whose sets are not maximal. The fixture is the
+    seeded sample below, in sample order.
+    """
+    bodies = census_text(4).split()
+    fixture = FIXTURES / "four_qubit_sixty.txt"
+    sample = random.Random(28).sample(bodies, 60)
+    assert fixture.read_text(encoding="utf-8") == "".join(f"{body}\n" for body in sample)
+    result = CliRunner().invoke(main, ["analyze", "--obs", str(fixture)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == golden_path("analyze_four_qubit_sixty", "text").read_bytes()
+    assert "verdict: contextual" in result.stdout
+    assert "  831) " in result.stdout and "  832) " not in result.stdout
+    assert result.stdout.count("(spectrum size 8)") == 8

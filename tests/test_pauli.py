@@ -60,6 +60,14 @@ class TestStructure:
         with pytest.raises(NonHermitianError):
             _ = yx.sign
 
+    def test_str_of_nonhermitian_is_its_repr(self):
+        """X Z is -iY: str prints its phase as repr does; format_pauli still refuses it."""
+        xz = multiply_all([parse_pauli("X"), parse_pauli("Z")])
+        assert str(xz) == repr(xz) == "PauliOperator(width=1, x=0x1, z=0x1, phase_exp=0)"
+        assert str(parse_pauli("-XY")) == "-XY"
+        with pytest.raises(NonHermitianError):
+            format_pauli(xz)
+
     def test_canonical_strips_sign_only(self):
         op = parse_pauli("-XYY")
         canon = op.canonical()
