@@ -117,7 +117,7 @@ def cmd_analyze(
             covered = {"I" * contexts[0].width}
             for c in contexts:
                 covered.update(c.names)
-            uncovered = [op.body() for op in loose if op.body() not in covered]
+            uncovered = [body for body in map(PauliOperator.body, loose) if body not in covered]
             if uncovered:
                 raise io.FileFormatError(
                     f"observables outside every context: {' '.join(uncovered)}"

@@ -21,7 +21,7 @@ members, its generators, top no row, and commutation is checked on their
 pairs alone. Maximal contexts are the maximal cliques of the commutation
 graph, found by one of two exact searches that return int cliques and
 refuse more than MAX_CONTEXTS. Up to four qubits, when the Lagrangian
-subspaces number at most 40 per distinct observable, the cliques are read
+subspaces number at most 53 per distinct observable, the cliques are read
 off constant tables of those subspaces, with no graph built: every
 maximal clique is the set of vertices in one of them, and a set is
 maximal exactly when the number of them that give it is the number that
@@ -205,8 +205,8 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     the positive representative; the relation set then carries all signs. A
     pair of generators with equal body but opposite signs, or an explicit
     negative identity operator, puts -I in the group and is rejected because
-    such a context has an empty spectrum. One phase excess per generator
-    decides these, naming the first offender; commutation is checked last.
+    such a context has an empty spectrum. Each generator's phase excess,
+    from its fields, names the first offender; commutation is checked last.
     """
     ops = list(gens)
     if not ops and width is None:
@@ -217,14 +217,15 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     for op in ops:
         if op.width != w:
             raise ValueError(f"width mismatch: {op.width} vs {w}")
-        excess = op.phase_excess
+        x, z = op.x_bits, op.z_bits
+        excess = (op.phase_exp - (x & z).bit_count()) & 3
         if excess & 1:
             raise ValueError(f"non-Hermitian generator: {op!r}")
-        if op.is_identity_class:
+        if not x | z:
             if excess:
                 raise MinusIdentityError("generator is minus the identity")
             continue
-        body = op.body()
+        body = op._body or op.body()
         known = excesses.get(body)
         if known is None:
             excesses[body] = excess
@@ -567,9 +568,9 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     deduplicated and sorted by its kept body, descending; that sorted list
     is the vertex table, and each vertex's packed vector is read once,
     beside it. The cliques come from :func:`_lagrangian_cliques` when the
-    width is at most four and there are at most 40 Lagrangian subspaces
+    width is at most four and there are at most 53 Lagrangian subspaces
     per distinct observable (every input of one or two qubits, three-qubit
-    inputs of 4 or more observables, four-qubit inputs of 58 or more), and
+    inputs of 3 or more observables, four-qubit inputs of 44 or more), and
     from the Tomita search over the commutation graph otherwise, which on
     this numbering visits cliques in the order the ascending one did, so an
     over-large input meets the budget at the same clique. Both give the
@@ -604,9 +605,9 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     # The identity, when given, has the lowest body, so the top vertex; it
     # lies in every clique and is no member.
     identity = 0 if vectors[-1] else 1 << len(unique) - 1
-    # The table costs about what the search does near 40 Lagrangians per
-    # vertex: 50 to 58 members of four qubits.
-    if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 40 * len(unique):
+    # The table costs about what the search does near 53 Lagrangians per
+    # vertex: 40 to 44 members of four qubits.
+    if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 53 * len(unique):
         ranks = _lagrangian_cliques(vectors, width)
         cliques = list(ranks)
     else:

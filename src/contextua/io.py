@@ -1,15 +1,18 @@
 """Parsers and writers for the small text formats the tool consumes.
 
-Observable files: one signed Pauli string per line, `#` starts a comment.
-A line reading `context:` opens an explicit context block; every operator
-line after it belongs to that block (or the next one). Loose observables
-must appear before the first block.
+Observable files: one signed Pauli string per line. A line is read
+without what follows `#` and without surrounding whitespace, and a line
+left empty is skipped. A line reading `context:` opens an explicit context
+block; every operator line after it belongs to that block (or the next
+one). Loose observables must appear before the first block.
 
 Pin files: lines of `pin <signed-pauli> <+1|-1>` fixing eigenvalues.
 
-Both parsers take an optional parse table, a dict from Pauli text to its
-operator. A command passes one table to every file it parses, so each
-distinct text is parsed once and equal texts share one operator.
+Both parsers walk the lines once and take an optional parse table, a dict
+from Pauli text to its operator, read before anything else on a line. A
+command passes one table to every file it parses, so each distinct text is
+parsed once, by :func:`~contextua.pauli.parse_pauli`, and equal texts
+share one operator.
 
 Instance files: JSON with fields `parties`, `input_bits`, `Q`,
 `observables` (two lists, settings 0 and 1), `resource`.
@@ -37,23 +40,12 @@ def sha256_digest(*chunks: bytes) -> str:
     return digest.hexdigest()
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((number, line))
-    return lines
-
-
 def _parse(text: str, number: int, parsed: dict[str, PauliOperator]) -> PauliOperator:
-    """The operator of one Pauli text on line number, from the table or parsed into it."""
-    op = parsed.get(text)
-    if op is None:
-        try:
-            op = parsed[text] = parse_pauli(text)
-        except ValueError as exc:
-            raise FileFormatError(f"line {number}: {exc}") from exc
+    """Parse one Pauli text on line number into the table, which does not hold it."""
+    try:
+        op = parsed[text] = parse_pauli(text)
+    except ValueError as exc:
+        raise FileFormatError(f"line {number}: {exc}") from exc
     return op
 
 
@@ -63,29 +55,35 @@ def parse_observable_file(
     """Split a file into loose observables and explicit context blocks.
 
     parsed, the parse table, is read and extended; without one the file
-    gets its own.
+    gets its own. Only a text the table lacks can be a `context:` line.
     """
     parsed = {} if parsed is None else parsed
+    get = parsed.get
     loose: list[PauliOperator] = []
     blocks: list[list[PauliOperator]] = []
-    in_blocks = False
-    for number, line in _content_lines(text):
-        if line == "context:":
-            in_blocks = True
-            blocks.append([])
+    current = loose
+    for number, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
+        if not line:
             continue
-        op = _parse(line, number, parsed)
-        if in_blocks:
-            blocks[-1].append(op)
-        else:
-            loose.append(op)
+        op = get(line)
+        if op is None:
+            if line == "context:":
+                current = []
+                blocks.append(current)
+                continue
+            op = _parse(line, number, parsed)
+        current.append(op)
+    widths = {op.width for op in loose}
     for block in blocks:
         if not block:
             raise FileFormatError("empty context block")
-    widths = {op.width for op in loose} | {op.width for b in blocks for op in b}
+        widths.update([op.width for op in block])
     if len(widths) > 1:
         raise FileFormatError(f"mixed operator widths: {sorted(widths)}")
-    return tuple(loose), tuple(tuple(b) for b in blocks)
+    return tuple(loose), tuple(map(tuple, blocks))
 
 
 def parse_pin_file(
@@ -98,15 +96,19 @@ def parse_pin_file(
     parsed = {} if parsed is None else parsed
     pins: list[StateConstraint] = []
     values: dict[str, int] = {}
-    for number, line in _content_lines(text):
+    for number, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3 or parts[0] != "pin":
             raise FileFormatError(
-                f"line {number}: expected 'pin <signed-pauli> <+1|-1>', got {line!r}"
+                f"line {number}: expected 'pin <signed-pauli> <+1|-1>', got {line.strip()!r}"
             )
         if parts[2] not in ("+1", "-1"):
             raise FileFormatError(f"line {number}: eigenvalue must be +1 or -1")
-        op = _parse(parts[1], number, parsed)
+        op = parsed.get(parts[1]) or _parse(parts[1], number, parsed)
         pin = StateConstraint.from_eigenvalue(op, 1 if parts[2] == "+1" else -1)
         if values.setdefault(pin.observable.body(), pin.value_bit) != pin.value_bit:
             raise FileFormatError(

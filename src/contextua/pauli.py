@@ -20,14 +20,12 @@ quant-ph/0406196), so a sign costs no second walk.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-_PAULI_RE = re.compile(r"^([+-]?)([IXYZ]+)$")
-
-# letter -> (x bit, z bit, phase contribution in Z_4)
-_LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
+# ASCII letter -> its x bit, its z bit, as the digits int(..., 2) reads.
+_X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
+_Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
@@ -183,22 +181,21 @@ def identity(width: int) -> PauliOperator:
 def parse_pauli(text: str) -> PauliOperator:
     """Parse a signed Pauli string such as '-XYY' into a Hermitian operator.
 
-    The sign prefix is optional and defaults to '+'. Each 'Y' contributes a
-    factor i so that the single-qubit tensor factor equals the standard Y.
-    The operator keeps the letters as its :meth:`~PauliOperator.body`.
+    After ``str.strip`` the text must be an optional sign, '+' by default,
+    then one or more of I, X, Y and Z; each 'Y' adds a factor i, so that the
+    tensor factor is the standard Y. One ``bytes.translate`` each of the
+    reversed letters and ``int(..., 2)`` give the x and z bits. The
+    operator keeps the letters as its :meth:`~PauliOperator.body`.
     """
-    match = _PAULI_RE.match(text.strip())
-    if match is None:
+    letters = text.strip()
+    sign = letters[:1]
+    if sign == "-" or sign == "+":
+        letters = letters[1:]
+    if not letters or letters.strip("IXYZ"):
         raise PauliParseError(f"not a signed Pauli string: {text!r}")
-    sign, letters = match.groups()
-    x = z = 0
-    phase = 2 if sign == "-" else 0
-    for k, letter in enumerate(letters):
-        xb, zb, t = _LETTER_BITS[letter]
-        x |= xb << k
-        z |= zb << k
-        phase += t
-    op = _unchecked(len(letters), x, z, phase % 4)
+    digits = letters[::-1].encode()
+    x, z = int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
+    op = _unchecked(len(letters), x, z, (letters.count("Y") + 2 * (sign == "-")) & 3)
     _set(op, "_body", letters)
     return op
 

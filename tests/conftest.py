@@ -7,16 +7,27 @@ a group fixes from them. The GF(2) helpers work on uint8 arrays through
 reference_rref, independently of the package's int rows; pack_rows,
 unpack_rows and bit_system convert between the two formats.
 brute_force_global decides a global-section system by trying every
-assignment, as ground truth for the solver.
+assignment, as ground truth for the solver. reference_parse_pauli parses
+by a regular expression and a loop over the letters, as an oracle for
+parse_pauli.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from contextua import gf2
 from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
-from contextua.pauli import PauliBasis, PauliOperator, commutes, format_pauli, multiply_all
+from contextua.pauli import (
+    PauliBasis,
+    PauliOperator,
+    PauliParseError,
+    commutes,
+    format_pauli,
+    multiply_all,
+)
 from contextua.presheaf import GlobalSection
 from contextua.stabilizer import make_stabilizer, member_sign
 
@@ -124,6 +135,32 @@ def random_stabilizer_group(rng: np.random.Generator, width: int) -> PauliBasis:
         gens.append(candidate)
         basis.append(vector)
     return make_stabilizer(gens)
+
+
+_PAULI_RE = re.compile(r"^([+-]?)([IXYZ]+)$")
+# letter -> (x bit, z bit, phase contribution in Z_4)
+_LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
+
+
+def reference_parse_pauli(text: str) -> PauliOperator:
+    """Parse a signed Pauli string by a regular expression and a loop over its letters.
+
+    The stripped text must match an optional sign and one or more of
+    I, X, Y and Z; each letter sets its qubit's bits, and each Y adds i.
+    The operator goes through the checked constructor.
+    """
+    match = _PAULI_RE.match(text.strip())
+    if match is None:
+        raise PauliParseError(f"not a signed Pauli string: {text!r}")
+    sign, letters = match.groups()
+    x = z = 0
+    phase = 2 if sign == "-" else 0
+    for k, letter in enumerate(letters):
+        xb, zb, t = _LETTER_BITS[letter]
+        x |= xb << k
+        z |= zb << k
+        phase += t
+    return PauliOperator(len(letters), x, z, phase % 4)
 
 
 def reference_rref(matrix) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:

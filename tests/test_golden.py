@@ -12,10 +12,15 @@ import sys
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from contextua.cli import main
+from contextua.pauli import PauliBasis, commutes, format_pauli, multiply_all
+from contextua.stabilizer import make_stabilizer
+
+from conftest import random_pauli, random_stabilizer_group
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -57,6 +62,15 @@ _BLOCKS = [
     "--pin", str(FIXTURES / "stabilizer_blocks_pins.txt"),
 ]
 
+# Three stabilizer groups on six qubits, drawn by six_qubit_blocks_texts.
+_SIX = "six_qubit_blocks"
+_SIX_QUBIT_BLOCKS = [
+    "analyze",
+    "--obs", str(GOLDEN / f"{_SIX}_obs.txt"),
+    "--contexts", str(GOLDEN / f"{_SIX}.txt"),
+    "--pin", str(GOLDEN / f"{_SIX}_pins.txt"),
+]
+
 COMMANDS = {
     "mermin": ["mermin"],
     "analyze_mermin": _mermin_obs(),
@@ -73,7 +87,84 @@ COMMANDS = {
     # The identity alone: one maximal clique that closes to the empty context.
     "analyze_identity_only": ["analyze", "--obs", str(GOLDEN / "obs_identity_only.txt")],
     "analyze_stabilizer_blocks": _BLOCKS,
+    "analyze_six_qubit_blocks": _SIX_QUBIT_BLOCKS,
 }
+
+
+def _group_sharing(rng: np.random.Generator, shared) -> PauliBasis:
+    """A full six-qubit stabilizer group whose first generators are shared."""
+    gens = list(shared)
+    basis = PauliBasis(6, gens)
+    while len(gens) < 6:
+        op = random_pauli(rng, 6)
+        if all(commutes(op, g) for g in gens) and basis.add(op) is None:
+            gens.append(op)
+    return make_stabilizer(gens)
+
+
+def _line(text: str, i: int) -> str:
+    """Member i of a listing, written in one of four styles the parsers accept."""
+    if i % 4 == 1:
+        return f"  {text}"
+    if i % 4 == 2:
+        return f"\t{text}  # member {i}"
+    if i % 4 == 3:
+        return text.removeprefix("+")
+    return text
+
+
+def six_qubit_blocks_texts() -> dict[str, str]:
+    """The observable, context and pin files of the six-qubit golden, from seed 33.
+
+    Three stabilizer groups on six qubits, drawn with the conftest helpers:
+    the first at random, the second sharing the first's first three
+    generators and the third the second's last two. The context file lists
+    every signed element of the first two groups and the generators of the
+    third, among comments, blank lines, indented lines and unsigned lines;
+    the observable file names members of the blocks, and the pins fix
+    signed elements of the first group, each to its group's eigenvalue.
+    """
+    rng = np.random.default_rng(33)
+    first = random_stabilizer_group(rng, 6)
+    second = _group_sharing(rng, first.generators[:3])
+    third = _group_sharing(rng, second.generators[4:])
+
+    def elements(group: PauliBasis) -> list[str]:
+        gens = group.generators
+        return [
+            format_pauli(multiply_all([g for k, g in enumerate(gens) if m >> k & 1]))
+            for m in range(1, 1 << len(gens))
+        ]
+
+    blocks = [
+        ("every element of the first group", elements(first)),
+        ("every element of the second, which shares three generators", elements(second)),
+        ("the generators of the third", [format_pauli(g) for g in third.generators]),
+    ]
+    contexts = ["# Three stabilizer groups on six qubits, seed 33.", ""]
+    for note, members in blocks:
+        contexts.append(f"context:   # {note}")
+        for i, text in enumerate(members):
+            contexts.append(_line(text, i))
+            if i % 16 == 15:
+                contexts.append("")
+        contexts.append("")
+    loose = [members[-i] for _, members in blocks for i in (1, 2)]
+    obs = ["# Members of the blocks in six_qubit_blocks.txt.", ""]
+    obs += [_line(text, i) for i, text in enumerate(loose)]
+    pins = ["# Eigenvalues of the state the first group fixes.", ""]
+    for i, text in enumerate(blocks[0][1][:24:3]):
+        if i % 2:
+            negated = text.translate(str.maketrans("+-", "-+"))
+            pins.append(f"  pin {negated} -1   # the same eigenvalue, negated")
+        else:
+            pins.append(f"pin {text} +1")
+    return {
+        f"{_SIX}.txt": "\n".join(contexts),
+        f"{_SIX}_obs.txt": "\n".join(obs) + "\n",
+        f"{_SIX}_pins.txt": "\n".join(pins) + "\n",
+    }
+
 
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]
 
@@ -162,3 +253,15 @@ def test_four_qubit_sixty_report_matches_golden():
     assert "verdict: contextual" in result.stdout
     assert "  831) " in result.stdout and "  832) " not in result.stdout
     assert result.stdout.count("(spectrum size 8)") == 8
+
+
+def test_six_qubit_blocks_inputs_are_the_seeded_draw():
+    """The committed six-qubit input files are exactly what seed 33 draws."""
+    for name, text in six_qubit_blocks_texts().items():
+        assert (GOLDEN / name).read_text(encoding="utf-8") == text, name
+
+
+if __name__ == "__main__":
+    # Rewrite the six-qubit input files: PYTHONPATH=src:tests python tests/test_golden.py
+    for name, text in six_qubit_blocks_texts().items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")

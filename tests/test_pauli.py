@@ -20,7 +20,27 @@ from contextua.pauli import (
     parse_pauli,
 )
 
-from conftest import dense_from_string, dense_operator, random_pauli
+from conftest import dense_from_string, dense_operator, random_pauli, reference_parse_pauli
+
+# Letters, signs, their look-alikes (lower case, a no-break space, a
+# full-width X), whitespace and the comment mark.
+_PARSE_ALPHABET = "IXYZ+-xyz \t\n#\u00a0\uff38"
+_parse_texts = st.one_of(
+    st.just(""),
+    st.text(alphabet=_PARSE_ALPHABET, max_size=10),
+    st.text(alphabet=_PARSE_ALPHABET, min_size=70, max_size=72),
+    # Near misses of valid texts: padding, a sign and letters, up to width 70.
+    st.builds(
+        lambda pad, sign, letters, tail: pad + sign + letters + tail,
+        st.text(alphabet=" \t\n\u00a0", max_size=2),
+        st.sampled_from(["", "+", "-", "+-", "--", "x"]),
+        st.one_of(
+            st.text(alphabet="IXYZ", max_size=8),
+            st.text(alphabet="IXYZ", min_size=70, max_size=70),
+        ),
+        st.text(alphabet=" \t\n\u00a0#Z\uff38", max_size=2),
+    ),
+)
 
 
 class TestParsing:
@@ -35,6 +55,21 @@ class TestParsing:
         for bad in ("", "+", "XA", "x", "X Y", "++X", "-"):
             with pytest.raises(PauliParseError):
                 parse_pauli(bad)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_parse_texts)
+    def test_parse_matches_the_reference_parser(self, text):
+        """Same acceptance, operator, body and error message as the regex parser."""
+        try:
+            expected = reference_parse_pauli(text)
+        except PauliParseError as exc:
+            with pytest.raises(PauliParseError) as caught:
+                parse_pauli(text)
+            assert str(caught.value) == str(exc) == f"not a signed Pauli string: {text!r}"
+            return
+        op = parse_pauli(text)
+        assert op == expected
+        assert op.body() == expected.body()
 
     def test_parse_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
