@@ -10,6 +10,8 @@ phase_exp lives in Z_4. A single-qubit Y is i*X*Z, so a Hermitian operator
 always satisfies phase_exp = popcount(x & z) mod 2. Its phase excess,
 phase_exp - popcount(x & z) mod 4, is 0 for sign +1, 2 for sign -1 and odd
 otherwise, so one Y count validates, signs and canonicalises an operator.
+An operator is a slotted record, immutable by contract: no code assigns a
+field once it is built, and ``_body``, its letters, is the one cache.
 
 :class:`PauliBasis` keeps a greedy independent set of operators in one
 signed pivot table, fed their packed symplectic vectors. Every sign it
@@ -20,13 +22,14 @@ quant-ph/0406196), so a sign costs no second walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 # ASCII letter -> its x bit, its z bit, as the digits int(..., 2) reads.
 _X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
 _Z_DIGITS = bytes.maketrans(b"IXYZ", b"0011")
-_BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# Byte 0x90 + x + 2z, an ASCII digit plus twice another, -> its letter.
+_SUM_LETTER = bytes.maketrans(bytes(range(0x90, 0x94)), b"IXZY")
 
 
 class PauliParseError(ValueError):
@@ -41,7 +44,7 @@ class NonCommutingGeneratorsError(ValueError):
     """Observables that must pairwise commute, as a context's or a basis's, do not."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PauliOperator:
     """A phase-tracked n-qubit Pauli operator in symplectic form.
 
@@ -51,20 +54,19 @@ class PauliOperator:
         z_bits: Z-exponent vector packed likewise.
         phase_exp: exponent of i in Z_4.
 
-    Instances are immutable and hashable. Two operators are equal only if
-    width, both bit vectors and the phase agree. The one sign-free name of
-    an observable is its :meth:`body`: its length is the width and its
-    letters fix both bit vectors, so equal bodies mean equal observables up
-    to phase.
+    Instances are slotted records, immutable by contract (``_body`` is the
+    one cache) and hashable. Two operators are equal only if width, both bit
+    vectors and the phase agree. The one sign-free name of an observable is
+    its :meth:`body`: its length is the width and its letters fix both bit
+    vectors, so equal bodies mean equal observables up to phase.
     """
 
     width: int
     x_bits: int
     z_bits: int
     phase_exp: int = 0
-    # The letters, once built: a class default, not a field, so equality,
-    # hash and repr ignore it; set as the frozen constructor sets fields.
-    _body = None
+    # The letters, once built: outside __init__, equality, hash and repr.
+    _body: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -72,7 +74,7 @@ class PauliOperator:
         mask = (1 << self.width) - 1
         if self.x_bits & ~mask or self.z_bits & ~mask:
             raise ValueError("bit vector wider than operator width")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        self.phase_exp %= 4
 
     @property
     def phase_excess(self) -> int:
@@ -112,23 +114,22 @@ class PauliOperator:
     def _rephased(self, phase_exp: int) -> "PauliOperator":
         """The same letters at another phase, keeping the body if it is built."""
         op = _unchecked(self.width, self.x_bits, self.z_bits, phase_exp % 4)
-        _set(op, "_body", self._body)
+        op._body = self._body
         return op
 
     def body(self) -> str:
         """The unsigned letter string, e.g. 'XYZ', built on the first call and kept.
 
         Strings compare in the order I < X < Y < Z, qubit 0 first, which is
-        the order contexts sort their members in.
+        the order contexts sort their members in. As ints of ASCII digits, x + 2z
+        holds a byte 0x90 + x_k + 2 z_k per qubit k; little-endian, qubit 0 is first.
         """
-        body = self._body
-        if body is None:
-            body = "".join(
-                _BITS_LETTER[(self.x_bits >> k) & 1, (self.z_bits >> k) & 1]
-                for k in range(self.width)
-            )
-            _set(self, "_body", body)
-        return body
+        if self._body is None:
+            n = self.width
+            x = int.from_bytes(format(self.x_bits, f"0{n}b").encode(), "big")
+            z = int.from_bytes(format(self.z_bits, f"0{n}b").encode(), "big")
+            self._body = (x + 2 * z).to_bytes(n, "little").translate(_SUM_LETTER).decode()
+        return self._body
 
     def support(self) -> tuple[int, ...]:
         """Qubits on which the operator acts nontrivially."""
@@ -155,7 +156,6 @@ class PauliOperator:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _unchecked(width: int, x_bits: int, z_bits: int, phase_exp: int) -> PauliOperator:
@@ -163,14 +163,14 @@ def _unchecked(width: int, x_bits: int, z_bits: int, phase_exp: int) -> PauliOpe
 
     Its width is its operands', its bits lie within it and the caller has
     reduced its phase mod 4, so the constructor's checks are skipped; direct
-    ``PauliOperator(...)`` keeps them. Fields are set as the frozen
-    constructor sets them: filling ``__dict__`` would give each its own dict.
+    ``PauliOperator(...)`` keeps them.
     """
     op = _new(PauliOperator)
-    _set(op, "width", width)
-    _set(op, "x_bits", x_bits)
-    _set(op, "z_bits", z_bits)
-    _set(op, "phase_exp", phase_exp)
+    op.width = width
+    op.x_bits = x_bits
+    op.z_bits = z_bits
+    op.phase_exp = phase_exp
+    op._body = None
     return op
 
 
@@ -196,7 +196,7 @@ def parse_pauli(text: str) -> PauliOperator:
     digits = letters[::-1].encode()
     x, z = int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2)
     op = _unchecked(len(letters), x, z, (letters.count("Y") + 2 * (sign == "-")) & 3)
-    _set(op, "_body", letters)
+    op._body = letters
     return op
 
 

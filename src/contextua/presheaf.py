@@ -120,7 +120,7 @@ def restrict(valuation: Valuation, sub: ContextGroup) -> Valuation:
     return Valuation(context=sub, values=values)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StateConstraint:
     """Pins one observable to a fixed eigenvalue bit: λ(O) = (-1)^value_bit.
 
@@ -134,12 +134,12 @@ class StateConstraint:
     def __post_init__(self) -> None:
         if self.value_bit not in (0, 1):
             raise ValueError("value_bit must be 0 or 1")
-        if not self.observable.is_hermitian:
+        excess = self.observable.phase_excess
+        if excess & 1:
             raise ValueError("only Hermitian observables can be pinned")
-        if self.observable.sign_bit:
-            folded = (self.value_bit + self.observable.sign_bit) % 2
-            object.__setattr__(self, "observable", self.observable.canonical())
-            object.__setattr__(self, "value_bit", folded)
+        if excess:
+            self.observable = self.observable.negate()
+            self.value_bit ^= 1
 
     @classmethod
     def from_eigenvalue(cls, observable: PauliOperator, eigenvalue: int) -> "StateConstraint":

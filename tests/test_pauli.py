@@ -1,6 +1,8 @@
 """Symplectic Pauli arithmetic against a dense-matrix oracle."""
 import dataclasses
 import pickle
+import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -180,8 +182,47 @@ class TestKeptBody:
         yield pickle.loads(pickle.dumps(op))
         yield pickle.loads(pickle.dumps(PauliOperator(op.width, op.x_bits, op.z_bits)))
 
-    def test_body_is_not_a_field(self):
-        assert "_body" not in {f.name for f in dataclasses.fields(PauliOperator)}
+    def test_body_is_a_cache_field_of_a_slotted_record(self):
+        """_body is a field outside init, equality, repr and hash; no __dict__."""
+        (body,) = (f for f in dataclasses.fields(PauliOperator) if f.name == "_body")
+        assert (body.default, body.init, body.compare, body.repr) == (None, False, False, False)
+        assert body.hash is None  # follows compare: outside the hash
+        op = parse_pauli("-XYZI")
+        assert not hasattr(op, "__dict__")
+        assert "_body" in PauliOperator.__slots__
+        bare = PauliOperator(op.width, op.x_bits, op.z_bits, op.phase_exp)
+        assert bare._body is None and op._body == "XYZI"
+        assert op == bare and hash(op) == hash(bare) and repr(op) == repr(bare)
+        assert hash(op) == hash((op.width, op.x_bits, op.z_bits, op.phase_exp))
+        for copy in (dataclasses.replace(op), pickle.loads(pickle.dumps(op)),
+                     pickle.loads(pickle.dumps(bare))):
+            assert type(copy) is PauliOperator and not hasattr(copy, "__dict__")
+            assert copy == op and hash(copy) == hash(op) and repr(copy) == repr(op)
+            assert copy.body() == "XYZI"
+        assert dataclasses.replace(op, phase_exp=op.phase_exp + 6) == op.canonical()
+        with pytest.raises(ValueError):
+            dataclasses.replace(op, _body="ZZZZ")
+
+    def test_six_qubit_operators_take_at_most_96_bytes_each(self):
+        texts = ["".join(p) for p in product("IXYZ", repeat=6)][1:]
+        tracemalloc.start()
+        try:
+            ops = [parse_pauli(text) for text in texts]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ops) == 4095
+        assert held / len(ops) <= 96
+
+    @pytest.mark.parametrize("width", [*range(1, 71), 200, 5000])
+    def test_body_matches_the_letter_loop(self, width):
+        rng = random.Random(width)
+        for x, z in ((0, 0), ((1 << width) - 1, 0), (0, (1 << width) - 1),
+                     ((1 << width) - 1, (1 << width) - 1),
+                     (rng.getrandbits(width), rng.getrandbits(width))):
+            op = PauliOperator(width, x, z)
+            assert op.body() == self.letters(op)
+            assert parse_pauli(op.body()) == op.canonical()
 
     def test_every_four_qubit_variant(self):
         paulis = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=4)][1:]

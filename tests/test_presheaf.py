@@ -1,4 +1,5 @@
 """Spectra, restriction maps and the global-section decision problem."""
+import pickle
 from itertools import accumulate, combinations, product
 from pathlib import Path
 
@@ -221,6 +222,33 @@ class TestStateConstraint:
     def test_rejects_bad_bit(self):
         with pytest.raises(ValueError):
             StateConstraint(observable=parse_pauli("X"), value_bit=2)
+
+    def test_slotted_hashable_record(self):
+        pin = StateConstraint(observable=parse_pauli("-XYY"), value_bit=1)
+        same = StateConstraint(observable=parse_pauli("XYY"), value_bit=0)
+        assert not hasattr(pin, "__dict__")
+        assert pin == same and hash(pin) == hash(same) and len({pin, same}) == 1
+        assert pin != StateConstraint(observable=parse_pauli("XYY"), value_bit=1)
+        assert pickle.loads(pickle.dumps(pin)) == pin
+
+    def test_reads_the_phase_excess_once(self, monkeypatch):
+        reads = []
+        excess = PauliOperator.phase_excess
+
+        def counting(op):
+            reads.append(op)
+            return excess.__get__(op)
+
+        monkeypatch.setattr(PauliOperator, "phase_excess", property(counting))
+        for text, value_bit in (("XYY", 0), ("-XYY", 1), ("-II", 0)):
+            reads.clear()
+            pin = StateConstraint(observable=parse_pauli(text), value_bit=value_bit)
+            assert len(reads) == 1
+            assert pin.observable.sign == 1
+        with pytest.raises(ValueError, match="only Hermitian observables can be pinned"):
+            StateConstraint(observable=PauliOperator(1, 1, 0, 1), value_bit=0)
+        with pytest.raises(ValueError, match="value_bit must be 0 or 1"):
+            StateConstraint(observable=PauliOperator(1, 1, 0, 1), value_bit=2)
 
 
 class TestGlobalProblem:
