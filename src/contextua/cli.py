@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from operator import add
 from pathlib import Path
 
 import click
@@ -222,9 +223,8 @@ def mbqc_table(ctx: click.Context, fmt: str) -> None:
         }
         _echo(json.dumps(payload, indent=2))
     else:
-        for index, out in enumerate(table.outputs):
-            key = format(index, f"0{table.input_bits}b") if table.input_bits else "()"
-            _echo(f"{key}: {out}")
+        outs = map((": 0", ": 1").__getitem__, table.outputs)
+        _echo("\n".join(map(add, report_mod.input_keys(table.input_bits), outs)))
 
 
 @cmd_mbqc.command("report")

@@ -329,7 +329,7 @@ class AffineForm:
 
 def input_vector(index: int, m: int) -> tuple[int, ...]:
     """Input bit-vector (i_1..i_m) for a table index, i_1 most significant."""
-    return tuple((index >> (m - 1 - j)) & 1 for j in range(m))
+    return tuple([index >> shift & 1 for shift in range(m - 1, -1, -1)])
 
 
 def fit_affine(outputs: Sequence[int]) -> AffineForm | None:
@@ -337,19 +337,23 @@ def fit_affine(outputs: Sequence[int]) -> AffineForm | None:
 
     The table holds 2^m output bits indexed in binary order (input bit i_1 is
     the most significant index bit). The only possible candidate is forced:
-    c = o(0) and a_j = o(e_j) xor o(0); it is then verified on every input,
-    where it predicts c xor the parity of the index bits that a selects.
+    c = o(0) and a_j = o(e_j) xor o(0). The entries are checked by two counts,
+    and the candidate's table, built by m doublings, each flipping the copy by
+    ``bytes.translate`` when its coefficient is set, is compared with it once.
     """
     table = tuple(outputs)
     size = len(table)
     m = size.bit_length() - 1
     if size == 0 or size != 1 << m:
         raise ValueError("table must hold exactly 2^m outputs")
-    if not set(table) <= {0, 1}:
+    if table.count(0) + table.count(1) != size:
         raise ValueError("entries must be bits")
     c = int(table[0])
     a = tuple(int(table[1 << (m - 1 - j)]) ^ c for j in range(m))
-    selected = sum(coeff << (m - 1 - j) for j, coeff in enumerate(a))
-    if all(bit == c ^ ((index & selected).bit_count() & 1) for index, bit in enumerate(table)):
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    candidate = bytes((c,))
+    for coeff in reversed(a):
+        candidate += candidate.translate(flip) if coeff else candidate
+    if table == tuple(candidate):
         return AffineForm(coefficients=a, constant=c)
     return None

@@ -7,7 +7,9 @@ parity of the n local outcomes, which is deterministic exactly when the
 joint observable (the tensor of the selected locals) lies in the resource
 group up to sign. Everything per input depends on i only through q, so the
 analysis evaluates each distinct setting once (there are at most 2^rank(Q))
-and fills the 2^m-entry table by lookup. The module builds the instance's
+and no step runs Python code per input: the settings come by list doubling,
+the 2^m-entry table by one ``map``, its bits checked by two counts, and each
+setting's first input by one ``dict`` pass. The module builds the instance's
 measurement contexts, decides contextuality of the state-pinned presheaf,
 tabulates the computed function, and checks the statement that a
 noncontextual instance computes an affine function of its input.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import compress
 from operator import xor
 from typing import Sequence
 
@@ -76,6 +79,7 @@ class MBQCInstance:
     party measures for that setting bit. columns packs Q's columns once:
     bit k of columns[j] is Q[k, j]. The mask table is built once: per setting
     bit, masks ORs its locals' x, z, low and high phase_exp bits at bit k.
+    canonical[party][setting] pairs the canonical local with its body.
     """
 
     parties: int
@@ -84,7 +88,7 @@ class MBQCInstance:
     observables: tuple[tuple[PauliOperator, ...], ...]
     resource: PauliBasis
     masks: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False)
-    canonical: tuple[tuple[PauliOperator, ...], ...] = field(init=False, repr=False)
+    canonical: tuple[tuple[tuple[PauliOperator, str], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Party k's local sits at bit k, so summing over parties ORs disjoint bits.
@@ -94,7 +98,9 @@ class MBQCInstance:
              sum((op.phase_exp >> 1) << k for k, op in enumerate(ops)))
             for ops in self.observables
         )
-        self.canonical = tuple(tuple(op.canonical() for op in ops) for ops in self.observables)
+        self.canonical = tuple(
+            tuple((op.canonical(), op.body()) for op in ops) for ops in zip(*self.observables)
+        )
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if len(self.outputs) != 1 << self.input_bits:
             raise ValueError("truth table must cover every input")
-        if any(bit not in (0, 1) for bit in self.outputs):
+        if self.outputs.count(0) + self.outputs.count(1) != len(self.outputs):
             raise ValueError("outputs must be bits")
 
 
@@ -145,17 +151,21 @@ class LinearOutputMap:
     outcomes: tuple[tuple[int, int], ...]
 
 
-def _parse_observable(entry: str, party: int, parties: int) -> PauliOperator:
+def _parse_observable(entry: str, party: int, parties: int, parsed: dict) -> PauliOperator:
     if not isinstance(entry, str) or not entry.strip():
         raise MalformedFieldError(
             f"observables entry for party {party} must be a Pauli string, got {entry!r}"
         )
-    try:
-        op = parse_pauli(entry)
-    except PauliParseError as exc:
-        raise MalformedFieldError(f"observables entry for party {party}: {exc}") from exc
-    if op.width == 1:
-        return PauliOperator(parties, op.x_bits << party, op.z_bits << party, op.phase_exp)
+    op = parsed.get(entry)
+    if op is None:
+        try:
+            op = parsed[entry] = parse_pauli(entry)
+        except PauliParseError as exc:
+            raise MalformedFieldError(f"observables entry for party {party}: {exc}") from exc
+    if op.width == 1:  # a valid operator moved onto qubit party, its letters padded with I
+        local = _unchecked(parties, op.x_bits << party, op.z_bits << party, op.phase_exp)
+        local._body = "I" * party + op.body() + "I" * (parties - 1 - party)
+        return local
     if op.width != parties:
         raise ShapeMismatchError(
             f"observable {entry!r} has width {op.width}, expected {parties}"
@@ -197,10 +207,14 @@ def validate_instance(raw: dict) -> MBQCInstance:
         raise ShapeMismatchError(
             f"setting matrix must be {parties} rows of {input_bits} bits"
         )
-    for row in q_rows:
-        for entry in row:
-            if not _is_int(entry) or entry not in (0, 1):
-                raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
+    columns = []
+    for column in zip(*q_rows):  # a set test passes int 0s and 1s, a scan names the rest
+        if not (set(map(type, column)) <= {int} and set(column) <= {0, 1}):
+            for row in q_rows:
+                for entry in row:
+                    if not _is_int(entry) or entry not in (0, 1):
+                        raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
+        columns.append(int("".join(map("01".__getitem__, reversed(column))), 2))
     if not isinstance(observable_lists, list) or not all(
         isinstance(lst, list) for lst in observable_lists
     ):
@@ -211,9 +225,10 @@ def validate_instance(raw: dict) -> MBQCInstance:
         isinstance(line, str) for line in resource_lines
     ):
         raise MalformedFieldError("resource must be a list of signed Pauli strings")
+    parsed: dict[str, PauliOperator] = {}  # each distinct text is parsed once
     observables = tuple(
         tuple(
-            _parse_observable(entry, party, parties)
+            _parse_observable(entry, party, parties, parsed)
             for party, entry in enumerate(setting_list)
         )
         for setting_list in observable_lists
@@ -233,9 +248,7 @@ def validate_instance(raw: dict) -> MBQCInstance:
     return MBQCInstance(
         parties=parties,
         input_bits=input_bits,
-        columns=tuple(
-            sum(row[j] << k for k, row in enumerate(q_rows)) for j in range(input_bits)
-        ),
+        columns=tuple(columns),
         observables=observables,
         resource=resource,
     )
@@ -245,7 +258,7 @@ def _setting_of(inst: MBQCInstance, bits: Sequence[int]) -> int:
     """Settings q = Q*i for one input, packed: bit k is party k's setting."""
     if len(bits) != inst.input_bits:
         raise ValueError(f"input must have {inst.input_bits} bits")
-    return reduce(xor, (c for b, c in zip(bits, inst.columns) if b & 1), 0)
+    return reduce(xor, compress(inst.columns, bits), 0)
 
 
 def _distinct_settings(inst: MBQCInstance) -> list[int]:
@@ -285,11 +298,14 @@ def joint_observable(
     joint = _joint(inst, q)
     non_identity = joint.x_bits | joint.z_bits
     descending = range(inst.parties - 1, -1, -1)
-    members = [inst.canonical[q >> k & 1][k] for k in descending if non_identity >> k & 1]
-    if len(members) < 2:
-        return joint, ContextGroup(tuple(members), inst.parties, ())
-    members.append(joint.canonical())
-    return joint, ContextGroup(tuple(members), inst.parties, ((1 << len(members)) - 1,))
+    picked = [inst.canonical[k][q >> k & 1] for k in descending if non_identity >> k & 1]
+    relations = ()
+    if len(picked) > 1:
+        canonical = joint.canonical()
+        picked.append((canonical, canonical.body()))
+        relations = ((1 << len(picked)) - 1,)
+    members, names = zip(*picked) if picked else ((), ())
+    return joint, ContextGroup(members, inst.parties, relations, names=names)
 
 
 def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
@@ -309,7 +325,7 @@ def _table(
     if None in outputs.values():
         missing = (index for index, q in enumerate(settings) if outputs[q] is None)
         raise IndeterminateInputsError(tuple(gf2.input_vector(i, input_bits) for i in missing))
-    return TruthTable(input_bits, tuple(outputs[q] for q in settings))
+    return TruthTable(input_bits, tuple(map(outputs.__getitem__, settings)))
 
 
 def truth_table(inst: MBQCInstance) -> TruthTable:
@@ -330,19 +346,20 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     meaningful, and IndeterminateInputsError names the inputs.
     """
     settings = _distinct_settings(inst)
+    # Walked backwards, each setting's entry ends at its first input.
+    first = dict(zip(reversed(settings), range(len(settings) - 1, -1, -1)))
     contexts: list[ContextGroup] = []
-    joints: dict[int, PauliOperator] = {}
+    joints: dict[int, tuple[PauliOperator, int]] = {}
     outputs: dict[int, int | None] = {}
-    for index, q in enumerate(settings):
-        if q in joints:
-            continue
+    for index in sorted(first.values()):
+        q = settings[index]
         joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
         outputs[q] = member_sign(inst.resource, joint)
-        joints[q] = joint
+        # The canonical joint, (-1)^sign_bit times the joint, ends a nonempty context.
+        joints[q] = (context.members[-1] if context.members else joint.canonical(), joint.sign_bit)
         contexts.append(context)
     table = _table(settings, outputs, inst.input_bits)
-    # The canonical joint is (-1)^sign_bit times the joint.
-    pin_bits = {joint.canonical(): outputs[q] ^ joint.sign_bit for q, joint in joints.items()}
+    pin_bits = {canonical: outputs[q] ^ sign for q, (canonical, sign) in joints.items()}
     # Every joint passed member_sign, so they commute and no canonical one is -I.
     special = _close(sorted(pin_bits, key=PauliOperator.body), inst.parties)
     contexts.append(special)

@@ -17,7 +17,9 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from . import gf2
@@ -215,6 +217,17 @@ def _affine_text(affine: gf2.AffineForm) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def input_keys(input_bits: int, indent: str = "") -> list[str]:
+    """Each input's bits after indent, in binary order ("()" for none), by list
+    doubling: each round puts one more bit on top of every key, the last the indent."""
+    if not input_bits:
+        return [indent + "()"]
+    keys = [""]
+    for top in [""] * (input_bits - 1) + [indent]:
+        keys = [*map(add, repeat(top + "0"), keys), *map(add, repeat(top + "1"), keys)]
+    return keys
+
+
 def render_text(report: Report) -> str:
     lines = [f"contextua {report.version}", f"input sha256: {report.input_sha256}"]
     for name, a in report.analyses.items():
@@ -244,9 +257,8 @@ def render_text(report: Report) -> str:
             m = a.mbqc
             if m.truth_table is not None:
                 lines.append("truth table:")
-                for index, out in enumerate(m.truth_table):
-                    key = format(index, f"0{m.input_bits}b") if m.input_bits else "()"
-                    lines.append(f"  {key} -> {out}")
+                arrows = map((" -> 0", " -> 1").__getitem__, m.truth_table)
+                lines += map(add, input_keys(m.input_bits, "  "), arrows)
             else:
                 lines.append(
                     "truth table: indeterminate for inputs "

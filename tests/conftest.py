@@ -9,7 +9,8 @@ unpack_rows and bit_system convert between the two formats.
 brute_force_global decides a global-section system by trying every
 assignment, as ground truth for the solver. reference_parse_pauli parses
 by a regular expression and a loop over the letters, as an oracle for
-parse_pauli.
+parse_pauli, and reference_fit_affine checks the forced affine candidate
+input by input, as an oracle for fit_affine.
 """
 from __future__ import annotations
 
@@ -494,6 +495,26 @@ def large_ghz_instance() -> MBQCInstance:
     Its global-section system has 6132 rows over 2080 observables.
     """
     return validate_instance(ghz_raw(np.random.default_rng(16), 16, 12, 11))
+
+
+def reference_fit_affine(outputs) -> gf2.AffineForm | None:
+    """The forced affine candidate of a truth table, checked input by input.
+
+    c = o(0) and a_j = o(e_j) xor c; the candidate stands when every input's
+    output is c xor the parity of the index bits that a selects.
+    """
+    table = tuple(outputs)
+    m = len(table).bit_length() - 1
+    if not table or len(table) != 1 << m:
+        raise ValueError("table must hold exactly 2^m outputs")
+    if not set(table) <= {0, 1}:
+        raise ValueError("entries must be bits")
+    c = int(table[0])
+    a = tuple(int(table[1 << (m - 1 - j)]) ^ c for j in range(m))
+    selected = sum(coeff << (m - 1 - j) for j, coeff in enumerate(a))
+    if all(bit == c ^ ((index & selected).bit_count() & 1) for index, bit in enumerate(table)):
+        return gf2.AffineForm(coefficients=a, constant=c)
+    return None
 
 
 def exhaustive_affine_tables(m: int) -> set[tuple[int, ...]]:

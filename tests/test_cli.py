@@ -3,6 +3,7 @@ import builtins
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from contextua.cli import main
 from contextua.gf2 import AffineForm
 from contextua.io import sha256_digest
 from contextua.pauli import PauliOperator
-from contextua.report import parse_json
+from contextua.report import Analysis, MbqcBlock, Report, parse_json, render_text
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -437,6 +438,54 @@ class TestMbqcReport:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert first.output == second.output
+
+
+def parity_raw(input_bits):
+    """One party measures Z or -Z by the parity of all input bits: o(i) = i_1 + ... + i_m."""
+    return {
+        "parties": 1,
+        "input_bits": input_bits,
+        "Q": [[1] * input_bits],
+        "observables": [["Z"], ["-Z"]],
+        "resource": ["+Z"],
+    }
+
+
+def reference_keys(input_bits):
+    """Each input's key as the tables print it, one format call per input."""
+    if not input_bits:
+        return ["()"]
+    return [format(index, f"0{input_bits}b") for index in range(1 << input_bits)]
+
+
+class TestTruthTableLines:
+    @pytest.mark.parametrize("input_bits", range(13))
+    def test_report_and_table_lines(self, runner, tmp_path, input_bits):
+        inst = write_instance(tmp_path, parity_raw(input_bits))
+        outputs = [index.bit_count() & 1 for index in range(1 << input_bits)]
+        keys = reference_keys(input_bits)
+        table = runner.invoke(main, ["mbqc", "--instance", inst, "table"])
+        assert table.exit_code == 0
+        assert table.output == "".join(f"{k}: {o}\n" for k, o in zip(keys, outputs))
+        report = runner.invoke(main, ["mbqc", "--instance", inst, "report"])
+        assert report.exit_code == 0
+        lines = report.output.splitlines()
+        start = lines.index("truth table:") + 1
+        assert lines[start:start + len(keys)] == [f"  {k} -> {o}" for k, o in zip(keys, outputs)]
+        assert lines[start + len(keys)].startswith("affine form: o(i) = ")
+
+    @pytest.mark.parametrize("input_bits", range(13))
+    def test_render_text_lines_of_random_tables(self, input_bits):
+        rng = random.Random(input_bits)
+        outputs = tuple(rng.getrandbits(1) for _ in range(1 << input_bits))
+        block = MbqcBlock(input_bits, outputs, (), None, True)
+        analysis = Analysis("contextual", (), (), (), (), None, None, block)
+        text = render_text(Report("0.2.0", "0" * 64, {"mbqc": analysis}))
+        keys = reference_keys(input_bits)
+        expected = "truth table:\n" + "".join(
+            f"  {k} -> {o}\n" for k, o in zip(keys, outputs)
+        ) + "affine form: none (the computed function is not affine)\n"
+        assert expected in text
 
 
 ANALYZE_INPUTS = {

@@ -31,6 +31,7 @@ from conftest import (
     random_stabilizer_group,
     rank,
     reference_certificate,
+    reference_fit_affine,
     reference_rref,
     row_space_contains,
     unpack_rows,
@@ -571,3 +572,38 @@ class TestAffine:
             fit_affine([0, 1, 0])
         with pytest.raises(ValueError):
             fit_affine([])
+
+    def test_fit_matches_the_scan_oracle(self):
+        """The whole-table fit agrees with the input-by-input scan.
+
+        Random tables of every arity up to 10, random affine tables, every
+        affine table of up to 6 bits with one output flipped, and the same
+        tables given as bools.
+        """
+        rng = np.random.default_rng(35)
+        tables = []
+        for m in range(11):
+            for _ in range(20):
+                tables.append(tuple(int(b) for b in rng.integers(0, 2, size=1 << m)))
+                planted = AffineForm(
+                    coefficients=tuple(int(b) for b in rng.integers(0, 2, size=m)),
+                    constant=int(rng.integers(0, 2)),
+                )
+                tables.append(tuple(planted.evaluate(input_vector(i, m)) for i in range(1 << m)))
+        for m in range(7):
+            for table in exhaustive_affine_tables(m):
+                for index in range(1 << m):
+                    tables.append(table[:index] + (table[index] ^ 1,) + table[index + 1:])
+        affine = 0
+        for table in tables:
+            expected = reference_fit_affine(table)
+            assert fit_affine(table) == expected
+            assert fit_affine([bool(b) for b in table]) == expected
+            affine += expected is not None
+        assert 200 < affine < len(tables) - 1000
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, None, "1", [1]])
+    def test_fit_refuses_non_bits(self, bad):
+        for table in ([bad], [0, bad], [bad, 0, 1, 1], [0, 1, 1, bad]):
+            with pytest.raises(ValueError, match="^entries must be bits$"):
+                fit_affine(table)

@@ -5,6 +5,7 @@ A report that changes by a single byte (an equation order, a section value,
 a context list) fails here.
 """
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from contextua.cli import main
 from contextua.pauli import PauliBasis, commutes, format_pauli, multiply_all
 from contextua.stabilizer import make_stabilizer
 
-from conftest import random_pauli, random_stabilizer_group
+from conftest import ghz_raw, random_pauli, random_stabilizer_group
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -50,6 +51,10 @@ def _mbqc(fixture, command, directory=FIXTURES):
 
 # Five GHZ parties, six input bits, rank(Q) = 2: 64 inputs share 4 settings.
 _SHARED = "instance_ghz_shared_settings.json"
+# Ten GHZ parties, sixteen input bits, rank(Q) = 4: 65,536 inputs share 16
+# settings. Its reports are too large to keep; test_sixteen_input_digests
+# pins their length and sha256.
+_SIXTEEN = "instance_ghz_sixteen_inputs.json"
 
 
 _CONTEXTS = ("--contexts", str(FIXTURES / "mermin_contexts.txt"))
@@ -166,6 +171,18 @@ def six_qubit_blocks_texts() -> dict[str, str]:
     }
 
 
+def ghz_sixteen_inputs_text() -> str:
+    """The sixteen-input GHZ instance that seed 35 draws, one Q row per line."""
+    raw = ghz_raw(np.random.default_rng(35), 10, 16, 4)
+    rows = ",\n".join(f"    {row}" for row in raw["Q"])
+    return (
+        f'{{\n  "parties": {raw["parties"]},\n  "input_bits": {raw["input_bits"]},\n'
+        f'  "Q": [\n{rows}\n  ],\n'
+        f'  "observables": {json.dumps(raw["observables"])},\n'
+        f'  "resource": {json.dumps(raw["resource"])}\n}}\n'
+    )
+
+
 CASES = [(name, fmt) for name in COMMANDS for fmt in ("text", "json")]
 
 
@@ -261,7 +278,30 @@ def test_six_qubit_blocks_inputs_are_the_seeded_draw():
         assert (GOLDEN / name).read_text(encoding="utf-8") == text, name
 
 
+SIXTEEN_INPUT_DIGESTS = {
+    ("report", "text"): (1_577_146, "9fbc6f027148a0eba1e27c44427dd6a8519e7a633d6d5fe9718638daadbfa143"),
+    ("report", "json"): (860_676, "697be3f1db1d52a9263e87c196027b9bebe85b91759934d344f82085b2b460dd"),
+    ("table", "text"): (1_310_720, "441aa65f6bcf22a9960d7c389ea7aefbad21c12ddfc29213a0176cc69ee0b976"),
+    ("table", "json"): (458_839, "20aca12b7885445d1c8fafaf845592593b1c24b0060cb4f9050ee9ce49079a2f"),
+}
+
+
+@pytest.mark.parametrize("command,fmt", SIXTEEN_INPUT_DIGESTS)
+def test_sixteen_input_digests(command, fmt):
+    """The 65,536-input GHZ reports keep their length and sha256."""
+    result = CliRunner().invoke(main, [*_mbqc(_SIXTEEN, command, GOLDEN), "--format", fmt])
+    assert result.exit_code == 0, result.output
+    size, digest = SIXTEEN_INPUT_DIGESTS[command, fmt]
+    assert len(result.stdout_bytes) == size
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+def test_sixteen_input_instance_is_the_seeded_draw():
+    assert (GOLDEN / _SIXTEEN).read_text(encoding="utf-8") == ghz_sixteen_inputs_text()
+
+
 if __name__ == "__main__":
-    # Rewrite the six-qubit input files: PYTHONPATH=src:tests python tests/test_golden.py
+    # Rewrite the seeded input files: PYTHONPATH=src:tests python tests/test_golden.py
     for name, text in six_qubit_blocks_texts().items():
         (GOLDEN / name).write_text(text, encoding="utf-8")
+    (GOLDEN / _SIXTEEN).write_text(ghz_sixteen_inputs_text(), encoding="utf-8")

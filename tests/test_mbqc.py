@@ -205,6 +205,50 @@ class TestValidateInstance:
         with pytest.raises(MalformedFieldError, match="input_bits.*16"):
             validate_instance(wide_raw(17))
 
+    @pytest.mark.parametrize("first", [True, 2, 1.0, "1", None, [1]])
+    def test_first_bad_q_entry_in_row_order(self, first):
+        """The error names the first offender of a row-by-row scan.
+
+        Other offenders sit earlier in column order, later in row order.
+        """
+        others = [bad for bad in (True, 2, 1.0, "1") if bad is not first][:2]
+        raw = {
+            "parties": 3,
+            "input_bits": 3,
+            "Q": [[1, 0, first], [others[0], 1, 0], [0, others[1], 1]],
+            "observables": [["Z", "Z", "Z"], ["-Z", "-Z", "-Z"]],
+            "resource": ["+ZII", "+IZI", "+IIZ"],
+        }
+        with pytest.raises(MalformedFieldError) as excinfo:
+            validate_instance(raw)
+        assert str(excinfo.value) == f"Q entries must be 0 or 1, got {first!r}"
+
+    def test_repeated_observable_texts_embed_per_party(self):
+        """Each party embeds the one parse of a repeated text on its own qubit."""
+        raw = {
+            "parties": 3,
+            "input_bits": 1,
+            "Q": [[1], [0], [1]],
+            "observables": [["X", "-Y", "X"], ["Y", "IZI", "-Y"]],
+            "resource": ["+XXX", "+ZZI", "+IZZ"],
+        }
+        inst = validate_instance(raw)
+        for setting, texts in enumerate(raw["observables"]):
+            for party, text in enumerate(texts):
+                op = inst.observables[setting][party]
+                padded = text if len(text.lstrip("+-")) == 3 else (
+                    text[:-1] + "I" * party + text[-1] + "I" * (2 - party)
+                )
+                assert op == parse_pauli(padded)
+                assert op.body() == parse_pauli(padded).body()
+
+    def test_each_distinct_observable_text_is_parsed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mbqc, "parse_pauli", lambda text: calls.append(text) or parse_pauli(text))
+        raw = ghz_raw(np.random.default_rng(5), 8, 8, 2)
+        validate_instance(raw)
+        assert sorted(calls) == sorted(["X", "Y", *raw["resource"]])
+
     def test_columns_pack_the_setting_matrix(self):
         """Bit k of columns[j] is Q[k, j], packed once at validation."""
         assert anders_browne_instance().columns == (0b101, 0b110)
@@ -260,6 +304,12 @@ class TestJointObservable:
 
 
 class TestRunAndTable:
+    @pytest.mark.parametrize("bad", [2, -1, 256, None, "1", [1]])
+    def test_truth_table_refuses_non_bits(self, bad):
+        for input_bits, outputs in ((0, (bad,)), (1, (0, bad)), (2, (bad, 0, 1, 1))):
+            with pytest.raises(ValueError, match="^outputs must be bits$"):
+                mbqc.TruthTable(input_bits, outputs)
+
     def test_or_gate_table(self):
         inst = anders_browne_instance()
         assert run(inst, (0, 0)) == 0
