@@ -6,7 +6,6 @@ output is indeterminate.
 """
 from __future__ import annotations
 
-import json
 import sys
 from operator import add
 from pathlib import Path
@@ -196,7 +195,7 @@ def mbqc_run(ctx: click.Context, bits_text: str, fmt: str) -> None:
             "input": bits_text,
             "output": output,
         }
-        _echo(json.dumps(payload, indent=2))
+        _echo(report_mod._write(payload, ""))
     else:
         _echo("indeterminate" if output is None else str(output))
     if output is None:
@@ -219,9 +218,9 @@ def mbqc_table(ctx: click.Context, fmt: str) -> None:
             "tool": "contextua",
             "version": TOOL_VERSION,
             "input_bits": table.input_bits,
-            "outputs": list(table.outputs),
+            "outputs": table.outputs,
         }
-        _echo(json.dumps(payload, indent=2))
+        _echo(report_mod._write(payload, ""))
     else:
         outs = map((": 0", ": 1").__getitem__, table.outputs)
         _echo("\n".join(map(add, report_mod.input_keys(table.input_bits), outs)))

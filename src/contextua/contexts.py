@@ -327,9 +327,17 @@ def _maximal_cliques(neighbours: Sequence[int]) -> list[int]:
     order the recursion that branches highest vertex first finds them: the
     order of the lowest-first recursion on the mirrored numbering. More than
     MAX_CONTEXTS cliques raise ContextBudgetError.
+
+    A vertex adjacent to every other lies in every maximal clique (Kirby
+    and Love, PRL 123, 200501, 2019), the identity among them. Such
+    vertices start in the clique instead of among the candidates: the
+    recursion would only peel them off one by one, each the one branch
+    under a pivot that is itself, so the cliques and their order stay.
     """
     cliques: list[int] = []
-    stack = [(0, (1 << len(neighbours)) - 1, 0)] if neighbours else []
+    last = len(neighbours) - 1
+    universal = sum(1 << v for v, near in enumerate(neighbours) if near.bit_count() == last)
+    stack = [(universal, (1 << len(neighbours)) - 1 ^ universal, 0)] if neighbours else []
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:

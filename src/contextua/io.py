@@ -28,8 +28,29 @@ from .pauli import PauliOperator, parse_pauli
 from .presheaf import StateConstraint
 
 
+# Instance files nest arrays and objects at most this deep. The parser
+# recurses once per level and raises RecursionError at a depth that differs
+# between Python versions, so a fixed bound makes the refusal the same on all.
+MAX_JSON_DEPTH = 100
+
+
 class FileFormatError(ValueError):
     """The file does not follow the documented grammar."""
+
+
+def _too_deep(value: dict | list) -> bool:
+    """True when the array or object value nests more than MAX_JSON_DEPTH levels deep."""
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            inner
+            for outer in level
+            for inner in (outer.values() if type(outer) is dict else outer)
+            if type(inner) in (list, dict)
+        ]
+        if not level:
+            return False
+    return True
 
 
 def sha256_digest(*chunks: bytes) -> str:
@@ -126,6 +147,10 @@ def load_instance(source: str | Path | bytes) -> MBQCInstance:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise FileFormatError("instance file must hold a JSON object")
+    if _too_deep(raw):
+        raise FileFormatError("invalid JSON: nested too deeply")
     return validate_instance(raw)

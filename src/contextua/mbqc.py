@@ -5,14 +5,17 @@ matrix Q over GF(2), and per party k one single-qubit observable for each
 setting bit. Input i selects settings q = Q*i; the computed output is the
 parity of the n local outcomes, which is deterministic exactly when the
 joint observable (the tensor of the selected locals) lies in the resource
-group up to sign. Everything per input depends on i only through q, so the
-analysis evaluates each distinct setting once (there are at most 2^rank(Q))
-and no step runs Python code per input: the settings come by list doubling,
-the 2^m-entry table by one ``map``, its bits checked by two counts, and each
-setting's first input by one ``dict`` pass. The module builds the instance's
-measurement contexts, decides contextuality of the state-pinned presheaf,
-tabulates the computed function, and checks the statement that a
-noncontextual instance computes an affine function of its input.
+group up to sign. Everything per input depends on i only through q, and
+no step runs Python code per input: the inputs' settings come by list
+doubling, the 2^m-entry table by one ``map``, its bits checked by two
+counts. The reached settings, at most 2^r for r = rank(Q), are listed by
+doubling over a basis of Q's columns in the order binary input
+enumeration first reaches them: only setting 0 and the r pivots are looked
+up in the resource group, and every other setting's member is one signed
+product (:func:`_reached`). The module builds the instance's measurement
+contexts, decides contextuality of the state-pinned presheaf, tabulates
+the computed function, and checks the statement that a noncontextual
+instance computes an affine function of its input.
 
 Party k's local acts on qubit k alone, so a setting's joint and local
 context are a few int operations on a mask table (:func:`joint_observable`);
@@ -294,7 +297,11 @@ def joint_observable(
     is checked: validation refuses an observable off its party's qubit, so
     the locals and their product commute.
     """
-    q = _setting_of(inst, bits)
+    return _local_context(inst, _setting_of(inst, bits))
+
+
+def _local_context(inst: MBQCInstance, q: int) -> tuple[PauliOperator, ContextGroup]:
+    """:func:`joint_observable` of packed setting q."""
     joint = _joint(inst, q)
     non_identity = joint.x_bits | joint.z_bits
     descending = range(inst.parties - 1, -1, -1)
@@ -318,21 +325,66 @@ def run(inst: MBQCInstance, bits: Sequence[int]) -> int | None:
     return member_sign(inst.resource, _joint(inst, _setting_of(inst, bits)))
 
 
-def _table(
-    settings: list[int], outputs: dict[int, int | None], input_bits: int
-) -> TruthTable:
-    """The table from each setting's output; raises naming undetermined inputs."""
-    if None in outputs.values():
-        missing = (index for index, q in enumerate(settings) if outputs[q] is None)
-        raise IndeterminateInputsError(tuple(gf2.input_vector(i, input_bits) for i in missing))
-    return TruthTable(input_bits, tuple(map(outputs.__getitem__, settings)))
+def _reached(inst: MBQCInstance) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Each reached setting in first-reached order, with its signed resource member.
+
+    A setting's member is the group element (x, z, phase) with its joint's
+    letters. Pivots are the columns of Q, from the last input bit, that are
+    independent of those before; setting 0 and each pivot c take one
+    member_sign lookup, r + 1 in all. The joints' letters are affine in q
+    and the group is abelian, Hermitian and free of -I, so M(q) M(c) M(0) is
+    the member of q ^ c: one signed product of int triples. Doubling over
+    the pivots counts in binary, the first pivot lowest, which is the order
+    of binary input enumeration: a non-pivot column is a sum of pivots at
+    lower input bits, so the first input to reach a setting sets pivots
+    alone. When a lookup finds no member, every setting is looked up, so
+    that IndeterminateInputsError names each undetermined input in order.
+    """
+    pivots: list[int] = []
+    table: dict[int, int] = {}  # a reduced pivot column by its top bit
+    for column in reversed(inst.columns):
+        vector = column
+        while vector and (row := table.get(vector.bit_length())) is not None:
+            vector ^= row
+        if vector:
+            table[vector.bit_length()] = vector
+            pivots.append(column)
+    base = []
+    for q in (0, *pivots):
+        joint = _joint(inst, q)
+        sign = member_sign(inst.resource, joint)
+        if sign is None:
+            raise _undetermined(inst)
+        base.append((joint.x_bits, joint.z_bits, joint.phase_exp + 2 * sign & 3))
+    (x0, z0, p0), settings, members = base[0], [0], base[:1]
+    for c, (x, z, p) in zip(pivots, base[1:]):
+        dx, dz, dp = x ^ x0, z ^ z0, p + p0 + 2 * (z & x0).bit_count()
+        settings += [q ^ c for q in settings]
+        members += [(mx ^ dx, mz ^ dz, mp + dp + 2 * (mz & dx).bit_count() & 3)
+                    for mx, mz, mp in members]
+    return settings, members
+
+
+def _undetermined(inst: MBQCInstance) -> IndeterminateInputsError:
+    """The error naming every input whose setting's joint has no member, by a lookup each."""
+    settings = _distinct_settings(inst)
+    signs = {q: member_sign(inst.resource, _joint(inst, q)) for q in dict.fromkeys(settings)}
+    missing = (index for index, q in enumerate(settings) if signs[q] is None)
+    return IndeterminateInputsError(tuple(gf2.input_vector(i, inst.input_bits) for i in missing))
+
+
+def _table(inst: MBQCInstance, outputs: dict[int, int]) -> TruthTable:
+    """The table from each reached setting's output, by one map over the inputs' settings."""
+    return TruthTable(inst.input_bits, tuple(map(outputs.__getitem__, _distinct_settings(inst))))
 
 
 def truth_table(inst: MBQCInstance) -> TruthTable:
     """Outputs for all 2^m inputs; raises if any input is indeterminate."""
-    settings = _distinct_settings(inst)
-    outputs = {q: member_sign(inst.resource, _joint(inst, q)) for q in dict.fromkeys(settings)}
-    return _table(settings, outputs, inst.input_bits)
+    settings, members = _reached(inst)
+    return _table(inst, {
+        q: (phase - _joint(inst, q).phase_exp) >> 1 & 1
+        for q, (_, _, phase) in zip(settings, members)
+    })
 
 
 def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
@@ -345,22 +397,18 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     instance has indeterminate outputs, no state-pinned analysis is
     meaningful, and IndeterminateInputsError names the inputs.
     """
-    settings = _distinct_settings(inst)
-    # Walked backwards, each setting's entry ends at its first input.
-    first = dict(zip(reversed(settings), range(len(settings) - 1, -1, -1)))
     contexts: list[ContextGroup] = []
-    joints: dict[int, tuple[PauliOperator, int]] = {}
-    outputs: dict[int, int | None] = {}
-    for index in sorted(first.values()):
-        q = settings[index]
-        joint, context = joint_observable(inst, gf2.input_vector(index, inst.input_bits))
-        outputs[q] = member_sign(inst.resource, joint)
-        # The canonical joint, (-1)^sign_bit times the joint, ends a nonempty context.
-        joints[q] = (context.members[-1] if context.members else joint.canonical(), joint.sign_bit)
+    outputs: dict[int, int] = {}
+    pin_bits: dict[PauliOperator, int] = {}
+    for q, (x, z, phase) in zip(*_reached(inst)):
+        joint, context = _local_context(inst, q)
+        outputs[q] = (phase - joint.phase_exp) >> 1 & 1
+        # The canonical joint ends a nonempty context; the member is its signed copy.
+        canonical = context.members[-1] if context.members else joint.canonical()
+        pin_bits[canonical] = (phase - (x & z).bit_count()) >> 1 & 1
         contexts.append(context)
-    table = _table(settings, outputs, inst.input_bits)
-    pin_bits = {canonical: outputs[q] ^ sign for q, (canonical, sign) in joints.items()}
-    # Every joint passed member_sign, so they commute and no canonical one is -I.
+    table = _table(inst, outputs)
+    # Every joint is a group member up to sign, so they commute and no canonical one is -I.
     special = _close(sorted(pin_bits, key=PauliOperator.body), inst.parties)
     contexts.append(special)
     pins = tuple(

@@ -175,7 +175,9 @@ class _GlobalRows:
     by context, then one per pin in the given order. A context is closed,
     and its names looked up as column bits, only when its first row is
     needed, and each row is recorded as it is yielded, so :meth:`system` is
-    the system of every label and the rows read so far.
+    the system of every label and the rows read so far. A context whose one
+    relation names all its members, as an MBQC local context's does, gives
+    the sum of its distinct columns as that row, with no walk over its bits.
     """
 
     def __init__(
@@ -216,7 +218,13 @@ class _GlobalRows:
             if relations:
                 signs = ctx.signs
                 self._rhs |= signs << len(rows)  # system() drops bits of unread rows
-                table = list(map(column, ctx.names))
+                names = ctx.names
+                if len(relations) == 1 and relations[0] + 1 == 1 << len(names):
+                    row = sum(map(column, names))
+                    rows.append(row)
+                    yield row, signs
+                    continue
+                table = list(map(column, names))
                 for relation in relations:
                     row = 0
                     while relation:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from contextua import fixtures
+from contextua import fixtures, io
 from contextua.cli import main
 from contextua.gf2 import AffineForm
 from contextua.io import sha256_digest
@@ -572,6 +572,42 @@ class TestBadInvocations:
         inst = write(tmp_path, "broken.json", "{oops")
         result = runner.invoke(main, ["mbqc", "--instance", inst, "table"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("shape", ["bare-array", "extra-key"])
+    def test_deeply_nested_instance_json(self, tmp_path, shape):
+        """Nesting past the parser's recursion limit, or past MAX_JSON_DEPTH on an
+        interpreter whose limit is higher, exits 2 in a fresh process, untraced."""
+        if shape == "bare-array":
+            text = "[" * 100_000 + "]" * 100_000
+        else:
+            valid = json.dumps(fixtures.anders_browne_raw())
+            text = valid[:-1] + ', "extra": ' + "[" * 1200 + "]" * 1200 + "}"
+        inst = write(tmp_path, "deep.json", text)
+        result = subprocess.run(
+            [sys.executable, "-c", "from contextua.cli import main; main()",
+             "mbqc", "--instance", inst, "report"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: invalid JSON: nested too deeply\n"
+        assert "Traceback" not in result.stderr
+
+    def test_instance_json_at_the_depth_limit(self, runner, tmp_path):
+        """An extra key nested exactly MAX_JSON_DEPTH deep, object included, is read."""
+        raw = fixtures.anders_browne_raw()
+        depth = io.MAX_JSON_DEPTH - 1
+        text = json.dumps(raw)[:-1] + ', "extra": ' + "[" * depth + "]" * depth + "}"
+        inst = write(tmp_path, "deep.json", text)
+        assert runner.invoke(main, ["mbqc", "--instance", inst, "table"]).exit_code == 0
+        text = json.dumps(raw)[:-1] + ', "extra": ' + "[" * (depth + 1) + "]" * (depth + 1) + "}"
+        inst = write(tmp_path, "deeper.json", text)
+        result = runner.invoke(main, ["mbqc", "--instance", inst, "table"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: invalid JSON: nested too deeply\n"
 
     def test_invalid_instance_content(self, runner, tmp_path):
         inst = write_instance(tmp_path, {"parties": 2})

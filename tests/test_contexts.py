@@ -804,6 +804,90 @@ def clifford_relabel(rng, obs, gates=32):
     return [PauliOperator(width, x, z, (x & z).bit_count()) for x, z in vectors]
 
 
+class TestUniversalVertices:
+    """Vertices that commute with every other start in the clique, not among the candidates."""
+
+    @staticmethod
+    def pool_with_z_members(rng, width, count):
+        """Paulis with only I and Z on the last two qubits, plus Z-type members.
+
+        Z-type members on those two qubits commute with every member; Z-type
+        members elsewhere, and the identity, are drawn now and then too.
+        """
+        letters = np.array(list("IXYZ"))
+        pool = [
+            parse_pauli("".join(letters[rng.integers(0, 4, width - 2)])
+                        + "".join(letters[rng.choice([0, 3], 2)]))
+            for _ in range(count)
+        ]
+        for tail in ("IZ", "ZI", "ZZ")[: int(rng.integers(0, 4))]:
+            pool.append(parse_pauli("I" * (width - 2) + tail))
+        for _ in range(int(rng.integers(0, 3))):
+            pool.append(parse_pauli("".join(letters[rng.choice([0, 3], width)])))
+        if rng.integers(0, 3) == 0:
+            pool.append(identity(width))
+        return [pool[int(i)] for i in rng.permutation(len(pool))]
+
+    def test_context_lists_match_networkx(self):
+        """Names of every context, in order, equal the oracle's sorted cliques."""
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(158)
+        with_universal = 0
+        for t in range(80):
+            width = 5 + t % 3
+            pool = self.pool_with_z_members(rng, width, int(rng.integers(1, 30)))
+            distinct = {op.body(): op for op in pool}
+            graph = nx.Graph()
+            graph.add_nodes_from(distinct)
+            graph.add_edges_from(
+                (a, b) for a in distinct for b in distinct
+                if a < b and commutes(distinct[a], distinct[b])
+            )
+            expected = sorted(
+                tuple(sorted(body for body in clique if body != "I" * width))
+                for clique in nx.find_cliques(graph)
+            )
+            assert [c.names for c in maximal_contexts(pool)] == expected
+            with_universal += any(graph.degree(v) == len(distinct) - 1 for v in distinct)
+        assert with_universal > 40
+
+    def test_universal_vertices_keep_the_budget(self, monkeypatch):
+        """The Mermin set beside a commuting fourth qubit keeps its 15 cliques and its refusal."""
+        observables = [parse_pauli(op.body() + "I") for op in mermin_observables()]
+        observables += ops("IIIZ", "IIII")
+        neighbours = commutation_graph(observables)
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 15)
+        cliques = _maximal_cliques(neighbours)
+        assert len(cliques) == 15
+        assert all(clique >> 10 == 0b11 for clique in cliques)
+        monkeypatch.setattr(contexts_module, "MAX_CONTEXTS", 14)
+        with pytest.raises(ContextBudgetError, match="more than 14 maximal contexts"):
+            _maximal_cliques(neighbours)
+
+    def test_ten_thousand_commuting_z_strings(self, tmp_path):
+        """10,000 pairwise commuting 60-qubit Z-type Paulis: one context, found at once."""
+        rng = np.random.default_rng(159)
+        vectors = {int(v) for v in rng.integers(1, 1 << 60, size=12_000)}
+        texts = [format(v, "060b").translate(str.maketrans("01", "IZ")) for v in vectors]
+        obs = tmp_path / "z60.txt"
+        obs.write_text("\n".join(texts[:10_000]) + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", "from contextua.cli import main; main()",
+             "analyze", "--obs", str(obs)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        assert "verdict: noncontextual" in result.stdout
+        assert "observables (10000):" in result.stdout
+        assert "  1) " in result.stdout and "  2) " not in result.stdout
+        assert elapsed < 5, elapsed
+
+
 class TestCliqueSearchOnPaulis:
     def test_relabelled_four_qubit_subsets_match_networkx(self):
         """Commutation graphs of the benchmark's shapes: 20 to 84 of the 255 Paulis."""

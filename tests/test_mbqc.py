@@ -4,8 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextua import gf2, mbqc
+from contextua import report as report_module
+from contextua.contexts import close_context
 from contextua.fixtures import anders_browne_instance, z_product_instance
 from contextua.mbqc import (
     IndeterminateInputsError,
@@ -22,6 +26,13 @@ from contextua.mbqc import (
     validate_instance,
 )
 from contextua.pauli import format_pauli, parse_pauli
+from contextua.presheaf import (
+    GlobalSection,
+    StateConstraint,
+    build_global_problem,
+    solve_global,
+)
+from contextua.stabilizer import member_sign
 
 from conftest import (
     LETTERS,
@@ -622,16 +633,35 @@ class TestOnePass:
                     monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_report_evaluates_each_setting_once(self, monkeypatch):
-        inst = ghz_rank_one_instance()
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_report_looks_up_a_basis_of_settings(self, monkeypatch, rank):
+        """member_sign runs r + 1 times and joint_observable not at all.
+
+        Setting 0 and the r pivot columns are looked up; the other 2^r - r - 1
+        settings' members are products. Each input's joint_observable, called
+        afterwards, gives exactly the report's local context of its setting.
+        """
+        if rank == 1:
+            inst = ghz_rank_one_instance()
+        else:
+            inst = validate_instance(ghz_raw(np.random.default_rng(411), 6, 6, 3))
         calls = self.count_calls(
             monkeypatch, "joint_observable", "close_context", "member_sign"
         )
         report = contextuality_report(inst)
         assert len(report.truth_table.outputs) == 64
+        assert len(report.contexts) == (1 << rank) + 1
         # Local contexts are written down with their relation; the special
         # context is closed by _close, close_context staying its oracle.
-        assert calls == {"joint_observable": 2, "close_context": 0, "member_sign": 2}
+        assert calls == {"joint_observable": 0, "close_context": 0, "member_sign": rank + 1}
+        reached, _ = mbqc._reached(inst)
+        position = {q: k for k, q in enumerate(reached)}
+        for index in range(64):
+            bits = gf2.input_vector(index, 6)
+            _, context = joint_observable(inst, bits)
+            expected = report.contexts[position[mbqc._setting_of(inst, bits)]]
+            assert context_fields(context) == context_fields(expected)
+            assert context.names == expected.names
 
     def test_table_and_run_build_no_context(self, monkeypatch):
         inst = ghz_rank_one_instance()
@@ -640,3 +670,135 @@ class TestOnePass:
         for index, expected in enumerate(table.outputs):
             assert run(inst, gf2.input_vector(index, 6)) == expected
         assert calls == {"close_context": 0}
+
+
+def per_setting_report(inst):
+    """contextuality_report evaluated setting by setting, as an oracle for the basis.
+
+    Inputs are walked in binary order; each setting met for the first time
+    gets joint_observable and member_sign at that input. The special context
+    is close_context of the canonical joints. Returns the settings in
+    first-reached order and the report, or raises IndeterminateInputsError
+    naming every input whose setting has no member.
+    """
+    m = inst.input_bits
+    inputs, first = [], {}
+    for index in range(1 << m):
+        q = 0
+        for column, bit in zip(inst.columns, gf2.input_vector(index, m)):
+            q ^= column * bit
+        inputs.append(q)
+        first.setdefault(q, index)
+    outputs, contexts, pin_bits = {}, [], {}
+    for q, index in first.items():
+        joint, context = joint_observable(inst, gf2.input_vector(index, m))
+        outputs[q] = member_sign(inst.resource, joint)
+        contexts.append(context)
+        if outputs[q] is not None:
+            pin_bits[joint.canonical()] = outputs[q] ^ joint.sign_bit
+    if None in outputs.values():
+        raise IndeterminateInputsError(tuple(
+            gf2.input_vector(index, m) for index, q in enumerate(inputs) if outputs[q] is None
+        ))
+    table = mbqc.TruthTable(m, tuple(outputs[q] for q in inputs))
+    special = close_context(list(pin_bits), width=inst.parties)
+    contexts.append(special)
+    pins = tuple(StateConstraint(op, pin_bits[op]) for op in special.members)
+    problem = build_global_problem(contexts, pins)
+    outcome = solve_global(problem)
+    affine = gf2.fit_affine(table.outputs)
+    return list(first), mbqc.ContextualityReport(
+        global_section=outcome,
+        truth_table=table,
+        affine=affine,
+        theorem_consistent=not (isinstance(outcome, GlobalSection) and affine is None),
+        contexts=tuple(contexts),
+        pins=pins,
+        problem=problem,
+    )
+
+
+def rendered(report):
+    analysis = report_module.build_analysis(
+        report.contexts, report.problem, report.global_section, report.pins,
+        mbqc=report_module.mbqc_block(report),
+    )
+    document = report_module.Report(version="0", input_sha256="0", analyses={"mbqc": analysis})
+    return report_module.render_json(document)
+
+
+class TestSettingBasis:
+    """The basis doubling gives what evaluating every setting gives, byte for byte."""
+
+    @staticmethod
+    def assert_matches_per_setting(inst):
+        try:
+            reached, expected = per_setting_report(inst)
+        except IndeterminateInputsError as error:
+            for evaluate in (truth_table, contextuality_report):
+                with pytest.raises(IndeterminateInputsError) as excinfo:
+                    evaluate(inst)
+                assert str(excinfo.value) == str(error)
+                assert excinfo.value.inputs == error.inputs
+            return
+        assert mbqc._reached(inst)[0] == reached
+        report = contextuality_report(inst)
+        assert report.truth_table == expected.truth_table == truth_table(inst)
+        assert [c.names for c in report.contexts] == [c.names for c in expected.contexts]
+        assert [context_fields(c) for c in report.contexts] == [
+            context_fields(c) for c in expected.contexts
+        ]
+        assert rendered(report) == rendered(expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_valid_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_per_setting(
+            validate_instance(random_valid_raw(rng, max_parties=6, max_input_bits=10))
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        parties=st.integers(2, 9),
+        inputs=st.integers(0, 10),
+        rank_share=st.floats(0, 1),
+    )
+    def test_ghz_instances(self, seed, parties, inputs, rank_share):
+        inner_rank = round(rank_share * min(parties - 1, inputs))
+        rng = np.random.default_rng(seed)
+        self.assert_matches_per_setting(
+            validate_instance(ghz_raw(rng, parties, inputs, inner_rank))
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unconstrained_instances(self, seed):
+        """Random letters and resources leave many instances indeterminate."""
+        self.assert_matches_per_setting(random_raw_instance(np.random.default_rng(seed)))
+
+    def test_indeterminate_pivot_names_the_same_inputs(self):
+        """Setting 0 and the first pivot have members, the second pivot none.
+
+        Party 0 measures X at setting 1, which the Z-stabilized qubit leaves
+        open; the error names every input whose setting sets party 0's bit.
+        """
+        inst = validate_instance(
+            {
+                "parties": 3,
+                "input_bits": 4,
+                "Q": [[0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 0, 0]],
+                "observables": [["Z", "Z", "X"], ["X", "-Z", "X"]],
+                "resource": ["+ZII", "+IZI", "+IIX"],
+            }
+        )
+        message = (
+            "output is indeterminate for inputs: "
+            "0010, 0011, 0100, 0101, 1010, 1011, 1100, 1101"
+        )
+        for evaluate in (truth_table, contextuality_report):
+            with pytest.raises(IndeterminateInputsError) as excinfo:
+                evaluate(inst)
+            assert str(excinfo.value) == message
+        self.assert_matches_per_setting(inst)

@@ -41,13 +41,11 @@ def test_tracer_sees_every_layer_it_reports():
     assert mermin.exit_code == 0, mermin.output
     for report in reports:
         assert report.exit_code == 0, report.output
-    for name in (
-        "gf2.rref",
-        "contexts.close_context",
-        "stabilizer.member_sign",
-        "mbqc.joint_observable",
-    ):
+    for name in ("gf2.rref", "contexts.close_context"):
         assert tracer.calls[name] > 0, name
+    # mermin signs its four GHZ pins; each report looks up setting 0 and one
+    # member per pivot column of Q: rank 2 for the OR gate, rank 1 for z_product.
+    assert tracer.calls["stabilizer.member_sign"] == 4 + 3 + 2
     for size in (
         "gf2.rref.cells",
         "presheaf.rows",
