@@ -2,13 +2,14 @@
 
 Exit codes: 0 for any completed analysis (a contextual verdict is a result,
 not a failure), 2 for unreadable or malformed input, 3 when a requested
-output is indeterminate.
+output is indeterminate; either failure writes one short error line.
 """
 from __future__ import annotations
 
 import sys
 from operator import add
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -23,6 +24,7 @@ from .report import TOOL_VERSION, Report
 
 _EXIT_INPUT_ERROR = 2
 _EXIT_INDETERMINATE = 3
+_MAX_MESSAGE = 200
 
 
 def _echo(message: str, *, err: bool = False, nl: bool = True) -> None:
@@ -43,9 +45,16 @@ def _emit(report: Report, fmt: str) -> None:
         _echo(report_mod.render_text(report), nl=False)
 
 
-def _input_error(message: str) -> None:
+def _fail(message: str, code: int) -> NoReturn:
+    """Write message to stderr as one error line and exit with code.
+
+    A message over _MAX_MESSAGE characters keeps its first _MAX_MESSAGE and
+    a count of the rest, so quoting a huge input line writes a short one.
+    """
+    if len(message) > _MAX_MESSAGE:
+        message = f"{message[:_MAX_MESSAGE]}… ({len(message) - _MAX_MESSAGE} more characters)"
     _echo(f"error: {message}", err=True)
-    sys.exit(_EXIT_INPUT_ERROR)
+    sys.exit(code)
 
 
 @click.group()
@@ -129,8 +138,7 @@ def cmd_analyze(
         # Unknown pins are refused before the solver reads any row.
         problem, outcome = decide_global(contexts, pins)
     except ValueError as exc:
-        _input_error(str(exc))
-        return
+        _fail(str(exc), _EXIT_INPUT_ERROR)
     analysis = report_mod.build_analysis(contexts, problem, outcome, pins)
     _emit(
         Report(version=TOOL_VERSION, input_sha256=digest, analyses={"analysis": analysis}),
@@ -170,8 +178,7 @@ def cmd_mbqc(ctx: click.Context, instance_path: Path) -> None:
     try:
         instance = io.load_instance(data)
     except ValueError as exc:
-        _input_error(str(exc))
-        return
+        _fail(str(exc), _EXIT_INPUT_ERROR)
     ctx.obj["instance"] = instance
     ctx.obj["digest"] = io.sha256_digest(data)
 
@@ -184,8 +191,9 @@ def mbqc_run(ctx: click.Context, bits_text: str, fmt: str) -> None:
     """Compute the output for one input."""
     instance = ctx.obj["instance"]
     if len(bits_text) != instance.input_bits or set(bits_text) - {"0", "1"}:
-        _input_error(
-            f"input must be {instance.input_bits} bits of 0/1, got {bits_text!r}"
+        _fail(
+            f"input must be {instance.input_bits} bits of 0/1, got {bits_text!r}",
+            _EXIT_INPUT_ERROR,
         )
     output = run_instance(instance, [int(c) for c in bits_text])
     if fmt == "json":
@@ -211,8 +219,7 @@ def mbqc_table(ctx: click.Context, fmt: str) -> None:
     try:
         table = truth_table(instance)
     except IndeterminateInputsError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(_EXIT_INDETERMINATE)
+        _fail(str(exc), _EXIT_INDETERMINATE)
     if fmt == "json":
         payload = {
             "tool": "contextua",
@@ -235,8 +242,7 @@ def mbqc_report(ctx: click.Context, fmt: str) -> None:
     try:
         result = contextuality_report(instance)
     except IndeterminateInputsError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(_EXIT_INDETERMINATE)
+        _fail(str(exc), _EXIT_INDETERMINATE)
     analysis = report_mod.build_analysis(
         result.contexts,
         result.problem,

@@ -15,8 +15,8 @@ the names of the kept vectors that sum to it; so a dependent vector yields
 its fundamental circuit directly, in the caller's numbering. Greedy bases
 and fundamental circuits do not depend on the pivot rule. One back
 substitution turns the table into reduced row-echelon form; only
-:func:`rref` and a nullspace read it. :func:`rref` (row r is bit cols + r)
-and :func:`solve_rows` run on it; closing contexts and stabilizer groups
+:func:`rref` reads it. :func:`rref` (row r is bit cols + r) and
+:func:`solve_rows` run on it; closing contexts and stabilizer groups
 runs on the signed pivot table of ``pauli.reduce_signed``, under the same
 rule. Only :func:`solve_rows` names kept row j by bit j: a bit per row
 index would make every combination as wide as the rows streamed so far.
@@ -29,12 +29,11 @@ its last variable and a remainder of exactly 1 is 0 = 1; the loop stops
 there and reads no further row. With those pivots each kept row holds its
 pivot and lower variables only, so one forward substitution, in ascending
 pivot order, gives the solution whose free variables are zero, which is
-the binary-lowest one.
+the binary-lowest one, with no back substitution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 
@@ -149,8 +148,8 @@ def rref(matrix: BitMatrix) -> RrefResult:
     :class:`Basis`, and no other pivot row holds that column. Reduced row r
     is the sum of the input rows that the transform bits of rows[r] select,
     and the transform is invertible. Rows at index >= rank of the reduced
-    matrix are zero, and their transform bits form a basis of the left
-    nullspace of the input. Input row r is named by bit cols + r, so each
+    matrix are zero, and their transform bits form a basis of the sets of
+    input rows that sum to zero. Input row r is named by bit cols + r, so each
     combination the basis returns is a transform row.
     """
     cols = matrix.cols
@@ -219,35 +218,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Gf2Solution:
-    """The binary-lowest solution of a consistent system and its solution space.
+    """The binary-lowest solution of a consistent system and its space's dimension.
 
-    Bit c of the assignment and of each nullspace row is variable c. The
-    dimension of the solution space is the number of variables minus the
-    rank. The nullspace, a basis of the homogeneous solutions, is built from
-    the solver's kept rows when first read and kept; neither the kept rows
-    nor the nullspace take part in equality or repr.
+    Bit c of the assignment is variable c. The dimension of the solution
+    space is the number of variables minus the rank.
     """
 
     assignment: int
     dimension: int
-    _basis: Basis = field(compare=False, repr=False)
-
-    @cached_property
-    def nullspace(self) -> tuple[int, ...]:
-        """A basis of the homogeneous solutions, by one back substitution.
-
-        Row i sets the i-th free variable, in variable order, and the pivot
-        variables that match it; its lowest set bit is that free variable.
-        """
-        # The kept rows hold variable c at bit c + 1, as solve_rows streams them.
-        reduced = self._basis.reduced_rows()
-        pivots = {pivot - 1 for pivot, _, _ in reduced}
-        cols = self.dimension + len(pivots)
-        nullspace = {c: 1 << c for c in range(cols) if c not in pivots}
-        for pivot, row, _ in reduced:
-            for c in set_bits(row >> 1 ^ 1 << pivot - 1):
-                nullspace[c] |= 1 << pivot - 1
-        return tuple(nullspace.values())
 
 
 def solve(system: Gf2System) -> Gf2Solution | Certificate:
@@ -297,7 +275,7 @@ def solve_rows(rows: Iterable[tuple[int, int]], cols: int) -> Gf2Solution | Cert
     for length in sorted(table):
         row = table[length][0]
         assignment |= ((row ^ (row & assignment).bit_count()) & 1) << length - 1
-    return Gf2Solution(assignment=assignment >> 1, dimension=cols - len(kept), _basis=basis)
+    return Gf2Solution(assignment=assignment >> 1, dimension=cols - len(kept))
 
 
 def verify_certificate(system: Gf2System, certificate: Certificate) -> bool:

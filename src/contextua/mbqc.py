@@ -329,26 +329,20 @@ def _reached(inst: MBQCInstance) -> tuple[list[int], list[tuple[int, int, int]]]
     """Each reached setting in first-reached order, with its signed resource member.
 
     A setting's member is the group element (x, z, phase) with its joint's
-    letters. Pivots are the columns of Q, from the last input bit, that are
-    independent of those before; setting 0 and each pivot c take one
-    member_sign lookup, r + 1 in all. The joints' letters are affine in q
-    and the group is abelian, Hermitian and free of -I, so M(q) M(c) M(0) is
-    the member of q ^ c: one signed product of int triples. Doubling over
-    the pivots counts in binary, the first pivot lowest, which is the order
-    of binary input enumeration: a non-pivot column is a sum of pivots at
-    lower input bits, so the first input to reach a setting sets pivots
-    alone. When a lookup finds no member, every setting is looked up, so
-    that IndeterminateInputsError names each undetermined input in order.
+    letters. Pivots are the columns of Q, from the last input bit, that one
+    :class:`~contextua.gf2.Basis` keeps: those independent of the ones
+    before. Setting 0 and each pivot c take one member_sign lookup, r + 1
+    in all. The joints' letters are affine in q and the group is abelian,
+    Hermitian and free of -I, so M(q) M(c) M(0) is the member of q ^ c:
+    one signed product of int triples. Doubling over the pivots counts in
+    binary, the first pivot lowest, which is the order of binary input
+    enumeration: a non-pivot column is a sum of pivots at lower input bits,
+    so the first input to reach a setting sets pivots alone. When a lookup
+    finds no member, every setting is looked up, so that
+    IndeterminateInputsError names each undetermined input in order.
     """
-    pivots: list[int] = []
-    table: dict[int, int] = {}  # a reduced pivot column by its top bit
-    for column in reversed(inst.columns):
-        vector = column
-        while vector and (row := table.get(vector.bit_length())) is not None:
-            vector ^= row
-        if vector:
-            table[vector.bit_length()] = vector
-            pivots.append(column)
+    basis = gf2.Basis()
+    pivots = [column for column in reversed(inst.columns) if basis.add(column, 0)[0]]
     base = []
     for q in (0, *pivots):
         joint = _joint(inst, q)

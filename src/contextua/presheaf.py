@@ -276,9 +276,8 @@ def decide_global(
     inconsistent row, so no later row is built and no later context closed.
     Returns the system of every label and the rows read (all of them when a
     section exists) with the outcome :func:`solve_global` gives on the
-    whole system. The section is the solver's assignment as it stands: its
-    forward substitution already gives the binary-lowest one, so no
-    nullspace is built.
+    whole system: the solver's assignment, whose forward substitution
+    gives the binary-lowest section.
     """
     stream = _GlobalRows(contexts, constraints)
     outcome = gf2.solve_rows(stream, len(stream.labels))
@@ -288,39 +287,17 @@ def decide_global(
     return problem, _section(problem, outcome.assignment, outcome.dimension)
 
 
-def _lowest_solution(solution: gf2.Gf2Solution, num_vars: int) -> int:
-    """Binary-lowest assignment in the solution's affine space (MSB = var 0).
-
-    Each reduced nullspace row is XORed in when the assignment holds its
-    lowest set bit. This flips no bit, under any pivot rule of ``gf2.rref``:
-    ``gf2.solve`` returns nullspace rows whose lowest set bits are distinct
-    free variables that no other row holds, so every nonzero vector of their
-    span has a free variable as its lowest set bit, and the assignment is 0
-    at every free variable. So ``gf2.solve`` already returns the
-    binary-lowest assignment, and :func:`decide_global` reads it directly.
-    This function now runs only under :func:`solve_global`, as the caller
-    of ``gf2.rref`` that the benchmark's tracer binds, until that span is
-    renamed and both go.
-    """
-    assignment = solution.assignment
-    if not solution.nullspace:
-        return assignment
-    for row in gf2.rref(gf2.BitMatrix(solution.nullspace, num_vars)).reduced.rows:
-        if assignment & row & -row:
-            assignment ^= row
-    return assignment
-
-
 def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
-    """Decide the global-section problem.
+    """Decide a global-section problem built whole, as :func:`decide_global` does.
 
-    Returns the binary-lowest satisfying assignment as a GlobalSection, or
-    the inconsistency Certificate naming the contradicting rows.
+    Returns the binary-lowest satisfying assignment, which the solver's one
+    forward substitution gives, as a GlobalSection, or the inconsistency
+    Certificate naming the contradicting rows.
     """
     outcome = gf2.solve(problem)
     if isinstance(outcome, gf2.Certificate):
         return outcome
-    return _section(problem, _lowest_solution(outcome, problem.num_vars), outcome.dimension)
+    return _section(problem, outcome.assignment, outcome.dimension)
 
 
 def _section(problem: gf2.Gf2System, assignment: int, dimension: int) -> GlobalSection:

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from contextua import fixtures, io
+from contextua import cli, fixtures, io
 from contextua.cli import main
 from contextua.gf2 import AffineForm
 from contextua.io import sha256_digest
+from contextua.mbqc import IndeterminateInputsError, contextuality_report
 from contextua.pauli import PauliOperator
 from contextua.report import Analysis, MbqcBlock, Report, parse_json, render_text
 
@@ -595,6 +596,67 @@ class TestBadInvocations:
         assert result.stdout == ""
         assert result.stderr == "error: invalid JSON: nested too deeply\n"
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("case", ["obs-line", "pin-line", "instance-observable",
+                                      "indeterminate-listing"])
+    def test_long_error_lines_are_cut(self, tmp_path, case):
+        """An error quoting a huge input line, or listing 32,768 inputs, exits with
+        its first 200 characters and a count of the rest, in a fresh process."""
+        if case == "obs-line":
+            text = "X" * 50_000 + "Q" + "X" * 50_000 + "\n"
+            args, code = ["analyze", "--obs", write(tmp_path, "long.txt", text)], 2
+            prefix = "line 1: not a signed Pauli string: 'XXX"
+            with pytest.raises(io.FileFormatError) as caught:
+                io.parse_observable_file(text)
+        elif case == "pin-line":
+            text = "pin " + "X" * 50_000 + "Q +1\n"
+            obs = write(tmp_path, "obs.txt", "XX\n")
+            args, code = ["analyze", "--obs", obs, "--pin", write(tmp_path, "pin.txt", text)], 2
+            prefix = "line 1: not a signed Pauli string: 'XXX"
+            with pytest.raises(io.FileFormatError) as caught:
+                io.parse_pin_file(text)
+        elif case == "instance-observable":
+            raw = fixtures.anders_browne_raw()
+            raw["observables"][0][0] = "Z" * 30_000
+            inst = write_instance(tmp_path, raw)
+            args, code = ["mbqc", "--instance", inst, "report"], 2
+            prefix = "observable 'ZZZ"
+            with pytest.raises(ValueError) as caught:
+                io.load_instance(Path(inst))
+        else:
+            raw = {"parties": 1, "input_bits": 16, "Q": [[1] + [0] * 15],
+                   "observables": [["Z"], ["X"]], "resource": ["+Z"]}
+            inst = write_instance(tmp_path, raw)
+            args, code = ["mbqc", "--instance", inst, "report"], 3
+            prefix = "output is indeterminate for inputs: 1000000000000000, 1000000000000001, "
+            with pytest.raises(IndeterminateInputsError) as caught:
+                contextuality_report(io.load_instance(Path(inst)))
+            # The library keeps every input and the whole listing.
+            assert len(caught.value.inputs) == 1 << 15
+            assert len(str(caught.value)) > 500_000
+        message = str(caught.value)
+        assert message.startswith(prefix)
+        result = subprocess.run(
+            [sys.executable, "-c", "from contextua.cli import main; main()", *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            timeout=60,
+        )
+        assert result.returncode == code
+        assert result.stdout == b""
+        assert len(result.stderr) < 300
+        expected = f"error: {message[:200]}… ({len(message) - 200} more characters)\n"
+        assert result.stderr.decode("utf-8") == expected
+        assert b"Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("length", [199, 200, 201])
+    def test_error_line_cut_after_200_characters(self, capsys, length):
+        with pytest.raises(SystemExit) as caught:
+            cli._fail("e" * length, 2)
+        assert caught.value.code == 2
+        kept = "e" * min(length, 200)
+        rest = "… (1 more characters)" if length > 200 else ""
+        assert capsys.readouterr().err == f"error: {kept}{rest}\n"
 
     def test_instance_json_at_the_depth_limit(self, runner, tmp_path):
         """An extra key nested exactly MAX_JSON_DEPTH deep, object included, is read."""

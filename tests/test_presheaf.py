@@ -21,7 +21,6 @@ from contextua.presheaf import (
     StateConstraint,
     UnknownConstrainedObservableError,
     Valuation,
-    _lowest_solution,
     build_global_problem,
     decide_global,
     restrict,
@@ -579,7 +578,7 @@ class TestSolveGlobal:
         assert outcome.value_of(parse_pauli("-X")) == 1
 
     def test_solve_already_gives_the_lowest_solution(self):
-        """_lowest_solution flips no bit of gf2.solve's assignment."""
+        """solve_global's section is the brute-force oracle's: lowest values, same dimension."""
         rng = np.random.default_rng(203)
         consistent = 0
         for _ in range(80):
@@ -599,10 +598,10 @@ class TestSolveGlobal:
                 if rng.integers(0, 2)
             ]
             problem = build_global_problem(contexts, pins)
-            outcome = gf2.solve(problem)
-            if isinstance(outcome, gf2.Gf2Solution):
+            outcome = solve_global(problem)
+            if isinstance(outcome, GlobalSection):
                 consistent += 1
-                assert _lowest_solution(outcome, problem.num_vars) == outcome.assignment
+                assert outcome == brute_force_global(problem)
         assert consistent > 20
 
 
