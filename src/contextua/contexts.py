@@ -645,13 +645,3 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
         contexts.append(ContextGroup(None, width, None, 0, rank, tuple(names), seen))
     return contexts
 
-
-def _close(members: Sequence[PauliOperator], width: int) -> ContextGroup:
-    """The context of unchecked distinct canonical members, sorted by body, closed at once.
-
-    An identity member, which can only come first, is dropped.
-    """
-    if members and members[0].is_identity_class:
-        members = members[1:]
-    rows, signs, _ = _insert(members)
-    return ContextGroup(tuple(members), width, rows, signs)

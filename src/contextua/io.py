@@ -145,7 +145,7 @@ def load_instance(source: str | Path | bytes) -> MBQCInstance:
     text = data.decode("utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past the digit limit
         raise FileFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError("invalid JSON: nested too deeply") from exc

@@ -30,7 +30,7 @@ from operator import xor
 from typing import Sequence
 
 from . import gf2
-from .contexts import ContextGroup, _close, close_context
+from .contexts import ContextGroup, close_context
 from .pauli import PauliBasis, PauliOperator, PauliParseError, _unchecked, parse_pauli
 from .presheaf import (
     GlobalSection,
@@ -210,14 +210,11 @@ def validate_instance(raw: dict) -> MBQCInstance:
         raise ShapeMismatchError(
             f"setting matrix must be {parties} rows of {input_bits} bits"
         )
-    columns = []
-    for column in zip(*q_rows):  # a set test passes int 0s and 1s, a scan names the rest
-        if not (set(map(type, column)) <= {int} and set(column) <= {0, 1}):
-            for row in q_rows:
-                for entry in row:
-                    if not _is_int(entry) or entry not in (0, 1):
-                        raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
-        columns.append(int("".join(map("01".__getitem__, reversed(column))), 2))
+    for row in q_rows:
+        for entry in row:
+            if not _is_int(entry) or entry not in (0, 1):
+                raise MalformedFieldError(f"Q entries must be 0 or 1, got {entry!r}")
+    columns = [int("".join(map("01".__getitem__, reversed(column))), 2) for column in zip(*q_rows)]
     if not isinstance(observable_lists, list) or not all(
         isinstance(lst, list) for lst in observable_lists
     ):
@@ -386,7 +383,9 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
 
     The contexts are one per reachable setting vector, in first-reached
     order over binary input enumeration, then the special context: the
-    closure of the reachable joint observables, each pinned to its output.
+    closure of the reachable joint observables, each canonical joint pinned
+    to its sign in the resource group. The special context is closed by
+    :func:`~contextua.contexts.close_context`, as any given context is.
     Every joint must lie in the resource group up to sign; otherwise the
     instance has indeterminate outputs, no state-pinned analysis is
     meaningful, and IndeterminateInputsError names the inputs.
@@ -402,8 +401,7 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
         pin_bits[canonical] = (phase - (x & z).bit_count()) >> 1 & 1
         contexts.append(context)
     table = _table(inst, outputs)
-    # Every joint is a group member up to sign, so they commute and no canonical one is -I.
-    special = _close(sorted(pin_bits, key=PauliOperator.body), inst.parties)
+    special = close_context(pin_bits, width=inst.parties)
     contexts.append(special)
     pins = tuple(
         StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members

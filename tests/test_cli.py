@@ -574,6 +574,18 @@ class TestBadInvocations:
         result = runner.invoke(main, ["mbqc", "--instance", inst, "table"])
         assert result.exit_code == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_instance_number_past_the_digit_limit(self, runner, tmp_path):
+        """json.loads raises a plain ValueError past the integer-digit limit."""
+        valid = json.dumps(fixtures.anders_browne_raw())
+        inst = write(tmp_path, "long.json", valid[:-1] + ', "extra": ' + "9" * 5000 + "}")
+        result = runner.invoke(main, ["mbqc", "--instance", inst, "report"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: invalid JSON:")
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("shape", ["bare-array", "extra-key"])
     def test_deeply_nested_instance_json(self, tmp_path, shape):
         """Nesting past the parser's recursion limit, or past MAX_JSON_DEPTH on an

@@ -586,6 +586,8 @@ class TestOnePass:
             # Every setting has exactly one non-identity local.
             (3, [[1], [0], [1]], [["I", "-I", "Z"], ["X", "I", "I"]],
              ["+IIZ", "+XII", "+IZI"]),
+            # Setting 0's joint is -II: the special context skips it, pinning only XX.
+            (2, [[1], [1]], [["I", "-I"], ["X", "X"]], ["+XX", "+ZZ"]),
         ],
     )
     def test_edge_locals_match_the_reference(self, parties, q, observables, resource):
@@ -597,6 +599,17 @@ class TestOnePass:
             "resource": resource,
         }
         self.assert_matches_reference(validate_instance(raw))
+
+    def test_identity_joint_is_not_pinned(self):
+        """Setting 0's joint -II is in no context and carries no pin; XX = +1 is the one pin."""
+        inst = validate_instance({
+            "parties": 2, "input_bits": 1, "Q": [[1], [1]],
+            "observables": [["I", "-I"], ["X", "X"]], "resource": ["+XX", "+ZZ"],
+        })
+        report = contextuality_report(inst)
+        assert report.truth_table.outputs == (1, 0)
+        assert [c.names for c in report.contexts] == [(), ("IX", "XI", "XX"), ("XX",)]
+        assert [(pin.observable.body(), pin.value_bit) for pin in report.pins] == [("XX", 0)]
 
     def test_ghz_tables_have_degree_at_most_two(self):
         """Pauli measurements on a stabilizer state compute at most quadratic functions.
@@ -652,8 +665,8 @@ class TestOnePass:
         assert len(report.truth_table.outputs) == 64
         assert len(report.contexts) == (1 << rank) + 1
         # Local contexts are written down with their relation; the special
-        # context is closed by _close, close_context staying its oracle.
-        assert calls == {"joint_observable": 0, "close_context": 0, "member_sign": rank + 1}
+        # context is closed by close_context, as any given context is.
+        assert calls == {"joint_observable": 0, "close_context": 1, "member_sign": rank + 1}
         reached, _ = mbqc._reached(inst)
         position = {q: k for k, q in enumerate(reached)}
         for index in range(64):

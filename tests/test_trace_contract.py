@@ -45,7 +45,8 @@ def test_tracer_sees_every_layer_it_reports():
         assert report.exit_code == 0, report.output
     assert tracer.calls["gf2.rref"] == 1
     assert tracer.sizes["gf2.rref.cells"] == 4 * 4
-    assert tracer.calls["contexts.close_context"] > 0
+    # mermin closes its five blocks; each report closes its special context.
+    assert tracer.calls["contexts.close_context"] == 5 + 1 + 1
     # mermin signs its four GHZ pins; each report looks up setting 0 and one
     # member per pivot column of Q: rank 2 for the OR gate, rank 1 for z_product.
     assert tracer.calls["stabilizer.member_sign"] == 4 + 3 + 2
