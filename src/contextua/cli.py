@@ -2,7 +2,10 @@
 
 Exit codes: 0 for any completed analysis (a contextual verdict is a result,
 not a failure), 2 for unreadable or malformed input, 3 when a requested
-output is indeterminate; either failure writes one short error line.
+output is indeterminate. Exit 2, and exit 3 from ``mbqc table`` and
+``mbqc report``, write one short error line on stderr. ``mbqc run`` prints
+an indeterminate output on stdout, as ``indeterminate`` (text) or
+``"output": null`` (JSON), writes nothing on stderr and exits 3.
 """
 from __future__ import annotations
 

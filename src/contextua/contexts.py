@@ -92,48 +92,38 @@ class ContextGroup:
     identity. Their :class:`~contextua.pauli.PauliBasis`, which answers
     membership, is built on the first query and kept.
 
-    Construct through :func:`close_context` or :func:`maximal_contexts`;
-    the constructor assumes its arguments are validated and canonical. A
-    context has one of two shapes. A closed context is given its members
-    and its relations and signs, and its rank is read off them; names not
-    given are made from the members at construction. A deferred context,
-    as :func:`maximal_contexts` gives it, is given its names, its rank and
-    a lookup from each name to its member operator: its members are looked
-    up on their first read, and closed by :func:`_insert` on the first read
-    of ``relations`` or ``signs``, once, so a context whose relations
-    nobody reads never builds its member tuple. Independent members, as
-    many as the rank, need no closing and have no relations. Names given
-    with neither members nor a lookup raise ValueError.
+    Construct through :func:`close_context` or :func:`maximal_contexts`. A
+    context has one of two shapes. A closed context is
+    ``ContextGroup(members, width, relations, signs)``: the constructor
+    assumes its arguments are validated and canonical, reads the rank off
+    them and makes the names from the members unless they are given. A
+    deferred context, as :func:`maximal_contexts` gives it, is made by
+    :func:`_deferred` from its names, its rank and a lookup from each name
+    to its member operator: its members are looked up on their first read,
+    and closed by :func:`_insert` on the first read of ``relations`` or
+    ``signs``, once, so a context whose relations nobody reads never builds
+    its member tuple. Independent members, as many as the rank, need no
+    closing and have no relations.
     """
 
     __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs", "_basis")
 
     def __init__(
         self,
-        members: tuple[PauliOperator, ...] | None,
+        members: tuple[PauliOperator, ...],
         width: int,
-        relations: tuple[int, ...] | None = None,
+        relations: tuple[int, ...],
         signs: int = 0,
-        rank: int | None = None,
         names: tuple[str, ...] | None = None,
-        lookup: Mapping[str, PauliOperator] | None = None,
     ) -> None:
-        if names is None:
-            if members is None:
-                raise ValueError("a context needs its members or its names")
-            names = tuple([op.body() for op in members])
-        elif members is None and lookup is None:
-            raise ValueError("a deferred context needs the lookup of its members")
         self._members = members
-        self.names = names
-        self._lookup = lookup
+        self.names = tuple([op.body() for op in members]) if names is None else names
+        self._lookup = None
         self.width = width
         self._relations = relations
         self._signs = signs
         self._basis: PauliBasis | None = None
-        if relations is None and rank is None:
-            raise ValueError("a context needs its relations or its rank")
-        self.rank = rank if relations is None else len(names) - len(relations)
+        self.rank = len(self.names) - len(relations)
 
     @property
     def members(self) -> tuple[PauliOperator, ...]:
@@ -236,7 +226,30 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     members = [given[body] for body in names]
     rows, signs, kept = _insert(members)
     _check_commuting([members[i] for i in kept], w, list(given.values()))
-    return ContextGroup(tuple(members), w, rows, signs, None, tuple(names))
+    return ContextGroup(tuple(members), w, rows, signs, tuple(names))
+
+
+def _deferred(
+    names: tuple[str, ...], width: int, rank: int, lookup: Mapping[str, PauliOperator]
+) -> ContextGroup:
+    """A deferred context: its names, its rank and the lookup of its members, built unchecked.
+
+    The caller has found the rank and canonical members for every name, so
+    only a missing lookup or rank raises ValueError; members, relations and
+    signs wait for their first read.
+    """
+    if lookup is None or rank is None:
+        raise ValueError("a deferred context needs its rank and the lookup of its members")
+    ctx = object.__new__(ContextGroup)
+    ctx._members = None
+    ctx.names = names
+    ctx._lookup = lookup
+    ctx.width = width
+    ctx.rank = rank
+    ctx._relations = None
+    ctx._signs = 0
+    ctx._basis = None
+    return ctx
 
 
 def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[int]]:
@@ -490,8 +503,12 @@ def _lagrangian_count(width: int) -> int:
     return prod((1 << k) + 1 for k in range(1, width + 1))
 
 
-def _lagrangian_cliques(vectors: Sequence[int], width: int) -> dict[int, int]:
-    """Each maximal clique of the commutation graph, as an int bitset, with its rank.
+def _lagrangian_cliques(vectors: Sequence[int], width: int) -> list[int]:
+    """Each maximal clique of the commutation graph, as the key outside << 3 | rank.
+
+    ``outside`` is the int bitset of the vertices outside the clique and
+    ``rank`` the clique's rank. The keys ascend, so the cliques come in
+    descending order of their int bitsets.
 
     Commuting vectors span an isotropic subspace, and every isotropic
     subspace lies in a Lagrangian L, so each maximal clique is the set of
@@ -555,18 +572,14 @@ def _lagrangian_cliques(vectors: Sequence[int], width: int) -> dict[int, int]:
         for a, b, c, d, low, high in zip(*spans, lows, highs)
     )
     holding = [prod((2 << j) + 1 for j in range(width - k)) for k in range(width + 1)]
-    everyone = (1 << len(vectors)) - 1
-    cliques = {
-        everyone ^ key >> 3: key & 7
-        for key, found in counts.items()
-        if found == holding[key & 7]
-    }
-    if len(cliques) > MAX_CONTEXTS:
+    keys = [key for key, found in counts.items() if found == holding[key & 7]]
+    if len(keys) > MAX_CONTEXTS:
         raise ContextBudgetError(
             f"more than {MAX_CONTEXTS} maximal contexts; "
             "the clique search stops at that budget"
         )
-    return cliques
+    keys.sort()
+    return keys
 
 
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
@@ -585,16 +598,19 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     same cliques; only the search builds the graph, and mixed widths are
     refused before either runs. Maximal cliques form an antichain, so the
     lexicographic order of their member body strings is the descending
-    order of the clique ints. One walk per clique, from its highest bit
-    down, takes its names (member bodies, from a bodies list beside the
-    vertex table) in body order. The table path reads each clique's rank
-    off its rank table; after the search the walk also reduces each vector
-    under the highest-bit rule of :class:`~contextua.gf2.Basis` until the
-    rank reaches the width, the most that commuting members can span. Each context is deferred: it
-    keeps the map from body to canonical operator built here, shared by
-    all, and its member operators, relations and signs wait until something
-    reads them, as the global-section stream does for the contexts it
-    closes. Contexts come in lexicographic order, so runs agree.
+    order of the clique ints, and each search hands its cliques over once,
+    in that order. One walk per clique, from its highest bit down, takes
+    its names (member bodies, from a bodies list beside the vertex table)
+    in body order. The table path's keys give each clique, as the vertices
+    outside it, and its rank. After the search the walk takes the rank too:
+    it reduces each vector under the highest-bit rule of
+    :class:`~contextua.gf2.Basis` until the rank reaches the width, the
+    most that commuting members can span, and takes the rest by name
+    alone. Each context is deferred (:func:`_deferred`): it keeps the map
+    from body to canonical operator built here, shared by all, and its
+    member operators, relations and signs wait until something reads them,
+    as the global-section stream does for the contexts it closes. Contexts
+    come in lexicographic order, so runs agree.
     """
     seen: dict[str, PauliOperator] = {}
     for op in obs:
@@ -615,33 +631,36 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     identity = 0 if vectors[-1] else 1 << len(unique) - 1
     # The table costs about what the search does near 53 Lagrangians per
     # vertex: 40 to 44 members of four qubits.
-    if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 53 * len(unique):
-        ranks = _lagrangian_cliques(vectors, width)
-        cliques = list(ranks)
-    else:
-        ranks, cliques = {}, _maximal_cliques(commutation_graph(unique))
-    cliques.sort(reverse=True)
     contexts = []
-    for clique in cliques:
-        rank = ranks.get(clique)
+    if width <= _LAGRANGIAN_WIDTHS and _lagrangian_count(width) <= 53 * len(unique):
+        members = (1 << len(unique)) - 1 ^ identity  # every vertex but the identity
+        for key in _lagrangian_cliques(vectors, width):
+            clique = members ^ key >> 3
+            names = []
+            while clique:
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                names.append(bodies[v])
+            contexts.append(_deferred(tuple(names), width, key & 7, seen))
+        return contexts
+    for clique in sorted(_maximal_cliques(commutation_graph(unique)), reverse=True):
         clique ^= identity
         names = []
         pivots: dict[int, int] = {}
-        while clique:
+        while clique and len(pivots) < width:
             v = clique.bit_length() - 1
             clique ^= 1 << v
             names.append(bodies[v])
-            if rank is None and len(pivots) < width:
-                vector = vectors[v]
-                while vector:
-                    pivot = pivots.get(vector.bit_length())
-                    if pivot is None:
-                        pivots[vector.bit_length()] = vector
-                        break
-                    vector ^= pivot
-        if rank is None:
-            rank = len(pivots)
-        # No members or relations yet: each is found when first read.
-        contexts.append(ContextGroup(None, width, None, 0, rank, tuple(names), seen))
+            vector = vectors[v]
+            while vector:
+                pivot = pivots.get(vector.bit_length())
+                if pivot is None:
+                    pivots[vector.bit_length()] = vector
+                    break
+                vector ^= pivot
+        while clique:  # the rank is the width: the rest are names alone
+            v = clique.bit_length() - 1
+            clique ^= 1 << v
+            names.append(bodies[v])
+        contexts.append(_deferred(tuple(names), width, len(pivots), seen))
     return contexts
-

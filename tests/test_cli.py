@@ -19,7 +19,7 @@ from contextua.gf2 import AffineForm
 from contextua.io import sha256_digest
 from contextua.mbqc import IndeterminateInputsError, contextuality_report
 from contextua.pauli import PauliOperator
-from contextua.report import Analysis, MbqcBlock, Report, parse_json, render_text
+from contextua.report import TOOL_VERSION, Analysis, MbqcBlock, Report, parse_json, render_text
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -338,6 +338,7 @@ class TestMbqcRun:
         assert result.exit_code == 2
 
     def test_indeterminate_exit_code(self, runner, tmp_path):
+        """An indeterminate output is a result on stdout, exit 3, with nothing on stderr."""
         raw = {
             "parties": 2,
             "input_bits": 1,
@@ -350,7 +351,18 @@ class TestMbqcRun:
             main, ["mbqc", "--instance", inst, "run", "--input", "0"]
         )
         assert result.exit_code == 3
-        assert "indeterminate" in result.output
+        assert result.stdout == "indeterminate\n"
+        assert result.stderr == ""
+        result = runner.invoke(
+            main, ["mbqc", "--instance", inst, "run", "--input", "0", "--format", "json"]
+        )
+        assert result.exit_code == 3
+        assert result.stdout == (
+            f'{{\n  "tool": "contextua",\n  "version": "{TOOL_VERSION}",\n'
+            '  "input": "0",\n  "output": null\n}\n'
+        )
+        assert json.loads(result.stdout)["output"] is None
+        assert result.stderr == ""
 
 
 class TestMbqcTable:

@@ -24,6 +24,7 @@ from contextua.contexts import (
     ContextGroup,
     MinusIdentityError,
     NonCommutingGeneratorsError,
+    _deferred,
     _insert,
     _lagrangian_cliques,
     _lagrangian_elements,
@@ -420,8 +421,7 @@ class TestElimination:
         by the first read of its relations or signs; one whose members are
         independent is never passed to _insert. The solver builds members
         for exactly the contexts it closes: on the 255 four-qubit Paulis,
-        the 11 it reads before the certificate. A context needs its
-        relations or its rank.
+        the 11 it reads before the certificate.
         """
         closed = []
         original = contexts_module._insert
@@ -454,20 +454,13 @@ class TestElimination:
         assert len(read) == 11
         assert [ctx for ctx in census if ctx._members is not None] == read
         assert closed == [ctx._members for ctx in read]
-        with pytest.raises(ValueError, match="relations or its rank"):
-            ContextGroup(members=(), width=1)
 
     def test_deferred_members_are_the_input_operators(self):
-        """A context needs its members or its names; a deferred one looks its members up.
+        """A deferred context looks its members up by name.
 
-        Names without members need the lookup, refused at construction
-        without it. Canonical input operators are the very member objects,
-        read off by name, and the member tuple is built once.
+        Canonical input operators are the very member objects, read off by
+        name, and the member tuple is built once.
         """
-        with pytest.raises(ValueError, match="members or its names"):
-            ContextGroup(None, 1, rank=0)
-        with pytest.raises(ValueError, match="lookup of its members"):
-            ContextGroup(None, 1, rank=0, names=("X",))
         pool = all_paulis(3)
         given = {op.body(): op for op in pool}
         for ctx in maximal_contexts(pool):
@@ -475,6 +468,24 @@ class TestElimination:
             members = ctx.members
             assert all(op is given[name] for name, op in zip(ctx.names, members))
             assert ctx.members is members
+
+    def test_deferred_constructor_refuses_a_missing_lookup_or_rank(self):
+        """_deferred builds what its arguments say and refuses a missing lookup or rank."""
+        given = {op.body(): op for op in ops("XX", "YY", "ZZ")}
+        names = ("XX", "YY", "ZZ")
+        refusal = "^a deferred context needs its rank and the lookup of its members$"
+        with pytest.raises(ValueError, match=refusal):
+            _deferred(names, 2, 2, None)
+        with pytest.raises(ValueError, match=refusal):
+            _deferred(names, 2, None, given)
+        ctx = _deferred(names, 2, 2, given)
+        assert (ctx.names, ctx.width, ctx.rank, ctx.group_order) == (names, 2, 2, 4)
+        assert ctx._members is None and ctx._basis is None
+        closed = close_context(given.values())
+        assert (ctx.members, ctx.relations, ctx.signs) == (
+            closed.members, closed.relations, closed.signs
+        )
+        assert repr(ctx) == repr(closed) == "ContextGroup([XX, YY, ZZ])"
 
     def test_maximal_contexts_prepare_each_observable_once(self, monkeypatch):
         """At most one body build per input observable, and no copy of a canonical one."""
@@ -744,7 +755,9 @@ class TestCliqueSearch:
         """Each context's rank is the uint8 rank of its members' (x | z) rows.
 
         Pools hold the identity, repeats and both signs; the identity alone
-        gives one empty context of rank 0.
+        gives one empty context of rank 0. At widths 5 and 6 only the
+        Tomita search runs, and its walk stops reducing at the width: some
+        contexts there have more members than the width and full rank.
         """
         rng = np.random.default_rng(154)
         pools = [all_paulis(3), [identity(2), identity(2).negate()]]
@@ -754,7 +767,13 @@ class TestCliqueSearch:
             size = int(rng.integers(1, min(len(paulis), 64) + 1))
             pool = [paulis[int(i)] for i in rng.choice(len(paulis), size, replace=False)]
             pools.append(pool + [op.negate() for op in pool[:2]])
-        ranks = set()
+        for width in (5, 6):
+            paulis = [identity(width), *all_paulis(width)]
+            for _ in range(8):
+                size = int(rng.integers(1, 48 + 1))
+                pool = [paulis[int(i)] for i in rng.choice(len(paulis), size, replace=False)]
+                pools.append(pool + [op.negate() for op in pool[:2]])
+        ranks, beyond = set(), set()
         for pool in pools:
             for ctx in maximal_contexts(pool):
                 bodies = [m.body() for m in ctx.members]
@@ -764,7 +783,10 @@ class TestCliqueSearch:
                 ).reshape(len(bodies), 2 * ctx.width)
                 assert ctx.rank == (rank(rows) if len(rows) else 0)
                 ranks.add((ctx.width, ctx.rank))
-        assert {(4, 4), (3, 3), (2, 0), (2, 1)} <= ranks
+                if ctx.rank == ctx.width < len(bodies):
+                    beyond.add(ctx.width)
+        assert {(6, 6), (5, 5), (4, 4), (3, 3), (2, 0), (2, 1)} <= ranks
+        assert {5, 6} <= beyond
 
     def test_rejects_mixed_widths(self):
         with pytest.raises(ValueError):
@@ -1009,8 +1031,19 @@ def sets_by_lagrangian(obs):
 
 
 def lagrangian_search(obs):
-    """The cliques the Lagrangian path finds on obs, sorted."""
-    return sorted(_lagrangian_cliques([op.packed() for op in obs], obs[0].width))
+    """The cliques the Lagrangian path finds on obs, sorted.
+
+    Its keys, outside << 3 | rank, must ascend and carry each clique's
+    elimination rank.
+    """
+    vectors = [op.packed() for op in obs]
+    keys = _lagrangian_cliques(vectors, obs[0].width)
+    assert keys == sorted(set(keys))
+    everyone = (1 << len(obs)) - 1
+    cliques = [everyone ^ key >> 3 for key in keys]
+    for key, clique in zip(keys, cliques):
+        assert key & 7 == elimination_rank([vectors[i] for i in set_bits(clique)])
+    return sorted(cliques)
 
 
 def forced(monkeypatch, path, obs):

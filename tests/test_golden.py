@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from contextua import contexts as contexts_module
 from contextua.cli import main
 from contextua.pauli import PauliBasis, commutes, format_pauli, multiply_all
 from contextua.stabilizer import make_stabilizer
@@ -93,6 +94,8 @@ COMMANDS = {
     "analyze_identity_only": ["analyze", "--obs", str(GOLDEN / "obs_identity_only.txt")],
     "analyze_stabilizer_blocks": _BLOCKS,
     "analyze_six_qubit_blocks": _SIX_QUBIT_BLOCKS,
+    # Too few four-qubit members for the Lagrangian table: the Tomita search.
+    "analyze_four_qubit_thirty_two": ["analyze", "--obs", str(FIXTURES / "four_qubit_thirty_two.txt")],
 }
 
 
@@ -171,6 +174,12 @@ def six_qubit_blocks_texts() -> dict[str, str]:
     }
 
 
+def four_qubit_thirty_two_text() -> str:
+    """Thirty-two of the 255 four-qubit Pauli bodies, as seed 37 samples them, in sample order."""
+    sample = random.Random(37).sample(census_text(4).split(), 32)
+    return "".join(f"{body}\n" for body in sample)
+
+
 def ghz_sixteen_inputs_text() -> str:
     """The sixteen-input GHZ instance that seed 35 draws, one Q row per line."""
     raw = ghz_raw(np.random.default_rng(35), 10, 16, 4)
@@ -206,11 +215,16 @@ def test_report_matches_golden(name, fmt, tmp_path):
     assert result.stdout_bytes == golden_path(name, fmt).read_bytes()
 
 
-HASH_SEED_CASES = [("analyze_all_three_qubit", "json"), ("mbqc_report_ghz_shared_settings", "text")]
+HASH_SEED_CASES = [
+    pytest.param("analyze_all_three_qubit", "json", id="analyze_all_three_qubit"),
+    pytest.param("mbqc_report_ghz_shared_settings", "text", id="mbqc_report_ghz_shared_settings"),
+    pytest.param("analyze_four_qubit_thirty_two", "text", id="analyze_four_qubit_thirty_two-text"),
+    pytest.param("analyze_four_qubit_thirty_two", "json", id="analyze_four_qubit_thirty_two-json"),
+]
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
-@pytest.mark.parametrize("name,fmt", HASH_SEED_CASES, ids=[n for n, _ in HASH_SEED_CASES])
+@pytest.mark.parametrize("name,fmt", HASH_SEED_CASES)
 def test_report_bytes_do_not_depend_on_the_hash_seed(name, fmt, seed, tmp_path):
     """A fresh process under each PYTHONHASHSEED prints the golden bytes.
 
@@ -272,6 +286,24 @@ def test_four_qubit_sixty_report_matches_golden():
     assert result.stdout.count("(spectrum size 8)") == 8
 
 
+def test_four_qubit_thirty_two_report_comes_from_the_search(monkeypatch):
+    """Thirty-two four-qubit Paulis take the Tomita search, not the Lagrangian table.
+
+    The fixture is seed 37's draw. Its 183 maximal contexts have ranks 2,
+    3 and 4, and some of rank 4 have more members than the rank, so the
+    golden pins the names and ranks the search walk gives.
+    """
+    fixture = FIXTURES / "four_qubit_thirty_two.txt"
+    assert fixture.read_text(encoding="utf-8") == four_qubit_thirty_two_text()
+    monkeypatch.setattr(contexts_module, "_lagrangian_cliques", None)
+    result = CliRunner().invoke(main, ["analyze", "--obs", str(fixture)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == golden_path("analyze_four_qubit_thirty_two", "text").read_bytes()
+    assert "  183) " in result.stdout and "  184) " not in result.stdout
+    assert result.stdout.count("(spectrum size 4)") == 1
+    assert result.stdout.count("(spectrum size 8)") == 7
+
+
 def test_six_qubit_blocks_inputs_are_the_seeded_draw():
     """The committed six-qubit input files are exactly what seed 33 draws."""
     for name, text in six_qubit_blocks_texts().items():
@@ -305,3 +337,6 @@ if __name__ == "__main__":
     for name, text in six_qubit_blocks_texts().items():
         (GOLDEN / name).write_text(text, encoding="utf-8")
     (GOLDEN / _SIXTEEN).write_text(ghz_sixteen_inputs_text(), encoding="utf-8")
+    (FIXTURES / "four_qubit_thirty_two.txt").write_text(
+        four_qubit_thirty_two_text(), encoding="utf-8"
+    )
