@@ -150,7 +150,7 @@ def rref(matrix: BitMatrix) -> RrefResult:
     and the transform is invertible. Rows at index >= rank of the reduced
     matrix are zero, and their transform bits form a basis of the sets of
     input rows that sum to zero. Input row r is named by bit cols + r, so each
-    combination the basis returns is a transform row.
+    combination the basis returns is a transform row. No command calls it.
     """
     cols = matrix.cols
     basis = Basis()
@@ -232,7 +232,8 @@ def solve(system: Gf2System) -> Gf2Solution | Certificate:
     """Solve a labelled GF(2) system; inconsistency is a value, not an error.
 
     The system's rows, each with its right-hand-side bit, feed
-    :func:`solve_rows`.
+    :func:`solve_rows`. No command calls it but through
+    :func:`~contextua.presheaf.solve_global`, the whole-system reference.
     """
     rhs = system.rhs
     pairs = ((row, rhs >> r & 1) for r, row in enumerate(system.matrix.rows))

@@ -32,12 +32,7 @@ from typing import Sequence
 from . import gf2
 from .contexts import ContextGroup, close_context
 from .pauli import PauliBasis, PauliOperator, PauliParseError, _unchecked, parse_pauli
-from .presheaf import (
-    GlobalSection,
-    StateConstraint,
-    build_global_problem,
-    solve_global,
-)
+from .presheaf import GlobalSection, StateConstraint, decide_global
 from .stabilizer import make_stabilizer, member_sign
 
 
@@ -126,7 +121,9 @@ class ContextualityReport:
 
     theorem_consistent is False only if a global section exists while the
     table is not affine; that combination would contradict the statement
-    that noncontextual instances compute affine functions.
+    that noncontextual instances compute affine functions. problem is what
+    :func:`~contextua.presheaf.decide_global` read: every label, and the rows
+    up to the certificate's last (all of them when a section exists).
     """
 
     global_section: GlobalSection | gf2.Certificate
@@ -385,7 +382,8 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     order over binary input enumeration, then the special context: the
     closure of the reachable joint observables, each canonical joint pinned
     to its sign in the resource group. The special context is closed by
-    :func:`~contextua.contexts.close_context`, as any given context is.
+    :func:`~contextua.contexts.close_context`, as any given context is, and
+    the system is decided by :func:`~contextua.presheaf.decide_global`.
     Every joint must lie in the resource group up to sign; otherwise the
     instance has indeterminate outputs, no state-pinned analysis is
     meaningful, and IndeterminateInputsError names the inputs.
@@ -406,8 +404,7 @@ def contextuality_report(inst: MBQCInstance) -> ContextualityReport:
     pins = tuple(
         StateConstraint(observable=op, value_bit=pin_bits[op]) for op in special.members
     )
-    problem = build_global_problem(contexts, pins)
-    outcome = solve_global(problem)
+    problem, outcome = decide_global(contexts, pins)
     affine = gf2.fit_affine(table.outputs)
     return ContextualityReport(
         global_section=outcome,

@@ -21,8 +21,9 @@ pins checked, before any row is built; then each context yields its rows
 when the reader reaches it, and is closed only then. :func:`decide_global`
 lets :func:`contextua.gf2.solve_rows` read the stream and stop at the
 first inconsistent row, so a contradiction found among the first contexts
-closes no later one. :func:`build_global_problem` collects the whole
-stream into the matrix view.
+closes no later one; every command decides this way. No command calls
+:func:`build_global_problem`, which collects the whole stream into the
+matrix view, or :func:`solve_global`: they are the whole-system reference.
 """
 from __future__ import annotations
 
@@ -257,7 +258,7 @@ def build_global_problem(
     contexts, member order within each); one row per context relation, then
     one pinned row per state constraint, in the given order. It collects
     every row of the stream :func:`decide_global` reads, closing every
-    context.
+    context. No command calls it; it is the whole-system reference.
     """
     stream = _GlobalRows(contexts, constraints)
     for _ in stream:
@@ -292,7 +293,7 @@ def solve_global(problem: gf2.Gf2System) -> GlobalSection | gf2.Certificate:
 
     Returns the binary-lowest satisfying assignment, which the solver's one
     forward substitution gives, as a GlobalSection, or the inconsistency
-    Certificate naming the contradicting rows.
+    Certificate naming the contradicting rows. No command calls it.
     """
     outcome = gf2.solve(problem)
     if isinstance(outcome, gf2.Certificate):

@@ -18,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from contextua import contexts as contexts_module
+from contextua import gf2
 from contextua.cli import main
 from contextua.pauli import PauliBasis, commutes, format_pauli, multiply_all
 from contextua.stabilizer import make_stabilizer
@@ -318,18 +319,65 @@ SIXTEEN_INPUT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command,fmt", SIXTEEN_INPUT_DIGESTS)
-def test_sixteen_input_digests(command, fmt):
-    """The 65,536-input GHZ reports keep their length and sha256."""
-    result = CliRunner().invoke(main, [*_mbqc(_SIXTEEN, command, GOLDEN), "--format", fmt])
+def assert_digest(args, size, digest):
+    """The command exits 0 and prints size bytes of the given sha256."""
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    size, digest = SIXTEEN_INPUT_DIGESTS[command, fmt]
     assert len(result.stdout_bytes) == size
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
+def sixteen_input_args(command, fmt):
+    return [*_mbqc(_SIXTEEN, command, GOLDEN), "--format", fmt]
+
+
+@pytest.mark.parametrize("command,fmt", SIXTEEN_INPUT_DIGESTS)
+def test_sixteen_input_digests(command, fmt):
+    """The 65,536-input GHZ reports keep their length and sha256."""
+    assert_digest(sixteen_input_args(command, fmt), *SIXTEEN_INPUT_DIGESTS[command, fmt])
+
+
 def test_sixteen_input_instance_is_the_seeded_draw():
     assert (GOLDEN / _SIXTEEN).read_text(encoding="utf-8") == ghz_sixteen_inputs_text()
+
+
+LARGE_REPORT_DIGESTS = {
+    "text": (859_330, "83e88b524e86617ee94432694c863d8722326cfa972ead6c8cad6ccc32e1954b"),
+    "json": (1_475_583, "8f8df3554426dd8df47d7e7218d71466c61ae6a6a82561e69d2d51427117a210"),
+}
+
+
+@pytest.mark.parametrize("fmt", LARGE_REPORT_DIGESTS)
+def test_large_contextual_report_digests(fmt, tmp_path):
+    """The n = 16, m = 12 GHZ report of conftest.large_ghz_instance keeps its bytes.
+
+    Its 2,048 settings give a whole system of 6,132 rows over 2,080
+    observables; the certificate ends at row 2,050.
+    """
+    instance = tmp_path / "large_ghz.json"
+    raw = ghz_raw(np.random.default_rng(16), 16, 12, 11)
+    instance.write_text(json.dumps(raw), encoding="utf-8")
+    args = [*_mbqc(instance.name, "report", tmp_path), "--format", fmt]
+    assert_digest(args, *LARGE_REPORT_DIGESTS[fmt])
+
+
+def test_no_command_solves_a_whole_system(monkeypatch, tmp_path):
+    """Every command decides through the row stream of presheaf.decide_global.
+
+    With gf2.solve and gf2.rref made to raise, every golden command and
+    every sixteen-input digest command prints the same bytes.
+    """
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a command solved a whole system")
+
+    monkeypatch.setattr(gf2, "solve", refuse)
+    monkeypatch.setattr(gf2, "rref", refuse)
+    for name, fmt in CASES:
+        result = CliRunner().invoke(main, command_args(name, fmt, tmp_path))
+        assert result.exit_code == 0, (name, fmt, result.output)
+        assert result.stdout_bytes == golden_path(name, fmt).read_bytes(), (name, fmt)
+    for (command, fmt), expected in SIXTEEN_INPUT_DIGESTS.items():
+        assert_digest(sixteen_input_args(command, fmt), *expected)
 
 
 if __name__ == "__main__":

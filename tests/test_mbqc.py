@@ -39,6 +39,7 @@ from conftest import (
     brute_force_global,
     context_fields,
     ghz_raw,
+    large_ghz_instance,
     random_stabilizer_group,
     random_valid_instance,
     random_valid_raw,
@@ -417,9 +418,14 @@ class TestContextualityReport:
             "XXX", "XYY", "YXY", "YYX",
         ]
         assert [p.value_bit for p in report.pins] == [0, 1, 1, 1]
-        assert report.problem.num_rows == 9
+        # The certificate ends at row 5; the whole system has 9 rows.
+        assert report.problem.num_rows == 5
         assert report.problem.num_vars == 10
         assert gf2.verify_certificate(report.problem, report.global_section)
+        whole = build_global_problem(report.contexts, report.pins)
+        assert whole.num_rows == 9
+        assert whole.matrix.rows[:5] == report.problem.matrix.rows
+        assert gf2.verify_certificate(whole, report.global_section)
 
     def test_xor_instance_is_noncontextual(self):
         report = contextuality_report(validate_instance(xor_raw()))
@@ -761,7 +767,30 @@ class TestSettingBasis:
         assert [context_fields(c) for c in report.contexts] == [
             context_fields(c) for c in expected.contexts
         ]
+        # The report holds the rows decide_global read: a prefix of the
+        # whole system, up to the certificate, or all of it.
+        problem, whole = report.problem, expected.problem
+        read = problem.num_rows
+        assert problem.labels == whole.labels
+        assert problem.matrix.rows == whole.matrix.rows[:read]
+        assert problem.rhs == whole.rhs & (1 << read) - 1
+        if report.is_contextual:
+            for system in (problem, whole):
+                assert gf2.verify_certificate(system, report.global_section)
+        else:
+            assert read == whole.num_rows
         assert rendered(report) == rendered(expected)
+
+    @pytest.mark.parametrize("make", [
+        anders_browne_instance,
+        z_product_instance,
+        lambda: validate_instance(xor_raw()),
+        lambda: validate_instance(undetermined_raw()),
+        ghz_rank_one_instance,
+        large_ghz_instance,
+    ], ids=["anders_browne", "z_product", "xor", "undetermined", "ghz_rank_one", "large_ghz"])
+    def test_suite_instances(self, make):
+        self.assert_matches_per_setting(make())
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
