@@ -9,31 +9,32 @@ YXY, YYX} the row 0b1111 with sign bit 1 says that the four multiply to
 minus the identity. Everything here works on packed symplectic ints,
 except the member order: members sort by
 :meth:`~contextua.pauli.PauliOperator.body`, the letter string each
-operator builds once and keeps. Closing is one pass. Each generator's phase
-excess, computed once, validates, signs and canonicalises it; the sorted
-members then stream once through one signed pivot table,
+operator builds once and keeps. Closing a context is one pass over its
+generators: each one's phase excess, computed once, validates, signs and
+canonicalises it, and the first copy of its vector is reduced, unsigned,
+under the highest-bit rule, for the rank and the kept generators, on whose
+pairs alone commutation is checked. The relations wait for a reader: the
+sorted members stream once through one signed pivot table,
 :func:`~contextua.pauli.reduce_signed`, which folds the phase of each
 member's product while it reduces the member. Each member it does not
 keep yields one relation, its fundamental circuit, signed by that fold.
-These relations are a basis of all product constraints of the
-context, so any valuation that respects them respects every one. The kept
-members, its generators, top no row, and commutation is checked on their
-pairs alone. Maximal contexts are the maximal cliques of the commutation
-graph, found by one of two exact searches that return int cliques and
-refuse more than MAX_CONTEXTS. Up to four qubits, when the Lagrangian
-subspaces number at most 53 per distinct observable, the cliques are read
-off constant tables of those subspaces, with no graph built: every
-maximal clique is the set of vertices in one of them, and a set is
-maximal exactly when the number of them that give it is the number that
-hold its span, whose rank a table of subset ranks gives. Otherwise a
-pivoted Bron-Kerbosch search runs on an explicit stack over int-bitset
-neighbourhoods, built from coordinate masks.
+These relations are a basis of all product constraints of the context,
+so any valuation that respects them respects every one. Maximal contexts
+are the maximal cliques of the commutation graph, found by one of two
+exact searches that return int cliques and refuse more than MAX_CONTEXTS.
+Up to four qubits, when the Lagrangian subspaces number at most 53 per
+distinct observable, the cliques are read off constant tables of those
+subspaces, with no graph built: every maximal clique is the set of
+vertices in one of them, and a set is maximal exactly when the number of
+them that give it is the number that hold its span, whose rank a table of
+subset ranks gives. Otherwise a pivoted Bron-Kerbosch search runs on an
+explicit stack over int-bitset neighbourhoods, built from coordinate masks.
 
 Every context carries ``names``, the bodies of its members in member
 order, which is all the global-section columns and the report read of
-it. A context is closed, or deferred as :func:`maximal_contexts` makes
-it, closed when its relations are first read, so a solver that stops
-early builds and closes few.
+it. Both builders give deferred contexts; :meth:`ContextGroup.rows`
+yields a context's relations named by the global-section columns, so a
+solver that stops early reduces few contexts.
 
 Membership and inclusion are projective and answered by the
 :class:`~contextua.pauli.PauliBasis` of the generators, built on the first
@@ -96,14 +97,14 @@ class ContextGroup:
     context has one of two shapes. A closed context is
     ``ContextGroup(members, width, relations, signs)``: the constructor
     assumes its arguments are validated and canonical, reads the rank off
-    them and makes the names from the members unless they are given. A
-    deferred context, as :func:`maximal_contexts` gives it, is made by
-    :func:`_deferred` from its names, its rank and a lookup from each name
-    to its member operator: its members are looked up on their first read,
-    and closed by :func:`_insert` on the first read of ``relations`` or
-    ``signs``, once, so a context whose relations nobody reads never builds
-    its member tuple. Independent members, as many as the rank, need no
-    closing and have no relations.
+    them and makes the names from the members unless they are given, as
+    for an MBQC local context. A deferred context, as both builders give
+    it, is made by :func:`_deferred` from its names, its rank and a lookup
+    from each name to its member operator: its members are looked up on
+    their first read, and closed by :func:`_insert` on the first read of
+    ``relations`` or ``signs``, once. :meth:`rows` gives the relations over
+    column bits straight from the signed pass, closing nothing. Independent
+    members, as many as the rank, have no relations.
     """
 
     __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs", "_basis")
@@ -150,6 +151,18 @@ class ContextGroup:
             self._find_relations()
         return self._signs
 
+    def rows(self, columns: Iterable[int]) -> Iterable[tuple[int, int]]:
+        """(row, sign bit) per relation, member i named by the i-th bit of columns.
+
+        A context given one all-members relation (an MBQC local context)
+        yields the sum of the columns; any other, its signed pass, which
+        reduces the members only as far as its rows are read.
+        """
+        relations = self._relations
+        if relations and relations[0] + 1 == 1 << len(self.names):
+            return ((sum(columns), self._signs),)
+        return reduce_signed({}, self.members, columns)
+
     @property
     def generators(self) -> tuple[PauliOperator, ...]:
         dependent = 0
@@ -189,14 +202,16 @@ class ContextGroup:
 
 
 def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) -> ContextGroup:
-    """Close a commuting Hermitian generating set into a ContextGroup.
+    """Validate a commuting Hermitian generating set into a deferred ContextGroup.
 
     Generators are deduplicated by body string and canonicalized to
     the positive representative; the relation set then carries all signs. A
     pair of generators with equal body but opposite signs, or an explicit
     negative identity operator, puts -I in the group and is rejected because
     such a context has an empty spectrum. Each generator's phase excess,
-    from its fields, names the first offender; commutation is checked last.
+    from its fields, names the first offender; commutation is checked last,
+    on the generators that the same loop keeps while it reduces each new
+    vector, unsigned, for the rank. The context is deferred (:func:`_deferred`).
     """
     ops = list(gens)
     if not ops and width is None:
@@ -204,6 +219,8 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
     w = width if width is not None else ops[0].width
     excesses: dict[str, int] = {}
     given: dict[str, PauliOperator] = {}  # canonical generators by body, as given
+    pivots: dict[int, int] = {}
+    kept: list[PauliOperator] = []
     for op in ops:
         if op.width != w:
             raise ValueError(f"width mismatch: {op.width} vs {w}")
@@ -219,14 +236,19 @@ def close_context(gens: Iterable[PauliOperator], *, width: int | None = None) ->
         known = excesses.get(body)
         if known is None:
             excesses[body] = excess
-            given[body] = op.negate() if excess else op
+            given[body] = canonical = op.negate() if excess else op
+            vector = x | z << w
+            while vector:
+                pivot = pivots.get(vector.bit_length())
+                if pivot is None:
+                    pivots[vector.bit_length()] = vector
+                    kept.append(canonical)
+                    break
+                vector ^= pivot
         elif known != excess:
             raise MinusIdentityError(f"generators include both +{body} and -{body}")
-    names = sorted(given)
-    members = [given[body] for body in names]
-    rows, signs, kept = _insert(members)
-    _check_commuting([members[i] for i in kept], w, list(given.values()))
-    return ContextGroup(tuple(members), w, rows, signs, tuple(names))
+    _check_commuting(kept, w, list(given.values()))
+    return _deferred(tuple(sorted(given)), w, len(kept), given)
 
 
 def _deferred(
@@ -258,7 +280,12 @@ def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[in
     Returns (rows, signs, kept): relation rows over the positions of ops,
     their signs, and the positions of the generators.
     """
-    return reduce_signed({}, ops)
+    table: dict = {}
+    rows, signs = [], 0
+    for row, sign in reduce_signed(table, ops, [1 << i for i in range(len(ops))]):
+        signs |= sign << len(rows)
+        rows.append(row)
+    return tuple(rows), signs, [entry[1].bit_length() - 1 for entry in table.values()]
 
 
 def _check_commuting(
@@ -583,7 +610,7 @@ def _lagrangian_cliques(vectors: Sequence[int], width: int) -> list[int]:
 
 
 def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
-    """One context per maximal clique of the commutation graph, closed when first read.
+    """One deferred context per maximal clique of the commutation graph.
 
     Each input observable is validated and canonicalized by one phase excess,
     deduplicated and sorted by its kept body, descending; that sorted list
@@ -609,8 +636,8 @@ def maximal_contexts(obs: Sequence[PauliOperator]) -> list[ContextGroup]:
     alone. Each context is deferred (:func:`_deferred`): it keeps the map
     from body to canonical operator built here, shared by all, and its
     member operators, relations and signs wait until something reads them,
-    as the global-section stream does for the contexts it closes. Contexts
-    come in lexicographic order, so runs agree.
+    as the global-section stream reads the rows of the contexts it reaches.
+    Contexts come in lexicographic order, so runs agree.
     """
     seen: dict[str, PauliOperator] = {}
     for op in obs:

@@ -23,7 +23,7 @@ quant-ph/0406196), so a sign costs no second walk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 # ASCII letter -> its x bit, its z bit, as the digits int(..., 2) reads.
 _X_DIGITS = bytes.maketrans(b"IXYZ", b"0110")
@@ -245,25 +245,26 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
 
 
 def reduce_signed(
-    table: dict, ops: Sequence[PauliOperator], first: int = 0, keep: bool = True
-) -> tuple[tuple[int, ...], int, list[int]]:
-    """Reduce commuting ops in turn against a signed pivot table, keeping each remainder.
+    table: dict, ops: Iterable[PauliOperator], names: Iterable[int], keep: bool = True
+) -> Iterator[tuple[int, int]]:
+    """Reduce commuting ops in turn against a signed pivot table, yielding each relation.
 
     The table maps a pivot, the bit length of a kept vector, to (vector,
     combination, x, z, phase) of a kept product: its packed vector, the
     names of the ops it multiplies, its bits and its phase exponent mod 4.
-    Op j is named by bit first + j. Each step clears the highest set bit
-    left with the row stored there and multiplies the running product, of
-    Z bits z, by the row's, adding its phase and 2 popcount(z & x) to the
-    phase. An op with a remainder is kept as that product when keep is set. One without is a
-    relation: commuting ops that each square to I multiply to i^phase I,
-    so bit 1 of the phase is its sign. Returns (rows, signs, kept): per op
-    not kept, its combination plus its own name, its top bit; bit r of
-    signs, row r's sign, meaningful once the ops commute; and the names of
-    the ops with a remainder.
+    Each op is named by its own bit from names, taken in step with ops.
+    Each step clears the highest set bit left with the row stored there
+    and multiplies the running product, of Z bits z, by the row's, adding
+    its phase and 2 popcount(z & x) to the phase. An op with a remainder is
+    kept as that product when keep is set. One without is a relation:
+    commuting ops that each square to I multiply to i^phase I, so bit 1 of
+    the phase is its sign. A generator: it yields (row, sign bit) as it
+    finds each relation, the row its combination plus the op's own name,
+    the sign meaningful once the ops commute, and reduces no op past the
+    last relation read.
     """
-    get, rows, signs, kept = table.get, [], 0, []
-    for name, op in enumerate(ops, first):
+    get = table.get
+    for op, name in zip(ops, names):
         z, phase, combination = op.z_bits, op.phase_exp, 0
         vector = op.x_bits | z << op.width
         row = get(vector.bit_length())
@@ -274,15 +275,11 @@ def reduce_signed(
             combination ^= c
             z ^= rz
             row = get(vector.bit_length())
-        if vector:
-            if keep:
-                x = vector & (1 << op.width) - 1
-                table[vector.bit_length()] = (vector, combination | 1 << name, x, z, phase & 3)
-            kept.append(name)
-        else:
-            signs |= (phase >> 1 & 1) << len(rows)
-            rows.append(combination | 1 << name)
-    return tuple(rows), signs, kept
+        if not vector:
+            yield combination | name, phase >> 1 & 1
+        elif keep:
+            x = vector & (1 << op.width) - 1
+            table[vector.bit_length()] = (vector, combination | name, x, z, phase & 3)
 
 
 class PauliBasis:
@@ -318,8 +315,9 @@ class PauliBasis:
                 if (vector & swapped).bit_count() & 1:
                     message = f"{g.body()} and {op.body()} do not commute"
                     raise NonCommutingGeneratorsError(message)
-        rows, sign, _ = reduce_signed(self._table, (op,), self.rank, keep)
-        return (rows[0] ^ 1 << self.rank, sign) if rows else None
+        name = 1 << self.rank
+        found = next(reduce_signed(self._table, (op,), (name,), keep), None)
+        return None if found is None else (found[0] ^ name, found[1])
 
     def add(self, op: PauliOperator) -> tuple[int, int] | None:
         """Keep op if it is independent of the generators.

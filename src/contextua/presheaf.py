@@ -10,18 +10,18 @@ assignment over all named observables whose restriction to every
 context is a valuation. Deciding whether one exists is one GF(2) system:
 one variable per observable, one int row per context relation (bit c names
 observable c) plus one unit row per pinned eigenvalue of a distinguished
-state. A context holds its relations as such rows over its own members,
-so they only change columns. A solution of the system is a global section,
+state. A context gives its relations as such rows, its signed pass naming
+each member by its column. A solution of the system is a global section,
 and an inconsistency certificate for it, a set of rows that sums to 0 = 1,
 is a Kochen-Specker style proof of contextuality, which
 :func:`contextua.gf2.verify_certificate` checks exactly.
 
 The system is built by one row stream. Its columns are numbered, and its
 pins checked, before any row is built; then each context yields its rows
-when the reader reaches it, and is closed only then. :func:`decide_global`
+when the reader reaches it, found only then. :func:`decide_global`
 lets :func:`contextua.gf2.solve_rows` read the stream and stop at the
 first inconsistent row, so a contradiction found among the first contexts
-closes no later one; every command decides this way. No command calls
+reduces no later one; every command decides this way. No command calls
 :func:`build_global_problem`, which collects the whole stream into the
 matrix view, or :func:`solve_global`: they are the whole-system reference.
 """
@@ -173,12 +173,13 @@ class _GlobalRows:
     unknown pin is refused before any row is built. The identity lies in
     every context but names no column: its pin is a row with no columns.
     Iterating yields (row, rhs bit), one row per context relation, context
-    by context, then one per pin in the given order. A context is closed,
-    and its names looked up as column bits, only when its first row is
-    needed, and each row is recorded as it is yielded, so :meth:`system` is
-    the system of every label and the rows read so far. A context whose one
-    relation names all its members, as an MBQC local context's does, gives
-    the sum of its distinct columns as that row, with no walk over its bits.
+    by context, then one per pin in the given order. A context whose rank
+    is its size has no relation and is skipped; any other gives its rows
+    from :meth:`~contextua.contexts.ContextGroup.rows`, its names looked up
+    as column bits, so its signed pass runs only when its first row is
+    needed and only as far as rows are read. Each row and its rhs bit are
+    recorded as it is yielded, so :meth:`system` is the system of every
+    label and the rows read so far.
     """
 
     def __init__(
@@ -215,26 +216,12 @@ class _GlobalRows:
         rows = self.rows
         column = self._columns.__getitem__
         for ctx in self._contexts:
-            relations = ctx.relations
-            if relations:
-                signs = ctx.signs
-                self._rhs |= signs << len(rows)  # system() drops bits of unread rows
-                names = ctx.names
-                if len(relations) == 1 and relations[0] + 1 == 1 << len(names):
-                    row = sum(map(column, names))
-                    rows.append(row)
-                    yield row, signs
-                    continue
-                table = list(map(column, names))
-                for relation in relations:
-                    row = 0
-                    while relation:
-                        low = relation & -relation
-                        row |= table[low.bit_length() - 1]
-                        relation ^= low
-                    rows.append(row)
-                    yield row, signs & 1
-                    signs >>= 1
+            if ctx.rank == len(ctx.names):  # independent members: no relation
+                continue
+            for row, bit in ctx.rows(map(column, ctx.names)):
+                self._rhs |= bit << len(rows)
+                rows.append(row)
+                yield row, bit
         for row, bit in self._pins:
             self._rhs |= bit << len(rows)
             rows.append(row)
@@ -243,7 +230,7 @@ class _GlobalRows:
     def system(self) -> gf2.Gf2System:
         return gf2.Gf2System(
             matrix=gf2.BitMatrix(tuple(self.rows), len(self.labels)),
-            rhs=self._rhs & (1 << len(self.rows)) - 1,
+            rhs=self._rhs,
             labels=self.labels,
         )
 
@@ -274,7 +261,7 @@ def decide_global(
 
     :func:`contextua.gf2.solve_rows` reads the row stream that
     :func:`build_global_problem` collects and stops at the first
-    inconsistent row, so no later row is built and no later context closed.
+    inconsistent row, so no later row is built and no later context reduced.
     Returns the system of every label and the rows read (all of them when a
     section exists) with the outcome :func:`solve_global` gives on the
     whole system: the solver's assignment, whose forward substitution

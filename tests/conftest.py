@@ -18,6 +18,7 @@ import re
 
 import numpy as np
 
+from contextua import contexts as contexts_module
 from contextua import gf2
 from contextua.contexts import ContextGroup, NonCommutingGeneratorsError, close_context
 from contextua.mbqc import MBQCInstance, validate_instance
@@ -372,6 +373,32 @@ def reference_insert(ops) -> tuple[tuple[int, ...], int, list[int]]:
             signs |= reference_sign(ops, circuit, op) << len(rows)
             rows.append(circuit | 1 << i)
     return tuple(rows), signs, kept
+
+
+def spy_signed_passes(monkeypatch) -> list[tuple[tuple[PauliOperator, ...], list[PauliOperator]]]:
+    """Record every signed pass of contexts.py once it reduces its first member.
+
+    Each record is (ops, taken): the operators the pass was given and those
+    it has begun to reduce so far, in order. A pass that is set up but never
+    read reduces nothing and leaves no record.
+    """
+    original = contexts_module.reduce_signed
+    passes: list[tuple[tuple[PauliOperator, ...], list[PauliOperator]]] = []
+
+    def spying(table, ops, names, keep=True):
+        ops, taken = tuple(ops), []
+
+        def fed():
+            for op in ops:
+                if not taken:
+                    passes.append((ops, taken))
+                taken.append(op)
+                yield op
+
+        return original(table, fed(), names, keep)
+
+    monkeypatch.setattr(contexts_module, "reduce_signed", spying)
+    return passes
 
 
 def reference_signed_combination(generators, op: PauliOperator) -> tuple[int, int] | None:

@@ -70,6 +70,24 @@ class TestAnalyze:
         assert result.stdout == ""
         assert result.stderr == "error: XII and ZII do not commute\n"
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("XXX\nZII\n", "XXX and ZII do not commute"),
+            ("+XXX\n-XXX\n", "generators include both +XXX and -XXX"),
+        ],
+    )
+    def test_blocks_the_solver_never_reads_are_validated(self, runner, tmp_path, block, message):
+        """The solver stops within Mermin's five blocks; a bad sixth still exits 2."""
+        mermin = (FIXTURES / "mermin_contexts.txt").read_text(encoding="utf-8")
+        ctx = write(tmp_path, "ctx.txt", mermin + "context:\n" + block)
+        result = runner.invoke(
+            main, ["analyze", "--obs", str(FIXTURES / "mermin.txt"), "--contexts", ctx]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
     def test_analyze_hashes_no_operator(self, runner, tmp_path, monkeypatch):
         """Observables are named and keyed by their bits and body strings only."""
         paulis = ["".join(b) for b in product("IXYZ", repeat=3)][1:]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from math import prod
 from pathlib import Path
 
@@ -46,22 +46,25 @@ from contextua.pauli import (
     multiply_all,
     parse_pauli,
 )
-from contextua.mbqc import joint_observable
+from contextua.mbqc import contextuality_report, joint_observable, validate_instance
 from contextua.presheaf import decide_global, spectrum
 from contextua.stabilizer import DependentGeneratorsError, make_stabilizer, member_sign
 
 from conftest import (
     dense_operator,
     expand_relation,
+    ghz_raw,
     pack_rows,
     random_commuting_set,
     random_pauli,
     random_stabilizer_group,
+    random_valid_instance,
     rank,
     reference_close_context,
     reference_insert,
     reference_sign,
     reference_signed_combination,
+    spy_signed_passes,
 )
 
 
@@ -392,55 +395,57 @@ class TestElimination:
         assert points[0].value_of(parse_pauli("-XXX")) == 0
 
     def test_close_context_eliminates_at_most_once(self, monkeypatch):
-        """One signed pass: one call reduces each member once; no gf2 elimination runs."""
-        passes = []
-        original = contexts_module.reduce_signed
+        """close_context runs no signed pass; a first read of the relations runs one.
 
-        def counting(table, block, *args):
-            passes.append(list(block))
-            return original(table, block, *args)
+        That pass reduces each member once, and no gf2 elimination runs.
+        """
+        passes = spy_signed_passes(monkeypatch)
 
         def refuse(*args):
             raise AssertionError("close_context ran a second elimination")
 
-        monkeypatch.setattr(contexts_module, "reduce_signed", counting)
         monkeypatch.setattr(gf2, "rref", refuse)
         monkeypatch.setattr(gf2.Basis, "add", refuse)
         all_z = ["".join(z) for z in product("IZ", repeat=3)][1:]
         for block in (ops("X"), ops("XII", "IXI", "IIX", "XXX"), ops(*all_z)):
             passes.clear()
             ctx = close_context(block)
-            assert passes == [list(ctx.members)]
+            assert passes == []
             assert len(ctx.relations) == len(ctx.members) - ctx.rank
+            dependent = ctx.rank < len(ctx.members)
+            assert passes == ([(ctx.members, list(ctx.members))] if dependent else [])
 
     def test_maximal_contexts_close_on_first_read(self, monkeypatch):
         """Names and rank come at once; members, relations and signs wait for a reader.
 
         The search builds no member tuple: a context looks its members up
-        by name when they are first read. Each context is closed once,
+        by name when they are first read. Each context is reduced once,
         by the first read of its relations or signs; one whose members are
-        independent is never passed to _insert. The solver builds members
-        for exactly the contexts it closes: on the 255 four-qubit Paulis,
-        the 11 it reads before the certificate.
+        independent is never reduced. The solver builds members for exactly
+        the contexts it reduces, and reduces a context only once it reads
+        that context's first row: on the 255 four-qubit Paulis, the 11 it
+        reads before the certificate.
         """
-        closed = []
-        original = contexts_module._insert
-        monkeypatch.setattr(
-            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
-        )
+        passes = spy_signed_passes(monkeypatch)
         contexts = maximal_contexts(mermin_observables() + [identity(3)])
-        assert closed == []
+        assert passes == []
         assert all(ctx._members is None for ctx in contexts)
         assert [ctx.group_order for ctx in contexts] == [8] * 15
         assert all(ctx.members[0].body() != "III" for ctx in contexts)
-        assert closed == []
+        assert passes == []
         for ctx in contexts[:2]:
             ctx.signs
             ctx.relations
             ctx.generators
         assert [len(ctx.members) for ctx in contexts[:2]] == [4, 3]
-        assert closed == [contexts[0].members]
+        assert [given for given, _ in passes] == [contexts[0].members]
         assert (contexts[1].relations, contexts[1].signs) == ((), 0)
+        passes.clear()
+        later = next(ctx for ctx in contexts if ctx.names == ("XXX", "XYY", "YXY", "YYX"))
+        rows = later.rows([2, 4, 8, 16])
+        assert passes == []
+        assert next(rows) == (30, 1)
+        assert [given for given, _ in passes] == [later.members]
         census = maximal_contexts(all_paulis(4))
         assert all(ctx._members is None for ctx in census)
         read = []
@@ -448,12 +453,12 @@ class TestElimination:
         monkeypatch.setattr(
             ContextGroup, "members", property(lambda ctx: read.append(ctx) or members.fget(ctx))
         )
-        closed.clear()
+        passes.clear()
         _, outcome = decide_global(census)
         assert isinstance(outcome, gf2.Certificate)
         assert len(read) == 11
         assert [ctx for ctx in census if ctx._members is not None] == read
-        assert closed == [ctx._members for ctx in read]
+        assert [given for given, _ in passes] == [ctx._members for ctx in read]
 
     def test_deferred_members_are_the_input_operators(self):
         """A deferred context looks its members up by name.
@@ -1247,6 +1252,72 @@ def commuting_lists(max_size=12, max_width=4):
         )
 
     return st.integers(1, max_width).flatmap(texts)
+
+
+def walked(relation, columns):
+    """A relation row over member positions, renamed by the column bits: the oracle walk."""
+    row = 0
+    while relation:
+        low = relation & -relation
+        row |= columns[low.bit_length() - 1]
+        relation ^= low
+    return row
+
+
+class TestRows:
+    """ContextGroup.rows: the relations named by column bits, from one signed pass."""
+
+    @staticmethod
+    def contexts_of_every_kind(rng):
+        """(context, is an MBQC local context) pairs, each context fresh and unread."""
+        for t in range(40):
+            pool = [random_pauli(rng, 2 + t % 3) for _ in range(int(rng.integers(2, 16)))]
+            yield from ((ctx, False) for ctx in maximal_contexts(pool))
+        for t in range(30):
+            width = 1 + t % 5
+            gens = random_stabilizer_group(rng, width).generators
+            block = [multiply_all([g for j, g in enumerate(gens) if bits >> j & 1])
+                     for bits in range(1, 1 << width)]
+            block = [block[i] for i in rng.permutation(len(block))]
+            if t % 3 == 0:
+                block += [identity(width), block[0]]
+            yield close_context(block), False
+        instances = [random_valid_instance(rng, 5, 4) for _ in range(12)]
+        instances += [validate_instance(ghz_raw(rng, n, 4, 3)) for n in (4, 5, 6)]
+        for inst in instances:
+            *local, special = contextuality_report(inst).contexts
+            yield from ((ctx, True) for ctx in local)
+            yield special, False
+
+    def test_rows_walk_the_relations_through_the_columns(self, monkeypatch):
+        """Each row and sign is its relation's, walked through the columns, in order.
+
+        Reading k rows reduces the members only up to the top member of the
+        k-th relation; an MBQC local context, given its one relation, is
+        reduced not at all.
+        """
+        passes = spy_signed_passes(monkeypatch)
+        rng = np.random.default_rng(4101)
+        kinds = {False: 0, True: 0}
+        for ctx, local in self.contexts_of_every_kind(rng):
+            size = len(ctx.names)
+            columns = [1 << c for c in sorted(rng.choice(3 * size + 1, size, replace=False))]
+            columns = [columns[i] for i in rng.permutation(size)]
+            read = []
+            for k in range(1, size - ctx.rank + 1):
+                passes.clear()
+                got = list(islice(ctx.rows(iter(columns)), k))
+                read.append((got, [len(taken) for _, taken in passes]))
+            passes.clear()
+            rows = list(ctx.rows(iter(columns)))
+            expected = [(walked(relation, columns), ctx.signs >> r & 1)
+                        for r, relation in enumerate(ctx.relations)]
+            assert rows == expected
+            for k, (got, taken) in enumerate(read, 1):
+                assert got == expected[:k]
+                assert taken == ([] if local else [ctx.relations[k - 1].bit_length()])
+            kinds[local] += bool(expected)
+        assert min(kinds.values()) > 20
 
 
 class TestInsertSigns:

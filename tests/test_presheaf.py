@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from contextua import contexts as contexts_module
 from contextua import gf2, io
 from contextua.cli import main
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
@@ -35,6 +34,7 @@ from conftest import (
     random_commuting_set,
     random_pauli,
     rank,
+    spy_signed_passes,
     unpack_rows,
 )
 
@@ -376,18 +376,15 @@ class TestGlobalStream:
         assert min(outcomes.values()) > 30
 
     def test_closes_contexts_only_up_to_the_certificate(self, monkeypatch):
-        """_insert runs for the contexts up to the one holding the last row read.
+        """A signed pass runs for the contexts up to the one holding the last row read.
 
         That is every context on a noncontextual input, and none before the
-        solver reads a row; a context read twice is closed once. A context
-        whose rank is its member count has no relation to find, so it is
-        never passed to _insert.
+        solver reads a row; no context after the certificate's is reduced.
+        A context whose rank is its member count has no relation to find, so
+        it is never reduced. Collecting the whole stream reduces every other
+        context, once each.
         """
-        closed = []
-        original = contexts_module._insert
-        monkeypatch.setattr(
-            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
-        )
+        passes = spy_signed_passes(monkeypatch)
         rng = np.random.default_rng(2404)
         census = [parse_pauli("".join(b)) for b in product("IXYZ", repeat=3)]
         pools = [mermin_observables(), census]
@@ -399,9 +396,9 @@ class TestGlobalStream:
             named = [op for op in pool if not op.is_identity_class]
             pins = [StateConstraint(observable=op, value_bit=int(rng.integers(0, 2)))
                     for op in named[: t % 3]]
-            closed.clear()
+            passes.clear()
             problem, outcome = decide_global(contexts, pins)
-            consumed = list(closed)
+            consumed = [given for given, _ in passes]
             reached = len(contexts)  # also when the last row read is a pin
             if isinstance(outcome, gf2.Certificate):
                 ends = accumulate(
@@ -414,9 +411,9 @@ class TestGlobalStream:
             assert consumed == [
                 ctx.members for ctx in contexts[:reached] if ctx.rank < len(ctx.members)
             ]
-            closed.clear()
+            passes.clear()
             build_global_problem(contexts, pins)
-            assert consumed + closed == dependent
+            assert [given for given, _ in passes] == dependent
         assert partial >= 2
 
     def test_deferred_contexts_close_like_close_context(self):
@@ -433,20 +430,17 @@ class TestGlobalStream:
 
     def test_unknown_pin_is_refused_before_any_row(self, monkeypatch):
         """The contexts alone contradict each other, yet the unknown pin decides."""
-        closed = []
-        original = contexts_module._insert
-        monkeypatch.setattr(
-            contexts_module, "_insert", lambda ops: closed.append(ops) or original(ops)
-        )
+        passes = spy_signed_passes(monkeypatch)
         contexts = maximal_contexts(mermin_observables())
-        closed.clear()
         for body in ("ZZZ", "IIII", "II"):
             pin = StateConstraint(observable=parse_pauli(body), value_bit=0)
             with pytest.raises(UnknownConstrainedObservableError, match=body):
                 decide_global(contexts, [*ghz_pins(), pin])
             with pytest.raises(UnknownConstrainedObservableError, match=body):
                 build_global_problem(contexts, [pin])
-        assert closed == []
+        assert passes == []
+        decide_global(contexts, ghz_pins())
+        assert passes
 
     @pytest.mark.parametrize("value_bit", [0, 1])
     def test_identity_pin_is_a_row_without_columns(self, value_bit):
