@@ -35,12 +35,6 @@ order, which is all the global-section columns and the report read of
 it. Both builders give deferred contexts; :meth:`ContextGroup.rows`
 yields a context's relations named by the global-section columns, so a
 solver that stops early reduces few contexts.
-
-Membership and inclusion are projective and answered by the
-:class:`~contextua.pauli.PauliBasis` of the generators, built on the first
-query; the basis refuses a generator that anticommutes with one it keeps,
-which is how :func:`~contextua.stabilizer.make_stabilizer` checks a
-stabilizer group's generators.
 """
 from __future__ import annotations
 
@@ -52,7 +46,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .gf2 import set_bits
 from .pauli import (
     NonCommutingGeneratorsError,
-    PauliBasis,
     PauliOperator,
     commutes,
     reduce_signed,
@@ -90,8 +83,7 @@ class ContextGroup:
 
     The members that top no row are the ``generators``: they generate a
     group of exactly 2 ** rank elements that never contains minus the
-    identity. Their :class:`~contextua.pauli.PauliBasis`, which answers
-    membership, is built on the first query and kept.
+    identity.
 
     Construct through :func:`close_context` or :func:`maximal_contexts`. A
     context has one of two shapes. A closed context is
@@ -101,13 +93,14 @@ class ContextGroup:
     for an MBQC local context. A deferred context, as both builders give
     it, is made by :func:`_deferred` from its names, its rank and a lookup
     from each name to its member operator: its members are looked up on
-    their first read, and closed by :func:`_insert` on the first read of
-    ``relations`` or ``signs``, once. :meth:`rows` gives the relations over
-    column bits straight from the signed pass, closing nothing. Independent
-    members, as many as the rank, have no relations.
+    their first read, and the first read of ``relations`` or ``signs``
+    takes both, once, from :meth:`rows` with member i named by bit i.
+    :meth:`rows` gives the relations over column bits straight from the
+    signed pass, closing nothing. Independent members, as many as the rank,
+    have no relations.
     """
 
-    __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs", "_basis")
+    __slots__ = ("_members", "names", "_lookup", "width", "rank", "_relations", "_signs")
 
     def __init__(
         self,
@@ -123,7 +116,6 @@ class ContextGroup:
         self.width = width
         self._relations = relations
         self._signs = signs
-        self._basis: PauliBasis | None = None
         self.rank = len(self.names) - len(relations)
 
     @property
@@ -133,11 +125,13 @@ class ContextGroup:
         return self._members
 
     def _find_relations(self) -> None:
-        """Find the relations and signs of a context given its rank alone."""
-        if self.rank == len(self.names):  # independent members: no relation
-            self._relations, self._signs = (), 0
-        else:
-            self._relations, self._signs, _ = _insert(self.members)
+        """Read the relations and signs of a deferred context off its signed pass."""
+        rows: list[int] = []
+        if self.rank < len(self.names):  # independent members have no relation
+            for row, sign in self.rows([1 << i for i in range(len(self.names))]):
+                self._signs |= sign << len(rows)
+                rows.append(row)
+        self._relations = tuple(rows)
 
     @property
     def relations(self) -> tuple[int, ...]:
@@ -173,29 +167,6 @@ class ContextGroup:
     @property
     def group_order(self) -> int:
         return 1 << self.rank
-
-    @property
-    def basis(self) -> PauliBasis:
-        """The PauliBasis of the generators, built once, on first use."""
-        if self._basis is None:
-            self._basis = PauliBasis(self.width, self.generators)
-        return self._basis
-
-    def decompose(self, op: PauliOperator) -> tuple[tuple[PauliOperator, ...], int] | None:
-        """Express op over the generators, with the realized sign.
-
-        Returns (chosen, sign_bit), the generators whose product in generator
-        order is (-1)^sign_bit times the canonical representative of op, or
-        None when op is not in the group projectively. A non-Hermitian op is
-        passed on as it is, so PauliBasis.decompose refuses it.
-        """
-        return self.basis.decompose(op.canonical() if op.is_hermitian else op)
-
-    def is_subgroup_of(self, other: "ContextGroup") -> bool:
-        """Projective inclusion: every generator lies in the other group."""
-        if self.width != other.width:
-            return False
-        return all(other.decompose(g) is not None for g in self.generators)
 
     def __repr__(self) -> str:
         return f"ContextGroup([{', '.join(self.names)}])"
@@ -270,22 +241,7 @@ def _deferred(
     ctx.rank = rank
     ctx._relations = None
     ctx._signs = 0
-    ctx._basis = None
     return ctx
-
-
-def _insert(ops: Sequence[PauliOperator]) -> tuple[tuple[int, ...], int, list[int]]:
-    """One signed pass of ops through a fresh table, op i named by bit i.
-
-    Returns (rows, signs, kept): relation rows over the positions of ops,
-    their signs, and the positions of the generators.
-    """
-    table: dict = {}
-    rows, signs = [], 0
-    for row, sign in reduce_signed(table, ops, [1 << i for i in range(len(ops))]):
-        signs |= sign << len(rows)
-        rows.append(row)
-    return tuple(rows), signs, [entry[1].bit_length() - 1 for entry in table.values()]
 
 
 def _check_commuting(

@@ -255,6 +255,9 @@ def _setting_of(inst: MBQCInstance, bits: Sequence[int]) -> int:
     """Settings q = Q*i for one input, packed: bit k is party k's setting."""
     if len(bits) != inst.input_bits:
         raise ValueError(f"input must have {inst.input_bits} bits")
+    for bit in bits:
+        if bit not in (0, 1):
+            raise ValueError(f"input bits must be 0 or 1, got {bit!r}")
     return reduce(xor, compress(inst.columns, bits), 0)
 
 

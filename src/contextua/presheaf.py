@@ -2,12 +2,11 @@
 
 Each context carries its spectrum: the set of multiplicative ±1 valuations
 of its observables, encoded as bit assignments (value a means eigenvalue
-(-1)^a). A valuation's value on a group element is the sign bit of the
-element's decomposition over the generators plus their bits. Restriction
-maps a valuation to any subcontext, that is, any context whose group lies
-inside the valuation's context. A global section is a single bit
-assignment over all named observables whose restriction to every
-context is a valuation. Deciding whether one exists is one GF(2) system:
+(-1)^a). A valuation is fixed by its generators' bits: every other
+member takes its relation's sign plus the bits of the generators in it.
+A global section is a single bit assignment over all named observables
+that is a valuation on every context, each member taking its name's
+value. Deciding whether one exists is one GF(2) system:
 one variable per observable, one int row per context relation (bit c names
 observable c) plus one unit row per pinned eigenvalue of a distinguished
 state. A context gives its relations as such rows, its signed pass naming
@@ -38,10 +37,6 @@ from .pauli import PauliOperator
 
 class EmptySpectrumError(ValueError):
     """The context admits no valuation (minus the identity is a member)."""
-
-
-class NotASubcontextError(ValueError):
-    """Restriction target is not contained in the valuation's context."""
 
 
 class UnknownConstrainedObservableError(ValueError):
@@ -77,48 +72,40 @@ class Valuation:
         """Values in member order (the context's sorted member tuple)."""
         return tuple(self.values[body] for body in self.context.names)
 
-    def value_of(self, op: PauliOperator) -> int:
-        """Bit assigned to any group element, signed operators included.
-
-        Extends the member assignment multiplicatively through the group.
-        Raises KeyError for operators outside the context.
-        """
-        decomposed = self.context.decompose(op)
-        if decomposed is None:
-            raise KeyError(f"{op} is not in this context")
-        chosen, sign_bit = decomposed
-        return (sign_bit + op.sign_bit + sum(self.values[g.body()] for g in chosen)) % 2
-
 
 def spectrum(context: ContextGroup) -> tuple[Valuation, ...]:
     """All 2^g valuations of a context with g independent generators.
 
     Enumeration order is binary counting on the generator bits, generator 0
-    taken as the most significant, so the order is reproducible.
+    taken as the most significant, so the order is reproducible. A
+    generator takes its own bit; every other member tops one relation row
+    and takes the row's sign plus the bits of the members below its top.
     """
-    if any(not row and context.signs >> r & 1 for r, row in enumerate(context.relations)):
+    relations, signs = context.relations, context.signs
+    if any(not row and signs >> r & 1 for r, row in enumerate(relations)):
         raise EmptySpectrumError("context contains minus the identity")
-    g = context.rank
-    # Generators and their bodies are read once: generator j is bit g - 1 - j.
-    bit = {gen.body(): 1 << g - 1 - j for j, gen in enumerate(context.generators)}
-    # Members always decompose; each is expressed once, as its index mask.
-    forms = [(body, sign, sum(bit[gen.body()] for gen in chosen))
-             for body, op in zip(context.names, context.members)
-             for chosen, sign in [context.decompose(op)]]
+    top = {row.bit_length() - 1: (row, signs >> r & 1) for r, row in enumerate(relations)}
+    # Member i's form (sign, mask): its bit is sign plus the parity of idx & mask.
+    forms: list[tuple[int, int]] = []
+    bit = context.group_order
+    for i in range(len(context.names)):
+        if i in top:
+            row, sign = top[i]
+            mask = 0
+            for p, (s, m) in enumerate(forms):
+                if row >> p & 1:
+                    sign, mask = sign ^ s, mask ^ m
+            forms.append((sign, mask))
+        else:  # generator j is bit g - 1 - j of idx
+            bit >>= 1
+            forms.append((0, bit))
     return tuple(
         Valuation(context=context, values={
-            body: (sign + (idx & mask).bit_count()) % 2 for body, sign, mask in forms
+            body: (sign + (idx & mask).bit_count()) % 2
+            for body, (sign, mask) in zip(context.names, forms)
         })
-        for idx in range(1 << g)
+        for idx in range(context.group_order)
     )
-
-
-def restrict(valuation: Valuation, sub: ContextGroup) -> Valuation:
-    """Restriction map of the presheaf: push a valuation down to a subcontext."""
-    if not sub.is_subgroup_of(valuation.context):
-        raise NotASubcontextError("target context is not contained in the source")
-    values = {body: valuation.value_of(op) for body, op in zip(sub.names, sub.members)}
-    return Valuation(context=sub, values=values)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -293,11 +280,3 @@ def _section(problem: gf2.Gf2System, assignment: int, dimension: int) -> GlobalS
     values = {label: assignment >> c & 1 for c, label in enumerate(problem.labels)}
     return GlobalSection(values=values, dimension=dimension)
 
-
-def section_valuation(section: GlobalSection, context: ContextGroup) -> Valuation:
-    """Restrict a global section to one context (raises if it fails to be one).
-
-    Members are canonical, so each takes its name's value in the section.
-    """
-    values = {body: section.values[body] for body in context.names}
-    return Valuation(context=context, values=values)

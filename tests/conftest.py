@@ -10,7 +10,9 @@ brute_force_global decides a global-section system by trying every
 assignment, as ground truth for the solver. reference_parse_pauli parses
 by a regular expression and a loop over the letters, as an oracle for
 parse_pauli, and reference_fit_affine checks the forced affine candidate
-input by input, as an oracle for fit_affine.
+input by input, as an oracle for fit_affine. reference_spectrum values each
+member over the PauliBasis of a context's generators, as an oracle for
+spectrum, which reads the values off the relation rows.
 """
 from __future__ import annotations
 
@@ -399,6 +401,25 @@ def spy_signed_passes(monkeypatch) -> list[tuple[tuple[PauliOperator, ...], list
 
     monkeypatch.setattr(contexts_module, "reduce_signed", spying)
     return passes
+
+
+def reference_spectrum(ctx: ContextGroup) -> list[dict[str, int]]:
+    """Each point of a context's spectrum as its values, in spectrum's order.
+
+    Built on the PauliBasis of the generators: point idx gives generator j
+    bit g - 1 - j of idx, and each member takes the sign of its
+    decomposition over the generators plus the bits of those it chooses.
+    """
+    basis = PauliBasis(ctx.width, ctx.generators)
+    g = basis.rank
+    forms = []
+    for body, op in zip(ctx.names, ctx.members):
+        chosen, sign = basis.decompose(op)
+        forms.append((body, sign, [g - 1 - basis.generators.index(c) for c in chosen]))
+    return [
+        {body: (sign + sum(idx >> k & 1 for k in bits)) % 2 for body, sign, bits in forms}
+        for idx in range(1 << g)
+    ]
 
 
 def reference_signed_combination(generators, op: PauliOperator) -> tuple[int, int] | None:

@@ -1,4 +1,8 @@
-"""Spectra, restriction maps and the global-section decision problem."""
+"""Spectra, valuations restricted by name and the global-section decision problem.
+
+A valuation restricts to a context whose members are among its own, and a
+global section to every context, by reading each member's value by name.
+"""
 import pickle
 from itertools import accumulate, combinations, product
 from pathlib import Path
@@ -11,19 +15,17 @@ from contextua import gf2, io
 from contextua.cli import main
 from contextua.contexts import ContextGroup, close_context, maximal_contexts
 from contextua.fixtures import ghz_pins, mermin_contexts, mermin_observables
+from contextua.mbqc import contextuality_report
 from contextua.pauli import PauliOperator, identity, parse_pauli
 from contextua.stabilizer import make_stabilizer, member_sign
 from contextua.presheaf import (
     EmptySpectrumError,
     GlobalSection,
-    NotASubcontextError,
     StateConstraint,
     UnknownConstrainedObservableError,
     Valuation,
     build_global_problem,
     decide_global,
-    restrict,
-    section_valuation,
     solve_global,
     spectrum,
 )
@@ -33,7 +35,9 @@ from conftest import (
     expand_relation,
     random_commuting_set,
     random_pauli,
+    random_valid_instance,
     rank,
+    reference_spectrum,
     spy_signed_passes,
     unpack_rows,
 )
@@ -44,6 +48,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def ops(*texts):
     return [parse_pauli(t) for t in texts]
+
+
+def restrict_by_name(values, ctx):
+    """The Valuation of ctx whose members take their names' values (raises if none)."""
+    return Valuation(context=ctx, values={body: values[body] for body in ctx.names})
 
 
 def reference_global_problem(contexts, pins):
@@ -91,22 +100,6 @@ class TestValuation:
         with pytest.raises(ValueError, match=message):
             Valuation(context=ctx, values=values)
 
-    def test_value_of_signed_and_identity(self):
-        ctx = close_context(ops("X"))
-        point = Valuation(context=ctx, values={"X": 1})
-        assert point.value_of(parse_pauli("X")) == 1
-        assert point.value_of(parse_pauli("-X")) == 0
-        assert point.value_of(parse_pauli("I")) == 0
-        assert point.value_of(parse_pauli("-I")) == 1
-
-    def test_value_of_extends_multiplicatively(self):
-        ctx = close_context(ops("XI", "IX"))
-        values = {"XI": 1, "IX": 1}
-        point = Valuation(context=ctx, values=values)
-        assert point.value_of(parse_pauli("XX")) == 0
-        assert point.value_of(parse_pauli("-XX")) == 1
-        with pytest.raises(KeyError):
-            point.value_of(parse_pauli("ZZ"))
 
 
 class TestSpectrum:
@@ -148,6 +141,43 @@ class TestSpectrum:
         assert len(points) == 1
         assert points[0].bits == ()
 
+    def test_dependent_member_takes_its_relation(self):
+        """XX takes XI's bit plus IX's; YYX takes its relation's sign plus the others'."""
+        points = spectrum(close_context(ops("XI", "IX", "XX")))
+        assert [p.values for p in points] == [
+            {"IX": i, "XI": x, "XX": i ^ x} for i, x in product((0, 1), repeat=2)
+        ]
+        points = spectrum(close_context(ops("XXX", "XYY", "YXY", "YYX")))
+        assert [p.values["YYX"] for p in points] == [1, 0, 0, 1, 0, 1, 1, 0]
+
+    @staticmethod
+    def contexts_of_every_kind(rng):
+        """Closed, deferred, maximal and MBQC local contexts of widths 1-4."""
+        for t in range(60):
+            width = 1 + t % 4
+            chosen = random_commuting_set(rng, width, int(rng.integers(1, 2 * width + 3)))
+            if not chosen:
+                continue
+            ctx = close_context(chosen)
+            yield ctx
+            yield ContextGroup(ctx.members, ctx.width, ctx.relations, ctx.signs)
+        for t in range(24):
+            width = 1 + t % 4
+            yield from maximal_contexts([random_pauli(rng, width) for _ in range(2 + t % 7)])
+        for _ in range(10):
+            yield from contextuality_report(random_valid_instance(rng, 4, 3)).contexts
+
+    def test_matches_the_basis_oracle(self):
+        """Point for point and in order, spectrum is reference_spectrum's."""
+        rng = np.random.default_rng(4201)
+        kinds = set()
+        for ctx in self.contexts_of_every_kind(rng):
+            assert [p.values for p in spectrum(ctx)] == reference_spectrum(ctx)
+            kinds.add((ctx.width, ctx._lookup is None, len(ctx.relations)))
+        assert {width for width, _, _ in kinds} == {1, 2, 3, 4}
+        assert {closed for _, closed, _ in kinds} == {False, True}
+        assert max(count for _, _, count in kinds) > 3
+
     def test_minus_identity_spectrum_is_refused(self):
         broken = ContextGroup(members=(), width=1, relations=(0,), signs=1)
         with pytest.raises(EmptySpectrumError):
@@ -158,14 +188,11 @@ class TestRestriction:
     def test_restrict_to_named_member(self):
         big = close_context(ops("XII", "IXI", "IIX", "XXX"))
         sub = close_context(ops("XXX"))
-        for point in spectrum(big):
-            image = restrict(point, sub)
-            assert image.values == {"XXX": point.values["XXX"]}
-
-    def test_restrict_to_self_is_identity(self):
-        ctx = close_context(ops("XX", "ZZ"))
-        for point in spectrum(ctx):
-            assert restrict(point, ctx) == point
+        images = [restrict_by_name(point.values, sub) for point in spectrum(big)]
+        assert [image.values for image in images] == [
+            {"XXX": point.values["XXX"]} for point in spectrum(big)
+        ]
+        assert {image.bits for image in images} == {(0,), (1,)}
 
     def test_restriction_lands_in_the_subcontext_spectrum(self):
         """Spectrum points flow down to every subcontext of a Mermin block.
@@ -178,7 +205,6 @@ class TestRestriction:
             for size in (0, 1, 2):
                 for subset in combinations(big.members, size):
                     sub = close_context(subset, width=big.width)
-                    assert sub.is_subgroup_of(big)
                     pairs.append((sub, big))
         assert len(pairs) == 5 * (1 + 4 + 6)
         for sub, big in pairs:
@@ -186,22 +212,7 @@ class TestRestriction:
             for p in spectrum(sub):
                 sub_points.add(p.bits)
             for point in spectrum(big):
-                assert restrict(point, sub).bits in sub_points
-
-    def test_restriction_composes(self):
-        big = close_context(ops("XII", "IXI", "IIX", "XXX"))
-        mid = close_context(ops("IIX", "XII"))
-        low = close_context(ops("XII"))
-        for point in spectrum(big):
-            one_step = restrict(point, low)
-            two_step = restrict(restrict(point, mid), low)
-            assert one_step == two_step
-
-    def test_rejects_non_subcontext(self):
-        a = close_context(ops("X"))
-        b = close_context(ops("Z"))
-        with pytest.raises(NotASubcontextError):
-            restrict(spectrum(a)[0], b)
+                assert restrict_by_name(point.values, sub).bits in sub_points
 
 
 class TestStateConstraint:
@@ -651,7 +662,7 @@ class TestSectionValuation:
         outcome = solve_global(build_global_problem(contexts))
         assert isinstance(outcome, GlobalSection)
         for ctx in contexts:
-            valuation = section_valuation(outcome, ctx)
+            valuation = restrict_by_name(outcome.values, ctx)
             assert valuation in spectrum(ctx)
 
     def test_sections_restrict_to_deferred_contexts(self):
@@ -672,8 +683,7 @@ class TestSectionValuation:
         assert isinstance(section, GlobalSection)
         assert [section.values[op.body()] for op in stabilizers] == [0, 1, 0, 1]
         for ctx in contexts:
-            valuation = section_valuation(section, ctx)
-            assert valuation.values == {name: section.values[name] for name in ctx.names}
+            valuation = restrict_by_name(section.values, ctx)
             points = spectrum(ctx)
             assert len(points) == ctx.group_order
             assert valuation in points
